@@ -8,6 +8,7 @@ from .partitioning import (
     RoundRobin,
     UniformRange,
     gamma_hash,
+    gamma_mix,
     stable_hash,
 )
 from .relation import AttrStats, Relation, collect_statistics
@@ -23,5 +24,6 @@ __all__ = [
     "RoundRobin",
     "UniformRange",
     "gamma_hash",
+    "gamma_mix",
     "stable_hash",
 ]

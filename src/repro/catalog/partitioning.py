@@ -42,6 +42,26 @@ def stable_hash(value: Any) -> int:
     return hash(value)
 
 
+def gamma_mix(value: Any) -> int:
+    """The 32-bit mix that :func:`gamma_hash` reduces modulo its bucket
+    count: ``gamma_hash(v, n) == gamma_mix(v) % n`` for every ``n``.
+
+    For a caller that needs several bucketings of one value — the
+    DBC/1012 load derives both the AMP and the hash-key storage order of
+    a tuple from its key — so that it mixes the value once.
+    """
+    h = (
+        (hash(value) if type(value) is int else stable_hash(value))
+        * 2654435761
+    ) & 0xFFFFFFFF
+    # Fold the high bits down so that regular key patterns (multiples of
+    # 100, say) cannot alias with small bucket counts.
+    h ^= h >> 17
+    h = (h * 0x9E3779B1) & 0xFFFFFFFF
+    h ^= h >> 13
+    return h
+
+
 def gamma_hash(value: Any, n_buckets: int) -> int:
     """The randomising function applied to partitioning/join attributes.
 
@@ -52,12 +72,11 @@ def gamma_hash(value: Any, n_buckets: int) -> int:
     """
     if n_buckets <= 0:
         raise CatalogError("hash needs at least one bucket")
+    # gamma_mix, inlined: this runs once per routed tuple.
     h = (
         (hash(value) if type(value) is int else stable_hash(value))
         * 2654435761
     ) & 0xFFFFFFFF
-    # Fold the high bits down so that regular key patterns (multiples of
-    # 100, say) cannot alias with small bucket counts.
     h ^= h >> 17
     h = (h * 0x9E3779B1) & 0xFFFFFFFF
     h ^= h >> 13

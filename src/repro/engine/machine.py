@@ -16,13 +16,12 @@ Typical use::
 from __future__ import annotations
 
 from typing import Any, Iterable, Optional, Sequence
-from zlib import crc32
 
 from ..catalog import Catalog, Hashed, PartitioningStrategy, Relation, RoundRobin
 from ..errors import CatalogError, ReproError
 from ..hardware import GammaConfig
 from ..storage import Schema
-from ..workloads import generate_tuples, wisconsin_schema
+from ..workloads import StringsMode, wisconsin_load_set
 from .driver import QueryDriver, UpdateDriver
 from .ir import ir_op_ids
 from .node import ExecutionContext
@@ -102,24 +101,20 @@ class GammaMachine:
         partition_on: str = "unique1",
         clustered_on: Optional[str] = None,
         secondary_on: Iterable[str] = (),
-        strings: str = "cheap",
+        strings: StringsMode = "cheap",
     ) -> Relation:
         """Load an ``n``-tuple Wisconsin relation hashed on ``unique1``.
 
         Mirrors Section 4: "Two copies of each relation were created and
         loaded using Uniquel as the key (partitioning) attribute in all
-        cases."
+        cases."  The tuples are the process-wide shared relation of
+        :func:`~repro.workloads.wisconsin.wisconsin_relation`; this
+        machine's fragments, pages and indexes are its own.
         """
-        if seed is None:
-            # crc32, not builtin hash: string hashing is salted per process,
-            # and a per-run default seed would defeat reproducibility.
-            seed = crc32(name.encode("utf-8")) % (2**31)
-        records = list(
-            generate_tuples(n, seed=seed, strings=strings)  # type: ignore[arg-type]
-        )
+        schema, records = wisconsin_load_set(name, n, seed, strings)
         return self.load_relation(
             name,
-            wisconsin_schema(),
+            schema,
             records,
             partitioning=Hashed(partition_on),
             clustered_on=clustered_on,

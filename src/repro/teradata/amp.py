@@ -10,19 +10,42 @@ whole index too (the behaviour behind rows 3-4 of Table 1).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterator, Optional
+from typing import Any, Generator, Iterator, Optional, Sequence
 
-from ..catalog import gamma_hash
+from ..catalog import gamma_hash, gamma_mix
 from ..hardware import DiskDrive, TeradataConfig
 from ..sim import Server, Simulation
 from ..storage import BufferPool, HeapFile, Schema, records_per_page
 
+#: Files and dense indexes are ordered by the low 30 bits of the mix.
+HASH_ORDER_BUCKETS = 1 << 30
 
-def hash_key_order(records: list[tuple], key_pos: int) -> list[tuple]:
+
+def hash_partition(
+    records: Sequence[tuple], key_pos: int, n_amps: int
+) -> list[list[tuple]]:
+    """Deal ``records`` to AMPs by the hash of their key, each AMP's
+    share in the order the DBC/1012 stores it: by key hash, then key,
+    then load order.
+
+    One :func:`~repro.catalog.gamma_mix` per record yields both its AMP
+    (``mix % n_amps``, i.e. ``gamma_hash(key, n_amps)``) and its place in
+    the hash-key order.
+    """
+    keys = [record[key_pos] for record in records]
+    mixes = list(map(gamma_mix, keys))
+    place = [
+        (mix % HASH_ORDER_BUCKETS, key) for mix, key in zip(mixes, keys)
+    ]
+    buckets: list[list[tuple]] = [[] for _ in range(n_amps)]
+    for i in sorted(range(len(keys)), key=place.__getitem__):
+        buckets[mixes[i] % n_amps].append(records[i])
+    return buckets
+
+
+def hash_key_order(records: Sequence[tuple], key_pos: int) -> list[tuple]:
     """Sort records the way the DBC/1012 stores them: by key hash."""
-    return sorted(
-        records, key=lambda r: (gamma_hash(r[key_pos], 1 << 30), r[key_pos])
-    )
+    return hash_partition(records, key_pos, 1)[0]
 
 
 class DenseHashIndex:
@@ -38,7 +61,9 @@ class DenseHashIndex:
         self.name = name
         self.attr = attr
         self.page_size = page_size
-        self.entries: list[tuple[Any, int]] = []  # (value, tuple ordinal)
+        #: tuple ordinal → value, in index (scan) order: an entry is
+        #: dropped or re-filed at the end by ordinal, without a rebuild.
+        self.entries: dict[int, Any] = {}
 
     @property
     def num_pages(self) -> int:
@@ -46,22 +71,65 @@ class DenseHashIndex:
         return (len(self.entries) + per_page - 1) // per_page
 
     def build(self, values: list[Any]) -> None:
-        pairs = [(v, i) for i, v in enumerate(values)]
-        self.entries = sorted(
-            pairs, key=lambda e: gamma_hash(e[0], 1 << 30)
-        )
+        place = [gamma_mix(v) % HASH_ORDER_BUCKETS for v in values]
+        self.entries = {
+            i: values[i]
+            for i in sorted(range(len(values)), key=place.__getitem__)
+        }
 
     def matching(self, low: Any, high: Any) -> list[int]:
         """Ordinals of tuples with value in [low, high] — found only by
         scanning every entry."""
-        return [i for v, i in self.entries if low <= v <= high]
+        return [i for i, v in self.entries.items() if low <= v <= high]
 
     def exact(self, value: Any) -> list[int]:
-        return [i for v, i in self.entries if v == value]
+        return [i for i, v in self.entries.items() if v == value]
+
+
+class _FirstOrdinal:
+    """value → lowest live ordinal holding it, for one attribute of one
+    fragment: the answer a front-to-back scan of the fragment gives."""
+
+    def __init__(self, records: list[tuple], pos: int) -> None:
+        self.pos = pos
+        self.first: dict[Any, int] = {}
+        #: Values some second ordinal has carried too; only these need a
+        #: rescan when their first ordinal goes.
+        self.repeated: set[Any] = set()
+        first, repeated = self.first, self.repeated
+        for ordinal, record in enumerate(records):
+            if record is not None:
+                if first.setdefault(record[pos], ordinal) != ordinal:
+                    repeated.add(record[pos])
+
+    def add(self, value: Any, ordinal: int) -> None:
+        known = self.first.setdefault(value, ordinal)
+        if known != ordinal:
+            self.repeated.add(value)
+            if ordinal < known:
+                self.first[value] = ordinal
+
+    def drop(self, value: Any, ordinal: int, records: list[tuple]) -> None:
+        """Forget ``ordinal``, which no longer holds ``value`` in
+        ``records`` (removed, or replaced by a tuple with another value)."""
+        if self.first.get(value) != ordinal:
+            return
+        del self.first[value]
+        if value in self.repeated:
+            pos = self.pos
+            for later in range(ordinal + 1, len(records)):
+                record = records[later]
+                if record is not None and record[pos] == value:
+                    self.first[value] = later
+                    return
 
 
 class AmpFragment:
-    """One relation's data on one AMP."""
+    """One relation's data on one AMP.
+
+    ``records`` are this AMP's tuples already in hash-key order
+    (:func:`hash_partition` deals a relation out that way).
+    """
 
     def __init__(
         self,
@@ -74,12 +142,13 @@ class AmpFragment:
         self.name = name
         self.schema = schema
         self.key_attr = key_attr
-        key_pos = schema.position(key_attr)
-        ordered = hash_key_order(records, key_pos)
         self.heap = HeapFile(name, schema, page_size)
-        self.heap.bulk_append(ordered)
-        self.records = ordered
+        self.heap.bulk_append(records)
+        self.records = records
         self.indexes: dict[str, DenseHashIndex] = {}
+        #: Built per attribute by the first :meth:`locate` on it, then
+        #: kept by append/remove/replace.
+        self._located: dict[str, _FirstOrdinal] = {}
 
     @property
     def num_pages(self) -> int:
@@ -101,24 +170,32 @@ class AmpFragment:
         per_page = self.heap.records_per_full_page
         return ordinal // per_page
 
+    def locate(self, attr: str, value: Any) -> Optional[int]:
+        """Ordinal of the first live tuple whose ``attr`` equals
+        ``value``, or None."""
+        located = self._located.get(attr)
+        if located is None:
+            located = self._located[attr] = _FirstOrdinal(
+                self.records, self.schema.position(attr)
+            )
+        return located.first.get(value)
+
     def append(self, record: tuple) -> None:
+        ordinal = len(self.records)
         self.records.append(record)
         self.heap.append(record)
-        pos_by_attr = {
-            attr: self.schema.position(attr) for attr in self.indexes
-        }
         for attr, index in self.indexes.items():
-            index.entries.append(
-                (record[pos_by_attr[attr]], len(self.records) - 1)
-            )
+            index.entries[ordinal] = record[self.schema.position(attr)]
+        for located in self._located.values():
+            located.add(record[located.pos], ordinal)
 
     def remove(self, ordinal: int) -> tuple:
         record = self.records[ordinal]
         self.records[ordinal] = None  # type: ignore[call-overload]
         for index in self.indexes.values():
-            index.entries = [
-                (v, i) for v, i in index.entries if i != ordinal
-            ]
+            del index.entries[ordinal]
+        for located in self._located.values():
+            located.drop(record[located.pos], ordinal, self.records)
         return record
 
     def replace(self, ordinal: int, record: tuple) -> None:
@@ -127,10 +204,14 @@ class AmpFragment:
         for attr, index in self.indexes.items():
             pos = self.schema.position(attr)
             if old[pos] != record[pos]:
-                index.entries = [
-                    (v, i) for v, i in index.entries if i != ordinal
-                ]
-                index.entries.append((record[pos], ordinal))
+                # Re-filed at the end of the index, as a fresh entry is.
+                del index.entries[ordinal]
+                index.entries[ordinal] = record[pos]
+        for located in self._located.values():
+            pos = located.pos
+            if old[pos] != record[pos]:
+                located.drop(old[pos], ordinal, self.records)
+                located.add(record[pos], ordinal)
 
     def live_records(self) -> Iterator[tuple]:
         return (r for r in self.records if r is not None)
@@ -152,6 +233,7 @@ class Amp:
             for d in range(config.disks_per_amp)
         ]
         self._next_drive = 0
+        self._drive_of: dict[str, DiskDrive] = {}
         self.buffer = BufferPool(f"{self.name}.buf", 128)
 
     def work(self, instructions: float) -> Generator[Any, Any, None]:
@@ -162,8 +244,14 @@ class Amp:
         yield Use(self.cpu, self.config.cpu.time_for(instructions))
 
     def _drive_for(self, file_id: str) -> DiskDrive:
-        # Files are spread over the AMP's two DSUs by name hash.
-        return self.drives[gamma_hash(file_id, len(self.drives))]
+        # Files are spread over the AMP's two DSUs by name hash, worked
+        # out once per file rather than on every page access.
+        drive = self._drive_of.get(file_id)
+        if drive is None:
+            drive = self._drive_of[file_id] = self.drives[
+                gamma_hash(file_id, len(self.drives))
+            ]
+        return drive
 
     def read_page(
         self, file_id: str, page_no: int, sequential: Optional[bool] = None

@@ -44,7 +44,7 @@ from ..errors import PlanError
 from ..metrics import Profiler
 from ..sim import Delay, Process, Server, Simulation, Use, WaitAll
 from ..storage import Schema, external_sort, records_per_page
-from .amp import Amp, AmpFragment
+from .amp import Amp, AmpFragment, hash_partition
 
 PACKAGE_BYTES = 4096  # Y-net moves spool pages
 
@@ -573,10 +573,9 @@ class TeradataRun:
         inserted."
         """
         n_amps = len(self.amps)
-        buckets: list[list[tuple]] = [[] for _ in range(n_amps)]
-        for source in per_amp:
-            for record in source:
-                buckets[gamma_hash(record[0], n_amps)].append(record)
+        buckets = hash_partition(
+            [record for source in per_amp for record in source], 0, n_amps
+        )
         per_page = max(
             1, records_per_page(self.config.page_size, schema.tuple_bytes)
         )
@@ -700,12 +699,12 @@ class TeradataUpdateRun:
         The candidate AMPs were decided at compile time: the key's home
         AMP for a hash-addressed match, every AMP otherwise.
         """
-        pos = relation.schema.position(where.attr)
         for amp_no in self.update.sites:
-            fragment = relation.fragments[amp_no]
-            for ordinal, record in enumerate(fragment.records):
-                if record is not None and record[pos] == where.value:
-                    return amp_no, ordinal
+            ordinal = relation.fragments[amp_no].locate(
+                where.attr, where.value
+            )
+            if ordinal is not None:
+                return amp_no, ordinal
         return 0, None
 
     def _update_io(self, amp: Amp, file_id: str) -> Generator[Any, Any, None]:

@@ -10,7 +10,6 @@ machines.
 from __future__ import annotations
 
 from typing import Any, Iterable, Optional, Sequence
-from zlib import crc32
 
 from ..catalog import gamma_hash
 from ..engine.plan import Query, UpdateRequest
@@ -20,8 +19,8 @@ from ..hardware import TeradataConfig
 from ..metrics import Profiler
 from ..sim import Simulation
 from ..storage import Schema
-from ..workloads import generate_tuples, wisconsin_schema
-from .amp import Amp, AmpFragment
+from ..workloads import StringsMode, wisconsin_load_set
+from .amp import Amp, AmpFragment, hash_partition
 from .costs import DEFAULT_TERADATA_COSTS, TeradataCosts
 from .executor import TeradataRun, TeradataUpdateRun
 from .planner import TeradataPlanner
@@ -159,11 +158,9 @@ class TeradataMachine:
         """
         if name in self.relations:
             raise CatalogError(f"relation {name!r} already exists")
-        key_pos = schema.position(primary_key)
-        n = self.config.n_amps
-        buckets: list[list[tuple]] = [[] for _ in range(n)]
-        for record in records:
-            buckets[gamma_hash(record[key_pos], n)].append(record)
+        buckets = hash_partition(
+            records, schema.position(primary_key), self.config.n_amps
+        )
         fragments = [
             AmpFragment(
                 f"{name}.a{i}", schema, primary_key,
@@ -184,17 +181,13 @@ class TeradataMachine:
         n: int,
         seed: Optional[int] = None,
         secondary_on: Iterable[str] = (),
-        strings: str = "cheap",
+        strings: StringsMode = "cheap",
     ) -> TeradataRelation:
-        if seed is None:
-            # crc32, not builtin hash: string hashing is salted per process,
-            # and a per-run default seed would defeat reproducibility.
-            seed = crc32(name.encode("utf-8")) % (2**31)
-        records = list(
-            generate_tuples(n, seed=seed, strings=strings)  # type: ignore[arg-type]
-        )
+        """Load the same shared ``n``-tuple Wisconsin relation
+        :meth:`GammaMachine.load_wisconsin` loads, keyed on ``unique1``."""
+        schema, records = wisconsin_load_set(name, n, seed, strings)
         return self.load_relation(
-            name, wisconsin_schema(), records,
+            name, schema, records,
             primary_key="unique1", secondary_on=secondary_on,
         )
 

@@ -3,17 +3,20 @@ the multiuser workload subsystem (terminals, arrivals, query mixes)."""
 
 # The Wisconsin names must bind before the multiuser import below: that
 # import pulls in the engine package, whose machine module imports
-# ``generate_tuples``/``wisconsin_schema`` back out of this (then still
-# partially initialised) package.
+# ``wisconsin_load_set`` back out of this (then still partially
+# initialised) package.
 from .wisconsin import (
     INT_ATTRS,
     STRING_ATTRS,
     TUPLE_BYTES,
     SelectivityRange,
+    StringsMode,
     generate_hot_key_tuples,
     generate_skewed_tuples,
     generate_tuples,
     selection_range,
+    wisconsin_load_set,
+    wisconsin_relation,
     wisconsin_schema,
 )
 
@@ -34,6 +37,7 @@ __all__ = [
     "QueryMix",
     "STRING_ATTRS",
     "SelectivityRange",
+    "StringsMode",
     "TUPLE_BYTES",
     "WorkloadSpec",
     "drive_workload",
@@ -45,5 +49,7 @@ __all__ = [
     "selection_mix",
     "selection_range",
     "update_mix",
+    "wisconsin_load_set",
+    "wisconsin_relation",
     "wisconsin_schema",
 ]

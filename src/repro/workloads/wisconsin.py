@@ -15,6 +15,12 @@ are declared in the schema and billed by the cost model regardless of the
 Python value).  To keep 1 M-tuple relations resident, the default mode
 stores shared placeholder strings; ``strings="full"`` generates the
 classic unique 52-character values.
+
+The relation source: one column-wise builder makes every relation, takes
+every integer from one process-wide table (a tuple allocates nothing but
+itself, ≈ 170 bytes) and memoises the result per ``(n, seed, strings)``
+as an immutable tuple of tuples, so the machines of a process — both
+backends, every rebuilt copy — load the same tuple objects.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Literal
+from typing import Iterator, Literal, Optional, Sequence
+from zlib import crc32
 
 from ..errors import BenchmarkError
 from ..storage import Schema, int_attr, string_attr
@@ -80,47 +87,142 @@ def _unique_string(value: int) -> str:
     return prefix + "x" * (52 - len(prefix))
 
 
+#: Tuples the relation memo may hold, summed over its relations.  Sized
+#: for the largest relation set a registered experiment loads at one grid
+#: point: Table 2 at the paper's 1 M-tuple column needs A and B (1 M
+#: each) plus Bprime and C (100 k each) on both machines.
+MEMO_MAX_TUPLES = 2_200_000
+
+#: ``_INTS[i]`` is the one ``int`` object every relation built in this
+#: process uses for the value ``i`` (CPython only shares ints up to 256).
+_INTS: list[int] = []
+
+#: ``(n, seed, strings)`` → relation, oldest first.  The relations are
+#: tuples of tuples: nothing a loader does can change one, which is what
+#: lets every machine in the process reference the same objects.
+_MEMO: dict[tuple[int, int, str], tuple[tuple, ...]] = {}
+
+
+def _ints(n: int) -> list[int]:
+    """A fresh list ``[0, .., n-1]`` of the shared ``int`` objects.
+
+    The table stops growing at the memo's bound (a larger relation gets
+    private ints for the excess), so like the memo it never holds more
+    than the largest registered experiment needs.
+    """
+    shared = min(n, MEMO_MAX_TUPLES)
+    if shared > len(_INTS):
+        _INTS.extend(range(len(_INTS), shared))
+    values = _INTS[:n]
+    values.extend(range(len(values), n))
+    return values
+
+
+def _cycled(pattern: Sequence, n: int) -> list:
+    """``pattern`` repeated out to ``n`` items."""
+    return (list(pattern) * (n // len(pattern) + 1))[:n]
+
+
+def _string_column(values: list[int], strings: StringsMode) -> list[str]:
+    if strings == "full":
+        return [_unique_string(v) for v in values]
+    return [_PLACEHOLDER] * len(values)
+
+
+def _derived(pattern: Sequence[int], unique1: list[int]) -> list[int]:
+    """The column whose value for ``unique1 == v`` is ``pattern`` cycled
+    out to position ``v``."""
+    by_value = _cycled(pattern, len(unique1))
+    return [by_value[u1] for u1 in unique1]
+
+
+def _columns(
+    unique1: list[int], unique2: list[int], strings: StringsMode
+) -> list[list]:
+    """The sixteen attribute columns, in schema order, of the relation
+    whose first two columns are given.
+
+    ``unique1`` holds each of ``0..n-1`` once, as the shared ints; every
+    derived integer is looked up by ``unique1`` value in a list of those
+    same objects, so the rows zipped from the columns allocate nothing
+    but themselves.
+    """
+    n = len(unique1)
+    ints = _ints(min(n, 10_000))
+    patterns = [
+        ints[:modulus]
+        for modulus in (2, 4, 10, 20, 100, 1000, 2000, 5000, 10000)
+    ] + [range(1, 100, 2), range(2, 101, 2)]  # odd100, even100
+    return [
+        unique1,
+        unique2,
+        *(_derived(pattern, unique1) for pattern in patterns),
+        _string_column(unique1, strings),
+        _string_column(unique2, strings),
+        _cycled(_STRING4_CYCLE, n),
+    ]
+
+
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise BenchmarkError(f"relation needs >= 1 tuple, got {n}")
+
+
+def wisconsin_relation(
+    n: int, seed: int = 0, strings: StringsMode = "cheap"
+) -> tuple[tuple, ...]:
+    """The ``n``-tuple Wisconsin relation for ``seed``, built once per
+    process.
+
+    Every caller asking for the same ``(n, seed, strings)`` gets the same
+    immutable tuple of tuples, so relations loaded on several machines —
+    both backends of a table, the rebuilt machines of a repetition —
+    share their tuple objects and each machine only adds its own record
+    lists, pages and indexes.  The memo drops its oldest relations once
+    it holds more than :data:`MEMO_MAX_TUPLES`; a relation larger than
+    that is built and returned but not kept.
+    """
+    _check_size(n)
+    key = (n, seed, strings)
+    relation = _MEMO.get(key)
+    if relation is None:
+        rng = random.Random(seed)
+        unique1 = _ints(n)
+        rng.shuffle(unique1)
+        unique2 = _ints(n)
+        rng.shuffle(unique2)
+        relation = tuple(zip(*_columns(unique1, unique2, strings)))
+        if n <= MEMO_MAX_TUPLES:
+            _MEMO[key] = relation
+            held = sum(size for size, _seed, _strings in _MEMO)
+            for oldest in list(_MEMO):
+                if held <= MEMO_MAX_TUPLES:
+                    break
+                del _MEMO[oldest]
+                held -= oldest[0]
+    return relation
+
+
+def wisconsin_load_set(
+    name: str, n: int, seed: Optional[int], strings: StringsMode
+) -> tuple[Schema, tuple[tuple, ...]]:
+    """What ``load_wisconsin(name, n, seed, strings=...)`` loads on either
+    machine: the schema and the shared relation."""
+    if seed is None:
+        # crc32, not builtin hash: string hashing is salted per process,
+        # and a per-run default seed would defeat reproducibility.
+        seed = crc32(name.encode("utf-8")) % (2**31)
+    return wisconsin_schema(), wisconsin_relation(n, seed, strings)
+
+
 def generate_tuples(
     n: int,
     seed: int = 0,
     strings: StringsMode = "cheap",
 ) -> Iterator[tuple]:
-    """Yield ``n`` Wisconsin tuples (deterministic for a given seed)."""
-    if n < 1:
-        raise BenchmarkError(f"relation needs >= 1 tuple, got {n}")
-    rng = random.Random(seed)
-    unique1 = list(range(n))
-    rng.shuffle(unique1)
-    unique2 = list(range(n))
-    rng.shuffle(unique2)
-    full = strings == "full"
-    for i in range(n):
-        u1 = unique1[i]
-        u2 = unique2[i]
-        if full:
-            s1 = _unique_string(u1)
-            s2 = _unique_string(u2)
-        else:
-            s1 = _PLACEHOLDER
-            s2 = _PLACEHOLDER
-        yield (
-            u1,
-            u2,
-            u1 % 2,
-            u1 % 4,
-            u1 % 10,
-            u1 % 20,
-            u1 % 100,
-            u1 % 1000,
-            u1 % 2000,
-            u1 % 5000,
-            u1 % 10000,
-            (u1 % 50) * 2 + 1,
-            (u1 % 50) * 2 + 2,
-            s1,
-            s2,
-            _STRING4_CYCLE[i % 4],
-        )
+    """Iterate over ``n`` Wisconsin tuples (deterministic for a given
+    seed) — the tuples of :func:`wisconsin_relation`."""
+    return iter(wisconsin_relation(n, seed, strings))
 
 
 #: Largest accepted value for the ``skew`` knob (a Zipf exponent much
@@ -179,9 +281,7 @@ def generate_skewed_tuples(
     def zipf_draws(rng: random.Random):
         return _zipf_sampler(domain, skew, rng)
 
-    yield from _generate_with_sampler(
-        n, seed, zipf_draws, skew_attr, strings
-    )
+    return _generate_with_sampler(n, seed, zipf_draws, skew_attr, strings)
 
 
 def generate_hot_key_tuples(
@@ -215,54 +315,34 @@ def generate_hot_key_tuples(
 
         return draw
 
-    yield from _generate_with_sampler(
-        n, seed, hot_draws, skew_attr, strings
-    )
+    return _generate_with_sampler(n, seed, hot_draws, skew_attr, strings)
 
 
 def _generate_with_sampler(
     n: int, seed: int, make_draw, skew_attr: str, strings: StringsMode
 ) -> Iterator[tuple]:
-    if n < 1:
-        raise BenchmarkError(f"relation needs >= 1 tuple, got {n}")
+    """Rows whose ``skew_attr`` column is ``n`` draws taken after the
+    ``unique1`` shuffle; every other column comes from :func:`_columns`
+    (``unique2`` repeats ``unique1`` when it is not the skewed one)."""
+    _check_size(n)
     if skew_attr not in INT_ATTRS:
         raise BenchmarkError(
             f"skew_attr {skew_attr!r} is not a Wisconsin integer attribute"
         )
     rng = random.Random(seed)
-    unique1 = list(range(n))
+    unique1 = _ints(n)
     rng.shuffle(unique1)
     draw = make_draw(rng)
+    skewed = [draw() for _ in range(n)]
     skew_pos = INT_ATTRS.index(skew_attr)
-    full = strings == "full"
-    for i in range(n):
-        u1 = unique1[i]
-        skewed = draw()
-        if full:
-            s1 = _unique_string(u1)
-            s2 = _unique_string(skewed)
-        else:
-            s1 = _PLACEHOLDER
-            s2 = _PLACEHOLDER
-        record = [
-            u1,
-            skewed,
-            u1 % 2,
-            u1 % 4,
-            u1 % 10,
-            u1 % 20,
-            u1 % 100,
-            u1 % 1000,
-            u1 % 2000,
-            u1 % 5000,
-            u1 % 10000,
-            (u1 % 50) * 2 + 1,
-            (u1 % 50) * 2 + 2,
-        ]
-        if skew_pos != 1:
-            record[1] = u1
-            record[skew_pos] = skewed
-        yield (*record, s1, s2, _STRING4_CYCLE[i % 4])
+    if skew_pos == 1:
+        columns = _columns(unique1, skewed, strings)
+    else:
+        columns = _columns(unique1, unique1, strings)
+        columns[skew_pos] = skewed
+        stringu2 = len(INT_ATTRS) + STRING_ATTRS.index("stringu2")
+        columns[stringu2] = _string_column(skewed, strings)
+    return zip(*columns)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Tests for timed bulk loading and catalog statistics."""
 
+import random
+
 import pytest
 
 from repro import (
@@ -101,6 +103,36 @@ class TestCatalogStatistics:
 
     def test_collect_statistics_empty(self):
         assert collect_statistics(wisconsin_schema(), []) == {}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_collect_statistics_matches_per_attribute_reference(
+        self, seed, monkeypatch
+    ):
+        """Field for field what one list comprehension, ``set``, ``min``
+        and ``max`` per attribute gave — also past the distinct sample."""
+        from repro.catalog import relation as relation_module
+        from repro.storage import Schema, int_attr, string_attr
+
+        sample = 50
+        monkeypatch.setattr(relation_module, "DISTINCT_SAMPLE", sample)
+        rng = random.Random(seed)
+        schema = Schema([
+            int_attr("a"), string_attr("s"), int_attr("b"), int_attr("c"),
+        ])
+        n = rng.choice([1, 7, sample, sample + 1, 4 * sample])
+        rows = [
+            (rng.randrange(-1000, 1000), "x", rng.randrange(5), i)
+            for i in range(n)
+        ]
+        expected = {}
+        for position, name in ((0, "a"), (2, "b"), (3, "c")):
+            values = [row[position] for row in rows]
+            expected[name] = AttrStats(
+                minimum=min(values), maximum=max(values),
+                distinct_hint=len(set(values[:sample])),
+            )
+        assert collect_statistics(schema, rows) == expected
+        assert collect_statistics(schema, tuple(rows)) == expected
 
     def test_planner_uses_stats_for_derived_attrs(self):
         # 'ten' spans 0..9: a predicate ten=0 is a 10% selection, so the

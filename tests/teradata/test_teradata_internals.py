@@ -1,15 +1,18 @@
 """Unit tests for the DBC/1012 internals: dense hash index, fragments,
 merge join, and the executor's cost structure."""
 
+import random
+
 import pytest
 
-from repro.catalog import gamma_hash
+from repro.catalog import gamma_hash, gamma_mix
 from repro.engine import Query, RangePredicate
 from repro.storage import Schema, int_attr
-from repro.teradata import DenseHashIndex, TeradataMachine
-from repro.teradata.amp import AmpFragment
+from repro.teradata import DenseHashIndex, TeradataMachine, hash_key_order
+from repro.teradata.amp import AmpFragment, hash_partition
 from repro.teradata.executor import _merge_join
 from repro.hardware import TeradataConfig
+from repro.workloads import wisconsin_relation
 
 
 def schema():
@@ -20,7 +23,7 @@ class TestDenseHashIndex:
     def test_entries_in_hash_order_not_key_order(self):
         index = DenseHashIndex("i", "other", 4096)
         index.build(list(range(100)))
-        values = [v for v, _i in index.entries]
+        values = list(index.entries.values())
         assert sorted(values) == list(range(100))
         assert values != sorted(values)  # hashed, NOT key sorted
 
@@ -46,7 +49,9 @@ class TestDenseHashIndex:
 class TestAmpFragment:
     def _fragment(self, n=100):
         records = [(i, n - i) for i in range(n)]
-        return AmpFragment("f", schema(), "key", 4096, records)
+        return AmpFragment(
+            "f", schema(), "key", 4096, hash_key_order(records, 0)
+        )
 
     def test_records_stored_in_hash_key_order(self):
         frag = self._fragment()
@@ -57,14 +62,14 @@ class TestAmpFragment:
         frag = self._fragment()
         frag.add_index("other")
         frag.append((999, 12345))
-        assert 12345 in [v for v, _ in frag.indexes["other"].entries]
+        assert 12345 in frag.indexes["other"].entries.values()
 
     def test_remove_clears_index_entries(self):
         frag = self._fragment()
         frag.add_index("other")
         target = frag.records[3]
         frag.remove(3)
-        assert 3 not in [i for _v, i in frag.indexes["other"].entries]
+        assert 3 not in frag.indexes["other"].entries
         assert target not in list(frag.live_records())
 
     def test_replace_updates_changed_index(self):
@@ -72,16 +77,146 @@ class TestAmpFragment:
         frag.add_index("other")
         old = frag.records[5]
         frag.replace(5, (old[0], 77_777))
-        entries = dict(
-            (i, v) for v, i in frag.indexes["other"].entries
-        )
-        assert entries[5] == 77_777
+        assert frag.indexes["other"].entries[5] == 77_777
 
     def test_page_of_ordinal(self):
         frag = self._fragment(1000)
         per_page = frag.heap.records_per_full_page
         assert frag.page_of_ordinal(0) == 0
         assert frag.page_of_ordinal(per_page) == 1
+
+
+def _reference_fragments(records, key_pos, n_amps):
+    """The load as it was before one mix per record served both steps:
+    hash each key for its AMP, then sort each AMP's share by a second
+    hash of the key (stable, so equal keys keep load order)."""
+    buckets = [[] for _ in range(n_amps)]
+    for record in records:
+        buckets[gamma_hash(record[key_pos], n_amps)].append(record)
+    return [
+        sorted(bucket, key=lambda r: (
+            gamma_hash(r[key_pos], 1 << 30), r[key_pos]
+        ))
+        for bucket in buckets
+    ]
+
+
+def _reference_locate(fragments, sites, pos, value):
+    """The front-to-back scan ``TeradataUpdateRun._locate`` used to do."""
+    for amp_no in sites:
+        for ordinal, record in enumerate(fragments[amp_no].records):
+            if record is not None and record[pos] == value:
+                return amp_no, ordinal
+    return 0, None
+
+
+class TestHashPartition:
+    def test_mix_is_the_hash_before_the_modulo(self):
+        for value in (0, 1, 99, 12_345, 2**40, -7, "amp3.file", (1, "x")):
+            for buckets in (1, 2, 7, 20, 1 << 30):
+                assert gamma_mix(value) % buckets == gamma_hash(value, buckets)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_fragments_in_the_same_order(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 400)
+        # Few distinct keys, so equal keys (and their load order) occur;
+        # the payload makes equal-key records distinguishable.
+        domain = rng.choice([3, n, 10 * n])
+        if seed % 2:
+            records = [(rng.randrange(domain), i) for i in range(n)]
+            key_pos = 0
+        else:
+            records = [(i, f"k{rng.randrange(domain)}") for i in range(n)]
+            key_pos = 1
+        n_amps = rng.choice([1, 2, 5, 20])
+        assert hash_partition(records, key_pos, n_amps) == (
+            _reference_fragments(records, key_pos, n_amps)
+        )
+
+    def test_machine_load_matches_the_reference(self):
+        m = TeradataMachine(TeradataConfig(n_amps=7))
+        relation = m.load_wisconsin("r", 3_000, seed=12)
+        assert [f.records for f in relation.fragments] == (
+            _reference_fragments(wisconsin_relation(3_000, 12), 0, 7)
+        )
+
+
+class TestLocate:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_scan_through_random_updates(self, seed):
+        rng = random.Random(seed)
+        n, n_amps = 300, 4
+        # "other" repeats values, so first-ordinal ties really happen.
+        records = [(i, rng.randrange(40)) for i in range(n)]
+        fragments = [
+            AmpFragment(f"f{i}", schema(), "key", 4096, bucket)
+            for i, bucket in enumerate(hash_partition(records, 0, n_amps))
+        ]
+        for fragment in fragments:
+            fragment.add_index("other")
+        # The index as the list of (value, ordinal) pairs it used to be:
+        # hash-ordered at build, filtered on removal, appended to on
+        # insertion.  Scan order must not have changed.
+        pairs = [
+            sorted(
+                ((r[1], i) for i, r in enumerate(fragment.records)),
+                key=lambda e: gamma_hash(e[0], 1 << 30),
+            )
+            for fragment in fragments
+        ]
+        sites = list(range(n_amps))
+        next_key = n
+        for _step in range(400):
+            attr, pos = rng.choice([("key", 0), ("other", 1)])
+            value = rng.randrange(n + 50 if pos == 0 else 45)
+            expected = _reference_locate(fragments, sites, pos, value)
+            found = (0, None)
+            for amp_no in sites:
+                ordinal = fragments[amp_no].locate(attr, value)
+                if ordinal is not None:
+                    found = (amp_no, ordinal)
+                    break
+            assert found == expected
+            amp_no, ordinal = found
+            action = rng.choice(["append", "remove", "replace", "none"])
+            if action == "append":
+                target = rng.randrange(n_amps)
+                record = (next_key, rng.randrange(45))
+                next_key += 1
+                fragments[target].append(record)
+                pairs[target].append(
+                    (record[1], len(fragments[target].records) - 1)
+                )
+            elif ordinal is not None and action == "remove":
+                fragments[amp_no].remove(ordinal)
+                pairs[amp_no] = [e for e in pairs[amp_no] if e[1] != ordinal]
+            elif ordinal is not None and action == "replace":
+                old = fragments[amp_no].records[ordinal]
+                new = (old[0], rng.randrange(45))
+                fragments[amp_no].replace(ordinal, new)
+                if new[1] != old[1]:
+                    pairs[amp_no] = [
+                        e for e in pairs[amp_no] if e[1] != ordinal
+                    ] + [(new[1], ordinal)]
+        for fragment, expected in zip(fragments, pairs):
+            index = fragment.indexes["other"]
+            assert [(v, i) for i, v in index.entries.items()] == expected
+            assert index.matching(10, 20) == [
+                i for v, i in expected if 10 <= v <= 20
+            ]
+
+
+class TestAmpDrives:
+    def test_drive_of_a_file_is_its_name_hash(self):
+        from repro.sim import Simulation
+        from repro.teradata import Amp
+
+        amp = Amp(Simulation(), 0, TeradataConfig())
+        for file_id in ("r.a0", "r.a0.idx", "spool.7", "r.a0"):
+            assert amp._drive_for(file_id) is amp.drives[
+                gamma_hash(file_id, len(amp.drives))
+            ]
 
 
 class TestMergeJoin:
