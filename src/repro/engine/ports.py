@@ -21,7 +21,7 @@ from ..sim import Get, Put, Store
 from .node import ExecutionContext, Node
 
 
-@dataclass
+@dataclass(slots=True)
 class DataPacket:
     """A batch of tuples occupying ``nbytes`` on the wire."""
 
@@ -31,11 +31,15 @@ class DataPacket:
     src_node: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndOfStream:
     """Stream-close control message from one producer."""
 
     producer: str
+
+
+#: Wire size of an :class:`EndOfStream` (a small control message).
+EOS_BYTES = 64
 
 
 class InputPort:
@@ -275,15 +279,29 @@ class OutputPort:
     def close(self) -> Generator[Any, Any, None]:
         """Flush remaining buffers and send EndOfStream to every
         destination (closing output streams sends eos to each destination
-        process — Section 2)."""
+        process — Section 2).
+
+        All D messages leave in this one process step, so they go to the
+        interconnect as one burst sharing one EndOfStream: D simulated
+        messages, O(1) host objects waiting on the sender interface.
+        """
         if self._closed:
             return
         self._closed = True
         for dest_idx in range(len(self._buffers)):
             if self._buffers[dest_idx]:
                 yield from self._flush(dest_idx)
-        for dest in self.split.destinations:
-            yield from self._send_control(dest, EndOfStream(self.label))
+        ctx = self.ctx
+        destinations = self.split.destinations
+        eos = EndOfStream(self.label)
+        ctx.metrics.record_control_message(self.node.name, len(destinations))
+        if ctx.profiler is None:
+            ctx.net.transfer_burst(
+                ctx.sim, self.node.name, destinations, EOS_BYTES, eos
+            )
+        else:
+            for dest in destinations:
+                self._dispatch(dest, eos, EOS_BYTES)
 
     def _flush(self, dest_idx: int) -> Generator[Any, Any, None]:
         records = self._buffers[dest_idx]
@@ -337,23 +355,17 @@ class OutputPort:
             yield eff
         self._dispatch(dest, packet, packet.nbytes)
 
-    def _send_control(
-        self, dest: "Any", message: EndOfStream
-    ) -> Generator[Any, Any, None]:
-        self.ctx.metrics.record_control_message(self.node.name)
-        self._dispatch(dest, message, nbytes=64)
-        return
-        yield  # pragma: no cover - keeps this a generator
-
     def _dispatch(self, dest: "Any", message: Any, nbytes: int) -> None:
         """Hand the message to a courier (fire and forget).
 
         Couriers traverse FIFO servers with identical service demands, so
         per-destination ordering — including EOS-last — is preserved.
         Without a profiler the courier is a plain callback chain
-        (:meth:`Interconnect.transfer_fast`) producing the exact same event
-        sequence as the generator it replaces; with one, the generator
-        path is kept so service attributes via ``Process.parent``.
+        (:meth:`Interconnect.transfer_fast`; a close sends its
+        EndOfStreams through :meth:`Interconnect.transfer_burst` instead)
+        producing the exact same event sequence as the generator it
+        replaces; with one, the generator path is kept so service
+        attributes via ``Process.parent``.
         """
         ctx = self.ctx
         src = self.node.name

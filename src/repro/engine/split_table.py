@@ -14,6 +14,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from ..catalog import gamma_hash
 from ..errors import PlanError
+from ..sim import Store
 from ..storage import Schema
 from .bitfilter import BitVectorFilter
 from .ports import InputPort
@@ -25,6 +26,11 @@ class Destination:
 
     node_name: str
     port: InputPort
+
+    @property
+    def store(self) -> Store:
+        """The mailbox messages for this process are put into."""
+        return self.port.store
 
 
 class SplitTable:

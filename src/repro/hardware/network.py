@@ -19,7 +19,7 @@ The paper's two anchor numbers are honoured:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Optional, Sequence
 
 from ..errors import ConfigError
 from ..sim import Delay, Server, Use
@@ -140,64 +140,205 @@ class Interconnect:
         model = self.model
         if src == dst:
             self.messages_short_circuited += 1
-            stages: tuple = ((None, model.short_circuit_s),)
+            courier = _FastCourier(
+                sim, store, message, _SENDER, sender_s=model.short_circuit_s
+            )
         else:
             self.messages_sent += 1
             self.bytes_on_ring += nbytes
             src_nic = self.interfaces[src]
-            dst_nic = self.interfaces[dst]
             src_nic.messages += 1
             src_nic.bytes_sent += nbytes
             iface_time = model.interface_time(nbytes)
-            stages = (
-                (src_nic.server, model.message_overhead_s + iface_time),
-                (self.ring, model.ring_time(nbytes)),
-                (dst_nic.server, iface_time),
+            courier = _FastCourier(
+                sim, store, message, _SENDER,
+                self.interfaces[dst].server, iface_time,
+                self.ring, model.ring_time(nbytes),
+                src_nic.server, model.message_overhead_s + iface_time,
             )
-        _FastCourier(sim, stages, store, message)
+        # The spawn-resume event that would have started the generator.
+        sim._schedule_now(courier)
+
+    def transfer_burst(
+        self,
+        sim: Any,
+        src: str,
+        destinations: Sequence[Any],
+        nbytes: int,
+        message: Any,
+    ) -> None:
+        """:meth:`transfer_fast` of one ``message`` to every destination.
+
+        Each destination names its node (``node_name``) and its mailbox
+        (``store``).  Event-for-event identical to one ``transfer_fast``
+        per destination issued in list order with no yield in between —
+        see :class:`_Burst` — but what waits on the sender interface is
+        one object however long the list is.
+        """
+        _Burst(self, sim, src, destinations, nbytes, message)
+
+
+#: Courier stages, in the order a message passes through them.
+_SENDER, _RING, _RECEIVER, _PUT = range(4)
 
 
 class _FastCourier:
     """Callback chain replicating a courier generator's event sequence.
 
-    Each invocation advances one stage: the server ``Use`` intervals (or
-    the short-circuit delay), then the ``Put`` into the destination store,
-    then one final no-op resume — the exact events (and sequence-counter
-    draws) the generator courier produced, so simulated timelines stay
-    bit-identical with ~6x less per-courier interpreter work.
+    Each invocation advances one stage: the three server ``Use``
+    intervals (or, with no sender server, the short-circuit delay), then
+    the ``Put`` into the destination store, then one final no-op resume —
+    the exact events (and sequence-counter draws) the generator courier
+    produced, so simulated timelines stay bit-identical without a
+    generator frame or a :class:`~repro.sim.Process`.
     """
 
-    __slots__ = ("sim", "stages", "i", "store", "message")
+    __slots__ = (
+        "sim", "store", "message", "stage", "receiver", "receiver_s",
+        "ring", "ring_s", "sender", "sender_s",
+    )
 
     def __init__(
         self,
         sim: Any,
-        stages: tuple[tuple[Optional[Server], float], ...],
         store: Any,
         message: Any,
+        stage: int,
+        receiver: Optional[Server] = None,
+        receiver_s: float = 0.0,
+        ring: Optional[Server] = None,
+        ring_s: float = 0.0,
+        sender: Optional[Server] = None,
+        sender_s: float = 0.0,
     ) -> None:
+        """A courier about to run ``stage``; stages before it need no
+        server.  ``sender=None`` at ``_SENDER`` makes that stage the
+        short-circuit delay ``sender_s``, followed directly by the Put."""
         self.sim = sim
-        self.stages = stages
-        self.i = 0
         self.store = store
         self.message = message
-        # The spawn-resume event that would have started the generator.
-        sim._schedule_now(self)
+        self.stage = stage
+        self.receiver = receiver
+        self.receiver_s = receiver_s
+        self.ring = ring
+        self.ring_s = ring_s
+        self.sender = sender
+        self.sender_s = sender_s
 
     def __call__(self, _value: Any = None) -> None:
-        i = self.i
-        self.i = i + 1
-        stages = self.stages
-        if i < len(stages):
-            server, duration = stages[i]
-            if server is None:
-                self.sim.call_after(duration, self)
+        stage = self.stage
+        self.stage = stage + 1
+        if stage == _SENDER:
+            if self.sender is None:
+                self.stage = _PUT
+                self.sim.call_after(self.sender_s, self)
             else:
-                server._use(self.sim, duration, self, None)
-        elif i == len(stages):
+                self.sender._use(self.sim, self.sender_s, self, None)
+        elif stage == _RING:
+            self.ring._use(self.sim, self.ring_s, self, None)
+        elif stage == _RECEIVER:
+            self.receiver._use(self.sim, self.receiver_s, self, None)
+        elif stage == _PUT:
             self.store._put(self.sim, self.message, self)
         # else: the final resume after the Put — the event the generator
         # spent raising StopIteration; nothing left to do.
+
+
+class _Burst:
+    """One message to many destinations, issued in a single process step.
+
+    Replaces one :class:`_FastCourier` per destination.  It posts the D
+    start events those couriers would have posted and is itself the
+    callback of each; the i-th start issues the i-th destination's first
+    stage — the sender-interface ``Use``, or for a same-node destination
+    the short-circuit delay of a courier that only has its ``Put`` left.
+    Every waiting ``Use`` is the *same* queue entry, so the sender
+    interface holds one object for the whole burst, and a message gets a
+    courier of its own (ring, receiver interface, ``Put``) only when it
+    comes off the sender interface.
+
+    Why the order is the couriers' order: the D start events hold
+    consecutive sequence numbers, so they fire back to back before
+    anything they schedule; the sender interface serves equal-duration
+    requests first come first served, so the burst's k-th completion is
+    the k-th remote destination's; and ``Server._complete`` starts the
+    next queued request before it calls ``resume``, which is this object
+    in both roles, so the next completion is scheduled before this
+    message's ring ``Use`` exactly as before.
+    """
+
+    __slots__ = (
+        "net", "sim", "src", "destinations", "started", "sent",
+        "sender", "entry", "ring_s", "receiver_s", "message",
+    )
+
+    def __init__(
+        self,
+        net: Interconnect,
+        sim: Any,
+        src: str,
+        destinations: Sequence[Any],
+        nbytes: int,
+        message: Any,
+    ) -> None:
+        model = net.model
+        src_nic = net.interfaces[src]
+        remote = sum(dest.node_name != src for dest in destinations)
+        net.messages_short_circuited += len(destinations) - remote
+        net.messages_sent += remote
+        net.bytes_on_ring += remote * nbytes
+        src_nic.messages += remote
+        src_nic.bytes_sent += remote * nbytes
+        self.net = net
+        self.sim = sim
+        self.src = src
+        self.destinations = destinations
+        self.started = 0  # start events fired so far
+        self.sent = 0  # index after the last destination off the sender
+        self.sender = src_nic.server
+        self.receiver_s = model.interface_time(nbytes)
+        self.ring_s = model.ring_time(nbytes)
+        # Start events fire at the instant they are posted, so this is
+        # the enqueue time Server._use would stamp on each request.
+        self.entry = (
+            model.message_overhead_s + self.receiver_s, self, sim.now, None
+        )
+        self.message = message
+        for _ in destinations:
+            sim._schedule_now(self)
+
+    def __call__(self, _value: Any = None) -> None:
+        destinations = self.destinations
+        i = self.started
+        if i < len(destinations):
+            # A start event (all of them precede the first completion).
+            self.started = i + 1
+            dest = destinations[i]
+            if dest.node_name == self.src:
+                self.sim.call_after(
+                    self.net.model.short_circuit_s,
+                    _FastCourier(self.sim, dest.store, self.message, _PUT),
+                )
+            else:
+                self.sender._use_entry(self.sim, self.entry)
+            return
+        # A message came off the sender interface: the next remote one.
+        src = self.src
+        i = self.sent
+        while destinations[i].node_name == src:
+            i += 1
+        self.sent = i + 1
+        dest = destinations[i]
+        net = self.net
+        net.ring._use(
+            self.sim,
+            self.ring_s,
+            _FastCourier(
+                self.sim, dest.store, self.message, _RECEIVER,
+                net.interfaces[dest.node_name].server, self.receiver_s,
+            ),
+            None,
+        )
 
 
 #: Gamma's Proteon 80 Mbit/s token ring behind 4 Mbit/s Unibus interfaces.

@@ -263,6 +263,31 @@ class Server:
         else:
             self._queue.append((duration, resume, now, proc))
 
+    def _use_entry(
+        self,
+        sim: "Simulation",
+        entry: tuple[float, Resume, float, Optional["Process"]],
+    ) -> None:
+        """:meth:`_use` with a caller-built queue entry.
+
+        ``entry`` is ``(duration, resume, sim.now, proc)`` — what
+        :meth:`_use` would append if the request has to wait.  A caller
+        issuing many equal requests in one instant (a port close) passes
+        the same tuple each time, so a long queue holds one object rather
+        than one per request; accounting and service order are those of
+        :meth:`_use`.
+        """
+        if self._in_service < self.capacity:
+            self._use(sim, entry[0], entry[1], entry[3])
+            return
+        if entry[0] < 0:
+            raise SimulationError(f"negative service time on {self.name!r}")
+        self.requests += 1
+        now = sim._now
+        if now > self._last_change:
+            self._advance(now)
+        self._queue.append(entry)
+
     def _acquire(self, sim: "Simulation", resume: Resume) -> None:
         self.requests += 1
         self._advance(sim.now)

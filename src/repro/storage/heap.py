@@ -16,7 +16,7 @@ from .page import Page, RECORD_OVERHEAD_BYTES
 from .schema import Schema
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class RID:
     """Record identifier: page number and slot within the page."""
 

@@ -8,6 +8,8 @@ deadlock error — never a silent fast completion.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim import (
@@ -355,3 +357,90 @@ class TestTermination:
     def test_empty_run_with_until_reaches_until(self):
         sim = Simulation()
         assert sim.run(until=7.0) == pytest.approx(7.0)
+
+
+# One instant: the gap since the previous one, then the groups whose
+# requests are issued at it, in order (a group may recur, interleaved).
+_INSTANTS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.001, 0.004, 0.02]),
+        st.lists(st.integers(0, 3), min_size=1, max_size=8),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+class TestSharedQueueEntries:
+    """``Server._use_entry``: many requests, one queue-entry object."""
+
+    @staticmethod
+    def _run(capacity, durations, instants, shared_groups):
+        sim = Simulation()
+        server = Server("nic", capacity=capacity)
+        completions = []
+
+        def resume_for(group):
+            return lambda _value: completions.append((sim.now, group))
+
+        resumes = [resume_for(group) for group in range(len(durations))]
+
+        def issuer():
+            for gap, groups in instants:
+                yield Delay(gap)
+                entries = {
+                    group: (durations[group], resumes[group], sim.now, None)
+                    for group in shared_groups
+                }
+                for group in groups:
+                    if group in entries:
+                        server._use_entry(sim, entries[group])
+                    else:
+                        server._use(
+                            sim, durations[group], resumes[group], None
+                        )
+
+        sim.spawn(issuer())
+        sim.run()
+        return (
+            completions, sim.now, sim.events_processed, sim._seq,
+            server.requests, server.busy_time, server.wait_stats.as_dict(),
+            server.mean_queue_length(sim.now), server.utilisation(sim.now),
+            server.mean_utilisation(sim.now),
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 3),
+        durations=st.lists(
+            st.sampled_from([0.0, 0.0005, 0.003, 0.0101]),
+            min_size=4, max_size=4,
+        ),
+        instants=_INSTANTS,
+        shared_groups=st.sets(st.integers(0, 3)),
+    )
+    def test_any_mix_of_fresh_and_shared_entries_matches_all_fresh(
+        self, capacity, durations, instants, shared_groups
+    ):
+        assert self._run(
+            capacity, durations, instants, shared_groups
+        ) == self._run(capacity, durations, instants, frozenset())
+
+    def test_waiting_requests_of_one_burst_are_one_object(self):
+        sim, server = Simulation(), Server("nic")
+        entry = (0.002, lambda _value: None, sim.now, None)
+        for _ in range(5):
+            server._use_entry(sim, entry)
+        assert server.in_service == 1 and server.queue_length == 4
+        assert {id(queued) for queued in server._queue} == {id(entry)}
+        sim.run()
+        assert sim.now == pytest.approx(0.010)
+        assert server.wait_stats.count == 5
+
+    def test_negative_duration_rejected_idle_or_busy(self):
+        sim, server = Simulation(), Server("nic")
+        bad = (-1.0, lambda _value: None, sim.now, None)
+        with pytest.raises(SimulationError):
+            server._use_entry(sim, bad)
+        server._use(sim, 1.0, lambda _value: None, None)
+        with pytest.raises(SimulationError):
+            server._use_entry(sim, bad)
