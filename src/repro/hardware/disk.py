@@ -93,10 +93,12 @@ class DiskDrive:
     exactly when the request continues the previous stream.
     """
 
-    def __init__(self, name: str, model: DiskModel) -> None:
+    def __init__(
+        self, name: str, model: DiskModel, private: bool = False
+    ) -> None:
         self.name = name
         self.model = model
-        self.server = Server(f"{name}.srv")
+        self.server = Server(f"{name}.srv", private=private)
         self._last: Optional[tuple[Any, int]] = None
         self.pages_read = 0
         self.pages_written = 0
@@ -143,6 +145,33 @@ class DiskDrive:
         self.pages_read += 1
         self.bytes_moved += nbytes
         return Use(self.server, duration)
+
+    def read_time(
+        self,
+        file_id: Any,
+        page_no: int,
+        nbytes: int,
+        sequential: Optional[bool] = None,
+    ) -> float:
+        """Account one page read; how long it occupies the drive (one hop
+        of a ``UseRun`` on :attr:`server`).  :meth:`read_effect` and
+        :meth:`write` keep their own copy of these three lines: Gamma
+        calls them once per page and they stay one frame deep."""
+        self.pages_read += 1
+        self.bytes_moved += nbytes
+        return self._access_time(file_id, page_no, nbytes, sequential)
+
+    def write_time(
+        self,
+        file_id: Any,
+        page_no: int,
+        nbytes: int,
+        sequential: Optional[bool] = None,
+    ) -> float:
+        """:meth:`read_time` for a page write."""
+        self.pages_written += 1
+        self.bytes_moved += nbytes
+        return self._access_time(file_id, page_no, nbytes, sequential)
 
     def write(
         self,

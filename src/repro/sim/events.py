@@ -11,7 +11,7 @@ Effects are deliberately tiny immutable descriptions — all behaviour lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .kernel import Process
@@ -70,6 +70,27 @@ class Use:
         return f"Use(server={self.server!r}, duration={self.duration!r})"
 
 
+class UseRun:
+    """Serve ``hops`` on ``server`` back to back: a *service run*.
+
+    ``hops`` yields one service duration per hop and is drawn lazily —
+    each hop's duration only once the hop before it has finished — so
+    state an iterator keeps or mutates (a drive's head position, an LRU)
+    evolves as it does under ``for d in hops: yield Use(server, d)``,
+    which a run is equivalent to.  On a server declared private the
+    whole run costs one kernel event (:meth:`Server._run_private`).
+    """
+
+    __slots__ = ("server", "hops")
+
+    def __init__(self, server: "Server", hops: Iterable[float]) -> None:
+        self.server = server
+        self.hops = hops
+
+    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
+        return f"UseRun(server={self.server!r})"
+
+
 class Put:
     """Append ``item`` to ``store``; resume when capacity allows."""
 
@@ -112,4 +133,6 @@ class WaitAll:
     processes: Sequence["Process"] = field(default_factory=tuple)
 
 
-Effect = Delay | Acquire | Release | Use | Put | Get | Join | WaitAll
+Effect = (
+    Delay | Acquire | Release | Use | UseRun | Put | Get | Join | WaitAll
+)

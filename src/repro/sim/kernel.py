@@ -38,7 +38,17 @@ from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import SimulationError
-from .events import Acquire, Delay, Get, Join, Put, Release, Use, WaitAll
+from .events import (
+    Acquire,
+    Delay,
+    Get,
+    Join,
+    Put,
+    Release,
+    Use,
+    UseRun,
+    WaitAll,
+)
 
 ProcessGen = Generator[Any, Any, Any]
 
@@ -356,9 +366,12 @@ class Simulation:
             f" {len(stuck)} process(es) blocked with no pending events"
         ]
         for proc in stuck:
+            run = proc._gen
             lines.append(
-                f"  - {proc.name!r} blocked on"
-                f" {_describe_block(proc.blocked_on)}"
+                f"  - {proc.name!r} blocked on "
+                + _describe_block(
+                    run if isinstance(run, _HopByHop) else proc.blocked_on
+                )
             )
         return "\n".join(lines)
 
@@ -385,6 +398,46 @@ def _do_delay(sim: Simulation, proc: Process, effect: Delay) -> None:
 
 def _do_use(sim: Simulation, proc: Process, effect: Use) -> None:
     effect.server._use(sim, effect.duration, proc._resume, proc)
+
+
+class _HopByHop:
+    """A service run on a shared server: the source of a process's
+    effects while the run lasts.
+
+    Spliced in as ``proc._gen``, so each hop is the ``_step`` the
+    ``for d in hops: yield Use(server, d)`` loop makes — the same
+    ``Server._use(sim, d, proc._resume, proc)`` at the same instant with
+    the same sequence draw, hooks and wake-up — minus the generator
+    frames and the ``Use`` per hop.  The hop after the last hands the
+    process back to its generator within the same step.
+    """
+
+    __slots__ = ("proc", "gen", "use", "hops", "served")
+
+    def __init__(self, proc: Process, effect: UseRun) -> None:
+        self.proc = proc
+        self.gen = proc._gen
+        self.use = Use(effect.server, 0.0)
+        self.hops = iter(effect.hops)
+        self.served = -1  # hops finished; the first send finishes none
+
+    def send(self, _value: Any) -> Any:
+        self.served += 1
+        duration = next(self.hops, None)
+        if duration is None:
+            self.proc._gen = self.gen
+            return self.gen.send(None)
+        self.use.duration = duration
+        return self.use
+
+
+def _do_use_run(sim: Simulation, proc: Process, effect: UseRun) -> None:
+    server = effect.server
+    if server.private:
+        server._run_private(sim, proc, effect.hops)
+    else:
+        proc._gen = _HopByHop(proc, effect)  # type: ignore[assignment]
+        sim._step(proc, None)
 
 
 def _do_acquire(sim: Simulation, proc: Process, effect: Acquire) -> None:
@@ -415,6 +468,7 @@ def _do_wait_all(sim: Simulation, proc: Process, effect: WaitAll) -> None:
 _HANDLERS: dict[type, Callable[[Simulation, Process, Any], None]] = {
     Delay: _do_delay,
     Use: _do_use,
+    UseRun: _do_use_run,
     Acquire: _do_acquire,
     Release: _do_release,
     Put: _do_put,
@@ -434,6 +488,11 @@ def _describe_block(effect: Any) -> str:
         return f"Acquire(Server {effect.server.name!r})"
     if isinstance(effect, Use):
         return f"Use(Server {effect.server.name!r})"
+    if isinstance(effect, _HopByHop):
+        return (
+            f"UseRun(Server {effect.use.server.name!r},"
+            f" {effect.served} hop(s) served)"
+        )
     if isinstance(effect, Join):
         return f"Join(process {effect.process.name!r})"
     if isinstance(effect, WaitAll):

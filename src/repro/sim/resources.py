@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from heapq import heappush as _heappush
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 
 from ..errors import SimulationError
 from .kernel import _NO_VALUE
@@ -90,7 +90,14 @@ class Server:
     """A FIFO service centre with ``capacity`` parallel slots.
 
     Processes either ``yield Use(server, duration)`` for a self-contained
-    service interval, or bracket work with ``Acquire``/``Release``.
+    service interval (``UseRun`` for a run of them), or bracket work with
+    ``Acquire``/``Release``.
+
+    ``private=True`` declares that the server never has two requesters at
+    once (an AMP's own drive in a standalone DBC/1012 request).  It
+    behaves as any server does, except that a ``UseRun`` costs it one
+    kernel event instead of one per hop (:meth:`_run_private`) and that a
+    second concurrent requester during a run is an error, not a queue.
 
     Statistics kept for utilisation reports (all interval-accurate):
 
@@ -118,13 +125,17 @@ class Server:
         "_sim",
         "_complete_cb",
         "_complete_proc_cb",
+        "private",
     )
 
-    def __init__(self, name: str, capacity: int = 1) -> None:
+    def __init__(
+        self, name: str, capacity: int = 1, private: bool = False
+    ) -> None:
         if capacity < 1:
             raise SimulationError(f"server {name!r} needs capacity >= 1")
         self.name = name
         self.capacity = capacity
+        self.private = private
         self._in_service = 0
         # Queue entries: (duration | None, resume, enqueue_time, process).
         self._queue: deque[
@@ -375,6 +386,84 @@ class Server:
         if self._queue:
             self._dispatch(sim)
         sim._step(proc, None)
+
+    def _run_private(
+        self, sim: "Simulation", proc: "Process", hops: Iterable[float]
+    ) -> None:
+        """Serve a whole ``UseRun`` for ``proc`` in one kernel event.
+
+        With a single requester every hop finds the server idle, so the
+        wake-ups between hops decide nothing: replay what hop-by-hop
+        service would have accounted and post the last completion only.
+        The replay makes the same float operations in the same order as
+        :meth:`_use` and :meth:`_complete_proc` make per hop
+        (``end = t + d``, ``dt = end - t``, ``+= dt`` — never a sum or a
+        product), so every accrued total and the finish time are the
+        hop-by-hop ones to the bit.  All slots are held while the run
+        lasts: a rival's request queues and :meth:`_run_done` refuses it.
+        """
+        if self._in_service or self._queue:
+            raise SimulationError(
+                f"private server {self.name!r} has two requesters:"
+                f" {proc.name!r} asks for a run while {self._holder(sim)}"
+                " is in service"
+            )
+        if self.observer is not None or self.profile_hook is not None:
+            raise SimulationError(
+                f"private server {self.name!r} is instrumented: hooks"
+                " need hop-by-hop service, so build it shared"
+            )
+        start = t = sim._now
+        busy = self._busy_accrued
+        slots = self._slot_accrued
+        served = 0
+        for duration in hops:
+            if duration < 0:
+                raise SimulationError(
+                    f"negative service time on {self.name!r}"
+                )
+            served += 1
+            end = t + duration
+            dt = end - t
+            if dt > 0.0:
+                busy += dt
+                slots += dt
+            t = end
+        if not served:
+            sim._step(proc, None)
+            return
+        self.requests += served
+        self.wait_stats.count += served
+        self.wait_stats.bins[0] += served
+        self._busy_accrued = busy
+        self._slot_accrued = slots
+        self._last_change = t
+        self._in_service = self.capacity
+        self._sim = sim
+        sim._seq += 1
+        if t == start:
+            sim._ready.append((sim._seq, self._run_done, proc))
+        else:
+            _heappush(sim._heap, (t, sim._seq, self._run_done, proc))
+
+    def _run_done(self, proc: "Process") -> None:
+        self._in_service = 0
+        if self._queue:
+            rival = self._queue[0][3]
+            raise SimulationError(
+                f"private server {self.name!r} has two requesters:"
+                f" {rival.name if rival else 'a courier'!r} asked for"
+                f" service during a run of {proc.name!r}"
+            )
+        self._sim._step(proc, None)
+
+    def _holder(self, sim: "Simulation") -> str:
+        """Who is in service right now (error messages only)."""
+        mine = (self._complete_proc_cb, self._run_done)
+        for entry in (*sim._heap, *sim._ready):
+            if entry[-2] in mine:
+                return repr(entry[-1].name)
+        return "another requester"
 
     def _dispatch(self, sim: "Simulation") -> None:
         while self._queue and self._in_service < self.capacity:

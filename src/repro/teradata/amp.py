@@ -10,11 +10,11 @@ whole index too (the behaviour behind rows 3-4 of Table 1).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterator, Optional, Sequence
+from typing import Any, Generator, Iterable, Iterator, Optional, Sequence
 
 from ..catalog import gamma_hash, gamma_mix
 from ..hardware import DiskDrive, TeradataConfig
-from ..sim import Server, Simulation
+from ..sim import Server, Simulation, Use, UseRun
 from ..storage import BufferPool, HeapFile, Schema, records_per_page
 
 #: Files and dense indexes are ordered by the low 30 bits of the mix.
@@ -146,6 +146,7 @@ class AmpFragment:
         self.heap.bulk_append(records)
         self.records = records
         self.indexes: dict[str, DenseHashIndex] = {}
+        self._holes = 0  # slots of ``records`` a delete has emptied
         #: Built per attribute by the first :meth:`locate` on it, then
         #: kept by append/remove/replace.
         self._located: dict[str, _FirstOrdinal] = {}
@@ -192,6 +193,7 @@ class AmpFragment:
     def remove(self, ordinal: int) -> tuple:
         record = self.records[ordinal]
         self.records[ordinal] = None  # type: ignore[call-overload]
+        self._holes += 1
         for index in self.indexes.values():
             del index.entries[ordinal]
         for located in self._located.values():
@@ -213,23 +215,31 @@ class AmpFragment:
                 located.drop(old[pos], ordinal, self.records)
                 located.add(record[pos], ordinal)
 
-    def live_records(self) -> Iterator[tuple]:
-        return (r for r in self.records if r is not None)
+    def live_records(self) -> Sequence[tuple]:
+        """The stored tuples, read-only: ``records`` itself until a
+        delete leaves a hole in it."""
+        if not self._holes:
+            return self.records
+        return [r for r in self.records if r is not None]
 
 
 class Amp:
     """One AMP: a CPU, two disk drives, a buffer pool."""
 
     def __init__(
-        self, sim: Simulation, index: int, config: TeradataConfig
+        self, sim: Simulation, index: int, config: TeradataConfig,
+        private: bool = False,
     ) -> None:
+        """``private``: this AMP serves one request at a time (a
+        standalone run), so its CPU and drives never see two requesters
+        at once and their service runs cost one kernel event each."""
         self.sim = sim
         self.index = index
         self.name = f"amp{index}"
         self.config = config
-        self.cpu = Server(f"{self.name}.cpu")
+        self.cpu = Server(f"{self.name}.cpu", private=private)
         self.drives = [
-            DiskDrive(f"{self.name}.d{d}", config.disk)
+            DiskDrive(f"{self.name}.d{d}", config.disk, private=private)
             for d in range(config.disks_per_amp)
         ]
         self._next_drive = 0
@@ -239,8 +249,6 @@ class Amp:
     def work(self, instructions: float) -> Generator[Any, Any, None]:
         if instructions <= 0:
             return
-        from ..sim import Use
-
         yield Use(self.cpu, self.config.cpu.time_for(instructions))
 
     def _drive_for(self, file_id: str) -> DiskDrive:
@@ -253,19 +261,31 @@ class Amp:
             ]
         return drive
 
-    def read_page(
-        self, file_id: str, page_no: int, sequential: Optional[bool] = None
-    ) -> Generator[Any, Any, None]:
-        if self.buffer.access(file_id, page_no):
-            return
-        yield from self._drive_for(file_id).read(
-            file_id, page_no, self.config.page_size, sequential
-        )
+    def read_run(
+        self, file_id: str, page_nos: Iterable[int],
+        sequential: Optional[bool] = None,
+    ) -> UseRun:
+        """Read ``page_nos`` of one file back to back: one hop on the
+        file's drive per page the buffer pool does not hold."""
+        drive = self._drive_for(file_id)
+        access, nbytes = self.buffer.access, self.config.page_size
+        return UseRun(drive.server, (
+            drive.read_time(file_id, page_no, nbytes, sequential)
+            for page_no in page_nos if not access(file_id, page_no)
+        ))
 
-    def write_page(
-        self, file_id: str, page_no: int, sequential: Optional[bool] = None
-    ) -> Generator[Any, Any, None]:
-        yield from self._drive_for(file_id).write(
-            file_id, page_no, self.config.page_size, sequential
-        )
-        self.buffer.access(file_id, page_no)
+    def write_run(
+        self, file_id: str, page_nos: Iterable[int],
+        sequential: Optional[bool] = None,
+    ) -> UseRun:
+        """Write ``page_nos`` of one file back to back, each page
+        entering the buffer pool as its write completes."""
+        drive = self._drive_for(file_id)
+        access, nbytes = self.buffer.access, self.config.page_size
+
+        def hops() -> Iterator[float]:
+            for page_no in page_nos:
+                yield drive.write_time(file_id, page_no, nbytes, sequential)
+                access(file_id, page_no)
+
+        return UseRun(drive.server, hops())

@@ -20,6 +20,7 @@ redistribute on the grouping attribute first (grouped).
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
 from typing import Any, Generator, Optional
 
 from ..catalog import gamma_hash
@@ -42,7 +43,7 @@ from ..engine.plan import (
 )
 from ..errors import PlanError
 from ..metrics import Profiler
-from ..sim import Delay, Process, Server, Simulation, Use, WaitAll
+from ..sim import Delay, Server, Simulation, Use, UseRun, WaitAll
 from ..storage import Schema, external_sort, records_per_page
 from .amp import Amp, AmpFragment, hash_partition
 
@@ -77,14 +78,29 @@ class TeradataRun:
         self.plan_description = ir.description
         self._tmp = 0
 
-    def _register(
-        self, proc: Process, op_id: str, phase: Optional[str],
-        node: Optional[str] = None,
-    ) -> Process:
-        """Attribute a spawned AMP process to an IR node (profiling only)."""
-        if self.profiler is not None:
-            self.profiler.register(proc, op_id, phase, node=node)
-        return proc
+    def _ship(self, packages: int) -> UseRun:
+        """Inject ``packages`` spool pages into the Y-net, back to back."""
+        return UseRun(self.ynet, repeat(
+            PACKAGE_BYTES / self.config.network.ring_bandwidth, packages
+        ))
+
+    def _step(
+        self, label: str, op_id: str, phase: str, gens: dict[int, Any]
+    ) -> WaitAll:
+        """One bulk-synchronous step: a process per AMP of ``gens`` (AMP
+        number → generator), attributed to IR node ``op_id``, and the
+        barrier the coordinator waits at.  A request is a sequence of
+        these, so each AMP has one requester at a time — what lets a
+        standalone run build its AMPs private (DESIGN 5.6)."""
+        procs = []
+        for i, gen in gens.items():
+            proc = self.sim.spawn(gen, name=f"{label}.{i}")
+            if self.profiler is not None:
+                self.profiler.register(
+                    proc, op_id, phase, node=self.amps[i].name
+                )
+            procs.append(proc)
+        return WaitAll(procs)
 
     def _count_tuples(
         self, op_id: str, tuples_in: int = 0, tuples_out: int = 0
@@ -137,37 +153,24 @@ class TeradataRun:
         if scan.path is AccessPath.CLUSTERED_EXACT:
             # Hash-addressed single-tuple retrieval: one AMP, one access.
             amp_no = scan.sites[0]
-            proc = self._register(
-                self.sim.spawn(
-                    self._amp_exact(self.amps[amp_no],
-                                    relation.fragments[amp_no], predicate,
-                                    out, amp_no),
-                    name=f"exact.{amp_no}",
-                ),
-                scan.op_id, "scan", node=self.amps[amp_no].name,
-            )
-            yield WaitAll([proc])
+            yield self._step("exact", scan.op_id, "scan", {
+                amp_no: self._amp_exact(
+                    self.amps[amp_no], relation.fragments[amp_no],
+                    predicate, out, amp_no,
+                )
+            })
             self._count_tuples(scan.op_id, tuples_out=len(out[amp_no]))
             return out, schema
 
-        use_index = scan.path in (
-            AccessPath.NONCLUSTERED_EXACT, AccessPath.NONCLUSTERED_INDEX
+        amp_select = (
+            self._amp_index_select if scan.path in (
+                AccessPath.NONCLUSTERED_EXACT, AccessPath.NONCLUSTERED_INDEX
+            ) else self._amp_scan
         )
-        procs = []
-        for i in scan.sites:
-            amp = self.amps[i]
-            fragment = relation.fragments[i]
-            if use_index:
-                gen = self._amp_index_select(amp, fragment, predicate, out, i)
-            else:
-                gen = self._amp_scan(amp, fragment, predicate, out, i)
-            procs.append(
-                self._register(
-                    self.sim.spawn(gen, name=f"sel.{i}"), scan.op_id, "scan",
-                    node=amp.name,
-                )
-            )
-        yield WaitAll(procs)
+        yield self._step("sel", scan.op_id, "scan", {
+            i: amp_select(self.amps[i], relation.fragments[i], predicate, out, i)
+            for i in scan.sites
+        })
         self._count_tuples(
             scan.op_id,
             tuples_in=sum(
@@ -186,7 +189,7 @@ class TeradataRun:
         hits = [
             r for r in fragment.live_records() if r[pos] == predicate.value
         ]
-        yield from amp.read_page(fragment.name, 0, sequential=False)
+        yield amp.read_run(fragment.name, (0,), sequential=False)
         out[i] = hits
         self.stats["pages_read"] += 1
 
@@ -194,14 +197,15 @@ class TeradataRun:
         self, amp: Amp, fragment: AmpFragment, predicate: Any,
         out: list[list[tuple]], i: int,
     ) -> Generator[Any, Any, None]:
-        compiled = predicate.compile(fragment.schema)
-        matches = [r for r in fragment.live_records() if compiled(r)]
-        out[i] = matches
+        live = fragment.live_records()
+        matches = predicate.compile_batch(fragment.schema)(live)
+        # The 100 % selection hands its input back: never the fragment's
+        # own list, which a local join would go on to sort.
+        out[i] = list(live) if matches is live else matches
         n = fragment.num_records
         pages = fragment.num_pages
         self.stats["pages_read"] += pages
-        for page_no in range(pages):
-            yield from amp.read_page(fragment.name, page_no)
+        yield amp.read_run(fragment.name, range(pages))
         yield from amp.work(
             self.costs.scan_tuple * n + self.costs.page_io_setup * pages
         )
@@ -218,16 +222,14 @@ class TeradataRun:
             ordinals = index.matching(predicate.low, predicate.high)
         # The whole index is scanned sequentially (hash order, not key
         # order), then each qualifying tuple costs a random data access.
-        for page_no in range(index.num_pages):
-            yield from amp.read_page(index.name, page_no)
+        yield amp.read_run(index.name, range(index.num_pages))
         yield from amp.work(self.costs.index_entry * len(index.entries))
-        hits = []
-        for ordinal in ordinals:
-            page_no = fragment.page_of_ordinal(ordinal)
-            yield from amp.read_page(fragment.name, page_no, sequential=False)
-            hits.append(fragment.records[ordinal])
-        yield from amp.work(self.costs.scan_tuple * len(hits))
-        out[i] = hits
+        yield amp.read_run(
+            fragment.name, map(fragment.page_of_ordinal, ordinals),
+            sequential=False,
+        )
+        yield from amp.work(self.costs.scan_tuple * len(ordinals))
+        out[i] = [fragment.records[ordinal] for ordinal in ordinals]
         self.stats["pages_read"] += index.num_pages + len(ordinals)
 
     # ------------------------------------------------------------------
@@ -253,22 +255,13 @@ class TeradataRun:
         )
 
         out: list[list[tuple]] = [[] for _ in self.amps]
-        procs = []
-        for i, amp in enumerate(self.amps):
-            procs.append(
-                self._register(
-                    self.sim.spawn(
-                        self._amp_sort_merge(
-                            amp, left_spools[i], right_spools[i],
-                            left_pos, right_pos, left_schema, right_schema,
-                            out, i,
-                        ),
-                        name=f"smj.{i}",
-                    ),
-                    join.op_id, "merge", node=amp.name,
-                )
+        yield self._step("smj", join.op_id, "merge", {
+            i: self._amp_sort_merge(
+                amp, left_spools[i], right_spools[i], left_pos, right_pos,
+                left_schema, right_schema, out, i,
             )
-        yield WaitAll(procs)
+            for i, amp in enumerate(self.amps)
+        })
         self._count_tuples(
             join.op_id,
             tuples_in=sum(len(s) for s in left_spools)
@@ -283,7 +276,7 @@ class TeradataRun:
         pos: int,
         schema: Schema,
         exchange: Exchange,
-        op_id: str = "",
+        op_id: str,
     ) -> Generator[Any, Any, list[list[tuple]]]:
         n_amps = len(self.amps)
         if exchange.kind is ExchangeKind.LOCAL:
@@ -303,19 +296,12 @@ class TeradataRun:
                         buckets[amp_no].append(record)
         per_page = max(1, records_per_page(self.config.page_size,
                                            schema.tuple_bytes))
-        procs = []
-        for i, amp in enumerate(self.amps):
-            proc = self.sim.spawn(
-                self._amp_redistribute(
-                    amp, len(per_amp[i]), len(buckets[i]),
-                    schema.tuple_bytes, per_page, i,
-                ),
-                name=f"redist.{i}",
+        yield self._step("redist", op_id, "redistribute", {
+            i: self._amp_redistribute(
+                amp, len(per_amp[i]), len(buckets[i]), per_page, i
             )
-            if op_id:
-                self._register(proc, op_id, "redistribute", node=amp.name)
-            procs.append(proc)
-        yield WaitAll(procs)
+            for i, amp in enumerate(self.amps)
+        })
         self.stats["tuples_redistributed"] += sum(len(b) for b in buckets)
         return buckets
 
@@ -366,23 +352,17 @@ class TeradataRun:
         )
 
     def _amp_redistribute(
-        self, amp: Amp, n_sent: int, n_received: int,
-        tuple_bytes: int, per_page: int, i: int,
+        self, amp: Amp, n_sent: int, n_received: int, per_page: int, i: int
     ) -> Generator[Any, Any, None]:
         # Sending side: hash and inject into the Y-net page by page.
         yield from amp.work(self.costs.redistribute_tuple * n_sent)
-        sent_pages = (n_sent + per_page - 1) // per_page
-        for _ in range(sent_pages):
-            yield Use(
-                self.ynet,
-                PACKAGE_BYTES / self.config.network.ring_bandwidth,
-            )
+        yield self._ship((n_sent + per_page - 1) // per_page)
         # Receiving side: append to a local spool file.
         yield from amp.work(self.costs.receive_tuple * n_received)
         spool_pages = (n_received + per_page - 1) // per_page
-        spool = f"spool.{i}.{self.tag}{self._tmp}"
-        for page_no in range(spool_pages):
-            yield from amp.write_page(spool, page_no)
+        yield amp.write_run(
+            f"spool.{i}.{self.tag}{self._tmp}", range(spool_pages)
+        )
         self.stats["spool_pages"] += spool_pages
 
     def _amp_sort_merge(
@@ -417,10 +397,11 @@ class TeradataRun:
         io_pages = lstats.total_page_ios + rstats.total_page_ios
         for spool_no, stats in (("l", lstats), ("r", rstats)):
             file_id = f"sort.{i}.{spool_no}.{self.tag}{self._tmp}"
-            for page_no in range(stats.pages_written):
-                yield from amp.write_page(file_id, page_no)
-            for page_no in range(stats.pages_read):
-                yield from amp.read_page(file_id, page_no % max(1, stats.n_pages or 1))
+            n_pages = max(1, stats.n_pages or 1)
+            yield amp.write_run(file_id, range(stats.pages_written))
+            yield amp.read_run(
+                file_id, (p % n_pages for p in range(stats.pages_read))
+            )
         self.stats["sort_page_ios"] += io_pages
 
         matches = _merge_join(sorted_left, sorted_right, left_pos, right_pos)
@@ -459,21 +440,12 @@ class TeradataRun:
             op_id=agg.op_id,
         )
         out: list[list[tuple]] = [[] for _ in self.amps]
-        procs = []
-        for i, amp in enumerate(self.amps):
-            procs.append(
-                self._register(
-                    self.sim.spawn(
-                        self._amp_grouped_fold(
-                            amp, spools[i], group_pos, value_pos, agg.op,
-                            out, i,
-                        ),
-                        name=f"agg.{i}",
-                    ),
-                    agg.op_id, "fold", node=amp.name,
-                )
+        yield self._step("agg", agg.op_id, "fold", {
+            i: self._amp_grouped_fold(
+                amp, spools[i], group_pos, value_pos, agg.op, out, i
             )
-        yield WaitAll(procs)
+            for i, amp in enumerate(self.amps)
+        })
         self._count_tuples(
             agg.op_id,
             tuples_in=sum(len(s) for s in spools),
@@ -504,29 +476,14 @@ class TeradataRun:
             child_schema.position(agg.attr) if agg.attr is not None else None
         )
         partials: list[Optional[tuple]] = [None] * len(self.amps)
-        procs = []
-        for i, amp in enumerate(self.amps):
-            procs.append(
-                self._register(
-                    self.sim.spawn(
-                        self._amp_partial_fold(
-                            amp, per_amp[i], value_pos, partials, i
-                        ),
-                        name=f"agg.{i}",
-                    ),
-                    partial.op_id, "fold", node=amp.name,
-                )
-            )
-        yield WaitAll(procs)
+        yield self._step("agg", partial.op_id, "fold", {
+            i: self._amp_partial_fold(amp, per_amp[i], value_pos, partials, i)
+            for i, amp in enumerate(self.amps)
+        })
         out: list[list[tuple]] = [[] for _ in self.amps]
-        proc = self._register(
-            self.sim.spawn(
-                self._amp_combine(self.amps[0], partials, agg.op, out),
-                name="agg.combine",
-            ),
-            agg.op_id, "combine", node=self.amps[0].name,
-        )
-        yield WaitAll([proc])
+        yield self._step("agg.combine", agg.op_id, "combine", {
+            0: self._amp_combine(self.amps[0], partials, agg.op, out)
+        })
         self._count_tuples(
             agg.op_id,
             tuples_in=sum(len(bucket) for bucket in per_amp),
@@ -545,9 +502,7 @@ class TeradataRun:
         partials[i] = acc.as_tuple()
         self.stats["tuples_aggregated"] += len(rows)
         # The four-field accumulator ships to the combiner in one package.
-        yield Use(
-            self.ynet, PACKAGE_BYTES / self.config.network.ring_bandwidth
-        )
+        yield self._ship(1)
 
     def _amp_combine(
         self, amp: Amp, partials: list[Optional[tuple]], op: str,
@@ -579,19 +534,10 @@ class TeradataRun:
         per_page = max(
             1, records_per_page(self.config.page_size, schema.tuple_bytes)
         )
-        procs = []
-        for i, amp in enumerate(self.amps):
-            procs.append(
-                self._register(
-                    self.sim.spawn(
-                        self._amp_store(amp, per_amp[i], buckets[i],
-                                        schema, per_page, i),
-                        name=f"store.{i}",
-                    ),
-                    self.ir.sink.op_id, "store", node=amp.name,
-                )
-            )
-        yield WaitAll(procs)
+        yield self._step("store", self.ir.sink.op_id, "store", {
+            i: self._amp_store(amp, per_amp[i], buckets[i], per_page, i)
+            for i, amp in enumerate(self.amps)
+        })
         self._count_tuples(
             self.ir.sink.op_id,
             tuples_in=sum(len(bucket) for bucket in buckets),
@@ -611,21 +557,16 @@ class TeradataRun:
 
     def _amp_store(
         self, amp: Amp, outgoing: list[tuple], incoming: list[tuple],
-        schema: Schema, per_page: int, i: int,
+        per_page: int, i: int,
     ) -> Generator[Any, Any, None]:
         yield from amp.work(self.costs.redistribute_tuple * len(outgoing))
-        pages = (len(outgoing) + per_page - 1) // per_page
-        for _ in range(pages):
-            yield Use(
-                self.ynet,
-                PACKAGE_BYTES / self.config.network.ring_bandwidth,
-            )
+        yield self._ship((len(outgoing) + per_page - 1) // per_page)
         # The logged single-tuple INSERT path.
         yield from amp.work(self.costs.insert_tuple_cpu * len(incoming))
-        file_id = f"{self.into}.a{i}"
         io_count = int(len(incoming) * self.config.insert_ios_per_tuple)
-        for k in range(io_count):
-            yield from amp.write_page(file_id, k, sequential=False)
+        yield amp.write_run(
+            f"{self.into}.a{i}", range(io_count), sequential=False
+        )
         self.stats["insert_ios"] += io_count
 
 
@@ -707,9 +648,10 @@ class TeradataUpdateRun:
                 return amp_no, ordinal
         return 0, None
 
-    def _update_io(self, amp: Amp, file_id: str) -> Generator[Any, Any, None]:
-        for k in range(int(self.costs.update_ios)):
-            yield from amp.write_page(file_id, k, sequential=False)
+    def _update_io(self, amp: Amp, file_id: str) -> UseRun:
+        return amp.write_run(
+            file_id, range(int(self.costs.update_ios)), sequential=False
+        )
 
     def _append(self, request: AppendTuple) -> Generator[Any, Any, None]:
         relation = self.update.relation
@@ -719,12 +661,12 @@ class TeradataUpdateRun:
         fragment = relation.fragments[amp_no]
         fragment.append(request.record)
         yield from amp.work(self.costs.update_tuple_cpu)
-        yield from self._update_io(amp, fragment.name)
+        yield self._update_io(amp, fragment.name)
         if fragment.indexes:
             yield from amp.work(
                 self.costs.index_maintenance_cpu * len(fragment.indexes)
             )
-            yield from self._update_io(amp, fragment.name + ".idx")
+            yield self._update_io(amp, fragment.name + ".idx")
         self.affected = 1
 
     def _delete(self, request: DeleteTuple) -> Generator[Any, Any, None]:
@@ -740,17 +682,17 @@ class TeradataUpdateRun:
             self.costs.exact_match_cpu if use_index
             else self.costs.scan_tuple * fragment.num_records
         )
-        yield from amp.read_page(fragment.name, 0, sequential=False)
+        yield amp.read_run(fragment.name, (0,), sequential=False)
         if ordinal is None:
             return
         fragment.remove(ordinal)
         yield from amp.work(self.costs.update_tuple_cpu)
-        yield from self._update_io(amp, fragment.name)
+        yield self._update_io(amp, fragment.name)
         if fragment.indexes:
             yield from amp.work(
                 self.costs.index_maintenance_cpu * len(fragment.indexes)
             )
-            yield from self._update_io(amp, fragment.name + ".idx")
+            yield self._update_io(amp, fragment.name + ".idx")
         self.affected = 1
 
     def _modify(self, request: ModifyTuple) -> Generator[Any, Any, None]:
@@ -762,7 +704,7 @@ class TeradataUpdateRun:
         amp = self.amps[amp_no]
         fragment = relation.fragments[amp_no]
         yield from amp.work(self.costs.exact_match_cpu)
-        yield from amp.read_page(fragment.name, 0, sequential=False)
+        yield amp.read_run(fragment.name, (0,), sequential=False)
         pos = relation.schema.position(request.attr)
         old = fragment.records[ordinal]
         new_record = old[:pos] + (request.value,) + old[pos + 1:]
@@ -771,14 +713,14 @@ class TeradataUpdateRun:
             # and fix every secondary index.
             fragment.remove(ordinal)
             yield from amp.work(self.costs.update_tuple_cpu)
-            yield from self._update_io(amp, fragment.name)
+            yield self._update_io(amp, fragment.name)
             new_amp_no = relation.amp_of_key(
                 request.value, len(self.amps)
             )
             new_amp = self.amps[new_amp_no]
             relation.fragments[new_amp_no].append(new_record)
             yield from new_amp.work(self.costs.update_tuple_cpu)
-            yield from self._update_io(
+            yield self._update_io(
                 new_amp, relation.fragments[new_amp_no].name
             )
             n_indexes = len(fragment.indexes)
@@ -786,13 +728,13 @@ class TeradataUpdateRun:
                 yield from new_amp.work(
                     self.costs.index_maintenance_cpu * n_indexes * 2
                 )
-                yield from self._update_io(new_amp, fragment.name + ".idx")
+                yield self._update_io(new_amp, fragment.name + ".idx")
         else:
             index_touched = request.attr in fragment.indexes
             fragment.replace(ordinal, new_record)
             yield from amp.work(self.costs.update_tuple_cpu)
-            yield from self._update_io(amp, fragment.name)
+            yield self._update_io(amp, fragment.name)
             if index_touched:
                 yield from amp.work(self.costs.index_maintenance_cpu)
-                yield from self._update_io(amp, fragment.name + ".idx")
+                yield self._update_io(amp, fragment.name + ".idx")
         self.affected = 1

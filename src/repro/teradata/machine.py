@@ -218,7 +218,13 @@ class TeradataMachine:
             raise CatalogError(f"result relation {query.into!r} exists")
         ir = self._planner().plan(query)
         sim = Simulation()
-        amps = [Amp(sim, i, self.config) for i in range(self.config.n_amps)]
+        # One request, bulk-synchronous, nothing watching: every AMP has
+        # a single requester at a time (DESIGN 5.6, "Service runs").
+        private = not profile and telemetry is None
+        amps = [
+            Amp(sim, i, self.config, private=private)
+            for i in range(self.config.n_amps)
+        ]
         profiler = Profiler() if profile else None
         run = TeradataRun(self, sim, amps, ir, profiler=profiler)
         if profiler is not None:
@@ -298,7 +304,10 @@ class TeradataMachine:
     ) -> QueryResult:
         ir = self._planner().compile_update(request)
         sim = Simulation()
-        amps = [Amp(sim, i, self.config) for i in range(self.config.n_amps)]
+        amps = [
+            Amp(sim, i, self.config, private=not profile)
+            for i in range(self.config.n_amps)
+        ]
         run = TeradataUpdateRun(self, sim, amps, ir)
         proc = sim.spawn(run.coordinator(), name="ifp")
         profiler: Optional[Profiler] = None

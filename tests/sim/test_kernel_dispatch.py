@@ -22,6 +22,7 @@ from repro.sim import (
     Simulation,
     Store,
     Use,
+    UseRun,
     WaitAll,
 )
 from repro.sim.kernel import _HANDLERS
@@ -38,7 +39,7 @@ class TestDispatchTable:
         assert set(_HANDLERS) == effect_types
 
     def test_every_effect_round_trips(self):
-        """One scenario exercising all eight effects, with exact timings."""
+        """One scenario exercising all nine effects, with exact timings."""
         sim = Simulation()
         server = Server("cpu")
         store = Store("mail")
@@ -46,7 +47,8 @@ class TestDispatchTable:
 
         def producer():
             yield Delay(1.0)                    # t=1
-            yield Use(server, 2.0)              # t=3
+            yield Use(server, 0.5)              # t=1.5
+            yield UseRun(server, [1.0, 0.5])    # t=3
             yield Put(store, "page")            # immediate (unbounded)
             log.append(("produced", sim.now))
             return "done-producing"
@@ -125,6 +127,26 @@ class TestDeadlockDiagnostics:
         message = str(excinfo.value)
         assert "'waiter'" in message
         assert "held-cpu" in message
+
+    def test_names_the_server_and_progress_of_a_blocked_run(self):
+        sim = Simulation()
+        server = Server("held-drive")
+
+        def holder():
+            yield Delay(0.5)
+            yield Acquire(server)  # granted when the first hop ends
+
+        def runner():
+            yield UseRun(server, [1.0, 1.0, 1.0])
+
+        sim.spawn(holder(), name="holder")
+        sim.spawn(runner(), name="runner")
+        with pytest.raises(SimulationError) as excinfo:
+            sim.run()
+        assert (
+            "'runner' blocked on UseRun(Server 'held-drive', 1 hop(s) served)"
+            in str(excinfo.value)
+        )
 
 
 class TestRunUntilCutoff:

@@ -23,6 +23,7 @@ from repro.sim import (
     Simulation,
     Store,
     Use,
+    UseRun,
 )
 
 
@@ -444,3 +445,238 @@ class TestSharedQueueEntries:
         server._use(sim, 1.0, lambda _value: None, None)
         with pytest.raises(SimulationError):
             server._use_entry(sim, bad)
+
+
+_DURATIONS = st.sampled_from([0.0, 0.0005, 0.003, 0.0101, 0.25])
+
+#: A rival: (delay before its first request, service times, what each of
+#: its completions adds to the state the runner's lazy hops read).
+_RIVALS = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.001, 0.0035, 0.0101, 0.02, 0.6]),
+        st.lists(_DURATIONS, min_size=1, max_size=4),
+        st.sampled_from([0.0, 0.0005, 0.002]),
+    ),
+    max_size=4,
+)
+
+
+class TestServiceRuns:
+    """``UseRun(server, hops)`` against ``for d in hops: yield Use(...)``."""
+
+    @staticmethod
+    def _scenario(as_run, server, start, hops, rivals=(), tail=None):
+        """One runner serving ``hops`` (twice: a run follows a run) and
+        any number of rivals on ``server``; everything observable."""
+        sim = Simulation()
+        state = {"extra": 0.0, "drawn": 0}
+        resumed = []
+
+        def lazy_hops():
+            for duration in hops:
+                state["drawn"] += 1
+                # A negative hop stays negative; the rest see the rivals.
+                yield duration + state["extra"] if duration >= 0 else duration
+                resumed.append(("hop-done", sim.now))
+
+        def serve():
+            if as_run:
+                yield UseRun(server, lazy_hops())
+            else:
+                for duration in lazy_hops():
+                    yield Use(server, duration)
+
+        def runner():
+            yield Delay(start)
+            yield from serve()
+            resumed.append(("runner", sim.now, state["drawn"]))
+            yield from serve()
+            resumed.append(("runner-again", sim.now, state["drawn"]))
+            if tail is not None:
+                yield Use(server, tail)
+                resumed.append(("runner-tail", sim.now))
+
+        def rival(index, delay, durations, bump):
+            yield Delay(delay)
+            for duration in durations:
+                yield Use(server, duration)
+                state["extra"] += bump
+                resumed.append((index, sim.now))
+
+        sim.spawn(runner(), name="runner")
+        for index, (delay, durations, bump) in enumerate(rivals):
+            sim.spawn(rival(index, delay, durations, bump), name=f"rival{index}")
+        try:
+            sim.run()
+            error = None
+        except SimulationError as exc:
+            error = str(exc)
+        # The private form draws every hop when the run starts and wakes
+        # the runner once, so neither the clock a hop iterator would read
+        # nor the order of wake-ups at one instant is its contract; when
+        # each process resumes is.
+        return {
+            "resumed": sorted(
+                (line for line in resumed if line[0] != "hop-done"), key=repr
+            ),
+            "error": error,
+            "now": sim.now,
+            "requests": server.requests,
+            "busy_time": server.busy_time,
+            "busy_any": server._busy_accrued,
+            "wait_stats": server.wait_stats.as_dict(),
+            "utilisation": server.utilisation(sim.now),
+            "mean_utilisation": server.mean_utilisation(sim.now),
+            "mean_queue_length": server.mean_queue_length(sim.now),
+            "last_change": server._last_change,
+        }, (resumed, sim.events_processed, sim._seq)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        capacity=st.integers(1, 3),
+        start=st.sampled_from([0.0, 0.001, 0.0101, 0.3]),
+        hops=st.lists(_DURATIONS, max_size=6),
+        rivals=_RIVALS,
+        negative_at=st.none() | st.integers(0, 5),
+    )
+    def test_run_on_a_shared_server_is_the_use_loop(
+        self, capacity, start, hops, rivals, negative_at
+    ):
+        if negative_at is not None and negative_at < len(hops):
+            hops = hops[:negative_at] + [-0.001] + hops[negative_at + 1:]
+        loop, run = (
+            self._scenario(
+                as_run, Server("srv", capacity), start, hops, rivals
+            )
+            for as_run in (False, True)
+        )
+        # Same machine, same log line order, same events, same last seq.
+        assert run == loop
+        if any(duration < 0 for duration in hops):
+            assert run[0]["error"] == "negative service time on 'srv'"
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        capacity=st.integers(1, 3),
+        start=st.sampled_from([0.0, 0.001, 0.3]),
+        hops=st.lists(_DURATIONS, max_size=8),
+        tail=st.none() | _DURATIONS,
+    )
+    def test_run_on_a_private_server_costs_one_event(
+        self, capacity, start, hops, tail
+    ):
+        (loop, (_, loop_events, _)), (run, (_, run_events, _)) = (
+            self._scenario(
+                as_run, Server("srv", capacity, private=as_run), start,
+                hops, tail=tail,
+            )
+            for as_run in (False, True)
+        )
+        assert run == loop
+        # Each of the two runs saves every completion but its last.
+        assert run_events == loop_events - 2 * max(0, len(hops) - 1)
+
+    def test_negative_hop_on_a_private_server(self):
+        sim, server = Simulation(), Server("srv", private=True)
+
+        def runner():
+            yield UseRun(server, [0.5, -1.0])
+
+        sim.spawn(runner())
+        with pytest.raises(
+            SimulationError, match="negative service time on 'srv'"
+        ):
+            sim.run()
+
+    @staticmethod
+    def _two_requesters(second, second_at, first=None):
+        sim, server = Simulation(), Server("amp0.d0.srv", private=True)
+
+        def owner():
+            yield first if first else UseRun(server, [1.0, 1.0, 1.0])
+
+        def intruder():
+            yield Delay(second_at)
+            yield second(server)
+
+        sim.spawn(owner(), name="sel.0")
+        sim.spawn(intruder(), name="store.0")
+        with pytest.raises(SimulationError) as excinfo:
+            sim.run()
+        return str(excinfo.value), server
+
+    def test_private_server_refuses_a_second_run(self):
+        message, _ = self._two_requesters(
+            lambda server: UseRun(server, [0.1]), 1.5
+        )
+        assert "private server 'amp0.d0.srv'" in message
+        assert "'sel.0'" in message and "'store.0'" in message
+
+    def test_private_server_refuses_a_use_during_a_run(self):
+        message, _ = self._two_requesters(
+            lambda server: Use(server, 0.1), 0.5
+        )
+        assert "private server 'amp0.d0.srv'" in message
+        assert "'sel.0'" in message and "'store.0'" in message
+
+    def test_private_server_refuses_a_run_during_a_use(self):
+        sim, server = Simulation(), Server("amp0.d0.srv", private=True)
+
+        def owner():
+            yield Use(server, 2.0)
+
+        def intruder():
+            yield Delay(1.0)
+            yield UseRun(server, [0.1])
+
+        sim.spawn(owner(), name="sel.0")
+        sim.spawn(intruder(), name="store.0")
+        with pytest.raises(SimulationError) as excinfo:
+            sim.run()
+        message = str(excinfo.value)
+        assert "private server 'amp0.d0.srv'" in message
+        assert "'sel.0'" in message and "'store.0'" in message
+
+    def test_private_server_serves_requesters_one_after_another(self):
+        sim, server = Simulation(), Server("srv", private=True)
+
+        def first():
+            yield UseRun(server, [0.25, 0.25])
+
+        def second():
+            yield Delay(0.5)
+            yield UseRun(server, [0.25])
+            yield Use(server, 0.25)
+
+        sim.spawn(first())
+        sim.spawn(second())
+        assert sim.run() == 1.0
+        assert server.requests == 4 and server.busy_time == 1.0
+
+    def test_private_server_refuses_instrumentation(self):
+        sim, server = Simulation(), Server("srv", private=True)
+        server.observer = lambda name, start, duration: None
+
+        def runner():
+            yield UseRun(server, [0.5])
+
+        sim.spawn(runner())
+        with pytest.raises(SimulationError, match="instrumented"):
+            sim.run()
+
+    def test_hooks_see_every_hop_and_its_process(self):
+        sim, server = Simulation(), Server("srv")
+        seen = []
+        server.observer = lambda name, start, dur: seen.append((start, dur))
+        server.profile_hook = (
+            lambda srv, proc, start, dur: seen.append((proc.name, start))
+        )
+
+        def runner():
+            yield UseRun(server, [0.5, 0.25])
+
+        sim.spawn(runner(), name="sel.3")
+        sim.run()
+        assert seen == [
+            (0.0, 0.5), ("sel.3", 0.0), (0.5, 0.25), ("sel.3", 0.5),
+        ]
