@@ -19,23 +19,15 @@ Two invariants make the fast paths safe:
 * **Unchanged cost model.**  These kernels change how fast the simulator
   *computes* a decision, never what the simulated machine is *charged*
   for it; golden timelines are unaffected.
-
-numpy is optional: without it every entry point degrades to the scalar
-loop (`array`/list arithmetic), so the engine has no hard dependency.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
+import numpy as _np
+
 from ..catalog.partitioning import stable_hash
-
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is present in CI images
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 #: Minimum batch size for the vectorized kernels.  Below this the numpy
 #: call overhead (array construction + ufunc dispatch) exceeds the scalar
@@ -94,7 +86,7 @@ def hash_route_batch(
     Large all-int batches go through :func:`gamma_hash_array`; everything
     else through a scalar loop with ``stable_hash``'s int fast path.
     """
-    if _np is not None and len(records) >= NUMPY_THRESHOLD:
+    if len(records) >= NUMPY_THRESHOLD:
         arr = _int_column(records, pos)
         if arr is not None:
             return gamma_hash_array(arr, n).tolist()
@@ -170,15 +162,12 @@ class BatchedBitProbe:
     def __init__(self, n_bits: int, seeds: Sequence[int], bits: bytearray):
         self.n_bits = n_bits
         self.seeds = tuple(seeds)
-        self._bits_view = (
-            _np.frombuffer(bits, dtype=_np.uint8)
-            if _np is not None else None
-        )
+        self._bits_view = _np.frombuffer(bits, dtype=_np.uint8)
 
     def test(
         self, records: Sequence[tuple], pos: int
     ) -> Optional[list[bool]]:
-        if self._bits_view is None or len(records) < NUMPY_THRESHOLD:
+        if len(records) < NUMPY_THRESHOLD:
             return None
         arr = _int_column(records, pos)
         if arr is None:
@@ -204,9 +193,9 @@ class BatchedBitProbe:
 class ColumnBatch:
     """A batch of tuples stored column-wise.
 
-    Integer columns become int64 numpy arrays (plain lists without
-    numpy); other columns stay lists.  The batch round-trips losslessly:
-    ``ColumnBatch.from_records(rs).to_records() == list(rs)``.
+    Integer columns of batches at or above ``NUMPY_THRESHOLD`` become
+    int64 numpy arrays; other columns stay lists.  The batch round-trips
+    losslessly: ``ColumnBatch.from_records(rs).to_records() == list(rs)``.
 
     This is the storage shape the vectorized kernels want — extracting a
     column is O(1) instead of a per-record gather — and what load-time
@@ -233,7 +222,7 @@ class ColumnBatch:
         for pos in range(width):
             column = [record[pos] for record in records]
             is_int = all(type(v) is int for v in column)
-            if is_int and _np is not None and count >= NUMPY_THRESHOLD:
+            if is_int and count >= NUMPY_THRESHOLD:
                 try:
                     column = _np.fromiter(
                         column, dtype=_np.int64, count=count
@@ -251,23 +240,19 @@ class ColumnBatch:
         if self.count == 0:
             return []
         cols = [
-            c.tolist() if _np is not None and isinstance(c, _np.ndarray)
-            else c
+            c.tolist() if isinstance(c, _np.ndarray) else c
             for c in self.columns
         ]
         return list(zip(*cols))
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """A new batch holding the given row positions, in order."""
-        if _np is not None:
-            idx = _np.asarray(indices, dtype=_np.int64)
-            columns = [
-                c[idx] if isinstance(c, _np.ndarray)
-                else [c[i] for i in indices]
-                for c in self.columns
-            ]
-        else:
-            columns = [[c[i] for i in indices] for c in self.columns]
+        idx = _np.asarray(indices, dtype=_np.int64)
+        columns = [
+            c[idx] if isinstance(c, _np.ndarray)
+            else [c[i] for i in indices]
+            for c in self.columns
+        ]
         return ColumnBatch(columns, len(indices), self._int_cols)
 
     @classmethod
@@ -281,17 +266,13 @@ class ColumnBatch:
         columns: list[Any] = []
         for pos in range(len(first.columns)):
             parts = [b.columns[pos] for b in batches]
-            if _np is not None and all(
-                isinstance(p, _np.ndarray) for p in parts
-            ):
+            if all(isinstance(p, _np.ndarray) for p in parts):
                 columns.append(_np.concatenate(parts))
             else:
                 merged: list[Any] = []
                 for p in parts:
                     merged.extend(
-                        p.tolist()
-                        if _np is not None and isinstance(p, _np.ndarray)
-                        else p
+                        p.tolist() if isinstance(p, _np.ndarray) else p
                     )
                 columns.append(merged)
         count = sum(b.count for b in batches)

@@ -336,26 +336,22 @@ def hybrid_build_consumer(
         (insert_cost, bitset_cost) if bf is not None else (insert_cost,)
     )
     port = state.build_port
-    flat = ctx.profiler is None and ctx.trace is None
     get_effect = port._get_effect
     receive = port.receive_effect
+    observed = port.observed
     while port.expected_producers == 0 or (
         port._eos_seen < port.expected_producers
     ):
-        # Flattened receive loop (see join.build_consumer): identical
-        # effects, no next_packet generator per packet.
-        if flat:
-            message = yield get_effect
-            if type(message) is EndOfStream:
-                port._eos_seen += 1
-                continue
-            eff = receive(message)
-            if eff is not None:
-                yield eff
-        else:
-            message = yield from port.next_packet()
-            if message is None:
-                break
+        # Inline receive loop (see join.build_consumer).
+        message = yield get_effect
+        if type(message) is EndOfStream:
+            port._eos_seen += 1
+            continue
+        eff = receive(message)
+        if eff is not None:
+            yield eff
+        if observed:
+            port.observe(message)
         records = message.records
         bytes_used = state.bytes_used
         spill: Optional[dict[int, list[tuple]]] = None
@@ -438,24 +434,21 @@ def hybrid_probe_consumer(
     overflow_spool = state.overflow_probe
     work_effect = state.node.work_effect
     port = state.probe_port
-    flat = ctx.profiler is None and ctx.trace is None
     get_effect = port._get_effect
     receive = port.receive_effect
+    observed = port.observed
     while port.expected_producers == 0 or (
         port._eos_seen < port.expected_producers
     ):
-        if flat:
-            message = yield get_effect
-            if type(message) is EndOfStream:
-                port._eos_seen += 1
-                continue
-            eff = receive(message)
-            if eff is not None:
-                yield eff
-        else:
-            message = yield from port.next_packet()
-            if message is None:
-                break
+        message = yield get_effect
+        if type(message) is EndOfStream:
+            port._eos_seen += 1
+            continue
+        eff = receive(message)
+        if eff is not None:
+            yield eff
+        if observed:
+            port.observe(message)
         records = message.records
         # Hits, misses, and spills all pay the probe charge; the bulk
         # multiply over integer-valued constants is exact.

@@ -282,21 +282,14 @@ def build_consumer(
 ) -> Generator[Any, Any, None]:
     """Drain the build port into the hash table (phase one).
 
-    The uninstrumented path is flattened: one Get yield per message with
-    the port's metrics/cost accounting inlined (``receive_effect``), no
-    ``next_packet`` generator per packet.  Effects and their order are
-    identical to the generator path.
+    The receive loop is :meth:`InputPort.next_packet` written inline —
+    one Get yield per message, then ``receive_effect`` and, on an
+    observed port, ``observe`` — so there is no generator per packet.
     """
     port = state.build_port
-    if ctx.profiler is not None or ctx.trace is not None:
-        while True:
-            packet = yield from port.next_packet()
-            if packet is None:
-                break
-            yield from _insert_batch(state, packet.records, exchange)
-        return
     get_effect = port._get_effect
     receive = port.receive_effect
+    observed = port.observed
     while port.expected_producers == 0 or (
         port._eos_seen < port.expected_producers
     ):
@@ -307,6 +300,8 @@ def build_consumer(
         eff = receive(message)
         if eff is not None:
             yield eff
+        if observed:
+            port.observe(message)
         yield from _insert_batch(state, message.records, exchange)
 
 
@@ -486,18 +481,12 @@ def probe_consumer(
 ) -> Generator[Any, Any, None]:
     """Drain the probe port through the hash table (phase two).
 
-    Flattened like :func:`build_consumer` when uninstrumented.
+    Same inline receive loop as :func:`build_consumer`.
     """
     port = state.probe_port
-    if ctx.profiler is not None or ctx.trace is not None:
-        while True:
-            packet = yield from port.next_packet()
-            if packet is None:
-                break
-            yield from _probe_batch(state, packet.records, exchange)
-        return
     get_effect = port._get_effect
     receive = port.receive_effect
+    observed = port.observed
     while port.expected_producers == 0 or (
         port._eos_seen < port.expected_producers
     ):
@@ -508,6 +497,8 @@ def probe_consumer(
         eff = receive(message)
         if eff is not None:
             yield eff
+        if observed:
+            port.observe(message)
         yield from _probe_batch(state, message.records, exchange)
 
 

@@ -35,26 +35,22 @@ def store_operator(
     stored = 0
     store_tuple = costs.store_tuple
     work_effect = node.work_effect
-    flat = ctx.profiler is None and ctx.trace is None
     get_effect = port._get_effect
     receive = port.receive_effect
+    observed = port.observed
     while port.expected_producers == 0 or (
         port._eos_seen < port.expected_producers
     ):
-        # Flattened receive loop (see join.build_consumer): identical
-        # effects, no next_packet generator per packet.
-        if flat:
-            message = yield get_effect
-            if type(message) is EndOfStream:
-                port._eos_seen += 1
-                continue
-            eff = receive(message)
-            if eff is not None:
-                yield eff
-        else:
-            message = yield from port.next_packet()
-            if message is None:
-                break
+        # Inline receive loop (see join.build_consumer).
+        message = yield get_effect
+        if type(message) is EndOfStream:
+            port._eos_seen += 1
+            continue
+        eff = receive(message)
+        if eff is not None:
+            yield eff
+        if observed:
+            port.observe(message)
         records = message.records
         n_records = len(records)
         stored += n_records

@@ -6,9 +6,13 @@ tuples) into consumers' :class:`InputPort`\\ s, closing the stream with one
 ("With the exception of these three control messages, execution of an
 operator is completely self-scheduling").
 
-Packets are carried by *courier* processes so a producer is not blocked for
-the full network latency: the sender's interface server provides the
-back-pressure, exactly like the real DMA path.
+Packets are carried by *couriers* (callback chains on the interconnect) so
+a producer is not blocked for the full network latency: the sender's
+interface server provides the back-pressure, exactly like the real DMA path.
+
+Plain, profiled and traced runs execute the same code: a profiler or trace
+is only ever *told* what the packet path did (``record_tuples``, trace
+instants), never handed a different path.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from ..errors import ExecutionError
-from ..sim import Get, Put, Store
+from ..sim import Get, Store
 from .node import ExecutionContext, Node
 
 
@@ -53,16 +57,19 @@ class InputPort:
         self.expected_producers = 0
         self._eos_seen = 0
         # Get effects are immutable descriptions, so one instance serves
-        # every next_packet() call instead of an allocation per packet.
+        # every receive instead of an allocation per packet.
         self._get_effect = Get(self.store)
-        # Cached metrics objects: next_packet runs once per packet, so the
-        # registry's name-keyed lookups are hoisted out of the hot path.
+        # Cached metrics objects: receive_effect runs once per packet, so
+        # the registry's name-keyed lookups are hoisted out of the hot path.
         # Node/operator entries stay lazily created (first packet), so a
         # port that never receives anything keeps out of snapshots exactly
         # as before.
         self._query_counter = ctx.metrics.query
         self._node_metrics: Optional[Any] = None
         self._op_metrics: Optional[Any] = None
+        #: Whether a profiler or trace watches this run; receive loops
+        #: call :meth:`observe` per data packet only then.
+        self.observed = ctx.profiler is not None or ctx.trace is not None
 
     def add_producer(self, count: int = 1) -> None:
         self.expected_producers += count
@@ -75,6 +82,9 @@ class InputPort:
         producers (operators are activated consumers-first); the port then
         simply blocks on the mailbox — registration always happens before
         any producer can deliver a message.
+
+        The per-packet consumers (join build/probe, store) run this same
+        loop inline, so they create no generator per packet.
         """
         while self.expected_producers == 0 or (
             self._eos_seen < self.expected_producers
@@ -83,57 +93,20 @@ class InputPort:
             if type(message) is EndOfStream:
                 self._eos_seen += 1
                 continue
-            node = self.node
-            costs = node.config.costs
-            if message.src_node == node.name:
-                eff = node.work_effect(costs.packet_short_circuit)
-            else:
-                eff = node.work_effect(costs.packet_receive)
+            eff = self.receive_effect(message)
             if eff is not None:
                 yield eff
-            n_records = len(message.records)
-            # record_packet_received + record_operator_tuples, inlined on
-            # the cached metrics objects.
-            self._query_counter["packets_received"] += 1
-            nm = self._node_metrics
-            if nm is None:
-                nm = self._node_metrics = self.ctx.metrics.node(node.name)
-            nm.packets_received += 1
-            nm.tuples_in += n_records
-            om = self._op_metrics
-            if om is None:
-                om = self._op_metrics = self.ctx.metrics.operator(
-                    self.name, node.name
-                )
-            om.tuples_in += n_records
-            if self.ctx.profiler is not None:
-                # next_packet runs inside the consumer operator's process.
-                self.ctx.profiler.record_tuples(
-                    self.ctx.sim._current, tuples_in=len(message.records)
-                )
-            if self.ctx.trace is not None:
-                self.ctx.trace.instant(
-                    self.node.name, "net", f"recv:{self.name}",
-                    self.ctx.sim.now, cat="packet",
-                    args={"tuples": len(message.records),
-                          "from": message.src_node},
-                )
-                self.ctx.trace.counter(
-                    self.node.name, f"queue:{self.name}", self.ctx.sim.now,
-                    {"depth": float(len(self.store))},
-                )
+            if self.observed:
+                self.observe(message)
             return message
         return None
 
     def receive_effect(self, message: DataPacket) -> Optional[Any]:
         """Metrics plus the receive-cost effect for one data message.
 
-        The non-generator core of :meth:`next_packet`, used by flattened
-        consumer loops (join build/probe, store) so the hot path creates no
-        generator per packet.  Only valid when no profiler or trace is
-        attached — the caller falls back to :meth:`next_packet` otherwise —
-        and the caller owns the EOS bookkeeping (``_eos_seen``) and yields
-        the returned effect itself.
+        The caller owns the EOS bookkeeping (``_eos_seen``), yields the
+        returned effect itself and then, on an :attr:`observed` port,
+        calls :meth:`observe`.
         """
         node = self.node
         costs = node.config.costs
@@ -142,6 +115,8 @@ class InputPort:
         else:
             eff = node.work_effect(costs.packet_receive)
         n_records = len(message.records)
+        # record_packet_received + record_operator_tuples, inlined on the
+        # cached metrics objects.
         self._query_counter["packets_received"] += 1
         nm = self._node_metrics
         if nm is None:
@@ -155,6 +130,30 @@ class InputPort:
             )
         om.tuples_in += n_records
         return eff
+
+    def observe(self, message: DataPacket) -> None:
+        """Tell the profiler and trace that ``message`` was received.
+
+        Called after the receive cost has been served — the trace instants
+        stamp the time the consumer gets to work on the packet — from
+        inside the consumer operator's process.
+        """
+        ctx = self.ctx
+        n_records = len(message.records)
+        if ctx.profiler is not None:
+            ctx.profiler.record_tuples(ctx.sim._current, tuples_in=n_records)
+        trace = ctx.trace
+        if trace is not None:
+            node_name = self.node.name
+            now = ctx.sim.now
+            trace.instant(
+                node_name, "net", f"recv:{self.name}", now, cat="packet",
+                args={"tuples": n_records, "from": message.src_node},
+            )
+            trace.counter(
+                node_name, f"queue:{self.name}", now,
+                {"depth": float(len(self.store))},
+            )
 
     def drain(self) -> Generator[Any, Any, list[tuple]]:
         """Consume the whole stream, returning every record."""
@@ -293,26 +292,24 @@ class OutputPort:
                 yield from self._flush(dest_idx)
         ctx = self.ctx
         destinations = self.split.destinations
-        eos = EndOfStream(self.label)
         ctx.metrics.record_control_message(self.node.name, len(destinations))
-        if ctx.profiler is None:
-            ctx.net.transfer_burst(
-                ctx.sim, self.node.name, destinations, EOS_BYTES, eos
-            )
-        else:
-            for dest in destinations:
-                self._dispatch(dest, eos, EOS_BYTES)
+        ctx.net.transfer_burst(
+            ctx.sim, self.node.name, destinations, EOS_BYTES,
+            EndOfStream(self.label),
+        )
 
     def _flush(self, dest_idx: int) -> Generator[Any, Any, None]:
         records = self._buffers[dest_idx]
         if not records:
             return
         self._buffers[dest_idx] = []
+        ctx = self.ctx
+        node = self.node
         dest = self.split.destinations[dest_idx]
         n_records = len(records)
         packet = DataPacket(
             records, n_records * self.tuple_bytes, self.label,
-            src_node=self.node.name,
+            src_node=node.name,
         )
         self.tuples_sent += n_records
         short_circuit = self._local_flags[dest_idx]
@@ -323,7 +320,7 @@ class OutputPort:
         q["tuples_shipped"] += n_records
         nm = self._node_metrics
         if nm is None:
-            nm = self._node_metrics = self.ctx.metrics.node(self.node.name)
+            nm = self._node_metrics = ctx.metrics.node(node.name)
         nm.packets_sent += 1
         nm.tuples_out += n_records
         if short_circuit:
@@ -331,52 +328,30 @@ class OutputPort:
             nm.packets_short_circuited += 1
         om = self._op_metrics
         if om is None:
-            om = self._op_metrics = self.ctx.metrics.operator(
-                self.label, self.node.name
+            om = self._op_metrics = ctx.metrics.operator(
+                self.label, node.name
             )
         om.tuples_out += n_records
-        if self.ctx.profiler is not None:
+        if ctx.profiler is not None:
             # _flush runs inside the producer operator's process.
-            self.ctx.profiler.record_tuples(
-                self.ctx.sim._current, tuples_out=len(records)
+            ctx.profiler.record_tuples(ctx.sim._current, tuples_out=n_records)
+        if ctx.trace is not None:
+            ctx.trace.instant(
+                node.name, "net", f"send:{self.label}",
+                ctx.sim.now, cat="packet",
+                args={"tuples": n_records, "to": dest.node_name},
             )
-        if self.ctx.trace is not None:
-            self.ctx.trace.instant(
-                self.node.name, "net", f"send:{self.label}",
-                self.ctx.sim.now, cat="packet",
-                args={"tuples": len(records), "to": dest.node_name},
-            )
-        costs = self.node.config.costs
+        costs = node.config.costs
         if short_circuit:
-            eff = self.node.work_effect(costs.packet_short_circuit)
+            eff = node.work_effect(costs.packet_short_circuit)
         else:
-            eff = self.node.work_effect(costs.packet_send)
+            eff = node.work_effect(costs.packet_send)
         if eff is not None:
             yield eff
-        self._dispatch(dest, packet, packet.nbytes)
-
-    def _dispatch(self, dest: "Any", message: Any, nbytes: int) -> None:
-        """Hand the message to a courier (fire and forget).
-
-        Couriers traverse FIFO servers with identical service demands, so
-        per-destination ordering — including EOS-last — is preserved.
-        Without a profiler the courier is a plain callback chain
-        (:meth:`Interconnect.transfer_fast`; a close sends its
-        EndOfStreams through :meth:`Interconnect.transfer_burst` instead)
-        producing the exact same event sequence as the generator it
-        replaces; with one, the generator path is kept so service
-        attributes via ``Process.parent``.
-        """
-        ctx = self.ctx
-        src = self.node.name
-        if ctx.profiler is None:
-            ctx.net.transfer_fast(
-                ctx.sim, src, dest.node_name, nbytes, dest.port.store, message
-            )
-            return
-
-        def courier() -> Generator[Any, Any, None]:
-            yield from ctx.net.transfer(src, dest.node_name, nbytes)
-            yield Put(dest.port.store, message)
-
-        ctx.sim.spawn(courier(), name=f"courier:{self.label}")
+        # Fire and forget: couriers traverse FIFO servers with identical
+        # service demands, so per-destination ordering — including
+        # EOS-last — is preserved.
+        ctx.net.transfer_fast(
+            ctx.sim, node.name, dest.node_name, packet.nbytes,
+            dest.port.store, packet,
+        )

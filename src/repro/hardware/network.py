@@ -133,15 +133,18 @@ class Interconnect:
         1000 sites would retain a million finished couriers).
 
         Couriers cannot deadlock (input-port stores are unbounded), so the
-        lost deadlock diagnostics are moot.  Profilers attribute service by
-        walking ``Process.parent``; callers must keep the generator path
-        when a profiler is attached.
+        lost deadlock diagnostics are moot.  The courier's ``owner`` is the
+        process dispatching it — what ``spawn`` would have recorded as the
+        courier's parent — so a profiler attributes its service intervals
+        to the same operator.
         """
         model = self.model
+        owner = sim._current
         if src == dst:
             self.messages_short_circuited += 1
             courier = _FastCourier(
-                sim, store, message, _SENDER, sender_s=model.short_circuit_s
+                sim, owner, store, message, _SENDER,
+                sender_s=model.short_circuit_s,
             )
         else:
             self.messages_sent += 1
@@ -151,7 +154,7 @@ class Interconnect:
             src_nic.bytes_sent += nbytes
             iface_time = model.interface_time(nbytes)
             courier = _FastCourier(
-                sim, store, message, _SENDER,
+                sim, owner, store, message, _SENDER,
                 self.interfaces[dst].server, iface_time,
                 self.ring, model.ring_time(nbytes),
                 src_nic.server, model.message_overhead_s + iface_time,
@@ -194,13 +197,14 @@ class _FastCourier:
     """
 
     __slots__ = (
-        "sim", "store", "message", "stage", "receiver", "receiver_s",
-        "ring", "ring_s", "sender", "sender_s",
+        "sim", "owner", "store", "message", "stage", "receiver",
+        "receiver_s", "ring", "ring_s", "sender", "sender_s",
     )
 
     def __init__(
         self,
         sim: Any,
+        owner: Any,
         store: Any,
         message: Any,
         stage: int,
@@ -213,8 +217,11 @@ class _FastCourier:
     ) -> None:
         """A courier about to run ``stage``; stages before it need no
         server.  ``sender=None`` at ``_SENDER`` makes that stage the
-        short-circuit delay ``sender_s``, followed directly by the Put."""
+        short-circuit delay ``sender_s``, followed directly by the Put.
+        ``owner`` is the dispatching process (None outside any), read by
+        ``Server.profile_hook`` callers in place of a requesting process."""
         self.sim = sim
+        self.owner = owner
         self.store = store
         self.message = message
         self.stage = stage
@@ -268,7 +275,7 @@ class _Burst:
     """
 
     __slots__ = (
-        "net", "sim", "src", "destinations", "started", "sent",
+        "net", "sim", "owner", "src", "destinations", "started", "sent",
         "sender", "entry", "ring_s", "receiver_s", "message",
     )
 
@@ -291,6 +298,8 @@ class _Burst:
         src_nic.bytes_sent += remote * nbytes
         self.net = net
         self.sim = sim
+        # The closing process: every message of the burst is its courier.
+        self.owner = sim._current
         self.src = src
         self.destinations = destinations
         self.started = 0  # start events fired so far
@@ -317,7 +326,9 @@ class _Burst:
             if dest.node_name == self.src:
                 self.sim.call_after(
                     self.net.model.short_circuit_s,
-                    _FastCourier(self.sim, dest.store, self.message, _PUT),
+                    _FastCourier(
+                        self.sim, self.owner, dest.store, self.message, _PUT
+                    ),
                 )
             else:
                 self.sender._use_entry(self.sim, self.entry)
@@ -334,7 +345,7 @@ class _Burst:
             self.sim,
             self.ring_s,
             _FastCourier(
-                self.sim, dest.store, self.message, _RECEIVER,
+                self.sim, self.owner, dest.store, self.message, _RECEIVER,
                 net.interfaces[dest.node_name].server, self.receiver_s,
             ),
             None,

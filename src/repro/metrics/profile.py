@@ -9,8 +9,9 @@ caused it:
 * every :class:`~repro.sim.Server` carrying a ``profile_hook`` reports
   ``(server, process, start, duration)`` at service start; the profiler
   resolves the process to an operator by walking ``Process.parent`` —
-  helper processes (couriers, page feeders) need no explicit
-  registration;
+  helper processes (page feeders) need no explicit registration, and a
+  network courier, which is no process, reports the process that
+  dispatched it;
 * ports report tuple counts for the process currently executing.
 
 Everything is passive — the profiler never schedules simulation events,

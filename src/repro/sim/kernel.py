@@ -67,8 +67,8 @@ class Process:
             (diagnostics; ``None`` while runnable or finished).
         parent: The process that was running when this one was spawned
             (``None`` for externally spawned roots).  Attribution metadata
-            only — helper processes (couriers, page feeders) resolve to
-            the operator that created them by walking this chain.
+            only — helper processes (page feeders) resolve to the
+            operator that created them by walking this chain.
     """
 
     __slots__ = (

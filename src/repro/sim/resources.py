@@ -35,9 +35,10 @@ Resume = Callable[..., None]
 ServiceObserver = Callable[[str, float, float], None]
 
 #: ``server.profile_hook`` signature: (server, process, start, duration).
-#: The process is the one whose ``Use`` is being serviced (None for
-#: Acquire/Release brackets); profilers attribute the interval to an
-#: operator by walking ``process.parent``.
+#: The process is the one whose ``Use`` is being serviced; a process-less
+#: requester (a network courier or burst) resolves to its ``owner`` — the
+#: process that dispatched it — and to None when it has none.  Profilers
+#: attribute the interval to an operator by walking ``process.parent``.
 ProfileHook = Callable[["Server", Optional["Process"], float, float], None]
 
 
@@ -257,7 +258,12 @@ class Server:
             if self.observer is not None:
                 self.observer(self.name, now, duration)
             if self.profile_hook is not None:
-                self.profile_hook(self, proc, now, duration)
+                self.profile_hook(
+                    self,
+                    getattr(resume, "owner", None) if proc is None else proc,
+                    now,
+                    duration,
+                )
             if proc is not None:
                 cb: Callable[..., None] = self._complete_proc_cb
                 arg: Any = proc
@@ -331,7 +337,12 @@ class Server:
         if self.observer is not None:
             self.observer(self.name, sim._now, duration)
         if self.profile_hook is not None:
-            self.profile_hook(self, proc, sim._now, duration)
+            self.profile_hook(
+                self,
+                getattr(resume, "owner", None) if proc is None else proc,
+                sim._now,
+                duration,
+            )
         if proc is not None:
             cb: Callable[..., None] = self._complete_proc_cb
             arg: Any = proc

@@ -1,10 +1,11 @@
 """``OutputPort.close`` as one burst: same machine, fewer live objects.
 
-Without a profiler a close hands the interconnect one burst; with one it
-spawns a generator courier per destination, which is the reference.  The
-two must charge the simulated machine identically, and the burst must keep
-what the producers × consumers storm holds alive proportional to the
-producers.
+Every close — plain, profiled or traced — hands the interconnect one burst
+(the per-destination generator couriers it stands for are the reference in
+``tests/hardware/test_burst.py`` and ``test_observed_path.py``).  Watching
+a run must not change what the machine is charged, a profile must still
+find the operator behind each courier, and the burst must keep what the
+producers × consumers storm holds alive proportional to the producers.
 """
 
 import gc
@@ -13,7 +14,7 @@ import pytest
 
 from repro.bench.harness import build_gamma, run_stored
 from repro.engine.node import ExecutionContext
-from repro.engine.ports import InputPort, OutputPort
+from repro.engine.ports import EOS_BYTES, InputPort, OutputPort
 from repro.engine.split_table import Destination, SplitTable
 from repro.hardware import GammaConfig
 from repro.hardware.network import _FastCourier
@@ -42,6 +43,17 @@ def test_plain_and_profiled_runs_agree_at_32_sites():
         assert plain.utilisations == profiled.utilisations
         assert plain.stats == profiled.stats
         assert plain.stats["sim_events"] > plain.stats["control_messages"] > 32 * 32
+        # An operator's packets and closes travel as couriers that are no
+        # process; their time is still the operator's, not ``(other)``'s —
+        # so each shipper holds the ring for longer than the one 64-byte
+        # completion message per site its own processes send.
+        profile = profiled.profile
+        completion = machine.config.network.ring_time(EOS_BYTES)
+        shippers = [s for s in profile.spans.values() if s.tuples_out]
+        assert shippers
+        for span in shippers:
+            sites = len(profile.placements[span.op_id])
+            assert span.by_node["ring"] > 2 * sites * completion, span.op_id
 
 
 @pytest.mark.parametrize("consumers", ["same nodes", "other nodes"])

@@ -10,7 +10,6 @@ from repro.catalog import gamma_hash
 from repro.catalog.partitioning import Hashed, PartitioningStrategy
 from repro.engine.bitfilter import BitVectorFilter
 from repro.engine.columnar import (
-    HAVE_NUMPY,
     NUMPY_THRESHOLD,
     BatchedBitProbe,
     ColumnBatch,
@@ -91,7 +90,6 @@ def test_partition_batch_matches_scalar_partition():
         assert partition_batch(records, 0, 13) == scalar
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector path needs numpy")
 @pytest.mark.parametrize("n_hashes", [1, 2, 3])
 def test_batched_bit_probe_matches_might_contain(n_hashes):
     rng = random.Random(RNG_SEED + n_hashes)
@@ -112,7 +110,6 @@ def test_batched_bit_probe_matches_might_contain(n_hashes):
     assert probe.test([(1.5, 0)] * NUMPY_THRESHOLD, 0) is None
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector path needs numpy")
 def test_batched_bit_probe_sees_later_filter_mutations():
     filt = BitVectorFilter(n_bits=1 << 12, n_hashes=2)
     probe = BatchedBitProbe(filt.n_bits, filt._seeds, filt._bits)

@@ -13,6 +13,7 @@ import pytest
 from repro.bench import build_gamma
 from repro.bench.harness import run_stored
 from repro.engine import JoinMode
+from repro.engine.ports import EOS_BYTES
 from repro.hardware import KB, GammaConfig
 from repro.metrics import PhaseTimeline, Profiler, TraceBuffer, explain_analyze
 from repro.metrics.profile import OTHER, _critical_path
@@ -86,6 +87,30 @@ class TestSpanAccounting:
         assert sum(s.tuples_out for s in scans) >= N
         assert sum(s.pages for s in scans) > 0
         assert OTHER not in {s.op_id for s in scans}
+
+    def test_store_bound_courier_time_lands_on_the_producing_operator(self):
+        """Result packets and stream closes travel as couriers that are
+        no process; the interface time they take at the *store* sites —
+        where the join runs nothing — is still the join's."""
+        machine = _machine()
+        result = machine.run(
+            join_abprime("A", "Bp", key=False, into="courier_out"),
+            profile=True,
+        )
+        tuple_bytes = machine.catalog.lookup("courier_out").schema.tuple_bytes
+        config = machine.config
+        join = result.profile.spans[result.profile.tree["op_id"]]
+        shipped = (
+            result.result_count * tuple_bytes
+            + config.n_diskless * config.n_disk_sites * EOS_BYTES
+        )
+        at_store_sites = sum(
+            busy for node, busy in join.by_node.items()
+            if node.startswith("disk")
+        )
+        assert at_store_sites == pytest.approx(
+            config.network.interface_time(shipped), rel=1e-9
+        )
 
 
 class _FakeScan:
