@@ -2,7 +2,7 @@
 selection and joinABprime swept over 8/64/256/1000 disk sites.
 
 Writes the markdown table (``extension_e5_scaleup.md``) and the raw
-sweep profile with per-point simulator throughput
+sweep profile with per-point kernel event counts
 (``extension_e5_scaleup.json``) under ``benchmarks/results/``.
 """
 

@@ -208,18 +208,9 @@ relation size) fans its points across CPU cores through a process pool;
 sequential in-process execution.  Parallel and sequential runs produce
 **byte-identical** tables (per-relation seeds are `crc32`-derived, so they
 do not depend on the process or execution order; asserted by
-`tests/bench/test_sweep.py`).  The simulator's own speed is tracked
-separately by `python benchmarks/perf/run_perf.py`, which times a
-pure-kernel workload, the Figure 1-2 file-scan selection, a hybrid
-join and a many-site scaleup sweep (`scaleup_1000`: selection +
-joinABprime at 64/256/1,000 sites), and writes wall-clock seconds,
-simulated seconds and events/second to
-`benchmarks/results/BENCH_perf.json`; CI runs it at 10k scale and
-fails if events/second regresses >30 % against
-`benchmarks/perf/baseline.json`, then separately asserts the 256-site
-smoke points stay inside a wall-clock budget.  Each perf run also lands
-in the result store, so `python -m repro matrix report --perf` prints
-the events/cpu-second trend across commits.
+`tests/bench/test_sweep.py`).  How fast the simulator itself runs is
+measured in one place, the perf ledger (`benchmarks/ledger/README.md`);
+nothing in this file or the result store is a host time.
 
 Profiling note: `pytest benchmarks/ --benchmark-only --profile` (or
 `GAMMA_BENCH_PROFILE=1`, which is how the flag reaches sweep workers)

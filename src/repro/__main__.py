@@ -34,7 +34,7 @@
 ``python -m repro scaleup``
     Machine-size sweep: the 1 % selection and joinABprime at 8, 64,
     256 and 1000 disk sites, printing the speedup-vs-sites table
-    (simulated response) plus per-point simulator throughput;
+    (simulated response) plus the kernel events each point cost;
     ``--json`` dumps the sweep profile.
 
 ``python -m repro matrix``
@@ -43,9 +43,7 @@
     their stored grid points; ``run [name …]`` resumes experiments —
     only grid points missing from the store execute (``--force``
     re-runs and replaces); ``report`` prints the regenerated tables
-    from stored runs, and ``report --perf`` the events/cpu-second
-    trend across commits; ``diff SHA1 SHA2`` compares the perf records
-    of two commits.
+    from stored runs.
 
 ``python -m repro monitor [mix]``
     Telemetry monitor: an open-loop Poisson workload with the sampler
@@ -332,8 +330,7 @@ def _scaleup(args: argparse.Namespace) -> int:
     for point in profile["points"]:
         print(
             f"  {point['query']:<12} @{point['sites']:<5} sites:"
-            f" {point['events']:>11,} events in {point['wall_s']:6.1f}s"
-            f" wall ({point['events_per_s']:>10,.0f} ev/s)"
+            f" {point['events']:>11,} kernel events"
         )
     if args.json is not None:
         with open(args.json, "w") as fh:
@@ -345,12 +342,6 @@ def _scaleup(args: argparse.Namespace) -> int:
 def _matrix(args: argparse.Namespace) -> int:
     import os
 
-    from .bench.perf import (
-        format_perf_diff,
-        format_perf_trend,
-        perf_diff,
-        perf_trend,
-    )
     from .bench.registry import REGISTRY, names, run_registered
     from .bench.store import ResultStore
 
@@ -365,41 +356,14 @@ def _matrix(args: argparse.Namespace) -> int:
             stored = len(store.records(spec.name, spec.version))
             print(f"{spec.name:<30}{spec.kind:<11}{spec.version:<5}"
                   f"{stored:>7}  {spec.label}")
-        perf_count = len(store.records("perf"))
-        if perf_count:
-            print(f"{'perf':<30}{'perf':<11}{'v1':<5}{perf_count:>7}"
-                  "  simulator events/cpu-s per commit")
         for experiment, bad in sorted(store.corrupt_lines.items()):
             print(f"note: {experiment}.jsonl skipped {bad} corrupt"
                   " line(s); ResultStore.compact() rewrites it clean")
         return 0
 
-    if command == "diff":
-        rows = perf_diff(args.sha_a, args.sha_b, store, scale=args.scale)
-        print(format_perf_diff(args.sha_a, args.sha_b, rows))
-        counts = {}
-        for record in store.records():
-            if record.experiment == "perf":
-                continue
-            for sha in (args.sha_a, args.sha_b):
-                if record.git_sha.startswith(sha):
-                    counts[sha] = counts.get(sha, 0) + 1
-        print(
-            "\nsimulated-result records recorded at"
-            f" {args.sha_a[:10]}: {counts.get(args.sha_a, 0)},"
-            f" {args.sha_b[:10]}: {counts.get(args.sha_b, 0)}"
-            "  (simulated points are deterministic — version tags, not"
-            " shas, invalidate them)"
-        )
-        return 0 if rows else 1
-
-    if command == "report" and args.perf:
-        print(format_perf_trend(perf_trend(store, scale=args.scale)))
-        return 0
-
-    # run, or report without --perf.  The committed store and artifacts
-    # are recorded with profiling on (the "profiling does not perturb"
-    # checks); match that by default so a warm store resumes cleanly.
+    # run or report.  The committed store and artifacts are recorded
+    # with profiling on (the "profiling does not perturb" checks); match
+    # that by default so a warm store resumes cleanly.
     os.environ.setdefault("GAMMA_BENCH_PROFILE", "1")
     selected = list(args.experiments) or names()
     failures = []
@@ -538,7 +502,7 @@ def main(argv: list[str]) -> int:
                     help="write the sweep profile as JSON")
 
     mx = sub.add_parser(
-        "matrix", help="experiment matrix: list/run/report/diff against"
+        "matrix", help="experiment matrix: list/run/report against"
         " the persistent result store",
     )
     mx.add_argument("--store", metavar="DIR", default=None,
@@ -558,20 +522,9 @@ def main(argv: list[str]) -> int:
                        help="sweep worker processes"
                        " (default: GAMMA_BENCH_JOBS or cpu count)")
     mxrep = mxsub.add_parser(
-        "report", help="print regenerated reports from the store"
-        " (--perf: events/cpu-second trend across commits)")
+        "report", help="print regenerated reports from the store")
     mxrep.add_argument("experiments", nargs="*",
                        help="experiment names (default: all registered)")
-    mxrep.add_argument("--perf", action="store_true",
-                       help="print the simulator perf trend instead")
-    mxrep.add_argument("--scale", type=int, default=None,
-                       help="restrict the --perf trend to one scale")
-    mxdiff = mxsub.add_parser(
-        "diff", help="compare stored perf records between two commits")
-    mxdiff.add_argument("sha_a", help="older commit (prefix ok)")
-    mxdiff.add_argument("sha_b", help="newer commit (prefix ok)")
-    mxdiff.add_argument("--scale", type=int, default=None,
-                        help="restrict the comparison to one scale")
 
     mon = sub.add_parser(
         "monitor", help="telemetry monitor: open-loop workload with sampled"

@@ -35,12 +35,6 @@ from .matrix import (
     MatrixRun,
     run_experiment,
 )
-from .perf import (
-    format_perf_trend,
-    perf_diff,
-    perf_trend,
-    record_perf_report,
-)
 from .recorded import (
     FIGURE_CLAIMS,
     TABLE1_SELECTIONS,
@@ -117,15 +111,11 @@ __all__ = [
     "fig09_12_experiment",
     "fig13_experiment",
     "fig14_15_experiment",
-    "format_perf_trend",
     "load_skew_machine",
     "machine_builder",
     "make_mix",
     "multiuser_offloading_experiment",
-    "perf_diff",
-    "perf_trend",
     "ratio_note",
-    "record_perf_report",
     "recovery_server_experiment",
     "run_experiment",
     "run_registered",

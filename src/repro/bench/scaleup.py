@@ -20,19 +20,16 @@ Two regimes show up, and both are the point of the table:
   resources".
 
 The simulator-side story is tracked alongside: the kernel event count
-per configuration (deterministic) lands in the report, and the JSON
-profile adds wall-clock seconds and events/second per point so
-``python -m repro scaleup`` doubles as a simulator throughput check at
-1000 nodes.  The wall-clock figures never gate a shape check — they are
-box-dependent; the deterministic simulated quantities are what the
-checks pin.  (In the result store the wall clock is data like any other
-field: a warm-store regeneration reports the wall clock of the run that
-*produced* the record, which is what a throughput trend wants.)
+per configuration (deterministic) lands in the report and the JSON
+profile.  Host seconds are not part of a point's result — a stored
+result must re-execute equal — so they live only where
+``run_experiment`` stamps them, in ``Record.wall_s``; how fast the
+simulator runs at 256 sites is the perf ledger's ``scaleup_256``
+workload (``benchmarks/ledger/README.md``).
 """
 
 from __future__ import annotations
 
-import time
 from typing import Any, Sequence
 
 from ..hardware import GammaConfig
@@ -51,7 +48,7 @@ _SCALEUP_QUERIES = ("selection", "joinABprime")
 
 
 def _scaleup_point(config: dict[str, Any]) -> list[Any]:
-    """[response s, result count, kernel events, wall s] for one cell."""
+    """[response s, result count, kernel events] for one cell."""
     n, sites, query = config["n"], config["sites"], config["query"]
     machine_config = GammaConfig.paper_default().with_sites(sites)
     if query == "selection":
@@ -71,14 +68,11 @@ def _scaleup_point(config: dict[str, Any]) -> list[Any]:
         )
     else:  # pragma: no cover - guarded by the grid builder
         raise ValueError(f"unknown scaleup query {query!r}")
-    wall0 = time.perf_counter()
     result = run_stored(machine, make)
-    wall = time.perf_counter() - wall0
     return [
         result.response_time,
         result.result_count,
         result.stats["sim_events"],
-        wall,
     ]
 
 
@@ -132,7 +126,7 @@ def _scaleup_summarise(
         events_total = 0
         row: list[Any] = [sites]
         for query in queries:
-            response, count, events, wall = cells[(sites, query)]
+            response, count, events = cells[(sites, query)]
             responses[query][sites] = response
             counts[query].add(count)
             events_total += events
@@ -143,8 +137,6 @@ def _scaleup_summarise(
             profile["points"].append({
                 "sites": sites, "query": query, "response": response,
                 "result_count": count, "events": events,
-                "wall_s": wall,
-                "events_per_s": events / wall if wall > 0 else 0.0,
             })
         row.append(events_total)
         report.add_row(*row)
@@ -183,6 +175,7 @@ def _scaleup_summarise(
 EXTENSION_E5_SPEC = ExperimentSpec(
     name="extension_e5_scaleup", label="Extension E5", kind="extension",
     grid=_scaleup_grid, point=_scaleup_point, summarise=_scaleup_summarise,
+    version="v2",
 )
 
 
@@ -194,7 +187,7 @@ def scaleup_experiment(
     """Selection + joinABprime swept over machine sizes.
 
     Returns the shape-checked :class:`Report` (speedup-vs-sites table)
-    plus a JSON profile with the per-point simulator throughput.
+    plus a JSON profile with the per-point kernel event counts.
     """
     run = run_experiment(
         EXTENSION_E5_SPEC, n=n, site_counts=site_counts, **matrix,

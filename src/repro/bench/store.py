@@ -13,11 +13,16 @@ persists those runs as JSON lines under ``benchmarks/results/store/``
 * the experiment's **code-version tag** — bumped by an experiment when
   its semantics change, which invalidates (without deleting) every
   stored run of the old version;
-* the **git sha** the run was recorded at — *metadata*, not part of the
-  resume key: simulated results are deterministic and survive commits
-  that do not touch the experiment (that is what the version tag
-  tracks), while wall-clock perf records use the sha to build
-  cross-commit trend tables (``python -m repro matrix report --perf``).
+* the **git sha** the run was recorded at — *metadata only*, not part of
+  the resume key: simulated results are deterministic and survive
+  commits that do not touch the experiment (that is what the version
+  tag tracks).
+
+A stored ``result`` holds simulated quantities only, so re-executing the
+point gives an equal result (``tests/bench/test_store_fresh.py``); the
+host seconds the run took are ``Record.wall_s``, beside the result, and
+how fast the simulator runs is the perf ledger's business
+(``benchmarks/ledger/README.md``).
 
 Resume falls out of the keying: re-invoking a sweep looks up each grid
 point and executes only the misses; ``force=True`` re-runs and replaces.
@@ -274,9 +279,7 @@ class ResultStore:
         *identical* result the append is a no-op (the existing record is
         returned).  A **different** result under the same key means the
         code changed without bumping the experiment's version tag — that
-        is an error unless ``replace=True`` (the ``--force`` path, and
-        the normal path for wall-clock perf records, which never repeat
-        exactly).
+        is an error unless ``replace=True`` (the ``--force`` path).
         """
         import datetime
 
