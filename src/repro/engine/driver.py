@@ -75,7 +75,7 @@ def _spawn_operator(
     def wrapped() -> Generator[Any, Any, Any]:
         started = ctx.sim.now
         ctx.metrics.record_operator_start(label, node.name, started)
-        yield from node.work(ctx.config.costs.operator_startup)
+        yield node.work(ctx.config.costs.operator_startup)
         result = yield from gen
         finished = ctx.sim.now
         ctx.metrics.record_operator_finish(label, node.name, finished)

@@ -79,7 +79,7 @@ class LoadRun:
         buffers: list[list[tuple]] = [[] for _ in range(n_sites)]
         for record in self.records:
             site = self.strategy.site_of(record, n_sites)
-            yield from host.work(HOST_TUPLE_CPU)
+            yield host.work(HOST_TUPLE_CPU)
             buffers[site].append(record)
             if len(buffers[site]) >= capacity:
                 yield from self._ship(host, ports[site], buffers[site])
@@ -98,7 +98,7 @@ class LoadRun:
     ) -> Generator[Any, Any, None]:
         ctx = self.ctx
         nbytes = len(records) * self.schema.tuple_bytes
-        yield from host.work(ctx.config.costs.packet_send)
+        yield host.work(ctx.config.costs.packet_send)
         yield from ctx.net.transfer(host.name, port.node.name, nbytes)
         yield Put(
             port.store,
@@ -122,7 +122,7 @@ class LoadRun:
             if packet is None:
                 break
             received += len(packet.records)
-            yield from node.work(costs.store_tuple * len(packet.records))
+            yield node.work(costs.store_tuple * len(packet.records))
             while received // per_page > pages_written:
                 yield from node.write_page(self.name, pages_written)
                 pages_written += 1
@@ -158,7 +158,7 @@ class LoadRun:
                              ctx.config.join_memory_per_node),
         )
         passes = 1 + stats.merge_passes
-        yield from node.work(
+        yield node.work(
             ctx.config.costs.sort_tuple_pass * n_records * passes
         )
         spill = f"{self.name}.loadsort"
@@ -166,7 +166,7 @@ class LoadRun:
             for page_no in range(n_pages):
                 yield from node.write_page(spill, page_no)
             for page_no in range(n_pages):
-                yield from node.read_page(spill, page_no)
+                yield node.read_page(spill, page_no)
 
     def _charge_index_build(
         self, node: Node, n_entries: int, payload: int
@@ -175,7 +175,7 @@ class LoadRun:
         usable = ctx.config.page_size - NODE_HEADER_BYTES
         per_leaf = max(2, usable // (4 + payload + ENTRY_OVERHEAD_BYTES))
         leaf_pages = ceil(n_entries / per_leaf) if n_entries else 0
-        yield from node.work(
+        yield node.work(
             ctx.config.costs.index_entry * n_entries
         )
         index_file = ctx.temp_file_id(f"{self.name}.idxbuild")

@@ -45,11 +45,11 @@ class Node:
         )
         self.buffer = BufferPool(f"{name}.buf", buffer_pages)
         self.instructions_retired = 0.0
-        # config.cpu.instructions_per_second, hoisted: work_effect divides
+        # config.cpu.instructions_per_second, hoisted: work divides
         # by it once per CPU charge, and the property recomputes mips*1e6
         # per call.  Same expression, so the quotient is bit-identical.
         self._instr_per_s = config.cpu.mips * 1e6
-        # One mutable Use reused by every work_effect call: the kernel
+        # One mutable Use reused by every work call: the kernel
         # consumes an effect synchronously at the yield (duration is read
         # once and captured by value), so the instance never needs to
         # outlive the next charge.
@@ -63,20 +63,10 @@ class Node:
     def has_disk(self) -> bool:
         return self.drive is not None
 
-    def work(self, instructions: float) -> Generator[Any, Any, None]:
-        """Occupy this node's CPU for ``instructions`` of work."""
-        if instructions <= 0:
-            return
-        self.instructions_retired += instructions
-        yield Use(self.cpu, self.config.cpu.time_for(instructions))
-
-    def work_effect(self, instructions: float) -> Optional[Use]:
-        """Fast-path :meth:`work`: the CPU effect itself, or None for zero.
-
-        ``if (eff := node.work_effect(x)) is not None: yield eff`` inside an
-        operator body saves a nested generator frame per charge versus
-        ``yield from node.work(x)``; the effect the kernel sees — and so
-        the simulated timeline — is identical.
+    def work(self, instructions: float) -> Optional[Use]:
+        """The effect that occupies this node's CPU for ``instructions`` of
+        work, or None when there is nothing to charge.  Always written
+        ``yield node.work(x)``: a yielded None costs no event (DESIGN 5.2).
         """
         if instructions <= 0:
             return None
@@ -91,24 +81,11 @@ class Node:
         page_no: int,
         nbytes: Optional[int] = None,
         sequential: Optional[bool] = None,
-    ) -> Generator[Any, Any, bool]:
-        """Read one page through the buffer pool; returns True on a hit."""
-        assert self.drive is not None, f"{self.name} has no disk"
-        if self.buffer.access(file_id, page_no):
-            return True
-        size = self.config.page_size if nbytes is None else nbytes
-        yield from self.drive.read(file_id, page_no, size, sequential)
-        return False
-
-    def read_page_effect(
-        self,
-        file_id: str,
-        page_no: int,
-        nbytes: Optional[int] = None,
-        sequential: Optional[bool] = None,
     ) -> Optional[Use]:
-        """Fast-path :meth:`read_page`: the disk effect, or None on a
-        buffer-pool hit.  Identical timeline, one less generator frame."""
+        """The disk effect that reads one page through the buffer pool, or
+        None on a buffer-pool hit; written ``yield node.read_page(f, p)``."""
+        if self.drive is None:
+            raise ExecutionError(f"node {self.name!r} has no disk")
         if self.buffer.access(file_id, page_no):
             return None
         size = self.config.page_size if nbytes is None else nbytes
@@ -119,8 +96,9 @@ class Node:
         file_id: str,
         page_no: int,
         nbytes: Optional[int] = None,
-    ) -> Generator[Any, Any, None]:
-        """A random page read that always goes to the disk.
+    ) -> Use:
+        """The disk effect of a random page read that always goes to the
+        disk.
 
         Used by the non-clustered index data-fetch path: the paper assumes
         (and measures) that "each tuple causes a page fault", so these
@@ -128,18 +106,8 @@ class Node:
         *hurt* this access method (Figures 7-8: the longer transfer time
         dominates any fan-out advantage).
         """
-        assert self.drive is not None, f"{self.name} has no disk"
-        size = self.config.page_size if nbytes is None else nbytes
-        yield from self.drive.read(file_id, page_no, size, sequential=False)
-
-    def read_page_uncached_effect(
-        self,
-        file_id: str,
-        page_no: int,
-        nbytes: Optional[int] = None,
-    ) -> Use:
-        """Fast-path :meth:`read_page_uncached`: the disk effect itself."""
-        assert self.drive is not None, f"{self.name} has no disk"
+        if self.drive is None:
+            raise ExecutionError(f"node {self.name!r} has no disk")
         size = self.config.page_size if nbytes is None else nbytes
         return self.drive.read_effect(file_id, page_no, size, sequential=False)
 

@@ -92,7 +92,7 @@ def grouped_aggregate_operator(
     # so the per-batch multiply matches the per-record float fold exactly.
     per_record = costs.aggregate_group_lookup + costs.aggregate_update
     groups_get = groups.get
-    work_effect = node.work_effect
+    work = node.work
     while True:
         packet = yield from port.next_packet()
         if packet is None:
@@ -104,13 +104,11 @@ def grouped_aggregate_operator(
             if acc is None:
                 acc = groups[group] = _Accumulator()
             acc.fold(record[value_pos] if value_pos is not None else None)
-        eff = work_effect(per_record * len(records))
-        if eff is not None:
-            yield eff
+        yield work(per_record * len(records))
     results = [
         (group, acc.result(op)) for group, acc in sorted(groups.items())
     ]
-    yield from node.work(costs.result_tuple * len(results))
+    yield node.work(costs.result_tuple * len(results))
     if results:
         yield from output.emit_many(results)
     yield from output.close()
@@ -133,9 +131,7 @@ def partial_aggregate_operator(
         packet = yield from port.next_packet()
         if packet is None:
             break
-        eff = node.work_effect(costs.aggregate_update * len(packet.records))
-        if eff is not None:
-            yield eff
+        yield node.work(costs.aggregate_update * len(packet.records))
         folded += len(packet.records)
         for record in packet.records:
             acc.fold(record[value_pos] if value_pos is not None else None)
@@ -159,9 +155,7 @@ def combine_aggregate_operator(
         packet = yield from port.next_packet()
         if packet is None:
             break
-        eff = node.work_effect(costs.aggregate_update * len(packet.records))
-        if eff is not None:
-            yield eff
+        yield node.work(costs.aggregate_update * len(packet.records))
         for values in packet.records:
             final.merge(_Accumulator.from_tuple(values))
     yield from output.emit_many([(final.result(op),)])

@@ -83,9 +83,7 @@ class SpoolFile:
             return
         sender = sender or self.owner
         costs = sender.config.costs
-        eff = sender.work_effect(costs.spool_tuple * len(records))
-        if eff is not None:
-            yield eff
+        yield sender.work(costs.spool_tuple * len(records))
         self.records.extend(records)
         self._unwritten += len(records)
         while self._unwritten >= self.per_page:
@@ -119,7 +117,7 @@ class SpoolFile:
     def read_page_io(self, page_no: int) -> Generator[Any, Any, None]:
         """Charge the I/O (and network, if remote) of reading one page."""
         self.ctx.metrics.record_spool_read(self.owner.name)
-        yield from self.target.read_page(self.file_id, page_no)
+        yield self.target.read_page(self.file_id, page_no)
         if self.target is not self.owner:
             yield from self.ctx.net.transfer(
                 self.target.name, self.owner.name, self.ctx.config.page_size

@@ -347,9 +347,7 @@ def hybrid_build_consumer(
         if type(message) is EndOfStream:
             port._eos_seen += 1
             continue
-        eff = receive(message)
-        if eff is not None:
-            yield eff
+        yield receive(message)
         if observed:
             port.observe(message)
         records = message.records
@@ -395,9 +393,7 @@ def hybrid_build_consumer(
                     spill[p].append(record)
         state.bytes_used = bytes_used
         _emit_table_counter(ctx, state)
-        eff = state.node.work_effect(cpu)
-        if eff is not None:
-            yield eff
+        yield state.node.work(cpu)
         if spill:
             for p, batch in spill.items():
                 yield from state.build_spools[p - 1].add_batch(batch)
@@ -432,7 +428,7 @@ def hybrid_probe_consumer(
     partition_of = state.plan.partition_of
     table_get = state.table.get
     overflow_spool = state.overflow_probe
-    work_effect = state.node.work_effect
+    work = state.node.work
     port = state.probe_port
     get_effect = port._get_effect
     receive = port.receive_effect
@@ -444,9 +440,7 @@ def hybrid_probe_consumer(
         if type(message) is EndOfStream:
             port._eos_seen += 1
             continue
-        eff = receive(message)
-        if eff is not None:
-            yield eff
+        yield receive(message)
         if observed:
             port.observe(message)
         records = message.records
@@ -482,9 +476,7 @@ def hybrid_probe_consumer(
                     for build_record in bucket:
                         res_append(build_record + record)
         state.matches += len(results)
-        eff = work_effect(cpu)
-        if eff is not None:
-            yield eff
+        yield work(cpu)
         if results:
             yield from state.output.emit_many(results)
         if spill:
@@ -609,9 +601,7 @@ def hybrid_resolve(
                     state.table[record[state.build_pos]].append(record)
                     state.bytes_used += state.entry_bytes
                 consumed += 1
-            eff = state.node.work_effect(cpu)
-            if eff is not None:
-                yield eff
+            yield state.node.work(cpu)
             if consumed == 0:
                 break
             if start > 0 or consumed < len(build_pages) - start:
@@ -631,9 +621,7 @@ def hybrid_resolve(
                         for build_record in bucket:
                             results.append(build_record + record)
             state.matches += len(results)
-            eff = state.node.work_effect(cpu)
-            if eff is not None:
-                yield eff
+            yield state.node.work(cpu)
             if results:
                 yield from state.output.emit_many(results)
         state.table = defaultdict(list)

@@ -238,9 +238,7 @@ def _insert_batch(
             {"bytes": float(state.bytes_used),
              "overflows": float(state.overflows)},
         )
-    eff = state.node.work_effect(cpu)
-    if eff is not None:
-        yield eff
+    yield state.node.work(cpu)
     for target, batch in spill.items():
         yield from exchange.build_spools[target].add_batch(
             batch, sender=state.node
@@ -297,9 +295,7 @@ def build_consumer(
         if type(message) is EndOfStream:
             port._eos_seen += 1
             continue
-        eff = receive(message)
-        if eff is not None:
-            yield eff
+        yield receive(message)
         if observed:
             port.observe(message)
         yield from _insert_batch(state, message.records, exchange)
@@ -393,7 +389,7 @@ def redistribute_tables_after_overflow(
     def charge(state: JoinState) -> Generator[Any, Any, None]:
         i = state.index
         costs = state.node.config.costs
-        yield from state.node.work(
+        yield state.node.work(
             costs.split_hash * (state.build_tuples + moved_out[i])
             + costs.result_tuple * (moved_out[i] + spool_from[i])
             + costs.hash_table_insert * moved_in[i]
@@ -464,9 +460,7 @@ def _probe_batch(
                 for build_record in bucket:
                     res_append(build_record + record)
     state.matches += len(results)
-    eff = state.node.work_effect(cpu)
-    if eff is not None:
-        yield eff
+    yield state.node.work(cpu)
     if results:
         yield from state.output.emit_many(results)
     if spill:
@@ -494,9 +488,7 @@ def probe_consumer(
         if type(message) is EndOfStream:
             port._eos_seen += 1
             continue
-        eff = receive(message)
-        if eff is not None:
-            yield eff
+        yield receive(message)
         if observed:
             port.observe(message)
         yield from _probe_batch(state, message.records, exchange)

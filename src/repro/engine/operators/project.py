@@ -44,7 +44,7 @@ def project_operator(
                 seen.add(projected)
             out.append(projected)
         emitted += len(out)
-        yield from node.work(cpu)
+        yield node.work(cpu)
         if out:
             yield from output.emit_many(out)
     yield from output.close()

@@ -25,16 +25,14 @@ def _page_feeder(
     feed: Store,
 ) -> Generator[Any, Any, None]:
     """Read-ahead process: stream data pages into a bounded store."""
-    read_effect = node.read_page_effect
+    read_page = node.read_page
     name = fragment.name
     # One mutable Put reused per page: the kernel reads .item synchronously
     # at the yield (and by value on the blocked path), so the instance
     # never needs to outlive the next page.
     put_effect = Put(feed, None)
     for page_no, records in fragment.scan_pages():
-        eff = read_effect(name, page_no)
-        if eff is not None:
-            yield eff
+        yield read_page(name, page_no)
         put_effect.item = (page_no, records)
         yield put_effect
     put_effect.item = _FEED_END
@@ -59,16 +57,14 @@ def file_scan_operator(
     matched = 0
     per_tuple = costs.read_tuple + costs.apply_predicate
     setup = costs.page_io_setup
-    work_effect = node.work_effect
+    work = node.work
     get_feed = Get(feed)
     while True:
         item = yield get_feed
         if item is _FEED_END:
             break
         _page_no, records = item
-        eff = work_effect(setup + len(records) * per_tuple)
-        if eff is not None:
-            yield eff
+        yield work(setup + len(records) * per_tuple)
         matches = predicate(records)
         matched += len(matches)
         if matches:
@@ -96,17 +92,13 @@ def clustered_index_scan_operator(
     tree = fragment.clustered_index
     descent, pages = fragment.clustered_scan(low, high)
     for page_id in descent:
-        yield from node.read_page(tree.name, page_id, sequential=False)
-        yield from node.work(costs.btree_level)
+        yield node.read_page(tree.name, page_id, sequential=False)
+        yield node.work(costs.btree_level)
     matched = 0
     per_tuple = costs.read_tuple + costs.apply_predicate
     for page_no, matches in pages:
-        eff = node.read_page_effect(fragment.name, page_no)
-        if eff is not None:
-            yield eff
-        eff = node.work_effect(costs.page_io_setup + len(matches) * per_tuple)
-        if eff is not None:
-            yield eff
+        yield node.read_page(fragment.name, page_no)
+        yield node.work(costs.page_io_setup + len(matches) * per_tuple)
         matched += len(matches)
         if matches:
             yield from output.emit_many(matches)
@@ -135,30 +127,22 @@ def nonclustered_index_scan_operator(
     tree = fragment.secondary[attr]
     descent, entries = fragment.secondary_range(attr, low, high)
     for page_id in descent:
-        yield from node.read_page(tree.name, page_id, sequential=False)
-        yield from node.work(costs.btree_level)
+        yield node.read_page(tree.name, page_id, sequential=False)
+        yield node.work(costs.btree_level)
     matched = 0
     current_leaf: Optional[int] = descent[-1] if descent else None
     batch: list[tuple] = []
-    work_effect = node.work_effect
+    work = node.work
     for leaf_page, _key, rid in entries:
         if leaf_page != current_leaf:
             # Leaf chain advances to the next index page.
-            eff = node.read_page_effect(tree.name, leaf_page, sequential=False)
-            if eff is not None:
-                yield eff
-            eff = work_effect(costs.page_io_setup)
-            if eff is not None:
-                yield eff
+            yield node.read_page(tree.name, leaf_page, sequential=False)
+            yield work(costs.page_io_setup)
             current_leaf = leaf_page
-        eff = work_effect(costs.index_entry)
-        if eff is not None:
-            yield eff
-        yield node.read_page_uncached_effect(fragment.name, rid.page_no)
+        yield work(costs.index_entry)
+        yield node.read_page_uncached(fragment.name, rid.page_no)
         record = fragment.fetch(rid)
-        eff = work_effect(costs.read_tuple)
-        if eff is not None:
-            yield eff
+        yield work(costs.read_tuple)
         matched += 1
         batch.append(record)
         if len(batch) >= 32:
@@ -187,12 +171,12 @@ def exact_match_operator(
     else:
         accesses, hit = fragment.exact_match_secondary(attr, value)
     for access in accesses:
-        yield from node.read_page(access.file_id, access.page_no, sequential=False)
-        yield from node.work(costs.btree_level)
+        yield node.read_page(access.file_id, access.page_no, sequential=False)
+        yield node.work(costs.btree_level)
     matched = 0
     if hit is not None:
         _rid, record = hit
-        yield from node.work(costs.read_tuple + costs.apply_predicate)
+        yield node.work(costs.read_tuple + costs.apply_predicate)
         yield from output.emit_many([record])
         matched = 1
     yield from output.close()

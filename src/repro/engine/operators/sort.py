@@ -47,7 +47,7 @@ def sort_operator(
     )
     if descending:
         ordered.reverse()
-    yield from node.work(
+    yield node.work(
         costs.sort_tuple_pass * stats.n_records * (1 + stats.merge_passes)
     )
     if stats.merge_passes > 0:
@@ -56,7 +56,7 @@ def sort_operator(
         for page_no in range(stats.pages_written):
             yield from spool.target.write_page(spool.file_id, page_no)
         for page_no in range(stats.pages_read):
-            yield from spool.target.read_page(
+            yield spool.target.read_page(
                 spool.file_id, page_no % max(1, stats.n_pages)
             )
         ctx.metrics.add("sort_spill_pages", stats.total_page_ios)

@@ -34,7 +34,7 @@ def store_operator(
     pages_flushed = 0
     stored = 0
     store_tuple = costs.store_tuple
-    work_effect = node.work_effect
+    work = node.work
     get_effect = port._get_effect
     receive = port.receive_effect
     observed = port.observed
@@ -46,17 +46,13 @@ def store_operator(
         if type(message) is EndOfStream:
             port._eos_seen += 1
             continue
-        eff = receive(message)
-        if eff is not None:
-            yield eff
+        yield receive(message)
         if observed:
             port.observe(message)
         records = message.records
         n_records = len(records)
         stored += n_records
-        eff = work_effect(store_tuple * n_records)
-        if eff is not None:
-            yield eff
+        yield work(store_tuple * n_records)
         if ctx.recovery_log is not None:
             # Write-ahead: the batch's log records must be durable at the
             # recovery server before its data pages go out.

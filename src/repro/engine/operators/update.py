@@ -29,7 +29,7 @@ def _charge_accesses(
                 access.file_id, access.page_no, sequential=False
             )
         else:
-            yield from node.read_page(
+            yield node.read_page(
                 access.file_id, access.page_no, sequential=False
             )
 
@@ -72,9 +72,9 @@ def _locate(
         accesses, hit = [], None
         predicate_pos = fragment.schema.position(where.attr)
         for page_no, page in fragment.heap.scan_pages():
-            yield from node.read_page(fragment.name, page_no)
+            yield node.read_page(fragment.name, page_no)
             records = list(page.slotted_records())
-            yield from node.work(
+            yield node.work(
                 costs.page_io_setup
                 + len(records) * (costs.read_tuple + costs.apply_predicate)
             )
@@ -86,8 +86,8 @@ def _locate(
                 break
         return hit
     for access in accesses:
-        yield from node.read_page(access.file_id, access.page_no, sequential=False)
-        yield from node.work(costs.btree_level)
+        yield node.read_page(access.file_id, access.page_no, sequential=False)
+        yield node.work(costs.btree_level)
     return hit
 
 
@@ -101,7 +101,7 @@ def append_operator(
     costs = ctx.config.costs
     uses_index = bool(fragment.secondary) or fragment.clustered_on is not None
     rid, accesses = fragment.append(record)
-    yield from node.work(
+    yield node.work(
         costs.update_tuple
         + costs.index_maintenance * (len(fragment.secondary)
                                      + (1 if fragment.clustered_on else 0))
@@ -129,7 +129,7 @@ def delete_operator(
     rid, _record = hit
     used_index = fragment.has_index_on(where.attr)
     _deleted, accesses = fragment.delete_record(rid)
-    yield from node.work(
+    yield node.work(
         costs.update_tuple + costs.index_maintenance * len(fragment.secondary)
     )
     yield from _charge_accesses(node, accesses)
@@ -175,7 +175,7 @@ def modify_operator(
         # Key change: the tuple moves position (delete + re-insert).
         _old, del_accesses = fragment.delete_record(rid)
         yield from _charge_accesses(node, del_accesses)
-        yield from node.work(
+        yield node.work(
             costs.update_tuple
             + costs.index_maintenance * (1 + len(fragment.secondary))
         )
@@ -184,7 +184,7 @@ def modify_operator(
         yield from operator_done(ctx, node)
         return ("relocate", new_record)
     _old, accesses = fragment.replace_record(rid, new_record)
-    yield from node.work(
+    yield node.work(
         costs.update_tuple
         + (costs.index_maintenance if index_touched else 0.0)
     )

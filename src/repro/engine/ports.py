@@ -56,7 +56,7 @@ class InputPort:
         self.store = Store(name)
         self.expected_producers = 0
         self._eos_seen = 0
-        # Get effects are immutable descriptions, so one instance serves
+        # A Get names nothing but its store, so one instance serves
         # every receive instead of an allocation per packet.
         self._get_effect = Get(self.store)
         # Cached metrics objects: receive_effect runs once per packet, so
@@ -93,9 +93,7 @@ class InputPort:
             if type(message) is EndOfStream:
                 self._eos_seen += 1
                 continue
-            eff = self.receive_effect(message)
-            if eff is not None:
-                yield eff
+            yield self.receive_effect(message)
             if self.observed:
                 self.observe(message)
             return message
@@ -111,9 +109,9 @@ class InputPort:
         node = self.node
         costs = node.config.costs
         if message.src_node == node.name:
-            eff = node.work_effect(costs.packet_short_circuit)
+            eff = node.work(costs.packet_short_circuit)
         else:
-            eff = node.work_effect(costs.packet_receive)
+            eff = node.work(costs.packet_receive)
         n_records = len(message.records)
         # record_packet_received + record_operator_tuples, inlined on the
         # cached metrics objects.
@@ -223,7 +221,7 @@ class OutputPort:
         capacity = self.packet_capacity
         dest_costs = self._dest_costs
         bitfilter_cost = costs.bitfilter_test
-        work_effect = self.node.work_effect
+        work = self.node.work
         cpu = 0.0
         filtered = 0
         for record, dest_idx in zip(
@@ -235,9 +233,7 @@ class OutputPort:
                 buffer.append(record)
                 if len(buffer) >= capacity:
                     # Ship immediately so no packet exceeds the wire size.
-                    eff = work_effect(cpu)
-                    if eff is not None:
-                        yield eff
+                    yield work(cpu)
                     cpu = 0.0
                     yield from self._flush(dest_idx)
             elif dest_idx is None:
@@ -252,17 +248,12 @@ class OutputPort:
                     buffer = buffers[idx]
                     buffer.append(record)
                     if len(buffer) >= capacity:
-                        eff = work_effect(cpu)
-                        if eff is not None:
-                            yield eff
+                        yield work(cpu)
                         cpu = 0.0
                         yield from self._flush(idx)
         if filtered:
             self.tuples_filtered += filtered
-        if cpu:
-            eff = work_effect(cpu)
-            if eff is not None:
-                yield eff
+        yield work(cpu)
 
     def flush_all(self) -> Generator[Any, Any, None]:
         """Push every partial buffer onto the wire without closing.
@@ -342,12 +333,9 @@ class OutputPort:
                 args={"tuples": n_records, "to": dest.node_name},
             )
         costs = node.config.costs
-        if short_circuit:
-            eff = node.work_effect(costs.packet_short_circuit)
-        else:
-            eff = node.work_effect(costs.packet_send)
-        if eff is not None:
-            yield eff
+        yield node.work(
+            costs.packet_short_circuit if short_circuit else costs.packet_send
+        )
         # Fire and forget: couriers traverse FIFO servers with identical
         # service demands, so per-destination ordering — including
         # EOS-last — is preserved.

@@ -56,14 +56,14 @@ class RecoveryLog:
         total_bytes = payload_bytes + n_records * config.log_record_bytes
         self.records_logged += n_records
         self.ctx.metrics.add("log_records", n_records)
-        yield from src.work(LOG_RECORD_CPU * n_records)
+        yield src.work(LOG_RECORD_CPU * n_records)
         # Ship in packet-sized chunks.
         remaining = total_bytes
         while remaining > 0:
             chunk = min(remaining, config.packet_size)
             yield from self.ctx.net.transfer(src.name, self.node.name, chunk)
             remaining -= chunk
-        yield from self.node.work(LOG_APPLY_CPU * n_records)
+        yield self.node.work(LOG_APPLY_CPU * n_records)
         self._buffered_bytes += total_bytes
         while self._buffered_bytes >= config.page_size:
             yield from self._force_page()

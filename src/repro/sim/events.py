@@ -4,8 +4,12 @@ A simulation process is a Python generator.  Instead of blocking, it yields
 one of the effect objects defined here; the kernel performs the effect and
 resumes the generator (``gen.send(result)``) when the effect completes.
 
-Effects are deliberately tiny immutable descriptions — all behaviour lives in
-:mod:`repro.sim.kernel` and :mod:`repro.sim.resources`.
+Effects are deliberately tiny descriptions — all behaviour lives in
+:mod:`repro.sim.kernel` and :mod:`repro.sim.resources`.  The kernel reads
+an effect's fields once, at the yield (it keeps the object only to name
+it in a deadlock report), so a hot caller may own one ``Use``/``Put`` and
+rewrite it per yield — nodes and page feeders do — rather than allocate one
+each time.
 """
 
 from __future__ import annotations

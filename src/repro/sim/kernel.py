@@ -5,7 +5,9 @@ lightweight processes with cheap message passing; here a
 :class:`Simulation` owns a priority queue of timestamped wake-ups and a set
 of :class:`Process` objects (plain Python generators).  Processes yield
 effect objects from :mod:`repro.sim.events`; the kernel performs the effect
-and resumes the generator when it completes.
+and resumes the generator when it completes.  A yielded ``None`` means
+"nothing to wait for": the kernel resumes the generator within the same
+step — no event, no sequence number, no clock movement.
 
 The kernel is deterministic: simultaneous events fire in the order they were
 scheduled (FIFO tie-break on a sequence counter), so a given workload always
@@ -220,6 +222,10 @@ class Simulation:
         self._current = proc
         try:
             effect = proc._gen.send(value)
+            while effect is None:
+                # Nothing to wait for: go on within this step.  proc._gen
+                # is read afresh, as a finished _HopByHop hands it back.
+                effect = proc._gen.send(None)
         except StopIteration as stop:
             self._finish(proc, stop.value)
             return
@@ -273,16 +279,6 @@ class Simulation:
         waiters, proc._waiters = proc._waiters, []
         for resume in waiters:
             resume(value)
-
-    def _perform(self, proc: Process, effect: Any) -> None:
-        """Perform one yielded effect for ``proc`` (dispatch-table entry)."""
-        proc.blocked_on = effect
-        handler = _HANDLERS.get(effect.__class__)
-        if handler is None:
-            raise SimulationError(
-                f"process {proc.name!r} yielded unknown effect {effect!r}"
-            )
-        handler(self, proc, effect)
 
     # ------------------------------------------------------------------
     # running

@@ -10,7 +10,7 @@ whole index too (the behaviour behind rows 3-4 of Table 1).
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from ..catalog import gamma_hash, gamma_mix
 from ..hardware import DiskDrive, TeradataConfig
@@ -246,10 +246,12 @@ class Amp:
         self._drive_of: dict[str, DiskDrive] = {}
         self.buffer = BufferPool(f"{self.name}.buf", 128)
 
-    def work(self, instructions: float) -> Generator[Any, Any, None]:
+    def work(self, instructions: float) -> Optional[Use]:
+        """The effect that occupies this AMP's CPU for ``instructions``,
+        or None for none (``yield amp.work(x)``; see ``Node.work``)."""
         if instructions <= 0:
-            return
-        yield Use(self.cpu, self.config.cpu.time_for(instructions))
+            return None
+        return Use(self.cpu, self.config.cpu.time_for(instructions))
 
     def _drive_for(self, file_id: str) -> DiskDrive:
         # Files are spread over the AMP's two DSUs by name hash, worked

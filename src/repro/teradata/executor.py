@@ -184,7 +184,7 @@ class TeradataRun:
         self, amp: Amp, fragment: AmpFragment, predicate: ExactMatch,
         out: list[list[tuple]], i: int,
     ) -> Generator[Any, Any, None]:
-        yield from amp.work(self.costs.exact_match_cpu)
+        yield amp.work(self.costs.exact_match_cpu)
         pos = fragment.schema.position(predicate.attr)
         hits = [
             r for r in fragment.live_records() if r[pos] == predicate.value
@@ -206,7 +206,7 @@ class TeradataRun:
         pages = fragment.num_pages
         self.stats["pages_read"] += pages
         yield amp.read_run(fragment.name, range(pages))
-        yield from amp.work(
+        yield amp.work(
             self.costs.scan_tuple * n + self.costs.page_io_setup * pages
         )
 
@@ -223,12 +223,12 @@ class TeradataRun:
         # The whole index is scanned sequentially (hash order, not key
         # order), then each qualifying tuple costs a random data access.
         yield amp.read_run(index.name, range(index.num_pages))
-        yield from amp.work(self.costs.index_entry * len(index.entries))
+        yield amp.work(self.costs.index_entry * len(index.entries))
         yield amp.read_run(
             fragment.name, map(fragment.page_of_ordinal, ordinals),
             sequential=False,
         )
-        yield from amp.work(self.costs.scan_tuple * len(ordinals))
+        yield amp.work(self.costs.scan_tuple * len(ordinals))
         out[i] = [fragment.records[ordinal] for ordinal in ordinals]
         self.stats["pages_read"] += index.num_pages + len(ordinals)
 
@@ -355,10 +355,10 @@ class TeradataRun:
         self, amp: Amp, n_sent: int, n_received: int, per_page: int, i: int
     ) -> Generator[Any, Any, None]:
         # Sending side: hash and inject into the Y-net page by page.
-        yield from amp.work(self.costs.redistribute_tuple * n_sent)
+        yield amp.work(self.costs.redistribute_tuple * n_sent)
         yield self._ship((n_sent + per_page - 1) // per_page)
         # Receiving side: append to a local spool file.
-        yield from amp.work(self.costs.receive_tuple * n_received)
+        yield amp.work(self.costs.receive_tuple * n_received)
         spool_pages = (n_received + per_page - 1) // per_page
         yield amp.write_run(
             f"spool.{i}.{self.tag}{self._tmp}", range(spool_pages)
@@ -393,7 +393,7 @@ class TeradataRun:
             len(left) * (1 + lstats.merge_passes)
             + len(right) * (1 + rstats.merge_passes)
         )
-        yield from amp.work(self.costs.sort_tuple_pass * sort_pass_tuples)
+        yield amp.work(self.costs.sort_tuple_pass * sort_pass_tuples)
         io_pages = lstats.total_page_ios + rstats.total_page_ios
         for spool_no, stats in (("l", lstats), ("r", rstats)):
             file_id = f"sort.{i}.{spool_no}.{self.tag}{self._tmp}"
@@ -405,7 +405,7 @@ class TeradataRun:
         self.stats["sort_page_ios"] += io_pages
 
         matches = _merge_join(sorted_left, sorted_right, left_pos, right_pos)
-        yield from amp.work(
+        yield amp.work(
             self.costs.merge_tuple * (len(left) + len(right))
             + self.costs.join_result_tuple * len(matches)
         )
@@ -457,7 +457,7 @@ class TeradataRun:
         self, amp: Amp, rows: list[tuple], group_pos: int,
         value_pos: Optional[int], op: str, out: list[list[tuple]], i: int,
     ) -> Generator[Any, Any, None]:
-        yield from amp.work(self.costs.aggregate_tuple * len(rows))
+        yield amp.work(self.costs.aggregate_tuple * len(rows))
         groups: dict[Any, _Accumulator] = {}
         for record in rows:
             acc = groups.setdefault(record[group_pos], _Accumulator())
@@ -495,7 +495,7 @@ class TeradataRun:
         self, amp: Amp, rows: list[tuple], value_pos: Optional[int],
         partials: list[Optional[tuple]], i: int,
     ) -> Generator[Any, Any, None]:
-        yield from amp.work(self.costs.aggregate_tuple * len(rows))
+        yield amp.work(self.costs.aggregate_tuple * len(rows))
         acc = _Accumulator()
         for record in rows:
             acc.fold(record[value_pos] if value_pos is not None else None)
@@ -508,7 +508,7 @@ class TeradataRun:
         self, amp: Amp, partials: list[Optional[tuple]], op: str,
         out: list[list[tuple]],
     ) -> Generator[Any, Any, None]:
-        yield from amp.work(self.costs.aggregate_tuple * len(partials))
+        yield amp.work(self.costs.aggregate_tuple * len(partials))
         total = _Accumulator()
         for values in partials:
             if values is not None:
@@ -559,10 +559,10 @@ class TeradataRun:
         self, amp: Amp, outgoing: list[tuple], incoming: list[tuple],
         per_page: int, i: int,
     ) -> Generator[Any, Any, None]:
-        yield from amp.work(self.costs.redistribute_tuple * len(outgoing))
+        yield amp.work(self.costs.redistribute_tuple * len(outgoing))
         yield self._ship((len(outgoing) + per_page - 1) // per_page)
         # The logged single-tuple INSERT path.
-        yield from amp.work(self.costs.insert_tuple_cpu * len(incoming))
+        yield amp.work(self.costs.insert_tuple_cpu * len(incoming))
         io_count = int(len(incoming) * self.config.insert_ios_per_tuple)
         yield amp.write_run(
             f"{self.into}.a{i}", range(io_count), sequential=False
@@ -660,10 +660,10 @@ class TeradataUpdateRun:
         amp = self.amps[amp_no]
         fragment = relation.fragments[amp_no]
         fragment.append(request.record)
-        yield from amp.work(self.costs.update_tuple_cpu)
+        yield amp.work(self.costs.update_tuple_cpu)
         yield self._update_io(amp, fragment.name)
         if fragment.indexes:
-            yield from amp.work(
+            yield amp.work(
                 self.costs.index_maintenance_cpu * len(fragment.indexes)
             )
             yield self._update_io(amp, fragment.name + ".idx")
@@ -678,7 +678,7 @@ class TeradataUpdateRun:
             request.where.attr == relation.key_attr
             or request.where.attr in fragment.indexes
         )
-        yield from amp.work(
+        yield amp.work(
             self.costs.exact_match_cpu if use_index
             else self.costs.scan_tuple * fragment.num_records
         )
@@ -686,10 +686,10 @@ class TeradataUpdateRun:
         if ordinal is None:
             return
         fragment.remove(ordinal)
-        yield from amp.work(self.costs.update_tuple_cpu)
+        yield amp.work(self.costs.update_tuple_cpu)
         yield self._update_io(amp, fragment.name)
         if fragment.indexes:
-            yield from amp.work(
+            yield amp.work(
                 self.costs.index_maintenance_cpu * len(fragment.indexes)
             )
             yield self._update_io(amp, fragment.name + ".idx")
@@ -699,11 +699,11 @@ class TeradataUpdateRun:
         relation = self.update.relation
         amp_no, ordinal = self._locate(relation, request.where)
         if ordinal is None:
-            yield from self.amps[amp_no].work(self.costs.exact_match_cpu)
+            yield self.amps[amp_no].work(self.costs.exact_match_cpu)
             return
         amp = self.amps[amp_no]
         fragment = relation.fragments[amp_no]
-        yield from amp.work(self.costs.exact_match_cpu)
+        yield amp.work(self.costs.exact_match_cpu)
         yield amp.read_run(fragment.name, (0,), sequential=False)
         pos = relation.schema.position(request.attr)
         old = fragment.records[ordinal]
@@ -712,29 +712,29 @@ class TeradataUpdateRun:
             # Relocation: delete here, re-hash, insert at the new AMP,
             # and fix every secondary index.
             fragment.remove(ordinal)
-            yield from amp.work(self.costs.update_tuple_cpu)
+            yield amp.work(self.costs.update_tuple_cpu)
             yield self._update_io(amp, fragment.name)
             new_amp_no = relation.amp_of_key(
                 request.value, len(self.amps)
             )
             new_amp = self.amps[new_amp_no]
             relation.fragments[new_amp_no].append(new_record)
-            yield from new_amp.work(self.costs.update_tuple_cpu)
+            yield new_amp.work(self.costs.update_tuple_cpu)
             yield self._update_io(
                 new_amp, relation.fragments[new_amp_no].name
             )
             n_indexes = len(fragment.indexes)
             if n_indexes:
-                yield from new_amp.work(
+                yield new_amp.work(
                     self.costs.index_maintenance_cpu * n_indexes * 2
                 )
                 yield self._update_io(new_amp, fragment.name + ".idx")
         else:
             index_touched = request.attr in fragment.indexes
             fragment.replace(ordinal, new_record)
-            yield from amp.work(self.costs.update_tuple_cpu)
+            yield amp.work(self.costs.update_tuple_cpu)
             yield self._update_io(amp, fragment.name)
             if index_touched:
-                yield from amp.work(self.costs.index_maintenance_cpu)
+                yield amp.work(self.costs.index_maintenance_cpu)
                 yield self._update_io(amp, fragment.name + ".idx")
         self.affected = 1

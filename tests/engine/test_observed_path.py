@@ -78,9 +78,9 @@ def _reference_next_packet(
         node = self.node
         costs = node.config.costs
         if message.src_node == node.name:
-            eff = node.work_effect(costs.packet_short_circuit)
+            eff = node.work(costs.packet_short_circuit)
         else:
-            eff = node.work_effect(costs.packet_receive)
+            eff = node.work(costs.packet_receive)
         if eff is not None:
             yield eff
         n_records = len(message.records)

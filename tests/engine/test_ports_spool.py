@@ -230,36 +230,58 @@ class TestNodeIO:
     def test_buffer_hit_skips_disk(self):
         ctx = make_ctx()
         node = ctx.disk_nodes[0]
+        times = []
 
         def proc():
-            hit1 = yield from node.read_page("f", 0)
-            hit2 = yield from node.read_page("f", 0)
-            assert hit1 is False and hit2 is True
+            yield node.read_page("f", 0)
+            times.append(ctx.sim.now)
+            yield node.read_page("f", 0)
+            times.append(ctx.sim.now)
 
         run_procs(ctx, proc())
         assert node.drive.pages_read == 1
+        # The miss took disk time; the hit took none.
+        assert times[0] > 0.0 and times[1] == times[0] == ctx.sim.now
 
     def test_uncached_read_always_hits_disk(self):
         ctx = make_ctx()
         node = ctx.disk_nodes[0]
+        times = []
 
         def proc():
-            yield from node.read_page_uncached("f", 0)
-            yield from node.read_page_uncached("f", 0)
+            yield node.read_page_uncached("f", 0)
+            times.append(ctx.sim.now)
+            yield node.read_page_uncached("f", 0)
+            times.append(ctx.sim.now)
 
         run_procs(ctx, proc())
         assert node.drive.pages_read == 2
+        assert 0.0 < times[0] < times[1]
+        assert len(node.buffer) == 0
 
     def test_write_page_populates_buffer(self):
         ctx = make_ctx()
         node = ctx.disk_nodes[0]
+        times = []
 
         def proc():
             yield from node.write_page("f", 3)
-            hit = yield from node.read_page("f", 3)
-            assert hit is True
+            times.append(ctx.sim.now)
+            yield node.read_page("f", 3)
 
         run_procs(ctx, proc())
+        assert node.drive.pages_written == 1
+        assert node.drive.pages_read == 0
+        assert ctx.sim.now == times[0] > 0.0
+
+    @pytest.mark.parametrize("method", ["read_page", "read_page_uncached"])
+    def test_page_read_on_diskless_node_names_the_node(self, method):
+        ctx = make_ctx()
+        node = ctx.nodes["proc0"]
+        assert not node.has_disk
+        with pytest.raises(ExecutionError, match="proc0.*no disk"):
+            getattr(node, method)("f", 0)
+        assert len(node.buffer) == 0
 
 
 class TestExecutionContext:

@@ -5,7 +5,8 @@ effect class) and runs zero-delay wake-ups through a FIFO ready deque that
 shares the heap's sequence counter.  These tests pin the contract: every
 effect type round-trips, unknown effects fail loudly, deadlock diagnostics
 still name the blocking resource, and an ``until`` cutoff leaves the queue
-resumable.
+resumable.  A yielded ``None`` is the one non-effect the kernel accepts:
+"nothing to wait for", resumed within the same step.
 """
 
 import pytest
@@ -91,6 +92,97 @@ class TestDispatchTable:
         sim.spawn(confused(), name="confused")
         with pytest.raises(SimulationError, match="unknown effect"):
             sim.run()
+
+    def test_falsy_yield_that_is_not_none_is_still_unknown(self):
+        """The kernel's rule is ``is None``, not falsiness."""
+        sim = Simulation()
+
+        def confused():
+            yield 0
+
+        sim.spawn(confused(), name="confused")
+        with pytest.raises(SimulationError, match="unknown effect 0"):
+            sim.run()
+
+
+class TestNoneYield:
+    """``yield None`` costs no event, no sequence number and no time —
+    what ``yield node.work(0)`` and a buffer-pool hit rely on."""
+
+    @staticmethod
+    def _run(gen_fn, server):
+        sim = Simulation()
+        proc = sim.spawn(gen_fn(server), name="p")
+        sim.run()
+        return sim.now, sim.events_processed, sim._seq, proc
+
+    def test_none_between_two_uses_changes_nothing(self):
+        def plain(server):
+            yield Use(server, 1.0)
+            yield Use(server, 0.5)
+
+        def with_none(server):
+            yield None
+            yield Use(server, 1.0)
+            yield None
+            yield None
+            yield Use(server, 0.5)
+
+        a = self._run(plain, Server("cpu"))
+        b = self._run(with_none, Server("cpu"))
+        assert a[:3] == b[:3]
+        assert a[0] == 1.5
+
+    def test_none_as_last_yield_finishes_and_wakes_waiters(self):
+        sim = Simulation()
+        server = Server("cpu")
+        log = []
+
+        def worker(tag):
+            yield Use(server, 1.0)
+            yield None
+            return tag
+
+        def joiner(proc):
+            log.append(("join", (yield Join(proc)), sim.now))
+
+        def waiter(procs):
+            log.append(("all", (yield WaitAll(procs)), sim.now))
+
+        first = sim.spawn(worker("a"), name="a")
+        second = sim.spawn(worker("b"), name="b")
+        sim.spawn(joiner(first), name="joiner")
+        sim.spawn(waiter([first, second]), name="waiter")
+        sim.run()
+        assert first.finished and first.value == "a"
+        assert second.finished and second.value == "b"
+        assert log == [("join", "a", 1.0), ("all", ["a", "b"], 2.0)]
+
+    @pytest.mark.parametrize("private", [False, True])
+    def test_none_straight_after_a_runs_last_hop(self, private):
+        """The hop after the last hands the process back to its generator
+        in the same step; a ``None`` there must reach that generator, not
+        the spent run."""
+
+        def plain(server):
+            yield UseRun(server, [1.0, 0.5])
+            yield Use(server, 0.25)
+            return "end"
+
+        def with_none(server):
+            yield UseRun(server, [1.0, 0.5])
+            yield None
+            yield Use(server, 0.25)
+            yield UseRun(server, [])
+            yield None
+            return "end"
+
+        a = self._run(plain, Server("disk", private=private))
+        b = self._run(with_none, Server("disk", private=private))
+        assert b[0] == a[0] == 1.75
+        assert b[3].finished and b[3].value == "end"
+        # The empty second run costs nothing either, so the counts match.
+        assert a[1:3] == b[1:3]
 
 
 class TestDeadlockDiagnostics:

@@ -74,7 +74,7 @@ class ReferenceAmp(SpyAmp):
 
 class ReferenceRun(TeradataRun):
     def _amp_exact(self, amp, fragment, predicate, out, i):
-        yield from amp.work(self.costs.exact_match_cpu)
+        yield amp.work(self.costs.exact_match_cpu)
         pos = fragment.schema.position(predicate.attr)
         hits = [
             r for r in fragment.live_records() if r[pos] == predicate.value
@@ -92,7 +92,7 @@ class ReferenceRun(TeradataRun):
         self.stats["pages_read"] += pages
         for page_no in range(pages):
             yield from amp.read_page(fragment.name, page_no)
-        yield from amp.work(
+        yield amp.work(
             self.costs.scan_tuple * n + self.costs.page_io_setup * pages
         )
 
@@ -105,25 +105,25 @@ class ReferenceRun(TeradataRun):
             ordinals = index.matching(predicate.low, predicate.high)
         for page_no in range(index.num_pages):
             yield from amp.read_page(index.name, page_no)
-        yield from amp.work(self.costs.index_entry * len(index.entries))
+        yield amp.work(self.costs.index_entry * len(index.entries))
         hits = []
         for ordinal in ordinals:
             page_no = fragment.page_of_ordinal(ordinal)
             yield from amp.read_page(fragment.name, page_no, sequential=False)
             hits.append(fragment.records[ordinal])
-        yield from amp.work(self.costs.scan_tuple * len(hits))
+        yield amp.work(self.costs.scan_tuple * len(hits))
         out[i] = hits
         self.stats["pages_read"] += index.num_pages + len(ordinals)
 
     def _amp_redistribute(self, amp, n_sent, n_received, per_page, i):
-        yield from amp.work(self.costs.redistribute_tuple * n_sent)
+        yield amp.work(self.costs.redistribute_tuple * n_sent)
         sent_pages = (n_sent + per_page - 1) // per_page
         for _ in range(sent_pages):
             yield Use(
                 self.ynet,
                 PACKAGE_BYTES / self.config.network.ring_bandwidth,
             )
-        yield from amp.work(self.costs.receive_tuple * n_received)
+        yield amp.work(self.costs.receive_tuple * n_received)
         spool_pages = (n_received + per_page - 1) // per_page
         spool = f"spool.{i}.{self.tag}{self._tmp}"
         for page_no in range(spool_pages):
@@ -150,7 +150,7 @@ class ReferenceRun(TeradataRun):
             len(left) * (1 + lstats.merge_passes)
             + len(right) * (1 + rstats.merge_passes)
         )
-        yield from amp.work(self.costs.sort_tuple_pass * sort_pass_tuples)
+        yield amp.work(self.costs.sort_tuple_pass * sort_pass_tuples)
         io_pages = lstats.total_page_ios + rstats.total_page_ios
         for spool_no, stats in (("l", lstats), ("r", rstats)):
             file_id = f"sort.{i}.{spool_no}.{self.tag}{self._tmp}"
@@ -162,7 +162,7 @@ class ReferenceRun(TeradataRun):
                 )
         self.stats["sort_page_ios"] += io_pages
         matches = _merge_join(sorted_left, sorted_right, left_pos, right_pos)
-        yield from amp.work(
+        yield amp.work(
             self.costs.merge_tuple * (len(left) + len(right))
             + self.costs.join_result_tuple * len(matches)
         )
@@ -171,7 +171,7 @@ class ReferenceRun(TeradataRun):
     def _amp_partial_fold(self, amp, rows, value_pos, partials, i):
         from repro.engine.operators.aggregate import _Accumulator
 
-        yield from amp.work(self.costs.aggregate_tuple * len(rows))
+        yield amp.work(self.costs.aggregate_tuple * len(rows))
         acc = _Accumulator()
         for record in rows:
             acc.fold(record[value_pos] if value_pos is not None else None)
@@ -182,14 +182,14 @@ class ReferenceRun(TeradataRun):
         )
 
     def _amp_store(self, amp, outgoing, incoming, per_page, i):
-        yield from amp.work(self.costs.redistribute_tuple * len(outgoing))
+        yield amp.work(self.costs.redistribute_tuple * len(outgoing))
         pages = (len(outgoing) + per_page - 1) // per_page
         for _ in range(pages):
             yield Use(
                 self.ynet,
                 PACKAGE_BYTES / self.config.network.ring_bandwidth,
             )
-        yield from amp.work(self.costs.insert_tuple_cpu * len(incoming))
+        yield amp.work(self.costs.insert_tuple_cpu * len(incoming))
         file_id = f"{self.into}.a{i}"
         io_count = int(len(incoming) * self.config.insert_ios_per_tuple)
         for k in range(io_count):
@@ -220,10 +220,10 @@ class ReferenceUpdateRun(TeradataUpdateRun):
         amp = self.amps[amp_no]
         fragment = relation.fragments[amp_no]
         fragment.append(request.record)
-        yield from amp.work(self.costs.update_tuple_cpu)
+        yield amp.work(self.costs.update_tuple_cpu)
         yield from self._update_io(amp, fragment.name)
         if fragment.indexes:
-            yield from amp.work(
+            yield amp.work(
                 self.costs.index_maintenance_cpu * len(fragment.indexes)
             )
             yield from self._update_io(amp, fragment.name + ".idx")
@@ -238,7 +238,7 @@ class ReferenceUpdateRun(TeradataUpdateRun):
             request.where.attr == relation.key_attr
             or request.where.attr in fragment.indexes
         )
-        yield from amp.work(
+        yield amp.work(
             self.costs.exact_match_cpu if use_index
             else self.costs.scan_tuple * fragment.num_records
         )
@@ -246,10 +246,10 @@ class ReferenceUpdateRun(TeradataUpdateRun):
         if ordinal is None:
             return
         fragment.remove(ordinal)
-        yield from amp.work(self.costs.update_tuple_cpu)
+        yield amp.work(self.costs.update_tuple_cpu)
         yield from self._update_io(amp, fragment.name)
         if fragment.indexes:
-            yield from amp.work(
+            yield amp.work(
                 self.costs.index_maintenance_cpu * len(fragment.indexes)
             )
             yield from self._update_io(amp, fragment.name + ".idx")
@@ -259,39 +259,39 @@ class ReferenceUpdateRun(TeradataUpdateRun):
         relation = self.update.relation
         amp_no, ordinal = self._locate(relation, request.where)
         if ordinal is None:
-            yield from self.amps[amp_no].work(self.costs.exact_match_cpu)
+            yield self.amps[amp_no].work(self.costs.exact_match_cpu)
             return
         amp = self.amps[amp_no]
         fragment = relation.fragments[amp_no]
-        yield from amp.work(self.costs.exact_match_cpu)
+        yield amp.work(self.costs.exact_match_cpu)
         yield from amp.read_page(fragment.name, 0, sequential=False)
         pos = relation.schema.position(request.attr)
         old = fragment.records[ordinal]
         new_record = old[:pos] + (request.value,) + old[pos + 1:]
         if self.update.relocate:
             fragment.remove(ordinal)
-            yield from amp.work(self.costs.update_tuple_cpu)
+            yield amp.work(self.costs.update_tuple_cpu)
             yield from self._update_io(amp, fragment.name)
             new_amp_no = relation.amp_of_key(request.value, len(self.amps))
             new_amp = self.amps[new_amp_no]
             relation.fragments[new_amp_no].append(new_record)
-            yield from new_amp.work(self.costs.update_tuple_cpu)
+            yield new_amp.work(self.costs.update_tuple_cpu)
             yield from self._update_io(
                 new_amp, relation.fragments[new_amp_no].name
             )
             n_indexes = len(fragment.indexes)
             if n_indexes:
-                yield from new_amp.work(
+                yield new_amp.work(
                     self.costs.index_maintenance_cpu * n_indexes * 2
                 )
                 yield from self._update_io(new_amp, fragment.name + ".idx")
         else:
             index_touched = request.attr in fragment.indexes
             fragment.replace(ordinal, new_record)
-            yield from amp.work(self.costs.update_tuple_cpu)
+            yield amp.work(self.costs.update_tuple_cpu)
             yield from self._update_io(amp, fragment.name)
             if index_touched:
-                yield from amp.work(self.costs.index_maintenance_cpu)
+                yield amp.work(self.costs.index_maintenance_cpu)
                 yield from self._update_io(amp, fragment.name + ".idx")
         self.affected = 1
 
