@@ -97,6 +97,12 @@ class PartitioningStrategy(ABC):
     def site_of(self, record: tuple, n_sites: int) -> int:
         """Home site of ``record``."""
 
+    def sites_of(self, records: Sequence[tuple], n_sites: int) -> list[int]:
+        """Home site of each of ``records``, in order — what calling
+        :meth:`site_of` on one after the other returns."""
+        site_of = self.site_of
+        return [site_of(record, n_sites) for record in records]
+
     def site_for_key(self, value: Any, n_sites: int) -> Optional[int]:
         """Site holding key ``value``, when derivable (hash/range only).
 
@@ -167,6 +173,14 @@ class Hashed(PartitioningStrategy):
         if self._pos is None:
             raise CatalogError("Hashed strategy not prepared/bound")
         return gamma_hash(record[self._pos], n_sites)
+
+    def sites_of(self, records: Sequence[tuple], n_sites: int) -> list[int]:
+        if self._pos is None:
+            raise CatalogError("Hashed strategy not prepared/bound")
+        # Lazy for the same layering reason as in :meth:`partition`.
+        from ..engine.columnar import hash_route_batch
+
+        return hash_route_batch(records, self._pos, n_sites)
 
     def site_for_key(self, value: Any, n_sites: int) -> Optional[int]:
         return gamma_hash(value, n_sites)

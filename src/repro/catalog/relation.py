@@ -47,12 +47,15 @@ def collect_statistics(
     stats: dict[str, AttrStats] = {}
     if not records:
         return stats
-    # One transposition; min and max come from the distinct set whenever
-    # it covers the whole column (eleven Wisconsin columns repeat a
-    # handful of values, and the set has then done the work already).
-    for attribute, values in zip(schema.attributes, zip(*records)):
+    # Min and max come from the distinct set whenever it covers the whole
+    # column (eleven Wisconsin columns repeat a handful of values, and
+    # the set has then done the work already).
+    for pos, attribute in enumerate(schema.attributes):
         if attribute.type is not AttrType.INT:
             continue
+        # One column at a time, never ``zip(*records)``: that keeps one
+        # collector-tracked iterator per record alive.
+        values = [record[pos] for record in records]
         distinct = set(values[:DISTINCT_SAMPLE])
         bounds = distinct if len(values) <= DISTINCT_SAMPLE else values
         stats[attribute.name] = AttrStats(

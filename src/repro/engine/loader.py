@@ -77,8 +77,8 @@ class LoadRun:
         n_sites = len(ports)
         capacity = max(1, ctx.config.packet_size // self.schema.tuple_bytes)
         buffers: list[list[tuple]] = [[] for _ in range(n_sites)]
-        for record in self.records:
-            site = self.strategy.site_of(record, n_sites)
+        sites = self.strategy.sites_of(self.records, n_sites)
+        for record, site in zip(self.records, sites):
             yield host.work(HOST_TUPLE_CPU)
             buffers[site].append(record)
             if len(buffers[site]) >= capacity:

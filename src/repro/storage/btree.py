@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from itertools import islice
+from operator import gt
 from typing import Any, Iterator, Optional
 
 from ..errors import RecordNotFoundError, StorageError
@@ -133,22 +135,31 @@ class BPlusTree:
 
     def bulk_load(self, pairs: list[tuple[Any, Any]]) -> None:
         """Load sorted ``(key, payload)`` pairs into an empty tree."""
+        self.bulk_load_columns(
+            [key for key, _payload in pairs],
+            [payload for _key, payload in pairs],
+        )
+
+    def bulk_load_columns(self, keys: list[Any], payloads: list[Any]) -> None:
+        """Load sorted ``keys`` and their ``payloads`` (one list each, so
+        a caller holding columns builds no pair per entry) into an empty
+        tree."""
         if self.size:
             raise StorageError("bulk_load requires an empty tree")
-        for i in range(1, len(pairs)):
-            if pairs[i - 1][0] > pairs[i][0]:
-                raise StorageError("bulk_load input must be sorted by key")
+        if len(keys) != len(payloads):
+            raise StorageError("bulk_load needs one payload per key")
+        if any(map(gt, keys, islice(keys, 1, None))):
+            raise StorageError("bulk_load input must be sorted by key")
         per_leaf = max(2, int(self.leaf_capacity * self.fill_factor))
         leaves: list[BTreeNode] = []
-        for start in range(0, len(pairs), per_leaf):
-            chunk = pairs[start:start + per_leaf]
+        for start in range(0, len(keys), per_leaf):
             leaf = self._new_node(is_leaf=True)
-            leaf.keys = [k for k, _p in chunk]
-            leaf.payloads = [p for _k, p in chunk]
+            leaf.keys = keys[start:start + per_leaf]
+            leaf.payloads = payloads[start:start + per_leaf]
             if leaves:
                 leaves[-1].next_leaf = leaf
             leaves.append(leaf)
-        self.size = len(pairs)
+        self.size = len(keys)
         if not leaves:
             return
         level = leaves
@@ -285,21 +296,28 @@ class BPlusTree:
         Raises:
             RecordNotFoundError: if no matching entry exists.
         """
-        path = self.search(key)
-        leaf: Optional[BTreeNode] = path.leaf
-        index = path.index
+        # Descend left of a separator equal to ``key``: entries with a
+        # duplicated key sit on both sides of it, and :meth:`search` would
+        # start to its right.
+        node = self.root
+        page_ids = [node.page_id]
+        while not node.is_leaf:
+            node = node.children[bisect_left(node.keys, key)]
+            page_ids.append(node.page_id)
+        leaf: Optional[BTreeNode] = node
         while leaf is not None:
-            while index < len(leaf.keys) and leaf.keys[index] == key:
+            keys = leaf.keys
+            index = bisect_left(keys, key)
+            while index < len(keys) and keys[index] == key:
                 if payload is None or leaf.payloads[index] == payload:
-                    del leaf.keys[index]
+                    del keys[index]
                     del leaf.payloads[index]
                     self.size -= 1
-                    return path.page_ids
+                    return page_ids
                 index += 1
-            if index < len(leaf.keys):
+            if index < len(keys):
                 break
             leaf = leaf.next_leaf
-            index = 0
         raise RecordNotFoundError(f"key {key!r} not found in {self.name}")
 
     # ------------------------------------------------------------------

@@ -27,6 +27,31 @@ class RID:
         return f"RID({self.page_no},{self.slot})"
 
 
+#: Bits of a packed RID that hold the slot; the page number sits above.
+SLOT_BITS = 16
+_SLOT_MASK = (1 << SLOT_BITS) - 1
+
+
+def pack_rid(page_no: int, slot: int) -> int:
+    """``RID(page_no, slot)`` as one plain int, ``page_no << SLOT_BITS |
+    slot``: packed RIDs order as the RIDs do, and the collector tracks
+    none of them (what a dense index holds per tuple).
+
+    Raises:
+        StorageError: if ``slot`` does not fit ``SLOT_BITS`` bits.
+    """
+    if slot >> SLOT_BITS:
+        raise StorageError(
+            f"slot {slot} does not fit a packed RID ({SLOT_BITS} bits)"
+        )
+    return page_no << SLOT_BITS | slot
+
+
+def unpack_rid(packed: int) -> RID:
+    """The RID :func:`pack_rid` packed."""
+    return RID(packed >> SLOT_BITS, packed & _SLOT_MASK)
+
+
 class HeapFile:
     """An append-oriented file of slotted pages holding one schema.
 

@@ -46,7 +46,9 @@ class Page:
             raise StorageError(f"page_size {page_size} too small")
         self.page_size = page_size
         self._slots: list[Optional[tuple]] = []
-        self._free_slots: list[int] = []
+        #: Slots a delete emptied; allocated by the first one, so a page
+        #: nobody deletes from is two GC-tracked objects, not three.
+        self._free_slots: Optional[list[int]] = None
         self.used_bytes = PAGE_HEADER_BYTES
         self._live = 0
 
@@ -127,7 +129,10 @@ class Page:
         """Remove and return the record in ``slot``."""
         record = self.get(slot)
         self._slots[slot] = None
-        self._free_slots.append(slot)
+        if self._free_slots is None:
+            self._free_slots = [slot]
+        else:
+            self._free_slots.append(slot)
         self.used_bytes -= record_bytes + RECORD_OVERHEAD_BYTES
         self._live -= 1
         return record
@@ -144,6 +149,13 @@ class Page:
         for record in self._slots:
             if record is not None:
                 yield record
+
+    def live_records(self) -> list[tuple]:
+        """The live records in slot order, as a list the caller owns: one
+        C-speed copy of the slot table while the page has no hole."""
+        if self._live == len(self._slots):
+            return self._slots[:]  # type: ignore[return-value]
+        return [record for record in self._slots if record is not None]
 
     def slotted_records(self) -> Iterator[tuple[int, tuple]]:
         """Iterate ``(slot, record)`` pairs for live records."""

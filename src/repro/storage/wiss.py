@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..errors import RecordNotFoundError, StorageError
-from .btree import BPlusTree, build_dense_index, build_sparse_index
-from .heap import RID, HeapFile
+from .btree import BPlusTree, build_sparse_index
+from .heap import RID, HeapFile, pack_rid, unpack_rid
+from .page import Page
 from .schema import Schema
 
 
@@ -47,6 +48,9 @@ class StoredFile:
         self.heap = HeapFile(name, schema, page_size)
         self.clustered_on = clustered_on
         self._sparse: Optional[BPlusTree] = None
+        #: attr → dense index whose leaf payloads are RIDs packed into
+        #: ints (:func:`~repro.storage.heap.pack_rid`); the methods below
+        #: take and return :class:`RID` objects.
         self.secondary: dict[str, BPlusTree] = {}
         self.deferred_update_entries = 0
 
@@ -89,11 +93,25 @@ class StoredFile:
         """Build a dense non-clustered B+-tree on ``attr``."""
         if attr in self.secondary:
             raise StorageError(f"index on {attr!r} already exists")
-        get = self.schema.getter(attr)
-        entries = [(get(rec), rid) for rid, rec in self.heap.rids()]
-        self.secondary[attr] = build_dense_index(
-            f"{self.name}.idx.{attr}", self.page_size, entries
+        pos = self.schema.position(attr)
+        keys: list[Any] = []
+        rids: list[int] = []
+        for page_no, page in self.heap.scan_pages():
+            # A page's packed RIDs are consecutive ints from its slot 0;
+            # packing the last slot checks that all of them fit.
+            first = pack_rid(page_no, 0)
+            pack_rid(page_no, max(0, page.num_slots - 1))
+            for slot, record in page.slotted_records():
+                keys.append(record[pos])
+                rids.append(first + slot)
+        # Key order, heap order among equal keys (the sort is stable and
+        # the entries above are in heap order).
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        tree = BPlusTree(f"{self.name}.idx.{attr}", self.page_size)
+        tree.bulk_load_columns(
+            [keys[i] for i in order], [rids[i] for i in order]
         )
+        self.secondary[attr] = tree
 
     # ------------------------------------------------------------------
     # introspection
@@ -124,7 +142,7 @@ class StoredFile:
     def scan_pages(self) -> Iterator[tuple[int, list[tuple]]]:
         """Full sequential scan: yields ``(page_no, records)``."""
         for page_no, page in self.heap.scan_pages():
-            yield page_no, list(page.records())
+            yield page_no, page.live_records()
 
     def clustered_scan(
         self, low: Any, high: Any
@@ -153,7 +171,7 @@ class StoredFile:
             ):
                 if first_key > high:
                     return
-                records = list(self.heap.pages[page_no].records())
+                records = self.heap.pages[page_no].live_records()
                 matches = [r for r in records if low <= get(r) <= high]
                 yield page_no, matches
 
@@ -171,7 +189,10 @@ class StoredFile:
         """
         tree = self._secondary(attr)
         path = tree.search(low)
-        return path.page_ids, tree.range_entries(low, high)
+        return path.page_ids, (
+            (leaf_page, key, unpack_rid(packed))
+            for leaf_page, key, packed in tree.range_entries(low, high)
+        )
 
     def exact_match_clustered(
         self, value: Any
@@ -200,10 +221,10 @@ class StoredFile:
         tree = self._secondary(attr)
         path = tree.search(value)
         accesses = [PageAccess(tree.name, pid) for pid in path.page_ids]
-        rids = tree.lookup(value)
-        if not rids:
+        packed = tree.lookup(value)
+        if not packed:
             return accesses, None
-        rid = rids[0]
+        rid = unpack_rid(packed[0])
         accesses.append(PageAccess(self.name, rid.page_no))
         return accesses, (rid, self.heap.fetch(rid))
 
@@ -225,9 +246,10 @@ class StoredFile:
             accesses = [PageAccess(self.name, rid.page_no, write=True)]
         else:
             rid, accesses = self._clustered_insert(record)
+        packed = pack_rid(rid.page_no, rid.slot)
         for attr, tree in self.secondary.items():
             get = self.schema.getter(attr)
-            touched = tree.insert(get(record), rid)
+            touched = tree.insert(get(record), packed)
             self.deferred_update_entries += 1
             accesses.extend(
                 PageAccess(tree.name, pid, write=True) for pid in touched[-2:]
@@ -270,48 +292,55 @@ class StoredFile:
         accesses: list[PageAccess],
     ) -> RID:
         page = self.heap.pages[page_no]
+        record_bytes = self.heap.record_bytes
+        # (slot before the split, record); the new record has no old slot.
+        old = list(page.slotted_records())
         everything = sorted(
-            [rec for _slot, rec in page.slotted_records()] + [record], key=get
+            [*old, (None, record)], key=lambda entry: get(entry[1])
         )
-        keep = everything[: len(everything) // 2]
-        move = everything[len(everything) // 2:]
-        # Clear and repack the original page with the lower half.
-        for slot, _rec in list(page.slotted_records()):
-            page.delete(slot, self.heap.record_bytes)
-        placements: list[tuple[tuple, RID]] = []
-        for rec in keep:
-            slot = page.insert(rec, self.heap.record_bytes)
-            placements.append((rec, RID(page_no, slot)))
-        # Upper half goes to a brand-new tail page.
-        from .page import Page
-
+        half = len(everything) // 2
+        # Clear and repack the original page with the lower half; the
+        # upper half goes to a brand-new tail page.
+        for slot, _rec in old:
+            page.delete(slot, record_bytes)
         new_page = Page(self.page_size)
         self.heap.pages.append(new_page)
         new_page_no = len(self.heap.pages) - 1
-        for rec in move:
-            slot = new_page.insert(rec, self.heap.record_bytes)
-            placements.append((rec, RID(new_page_no, slot)))
+        # (old slot, record, packed RID after the split)
+        placements = [
+            (old_slot, rec, pack_rid(page_no, page.insert(rec, record_bytes)))
+            for old_slot, rec in everything[:half]
+        ] + [
+            (old_slot, rec,
+             pack_rid(new_page_no, new_page.insert(rec, record_bytes)))
+            for old_slot, rec in everything[half:]
+        ]
         self.heap._record_count += 1  # the newly inserted record
-        tree.insert(get(move[0]), new_page_no)
+        tree.insert(get(everything[half][1]), new_page_no)
         accesses.append(PageAccess(self.name, page_no, write=True))
         accesses.append(PageAccess(self.name, new_page_no, write=True))
-        # Fix secondary indexes for records whose RID changed.
+        # Re-file every record that was here under its new RID.  The old
+        # entry is named by (key, old RID): the key alone would take some
+        # other record's entry on a non-unique attribute.
         for attr, sec in self.secondary.items():
             sget = self.schema.getter(attr)
-            for rec, new_rid in placements:
-                if rec is record:
-                    continue
-                sec.delete(sget(rec))
-                sec.insert(sget(rec), new_rid)
-        return next(new_rid for rec, new_rid in placements if rec is record)
+            for old_slot, rec, packed in placements:
+                if old_slot is not None:
+                    sec.delete(sget(rec), pack_rid(page_no, old_slot))
+                    sec.insert(sget(rec), packed)
+        return next(
+            unpack_rid(packed)
+            for old_slot, _rec, packed in placements if old_slot is None
+        )
 
     def delete_record(self, rid: RID) -> tuple[tuple, list[PageAccess]]:
         """Delete the record at ``rid``, maintaining secondary indexes."""
         record = self.heap.delete(rid)
         accesses = [PageAccess(self.name, rid.page_no, write=True)]
+        packed = pack_rid(rid.page_no, rid.slot)
         for attr, tree in self.secondary.items():
             get = self.schema.getter(attr)
-            tree.delete(get(record), rid)
+            tree.delete(get(record), packed)
             self.deferred_update_entries += 1
             accesses.append(PageAccess(tree.name, 0, write=True))
         return record, accesses
@@ -322,11 +351,12 @@ class StoredFile:
         """In-place modify, fixing any secondary index whose attr changed."""
         old = self.heap.replace(rid, new_record)
         accesses = [PageAccess(self.name, rid.page_no, write=True)]
+        packed = pack_rid(rid.page_no, rid.slot)
         for attr, tree in self.secondary.items():
             get = self.schema.getter(attr)
             if get(old) != get(new_record):
-                tree.delete(get(old), rid)
-                tree.insert(get(new_record), rid)
+                tree.delete(get(old), packed)
+                tree.insert(get(new_record), packed)
                 self.deferred_update_entries += 1
                 accesses.append(PageAccess(tree.name, 0, write=True))
         return old, accesses

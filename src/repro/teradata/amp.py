@@ -30,15 +30,21 @@ def hash_partition(
 
     One :func:`~repro.catalog.gamma_mix` per record yields both its AMP
     (``mix % n_amps``, i.e. ``gamma_hash(key, n_amps)``) and its place in
-    the hash-key order.
+    the hash-key order; the mix is 32 bits wide, so the batch router
+    computes it as ``gamma_hash(key, 2**32)``.
     """
+    # Imported by the first load, not with the package: numpy comes with it.
+    from ..engine.columnar import hash_route_batch
+
     keys = [record[key_pos] for record in records]
-    mixes = list(map(gamma_mix, keys))
-    place = [
-        (mix % HASH_ORDER_BUCKETS, key) for mix, key in zip(mixes, keys)
-    ]
+    mixes = hash_route_batch(records, key_pos, 1 << 32)
+    place = [mix % HASH_ORDER_BUCKETS for mix in mixes]
+    # Two stable passes, minor key first: no (hash, key) pair per record
+    # for the collector to track.
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    order.sort(key=place.__getitem__)
     buckets: list[list[tuple]] = [[] for _ in range(n_amps)]
-    for i in sorted(range(len(keys)), key=place.__getitem__):
+    for i in order:
         buckets[mixes[i] % n_amps].append(records[i])
     return buckets
 

@@ -177,8 +177,26 @@ class TestUpdates:
         sf.add_secondary_index("other")
         sf.append((250, 99_999, 1))
         # After the split every secondary entry must still resolve.
-        for key, rid in sf.secondary["other"].items():
+        _d, entries = sf.secondary_range("other", 0, 99_999)
+        resolved = [(key, sf.fetch(rid)[1]) for _pg, key, rid in entries]
+        assert len(resolved) == 501
+        assert all(key == stored for key, stored in resolved)
+
+    def test_split_refiles_entries_of_a_non_unique_secondary(self):
+        sf = StoredFile.create(
+            "r", schema(), 2048, [(i, i % 3, 0) for i in range(500)],
+            clustered_on="key",
+        )
+        sf.add_secondary_index("other")
+        sf.append((250, 1, 1))
+        # From below every key, so the range walks the whole leaf chain.
+        _d, entries = sf.secondary_range("other", -1, 3)
+        indexed = []
+        for _pg, key, rid in entries:
             assert sf.fetch(rid)[1] == key
+            indexed.append(rid)
+        assert len(indexed) == 501
+        assert sorted(indexed) == sorted(rid for rid, _rec in sf.heap.rids())
 
     def test_delete_record(self):
         sf = StoredFile.create("r", schema(), 4096, records(100))
