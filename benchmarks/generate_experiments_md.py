@@ -42,9 +42,7 @@ hash-table buckets to a fresh spool partition the moment actual build
 bytes exceed memory; `dynamic` ignores the estimate, starts fully
 in-memory, demotes on demand and recursively re-partitions any spooled
 partition that still won't fit.  Regenerate with
-`python -m repro matrix run ablation_a4_hybrid_dynamic` (or
-`pytest benchmarks/bench_ablation_hybrid_dynamic.py --benchmark-only`),
-or interactively via `python -m repro hybrid`.
+`python -m repro matrix run ablation_a4_hybrid_dynamic`.
 """,
         """\
 Reading the table: with an accurate estimate the reactive machinery is
@@ -77,9 +75,8 @@ workload — single-tuple and 1%/10% range selections, non-indexed
 modifies, and an occasional Remote-mode joinABprime — through an
 admission controller whose multiprogramming level is swept 1→16, on
 both machines.  Regenerate with
-`python -m repro matrix run workload_mpl` (or
-`pytest benchmarks/bench_extension_workload.py --benchmark-only`), or
-interactively via `python -m repro workload --sweep --machine both`.
+`python -m repro matrix run workload_mpl`; one MPL runs interactively
+via `python -m repro workload --machine both --mpl 8`.
 """,
         """\
 Reading the curves: throughput climbs steeply while queue wait
@@ -87,8 +84,8 @@ dominates latency (MPL 1→8), then flattens as the disk sites saturate —
 Gamma gains only 3% from MPL 8→16 while mean service time stretches
 from 0.72 s to 0.86 s.  Teradata, slower per query, is still
 queue-limited at MPL 16 and keeps scaling.  Both sweeps are seeded and
-bit-identical across repeat runs (the CI `workload-smoke` job asserts
-this with `cmp`).
+bit-identical across repeat runs (the CI `matrix-smoke` job asserts
+this with `cmp` on a toy sweep).
 """,
     ),
     "extension_e4_skew": (
@@ -103,9 +100,7 @@ paper's plain `hash` split, equal-depth `range` boundaries,
 virtual-processor hashing (`vhash`), and fragment-replicate
 (`hot-broadcast`: hot build keys go everywhere, hot probe tuples are
 sprayed round-robin).  Regenerate with
-`python -m repro matrix run extension_e4_skew` (or
-`pytest benchmarks/bench_extension_skew.py --benchmark-only`), or
-interactively via `python -m repro skew`.
+`python -m repro matrix run extension_e4_skew`.
 """,
         """\
 Reading the table: redistribution skew cannot be fixed by a smarter
@@ -123,9 +118,7 @@ hardware Gamma had.  This experiment asks what the *model* predicts
 beyond that: the same non-indexed selection and joinABprime
 (100,000-tuple relations) declustered across 8, 64, 256 and 1,000
 sites.  Regenerate with
-`python -m repro matrix run extension_e5_scaleup` (or
-`pytest benchmarks/bench_extension_scaleup.py --benchmark-only`), or
-interactively via `python -m repro scaleup`.
+`python -m repro matrix run extension_e5_scaleup`.
 """,
         """\
 Reading the table: the paper's near-linear regime survives well past
@@ -155,9 +148,8 @@ while a telemetry sampler records sliding-window latency percentiles,
 admission-queue depth and per-node utilisation every 0.25 s of
 simulated time; rule-based detectors stamp the simulated instant
 overload onset (sustained queue growth) fires.  Regenerate with
-`python -m repro matrix run telemetry_knee` (or
-`pytest benchmarks/bench_extension_telemetry.py --benchmark-only`), or
-interactively via `python -m repro monitor mixed --rate 8`.
+`python -m repro matrix run telemetry_knee`; one rate runs interactively
+via `python -m repro monitor mixed --rate 8`.
 """,
         """\
 Reading the table: both machines hold flat percentiles while the
@@ -191,11 +183,10 @@ asserted by the benchmarks.
 Store note: every measured grid point lives in
 `benchmarks/results/store/` (JSON lines, keyed by canonical config hash
 and experiment version — DESIGN.md §5.10).  Sweeps resume: re-running
-any experiment (`python -m repro matrix run <name>`, or the
-`pytest benchmarks/ --benchmark-only` suite) executes only grid points
-missing from the store, so a warm store regenerates this file without
-simulating anything; `--force` re-measures.  `python -m repro matrix
-list` shows per-experiment coverage.
+any experiment (`python -m repro matrix run <name>`) executes only grid
+points missing from the store, so a warm store regenerates this file
+without simulating anything; `--force` re-measures.  `python -m repro
+matrix list` shows per-experiment coverage.
 
 Scale note: tables default to the 10,000- and 100,000-tuple relations; set
 `GAMMA_BENCH_SIZES=10000,100000,1000000` to regenerate the million-tuple
@@ -212,20 +203,17 @@ do not depend on the process or execution order; asserted by
 measured in one place, the perf ledger (`benchmarks/ledger/README.md`);
 nothing in this file or the result store is a host time.
 
-Profiling note: `pytest benchmarks/ --benchmark-only --profile` (or
-`GAMMA_BENCH_PROFILE=1`, which is how the flag reaches sweep workers)
-additionally runs the profiler on one representative point per figure and
-writes `fig01_02_select_speedup.profile.json` and
-`fig13_overflow.profile.json` to `benchmarks/results/` — the
-`QueryProfile.to_json()` payload: per-operator spans, phase timeline,
-critical path and verdict.  The Figure 13 point also exports
-`fig13_overflow.trace.json`, a Perfetto trace with hash-table,
-queue-depth and overflow counter tracks.  Both experiments assert the
+Profiling note: Figures 1-2, Figure 13 and Ablation A4 re-run one
+representative point with the profiler attached (their grids' `profile`
+parameter, on by default, so the default grid is the committed one) and
+write `fig01_02_select_speedup.profile.json`,
+`fig13_overflow.profile.json` and `ablation_a4_hybrid_dynamic.profile.json`
+to `benchmarks/results/` — the `QueryProfile.to_json()` payload:
+per-operator spans, phase timeline, critical path and verdict.  The
+Figure 13 and A4 points also export a Perfetto trace with hash-table,
+queue-depth and overflow counter tracks.  Each experiment asserts the
 instrumented re-run's simulated response time is **bit-identical** to the
 uninstrumented one, so profiling can never perturb a published number.
-(The committed store was recorded with profiling on, which is why this
-script defaults `GAMMA_BENCH_PROFILE=1`: the profiled grid points are
-distinct configs, and regeneration must summarise the stored ones.)
 
 ## Summary of fidelity
 
@@ -302,10 +290,6 @@ def check_registry_drift(results_directory, registered, notes=None):
 
 
 def main() -> None:
-    # The committed store's figure points were recorded with the
-    # profiler attached; summarising them needs the same grid.
-    os.environ.setdefault("GAMMA_BENCH_PROFILE", "1")
-
     from repro.bench.registry import ordered, run_registered
     from repro.bench.reporting import results_dir
     from repro.bench.store import ResultStore

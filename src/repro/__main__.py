@@ -15,35 +15,17 @@
     Multiuser workload: N terminals (or an open-loop Poisson stream)
     submit a query mix against one live simulation behind admission
     control; prints per-query latency percentiles and throughput.
-    ``--sweep`` runs the MPL 1→16 throughput–latency sweep instead;
-    ``--json`` dumps the result (or sweep profile) to a file.
-
-``python -m repro skew``
-    Skew sweep: joinABprime with a Zipf-distributed join attribute
-    under every redistribution strategy (hash / range / vhash /
-    hot-broadcast), reporting per-strategy speedup and per-node
-    utilisation spread; ``--json`` dumps the sweep profile.
-
-``python -m repro hybrid``
-    Hybrid-join spill-policy sweep: joinABprime under optimizer
-    estimate error (the plan sees a build side 4x smaller/larger than
-    reality) at several memory budgets, comparing the static plan
-    against reactive bucket demotion and fully dynamic recursive
-    re-partitioning; ``--json`` dumps the sweep profile.
-
-``python -m repro scaleup``
-    Machine-size sweep: the 1 % selection and joinABprime at 8, 64,
-    256 and 1000 disk sites, printing the speedup-vs-sites table
-    (simulated response) plus the kernel events each point cost;
-    ``--json`` dumps the sweep profile.
+    ``--json`` dumps the result to a file.
 
 ``python -m repro matrix``
-    The experiment matrix against the persistent result store under
-    ``benchmarks/results/store/``: ``list`` registered experiments and
-    their stored grid points; ``run [name …]`` resumes experiments —
-    only grid points missing from the store execute (``--force``
-    re-runs and replaces); ``report`` prints the regenerated tables
-    from stored runs.
+    The one way to run an experiment — every table, figure, ablation
+    and extension is registered by name — against the persistent result
+    store under ``benchmarks/results/store/``: ``list`` registered
+    experiments and their stored grid points; ``run [name …]`` resumes
+    experiments — only grid points missing from the store execute
+    (``--force`` re-runs and replaces); ``report [name …]`` also prints
+    the regenerated tables, instantly when the store is warm.  Both
+    write the reports (and profile JSONs) under ``benchmarks/results/``.
 
 ``python -m repro monitor [mix]``
     Telemetry monitor: an open-loop Poisson workload with the sampler
@@ -86,7 +68,7 @@ def _demo(n: int) -> int:
         g = run_stored(gamma, builder)
         t = run_stored(teradata, builder)
         print(f"{label:<26}{g.response_time:>9.2f}s{t.response_time:>11.2f}s")
-    print("\nRun `pytest benchmarks/ --benchmark-only` to regenerate every"
+    print("\nRun `python -m repro matrix report` to regenerate every"
           " table and figure of the paper.")
     return 0
 
@@ -135,29 +117,8 @@ def _profile(args: argparse.Namespace) -> int:
 def _workload(args: argparse.Namespace) -> int:
     import json
 
-    from .bench.workload import (
-        machine_builder,
-        make_mix,
-        workload_mpl_experiment,
-    )
+    from .bench.workload import machine_builder, make_mix
     from .workloads import WorkloadSpec
-
-    if args.sweep:
-        report, profile = workload_mpl_experiment(
-            n=args.tuples, queries=args.queries, clients=args.clients,
-            mix=args.mix, think_time=args.think_time, policy=args.policy,
-            timeout=args.timeout, seed=args.seed,
-            machines=(
-                ("gamma", "teradata") if args.machine == "both"
-                else (args.machine,)
-            ),
-        )
-        print(report.to_markdown())
-        if args.json is not None:
-            with open(args.json, "w") as fh:
-                json.dump(profile, fh, indent=2)
-            print(f"sweep profile written to {args.json}")
-        return 0 if report.all_checks_pass else 1
 
     spec = WorkloadSpec(
         queries=args.queries, clients=args.clients, arrival=args.arrival,
@@ -278,70 +239,21 @@ def _monitor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _skew(args: argparse.Namespace) -> int:
-    import json
+def _registered_name(name: str) -> str:
+    """Parse one registered experiment name.  An unknown name is a usage
+    error (exit status 2, listing the known names) before anything runs.
+    (``choices=`` cannot express this: argparse checks an empty
+    ``nargs="*"`` list against the choices and rejects it.)"""
+    from .bench.registry import names
 
-    from .bench.skew import skew_join_experiment
-
-    report, profile = skew_join_experiment(
-        n=args.tuples,
-        skews=tuple(args.skews),
-        strategies=tuple(args.strategies),
-        site_counts=(args.min_sites, args.max_sites),
-        seed=args.seed,
-    )
-    print(report.to_markdown())
-    if args.json is not None:
-        with open(args.json, "w") as fh:
-            json.dump(profile, fh, indent=2)
-        print(f"sweep profile written to {args.json}")
-    return 0 if report.all_checks_pass else 1
-
-
-def _hybrid(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.ablations import ablation_hybrid_dynamic_experiment
-
-    report, profile = ablation_hybrid_dynamic_experiment(
-        n=args.tuples,
-        errors=tuple(args.errors),
-        memory_ratios=tuple(args.ratios),
-        policies=tuple(args.policies),
-    )
-    print(report.to_markdown())
-    if args.json is not None:
-        with open(args.json, "w") as fh:
-            json.dump(profile, fh, indent=2)
-        print(f"sweep profile written to {args.json}")
-    return 0 if report.all_checks_pass else 1
-
-
-def _scaleup(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench.scaleup import scaleup_experiment
-
-    report, profile = scaleup_experiment(
-        n=args.tuples,
-        site_counts=[s for s in args.sites if s <= args.max_sites],
-    )
-    print(report.to_markdown())
-    for point in profile["points"]:
-        print(
-            f"  {point['query']:<12} @{point['sites']:<5} sites:"
-            f" {point['events']:>11,} kernel events"
+    if name not in names():
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from {', '.join(names())})"
         )
-    if args.json is not None:
-        with open(args.json, "w") as fh:
-            json.dump(profile, fh, indent=2)
-        print(f"sweep profile written to {args.json}")
-    return 0 if report.all_checks_pass else 1
+    return name
 
 
 def _matrix(args: argparse.Namespace) -> int:
-    import os
-
     from .bench.registry import REGISTRY, names, run_registered
     from .bench.store import ResultStore
 
@@ -351,8 +263,7 @@ def _matrix(args: argparse.Namespace) -> int:
     if command == "list":
         print(f"{'experiment':<30}{'kind':<11}{'ver':<5}{'stored':>7}"
               "  label")
-        for entry in REGISTRY:
-            spec = entry.spec
+        for spec in REGISTRY:
             stored = len(store.records(spec.name, spec.version))
             print(f"{spec.name:<30}{spec.kind:<11}{spec.version:<5}"
                   f"{stored:>7}  {spec.label}")
@@ -361,10 +272,6 @@ def _matrix(args: argparse.Namespace) -> int:
                   " line(s); ResultStore.compact() rewrites it clean")
         return 0
 
-    # run or report.  The committed store and artifacts are recorded
-    # with profiling on (the "profiling does not perturb" checks); match
-    # that by default so a warm store resumes cleanly.
-    os.environ.setdefault("GAMMA_BENCH_PROFILE", "1")
     selected = list(args.experiments) or names()
     failures = []
     for name in selected:
@@ -414,7 +321,7 @@ def main(argv: list[str]) -> int:
 
     wl = sub.add_parser(
         "workload", help="multiuser workload: terminals submitting a query"
-        " mix behind admission control (--sweep for the MPL 1→16 curve)",
+        " mix behind admission control",
     )
     wl.add_argument("--machine", choices=["gamma", "teradata", "both"],
                     default="gamma")
@@ -439,67 +346,8 @@ def main(argv: list[str]) -> int:
     wl.add_argument("--timeout", type=float, default=None,
                     help="admission-queue + lock-wait timeout (seconds)")
     wl.add_argument("--seed", type=int, default=1988)
-    wl.add_argument("--sweep", action="store_true",
-                    help="run the MPL 1→16 throughput-latency sweep")
     wl.add_argument("--json", metavar="PATH",
-                    help="write the result (or sweep profile) as JSON")
-
-    sk = sub.add_parser(
-        "skew", help="skew sweep: joinABprime with a Zipf join attribute"
-        " under each redistribution strategy",
-    )
-    sk.add_argument("--tuples", type=int, default=10_000,
-                    help="size of the probe relation (build is a tenth)")
-    sk.add_argument("--skews", type=float, nargs="+",
-                    default=[0.0, 0.75, 1.5],
-                    help="Zipf exponents to sweep (0 = uniform)")
-    sk.add_argument("--strategies", nargs="+",
-                    default=["hash", "range", "vhash", "hot-broadcast"],
-                    choices=["hash", "range", "vhash", "hot-broadcast"],
-                    help="redistribution strategies to compare")
-    sk.add_argument("--min-sites", type=int, default=1,
-                    help="speedup reference configuration")
-    sk.add_argument("--max-sites", type=int, default=8,
-                    help="widest configuration (profiled for spread)")
-    sk.add_argument("--seed", type=int, default=1988)
-    sk.add_argument("--json", metavar="PATH",
-                    help="write the sweep profile as JSON")
-
-    hy = sub.add_parser(
-        "hybrid", help="hybrid-join spill-policy sweep: estimate error x"
-        " memory budget x policy (static/demote/dynamic)",
-    )
-    hy.add_argument("--tuples", type=int, default=100_000,
-                    help="size of the probe relation (build is a tenth;"
-                    " the shape checks are calibrated at 100,000)")
-    hy.add_argument("--errors", type=float, nargs="+",
-                    default=[0.25, 1.0, 4.0],
-                    help="estimate-error factors to sweep (0.25 = the"
-                    " plan expects a build side 4x smaller than reality)")
-    hy.add_argument("--ratios", type=float, nargs="+",
-                    default=[1.0, 0.45, 0.2],
-                    help="join memory as a fraction of the build side")
-    hy.add_argument("--policies", nargs="+",
-                    default=["static", "demote", "dynamic"],
-                    choices=["static", "demote", "dynamic"],
-                    help="spill policies to compare")
-    hy.add_argument("--json", metavar="PATH",
-                    help="write the sweep profile as JSON")
-
-    su = sub.add_parser(
-        "scaleup", help="machine-size sweep: selection + joinABprime at"
-        " 8→1000 disk sites (speedup-vs-sites table)",
-    )
-    su.add_argument("--tuples", type=int, default=100_000,
-                    help="size of the A relation (Bprime is a tenth)")
-    su.add_argument("--sites", type=int, nargs="+",
-                    default=[8, 64, 256, 1000],
-                    help="disk-site counts to sweep")
-    su.add_argument("--max-sites", type=int, default=1000,
-                    help="drop swept configurations above this size"
-                    " (the 1000-site points cost minutes of wall clock)")
-    su.add_argument("--json", metavar="PATH",
-                    help="write the sweep profile as JSON")
+                    help="write the result as JSON")
 
     mx = sub.add_parser(
         "matrix", help="experiment matrix: list/run/report against"
@@ -514,7 +362,8 @@ def main(argv: list[str]) -> int:
     mxrun = mxsub.add_parser(
         "run", help="run experiments, resuming from the store (only"
         " missing grid points execute)")
-    mxrun.add_argument("experiments", nargs="*",
+    mxrun.add_argument("experiments", nargs="*", metavar="NAME",
+                       type=_registered_name,
                        help="experiment names (default: all registered)")
     mxrun.add_argument("--force", action="store_true",
                        help="re-execute and replace stored grid points")
@@ -523,7 +372,8 @@ def main(argv: list[str]) -> int:
                        " (default: GAMMA_BENCH_JOBS or cpu count)")
     mxrep = mxsub.add_parser(
         "report", help="print regenerated reports from the store")
-    mxrep.add_argument("experiments", nargs="*",
+    mxrep.add_argument("experiments", nargs="*", metavar="NAME",
+                       type=_registered_name,
                        help="experiment names (default: all registered)")
 
     mon = sub.add_parser(
@@ -569,12 +419,6 @@ def main(argv: list[str]) -> int:
         return _profile(args)
     if args.command == "workload":
         return _workload(args)
-    if args.command == "skew":
-        return _skew(args)
-    if args.command == "hybrid":
-        return _hybrid(args)
-    if args.command == "scaleup":
-        return _scaleup(args)
     if args.command == "matrix":
         return _matrix(args)
     if args.command == "monitor":

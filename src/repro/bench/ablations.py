@@ -20,13 +20,11 @@
 
 Like :mod:`.experiments`, each is an :class:`~repro.bench.matrix.
 ExperimentSpec` — a grid, a picklable point function, and a summarise
-function — with the old ``*_experiment`` call signatures kept as thin
-wrappers.
+function — run by :func:`~repro.bench.matrix.run_experiment`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import replace
 from typing import Any, Optional, Sequence
@@ -37,9 +35,8 @@ from ..hardware import KB, GammaConfig
 from ..metrics import TraceBuffer
 from ..workloads import selection_range
 from ..workloads.queries import join_abprime, join_aselb, selection_query
-from .experiments import bench_profile_enabled
 from .harness import build_gamma, run_stored
-from .matrix import Axis, ExperimentSpec, Grid, run_experiment
+from .matrix import Axis, ExperimentSpec, Grid
 from .recorded import TABLE1_SELECTIONS
 from .reporting import Report, results_dir
 
@@ -114,11 +111,6 @@ ABLATION_A1_SPEC = ExperimentSpec(
 )
 
 
-def ablation_bitfilter_experiment(n: int = 100_000, **matrix: Any) -> Report:
-    """A1: joinAselB with and without bit-vector filters."""
-    return run_experiment(ABLATION_A1_SPEC, n=n, **matrix).report
-
-
 # ---------------------------------------------------------------------------
 # A2 — Simple vs Hybrid hash join
 # ---------------------------------------------------------------------------
@@ -147,6 +139,7 @@ def _a2_grid(
     n: int = 100_000,
     memory_ratios: Sequence[float] = (1.2, 0.8, 0.45, 0.2),
 ) -> Grid:
+    """A2: the Figure 13 sweep re-run with the Hybrid hash join."""
     return Grid(
         axes=(
             Axis("ratio", tuple(memory_ratios)),
@@ -198,17 +191,6 @@ ABLATION_A2_SPEC = ExperimentSpec(
 )
 
 
-def ablation_hybrid_join_experiment(
-    n: int = 100_000,
-    memory_ratios: Sequence[float] = (1.2, 0.8, 0.45, 0.2),
-    **matrix: Any,
-) -> Report:
-    """A2: re-run the Figure 13 sweep with the Hybrid hash join."""
-    return run_experiment(
-        ABLATION_A2_SPEC, n=n, memory_ratios=memory_ratios, **matrix,
-    ).report
-
-
 # ---------------------------------------------------------------------------
 # A3 — default page size
 # ---------------------------------------------------------------------------
@@ -246,6 +228,13 @@ def _a3_point(config: dict[str, Any]) -> dict[str, float]:
 
 
 def _a3_grid(n: int = 100_000) -> Grid:
+    """A3: 4 KB vs 8 KB default pages over a mixed query set.
+
+    The Conclusions: "we should increase the default page size from 4 to 8
+    Kbytes.  While increasing the page size beyond 8 Kbytes provides slight
+    improvement for some queries, the impact on queries that use indices
+    (in particular, non-clustered indices) is very negative."
+    """
     return Grid(axes=(Axis("page_kb", (4, 8, 32)),), base={"n": n})
 
 
@@ -289,19 +278,6 @@ ABLATION_A3_SPEC = ExperimentSpec(
     kind="ablation", grid=_a3_grid, point=_a3_point,
     summarise=_a3_summarise,
 )
-
-
-def ablation_default_page_size_experiment(
-    n: int = 100_000, **matrix: Any
-) -> Report:
-    """A3: 4 KB vs 8 KB default pages over a mixed query set.
-
-    The Conclusions: "we should increase the default page size from 4 to 8
-    Kbytes.  While increasing the page size beyond 8 Kbytes provides slight
-    improvement for some queries, the impact on queries that use indices
-    (in particular, non-clustered indices) is very negative."
-    """
-    return run_experiment(ABLATION_A3_SPEC, n=n, **matrix).report
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +352,14 @@ def _a4_grid(
     errors: Sequence[float] = A4_ERRORS,
     memory_ratios: Sequence[float] = A4_MEMORY_RATIOS,
     policies: Sequence[str] = A4_POLICIES,
-    profile: Optional[bool] = None,
+    profile: bool = True,
 ) -> Grid:
-    if profile is None:
-        profile = bench_profile_enabled()
+    """A4: Hybrid spill policies under optimizer estimate error.
+
+    The summary's profile of every cell is written as
+    ``ablation_a4_hybrid_dynamic.json``; with ``profile`` the most
+    stressed dynamic cell is re-run with the profiler and a trace.
+    """
     worst_err, deepest = min(errors), min(memory_ratios)
 
     def derive(config: dict[str, Any]) -> dict[str, Any]:
@@ -543,38 +523,6 @@ ABLATION_A4_SPEC = ExperimentSpec(
 )
 
 
-def ablation_hybrid_dynamic_experiment(
-    n: int = 100_000,
-    errors: Sequence[float] = A4_ERRORS,
-    memory_ratios: Sequence[float] = A4_MEMORY_RATIOS,
-    policies: Sequence[str] = A4_POLICIES,
-    **matrix: Any,
-) -> tuple[Report, dict[str, Any]]:
-    """A4: Hybrid spill policies under optimizer estimate error.
-
-    Returns the shape-checked :class:`Report` plus a JSON profile of
-    every cell (written as ``ablation_a4_hybrid_dynamic.json`` by
-    :func:`save_hybrid_profile`).
-    """
-    run = run_experiment(
-        ABLATION_A4_SPEC, n=n, errors=errors,
-        memory_ratios=memory_ratios, policies=policies, **matrix,
-    )
-    assert run.profile is not None
-    return run.report, run.profile
-
-
-def save_hybrid_profile(
-    profile: dict[str, Any], directory: Optional[str] = None
-) -> str:
-    """Write the A4 sweep profile JSON next to the markdown report."""
-    path = os.path.join(
-        results_dir(directory), "ablation_a4_hybrid_dynamic.json")
-    with open(path, "w") as fh:
-        json.dump(profile, fh, indent=2, sort_keys=False)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # E1 — multiuser off-loading
 # ---------------------------------------------------------------------------
@@ -605,6 +553,14 @@ def _e1_point(config: dict[str, Any]) -> dict[str, Any]:
 
 
 def _e1_grid(n: int = 50_000) -> Grid:
+    """E1: the deferred multiuser benchmark — Remote-join off-loading.
+
+    A joinABprime and an independent 10% selection are submitted
+    together; the join's placement is varied.  The paper's expectation:
+    "offloading the join operators to remote processors will allow the
+    processors with disks to effectively support more concurrent
+    selection and store operators."
+    """
     return Grid(
         axes=(Axis("mode", ("solo", "local", "remote")),), base={"n": n},
     )
@@ -651,18 +607,6 @@ EXTENSION_E1_SPEC = ExperimentSpec(
 )
 
 
-def multiuser_offloading_experiment(n: int = 50_000, **matrix: Any) -> Report:
-    """E1: the deferred multiuser benchmark — Remote-join off-loading.
-
-    A joinABprime and an independent 10% selection are submitted
-    together; the join's placement is varied.  The paper's expectation:
-    "offloading the join operators to remote processors will allow the
-    processors with disks to effectively support more concurrent
-    selection and store operators."
-    """
-    return run_experiment(EXTENSION_E1_SPEC, n=n, **matrix).report
-
-
 # ---------------------------------------------------------------------------
 # E2 — recovery server
 # ---------------------------------------------------------------------------
@@ -690,6 +634,8 @@ def _e2_point(config: dict[str, Any]) -> dict[str, Any]:
 
 
 def _e2_grid(n: int = 50_000) -> Grid:
+    """E2: write-ahead logging overhead of the recovery server on a bulk
+    ``retrieve into`` and on a single-tuple append."""
     return Grid(axes=(Axis("logging", (False, True)),), base={"n": n})
 
 
@@ -745,12 +691,3 @@ EXTENSION_E2_SPEC = ExperimentSpec(
     name="extension_e2_recovery", label="Extension E2", kind="extension",
     grid=_e2_grid, point=_e2_point, summarise=_e2_summarise,
 )
-
-
-def recovery_server_experiment(n: int = 50_000, **matrix: Any) -> Report:
-    """E2: the recovery server the Conclusions announce.
-
-    Measures the write-ahead logging overhead the server adds to a bulk
-    ``retrieve into`` and to a single-tuple append.
-    """
-    return run_experiment(EXTENSION_E2_SPEC, n=n, **matrix).report

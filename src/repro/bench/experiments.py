@@ -9,10 +9,9 @@ function that folds the stored per-point results into the paper-style
 :class:`~repro.bench.reporting.Report`, re-asserting the paper's
 qualitative claims as shape checks.
 
-The module-level ``*_experiment`` functions are the stable public API:
-thin wrappers over :func:`~repro.bench.matrix.run_experiment` that run
-without a store by default (tests, exploratory calls).  The registry
-(:mod:`repro.bench.registry`) is what runs them *with* the store.
+A spec is run by :func:`~repro.bench.matrix.run_experiment` — from the
+command line as ``python -m repro matrix run|report <name>`` — with the
+spec's grid parameters as keyword overrides.
 """
 
 from __future__ import annotations
@@ -39,19 +38,9 @@ from .harness import (
     run_stored,
     speedup_series,
 )
-from .matrix import Axis, ExperimentSpec, Grid, run_experiment
+from .matrix import Axis, ExperimentSpec, Grid
 from .recorded import TABLE1_SELECTIONS, TABLE2_JOINS, TABLE3_UPDATES
 from .reporting import Report, ratio_note, results_dir
-
-
-def bench_profile_enabled() -> bool:
-    """True when the bench harness should attach the query profiler.
-
-    Set by ``pytest benchmarks/ --profile`` (via ``GAMMA_BENCH_PROFILE``)
-    or directly in the environment; profiled figures then write a
-    ``<figure>.profile.json`` next to their trace export.
-    """
-    return os.environ.get("GAMMA_BENCH_PROFILE", "") not in ("", "0")
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +95,8 @@ def _table1_point(config: dict[str, Any]) -> list[list[Any]]:
 
 
 def _table1_grid(sizes: Optional[Sequence[int]] = None) -> Grid:
+    """Table 1: seven selection variants on both machines, one point per
+    relation size (default ``GAMMA_BENCH_SIZES``)."""
     return Grid(axes=(Axis("n", tuple(sizes or bench_sizes())),))
 
 
@@ -184,13 +175,6 @@ TABLE1_SPEC = ExperimentSpec(
 )
 
 
-def table1_selection_experiment(
-    sizes: Optional[Sequence[int]] = None, **matrix: Any
-) -> Report:
-    """Regenerate Table 1: seven selection variants on both machines."""
-    return run_experiment(TABLE1_SPEC, sizes=sizes, **matrix).report
-
-
 # ---------------------------------------------------------------------------
 # Table 2 — joins
 # ---------------------------------------------------------------------------
@@ -231,6 +215,7 @@ def _table2_point(config: dict[str, Any]) -> list[list[Any]]:
 
 
 def _table2_grid(sizes: Optional[Sequence[int]] = None) -> Grid:
+    """Table 2: three join queries × key/non-key attributes per size."""
     return Grid(axes=(Axis("n", tuple(sizes or bench_sizes())),))
 
 
@@ -303,13 +288,6 @@ TABLE2_SPEC = ExperimentSpec(
 )
 
 
-def table2_join_experiment(
-    sizes: Optional[Sequence[int]] = None, **matrix: Any
-) -> Report:
-    """Regenerate Table 2: three join queries × key/non-key attributes."""
-    return run_experiment(TABLE2_SPEC, sizes=sizes, **matrix).report
-
-
 # ---------------------------------------------------------------------------
 # Table 3 — updates
 # ---------------------------------------------------------------------------
@@ -336,6 +314,7 @@ def _table3_point(config: dict[str, Any]) -> list[list[Any]]:
 
 
 def _table3_grid(sizes: Optional[Sequence[int]] = None) -> Grid:
+    """Table 3: the append/delete/modify mix per size."""
     return Grid(axes=(Axis("n", tuple(sizes or bench_sizes())),))
 
 
@@ -394,13 +373,6 @@ TABLE3_SPEC = ExperimentSpec(
 )
 
 
-def table3_update_experiment(
-    sizes: Optional[Sequence[int]] = None, **matrix: Any
-) -> Report:
-    """Regenerate Table 3: the append/delete/modify mix."""
-    return run_experiment(TABLE3_SPEC, sizes=sizes, **matrix).report
-
-
 # ---------------------------------------------------------------------------
 # Figures 1-2 — non-indexed selection speedup
 # ---------------------------------------------------------------------------
@@ -445,10 +417,19 @@ def _fig01_02_point(config: dict[str, Any]) -> dict[str, Any]:
 def _fig01_02_grid(
     n: int = 100_000,
     processor_counts: Sequence[int] = (1, 2, 4, 8),
-    profile: Optional[bool] = None,
+    profile: bool = True,
 ) -> Grid:
-    if profile is None:
-        profile = bench_profile_enabled()
+    """Response time and speedup of 0/1/10% selections vs processors.
+
+    Besides the paper's two figures, each row reports the busiest node's
+    CPU/disk/network busy fractions, and the widest configuration's 1%
+    selection is re-run under a :class:`~repro.metrics.TraceBuffer` to
+    (a) export a Chrome-trace timeline next to the markdown report and
+    (b) assert that tracing leaves the simulated timeline bit-identical.
+    With ``profile`` the re-run also attaches the query profiler and
+    writes the EXPLAIN ANALYZE output as
+    ``fig01_02_select_speedup.profile.json``.
+    """
     widest = max(processor_counts)
 
     def derive(config: dict[str, Any]) -> dict[str, Any]:
@@ -552,29 +533,6 @@ FIG01_02_SPEC = ExperimentSpec(
 )
 
 
-def fig01_02_experiment(
-    n: int = 100_000,
-    processor_counts: Sequence[int] = (1, 2, 4, 8),
-    profile: Optional[bool] = None,
-    **matrix: Any,
-) -> Report:
-    """Response time and speedup of 0/1/10% selections vs processors.
-
-    Besides the paper's two figures, each row reports the busiest node's
-    CPU/disk/network busy fractions, and the widest configuration's 1%
-    selection is re-run under a :class:`~repro.metrics.TraceBuffer` to
-    (a) export a Chrome-trace timeline next to the markdown report and
-    (b) assert that tracing leaves the simulated timeline bit-identical.
-    With ``profile`` (default: the ``--profile`` bench option), the
-    re-run also attaches the query profiler and writes the
-    EXPLAIN ANALYZE output as ``fig01_02_select_speedup.profile.json``.
-    """
-    return run_experiment(
-        FIG01_02_SPEC, n=n, processor_counts=processor_counts,
-        profile=profile, **matrix,
-    ).report
-
-
 # ---------------------------------------------------------------------------
 # Figures 3-4 — indexed selection speedup
 # ---------------------------------------------------------------------------
@@ -607,6 +565,7 @@ def _fig03_04_point(config: dict[str, Any]) -> dict[str, float]:
 def _fig03_04_grid(
     n: int = 100_000, processor_counts: Sequence[int] = (1, 2, 4, 8)
 ) -> Grid:
+    """Indexed selections vs processors, incl. the 0% slowdown anomaly."""
     return Grid(
         axes=(Axis("procs", tuple(processor_counts)),), base={"n": n},
     )
@@ -660,17 +619,6 @@ FIG03_04_SPEC = ExperimentSpec(
 )
 
 
-def fig03_04_experiment(
-    n: int = 100_000,
-    processor_counts: Sequence[int] = (1, 2, 4, 8),
-    **matrix: Any,
-) -> Report:
-    """Indexed selections vs processors, incl. the 0% slowdown anomaly."""
-    return run_experiment(
-        FIG03_04_SPEC, n=n, processor_counts=processor_counts, **matrix,
-    ).report
-
-
 # ---------------------------------------------------------------------------
 # Figures 5-6 — page size vs non-indexed selections
 # ---------------------------------------------------------------------------
@@ -697,6 +645,7 @@ def _fig05_06_point(config: dict[str, Any]) -> list[list[float]]:
 def _fig05_06_grid(
     n: int = 100_000, page_sizes_kb: Sequence[int] = (2, 4, 8, 16, 32)
 ) -> Grid:
+    """Non-indexed selections across disk page sizes (8 disk sites)."""
     return Grid(
         axes=(Axis("page_kb", tuple(page_sizes_kb)),), base={"n": n},
     )
@@ -747,17 +696,6 @@ FIG05_06_SPEC = ExperimentSpec(
 )
 
 
-def fig05_06_experiment(
-    n: int = 100_000,
-    page_sizes_kb: Sequence[int] = (2, 4, 8, 16, 32),
-    **matrix: Any,
-) -> Report:
-    """Non-indexed selections across disk page sizes (8 disk sites)."""
-    return run_experiment(
-        FIG05_06_SPEC, n=n, page_sizes_kb=page_sizes_kb, **matrix,
-    ).report
-
-
 # ---------------------------------------------------------------------------
 # Figures 7-8 — page size vs indexed selections
 # ---------------------------------------------------------------------------
@@ -793,6 +731,7 @@ def _fig07_08_point(config: dict[str, Any]) -> dict[str, float]:
 def _fig07_08_grid(
     n: int = 100_000, page_sizes_kb: Sequence[int] = (2, 4, 8, 16, 32)
 ) -> Grid:
+    """Indexed selections across page sizes: fan-out vs transfer time."""
     return Grid(
         axes=(Axis("page_kb", tuple(page_sizes_kb)),), base={"n": n},
     )
@@ -840,17 +779,6 @@ FIG07_08_SPEC = ExperimentSpec(
 )
 
 
-def fig07_08_experiment(
-    n: int = 100_000,
-    page_sizes_kb: Sequence[int] = (2, 4, 8, 16, 32),
-    **matrix: Any,
-) -> Report:
-    """Indexed selections across page sizes: fan-out vs transfer time."""
-    return run_experiment(
-        FIG07_08_SPEC, n=n, page_sizes_kb=page_sizes_kb, **matrix,
-    ).report
-
-
 # ---------------------------------------------------------------------------
 # Figures 9-12 — join placement vs processors
 # ---------------------------------------------------------------------------
@@ -879,6 +807,7 @@ def _fig09_12_point(config: dict[str, Any]) -> list[list[Any]]:
 def _fig09_12_grid(
     n: int = 100_000, processor_counts: Sequence[int] = (2, 4, 8)
 ) -> Grid:
+    """joinABprime under Local/Remote/Allnodes on key and non-key attrs."""
     return Grid(
         axes=(Axis("procs", tuple(processor_counts)),), base={"n": n},
     )
@@ -947,17 +876,6 @@ FIG09_12_SPEC = ExperimentSpec(
 )
 
 
-def fig09_12_experiment(
-    n: int = 100_000,
-    processor_counts: Sequence[int] = (2, 4, 8),
-    **matrix: Any,
-) -> Report:
-    """joinABprime under Local/Remote/Allnodes on key and non-key attrs."""
-    return run_experiment(
-        FIG09_12_SPEC, n=n, processor_counts=processor_counts, **matrix,
-    ).report
-
-
 # ---------------------------------------------------------------------------
 # Figure 13 — join overflow
 # ---------------------------------------------------------------------------
@@ -1007,10 +925,18 @@ def _fig13_point(config: dict[str, Any]) -> dict[str, Any]:
 def _fig13_grid(
     n: int = 100_000,
     memory_ratios: Sequence[float] = (1.2, 1.0, 0.9, 0.8, 0.6, 0.45, 0.3, 0.2),
-    profile: Optional[bool] = None,
+    profile: bool = True,
 ) -> Grid:
-    if profile is None:
-        profile = bench_profile_enabled()
+    """joinABprime response vs available-memory/smaller-relation ratio.
+
+    Ratio 1.0 means hash-table capacity for exactly the building relation
+    ("available memory was initially set to be sufficient to hold the
+    total number of tuples required in the building phase"), so the
+    bucket/pointer overhead factor is included in the budget.  With
+    ``profile`` the deepest overflow point is re-run with the profiler
+    and a trace attached, writing ``fig13_overflow.profile.json`` and a
+    Perfetto trace with hash-table/queue-depth counter tracks.
+    """
     deepest = min(memory_ratios)
 
     def derive(config: dict[str, Any]) -> dict[str, Any]:
@@ -1099,29 +1025,6 @@ FIG13_SPEC = ExperimentSpec(
 )
 
 
-def fig13_experiment(
-    n: int = 100_000,
-    memory_ratios: Sequence[float] = (1.2, 1.0, 0.9, 0.8, 0.6, 0.45, 0.3, 0.2),
-    profile: Optional[bool] = None,
-    **matrix: Any,
-) -> Report:
-    """joinABprime response vs available-memory/smaller-relation ratio.
-
-    Ratio 1.0 means hash-table capacity for exactly the building relation
-    ("available memory was initially set to be sufficient to hold the
-    total number of tuples required in the building phase"), so the
-    bucket/pointer overhead factor is included in the budget.  With
-    ``profile`` (default: the ``--profile`` bench option) the deepest
-    overflow point is re-run with the profiler and a trace attached,
-    writing ``fig13_overflow.profile.json`` and a Perfetto trace with
-    hash-table/queue-depth counter tracks.
-    """
-    return run_experiment(
-        FIG13_SPEC, n=n, memory_ratios=memory_ratios, profile=profile,
-        **matrix,
-    ).report
-
-
 # ---------------------------------------------------------------------------
 # Figures 14-15 — page size vs joinAselB
 # ---------------------------------------------------------------------------
@@ -1142,6 +1045,7 @@ def _fig14_15_point(config: dict[str, Any]) -> float:
 def _fig14_15_grid(
     n: int = 100_000, page_sizes_kb: Sequence[int] = (2, 4, 8, 16, 32)
 ) -> Grid:
+    """joinAselB across page sizes (16 query processors, ample memory)."""
     return Grid(
         axes=(Axis("page_kb", tuple(page_sizes_kb)),), base={"n": n},
     )
@@ -1181,17 +1085,6 @@ FIG14_15_SPEC = ExperimentSpec(
 )
 
 
-def fig14_15_experiment(
-    n: int = 100_000,
-    page_sizes_kb: Sequence[int] = (2, 4, 8, 16, 32),
-    **matrix: Any,
-) -> Report:
-    """joinAselB across page sizes (16 query processors, ample memory)."""
-    return run_experiment(
-        FIG14_15_SPEC, n=n, page_sizes_kb=page_sizes_kb, **matrix,
-    ).report
-
-
 # ---------------------------------------------------------------------------
 # Aggregates ([DEWI88] companion experiment)
 # ---------------------------------------------------------------------------
@@ -1213,6 +1106,8 @@ def _aggregate_point(config: dict[str, Any]) -> dict[str, Any]:
 
 
 def _aggregate_grid(n: int = 10_000) -> Grid:
+    """Scalar and grouped aggregates (run in the study, cut from the
+    paper for space — reproduced from the companion TR's description)."""
     return Grid(axes=(Axis("n", (n,)),))
 
 
@@ -1246,9 +1141,3 @@ AGGREGATE_SPEC = ExperimentSpec(
     grid=_aggregate_grid, point=_aggregate_point,
     summarise=_aggregate_summarise,
 )
-
-
-def aggregate_experiment(n: int = 10_000, **matrix: Any) -> Report:
-    """Scalar and grouped aggregates (run in the study, cut from the
-    paper for space — reproduced from the companion TR's description)."""
-    return run_experiment(AGGREGATE_SPEC, n=n, **matrix).report

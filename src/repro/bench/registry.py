@@ -2,24 +2,22 @@
 
 This is the single source of truth the rest of the tooling reads:
 
-* ``benchmarks/bench_*.py`` are thin lookups — each calls
-  :func:`bench_experiment` with its experiment's name;
-* ``benchmarks/generate_experiments_md.py`` takes its section order
-  (and its drift check) from :func:`ordered`;
 * ``python -m repro matrix`` lists/runs/reports experiments by the
-  names registered here.
+  names registered here;
+* ``benchmarks/generate_experiments_md.py`` takes its section order
+  (and its drift check) from :func:`ordered`.
 
-Entries appear in EXPERIMENTS.md order.  Each couples the
-:class:`~repro.bench.matrix.ExperimentSpec` with the experiment's side
-artifact, if any (the raw sweep-profile JSON written next to the
-markdown report).
+Specs appear in EXPERIMENTS.md order.  :func:`run_registered` runs one
+by name through :func:`~repro.bench.matrix.run_experiment` and writes
+its artifacts: the markdown report and, when the summary carries one,
+the profile JSON ``<name>.json`` next to it.
 """
 
 from __future__ import annotations
 
+import json
 import os
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..errors import BenchmarkError
 from .ablations import (
@@ -29,7 +27,6 @@ from .ablations import (
     ABLATION_A4_SPEC,
     EXTENSION_E1_SPEC,
     EXTENSION_E2_SPEC,
-    save_hybrid_profile,
 )
 from .experiments import (
     AGGREGATE_SPEC,
@@ -45,64 +42,52 @@ from .experiments import (
     TABLE3_SPEC,
 )
 from .matrix import ExperimentSpec, MatrixRun, run_experiment
-from .reporting import Report
-from .scaleup import EXTENSION_E5_SPEC, save_scaleup_profile
-from .skew import EXTENSION_E4_SPEC, save_skew_profile
+from .reporting import results_dir
+from .scaleup import EXTENSION_E5_SPEC
+from .skew import EXTENSION_E4_SPEC
 from .store import ResultStore
-from .telemetry import EXTENSION_E6_SPEC, save_telemetry_profile
-from .workload import EXTENSION_E3_SPEC, save_workload_profile
-
-
-@dataclass(frozen=True)
-class RegistryEntry:
-    """One registered experiment plus its optional profile artifact."""
-
-    spec: ExperimentSpec
-    #: Writes the summarise function's profile dict as a JSON artifact
-    #: next to the markdown report; ``None`` when the experiment has no
-    #: side artifact.
-    save_profile: Optional[Callable[[dict[str, Any]], str]] = None
-
+from .telemetry import EXTENSION_E6_SPEC
+from .workload import EXTENSION_E3_SPEC
 
 #: Every experiment, in EXPERIMENTS.md section order.
-REGISTRY: tuple[RegistryEntry, ...] = (
-    RegistryEntry(TABLE1_SPEC),
-    RegistryEntry(TABLE2_SPEC),
-    RegistryEntry(TABLE3_SPEC),
-    RegistryEntry(FIG01_02_SPEC),
-    RegistryEntry(FIG03_04_SPEC),
-    RegistryEntry(FIG05_06_SPEC),
-    RegistryEntry(FIG07_08_SPEC),
-    RegistryEntry(FIG09_12_SPEC),
-    RegistryEntry(FIG13_SPEC),
-    RegistryEntry(FIG14_15_SPEC),
-    RegistryEntry(AGGREGATE_SPEC),
-    RegistryEntry(ABLATION_A1_SPEC),
-    RegistryEntry(ABLATION_A2_SPEC),
-    RegistryEntry(ABLATION_A3_SPEC),
-    RegistryEntry(ABLATION_A4_SPEC, save_hybrid_profile),
-    RegistryEntry(EXTENSION_E1_SPEC),
-    RegistryEntry(EXTENSION_E2_SPEC),
-    RegistryEntry(EXTENSION_E3_SPEC, save_workload_profile),
-    RegistryEntry(EXTENSION_E4_SPEC, save_skew_profile),
-    RegistryEntry(EXTENSION_E5_SPEC, save_scaleup_profile),
-    RegistryEntry(EXTENSION_E6_SPEC, save_telemetry_profile),
+REGISTRY: tuple[ExperimentSpec, ...] = (
+    TABLE1_SPEC,
+    TABLE2_SPEC,
+    TABLE3_SPEC,
+    FIG01_02_SPEC,
+    FIG03_04_SPEC,
+    FIG05_06_SPEC,
+    FIG07_08_SPEC,
+    FIG09_12_SPEC,
+    FIG13_SPEC,
+    FIG14_15_SPEC,
+    AGGREGATE_SPEC,
+    ABLATION_A1_SPEC,
+    ABLATION_A2_SPEC,
+    ABLATION_A3_SPEC,
+    ABLATION_A4_SPEC,
+    EXTENSION_E1_SPEC,
+    EXTENSION_E2_SPEC,
+    EXTENSION_E3_SPEC,
+    EXTENSION_E4_SPEC,
+    EXTENSION_E5_SPEC,
+    EXTENSION_E6_SPEC,
 )
 
 
 def ordered() -> list[tuple[str, str]]:
     """(name, label) pairs in EXPERIMENTS.md order."""
-    return [(e.spec.name, e.spec.label) for e in REGISTRY]
+    return [(spec.name, spec.label) for spec in REGISTRY]
 
 
 def names() -> list[str]:
-    return [e.spec.name for e in REGISTRY]
+    return [spec.name for spec in REGISTRY]
 
 
-def get(name: str) -> RegistryEntry:
-    for entry in REGISTRY:
-        if entry.spec.name == name:
-            return entry
+def get(name: str) -> ExperimentSpec:
+    for spec in REGISTRY:
+        if spec.name == name:
+            return spec
     raise BenchmarkError(
         f"no registered experiment named {name!r};"
         f" known: {', '.join(names())}"
@@ -115,49 +100,16 @@ def run_registered(
     *,
     force: bool = False,
     jobs: Optional[int] = None,
-    save_artifacts: bool = True,
     **overrides: Any,
 ) -> MatrixRun:
-    """Run one registered experiment (resuming from ``store``) and, by
-    default, write its report and profile artifact under
-    ``benchmarks/results/``."""
-    entry = get(name)
-    run = run_experiment(
-        entry.spec, store, force=force, jobs=jobs, **overrides
-    )
-    if save_artifacts:
-        run.report.save()
-        if run.profile is not None and entry.save_profile is not None:
-            entry.save_profile(run.profile)
+    """Run one registered experiment (resuming from ``store``) and write
+    its report — plus its profile, if the summary returns one — under
+    :func:`~repro.bench.reporting.results_dir`."""
+    run = run_experiment(get(name), store, force=force, jobs=jobs, **overrides)
+    run.report.save()
+    if run.profile is not None:
+        path = os.path.join(results_dir(), f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(run.profile, fh, indent=2)
+            fh.write("\n")
     return run
-
-
-def bench_force_enabled() -> bool:
-    """True when benches should re-run stored grid points
-    (``pytest benchmarks/ --force`` / ``GAMMA_BENCH_FORCE=1``)."""
-    return os.environ.get("GAMMA_BENCH_FORCE", "") not in ("", "0")
-
-
-def bench_experiment(name: str) -> Report:
-    """The entry point the ``benchmarks/bench_*.py`` files call.
-
-    Runs the named experiment at its committed defaults against the
-    persistent store (so a warm store executes zero grid points), writes
-    the profile artifact if the experiment has one, and returns the
-    report for the conftest runner to save and assert.
-
-    Profiling defaults on (the committed store was recorded with
-    ``GAMMA_BENCH_PROFILE=1``): the profiled grid points are distinct
-    configs, so a warm suite must summarise the stored ones — not
-    execute unprofiled twins and emit reports missing the "profiling
-    does not perturb" checks.  ``GAMMA_BENCH_PROFILE=0`` opts out.
-    """
-    os.environ.setdefault("GAMMA_BENCH_PROFILE", "1")
-    run = run_registered(
-        name, ResultStore(), force=bench_force_enabled(),
-        save_artifacts=False,
-    )
-    entry = get(name)
-    if run.profile is not None and entry.save_profile is not None:
-        entry.save_profile(run.profile)
-    return run.report

@@ -35,7 +35,7 @@ from typing import Any, Sequence
 from ..hardware import GammaConfig
 from ..workloads.queries import join_abprime, selection_query
 from .harness import build_gamma, run_stored
-from .matrix import Axis, ExperimentSpec, Grid, run_experiment
+from .matrix import Axis, ExperimentSpec, Grid
 from .reporting import Report
 
 DEFAULT_SITE_COUNTS = (8, 64, 256, 1000)
@@ -79,6 +79,8 @@ def _scaleup_point(config: dict[str, Any]) -> list[Any]:
 def _scaleup_grid(
     n: int = 100_000, site_counts: Sequence[int] = DEFAULT_SITE_COUNTS
 ) -> Grid:
+    """Selection + joinABprime swept over machine sizes; the summary's
+    profile carries the per-point kernel event counts."""
     site_counts = sorted(set(int(s) for s in site_counts))
     if not site_counts:
         raise ValueError("scaleup needs at least one site count")
@@ -177,36 +179,3 @@ EXTENSION_E5_SPEC = ExperimentSpec(
     grid=_scaleup_grid, point=_scaleup_point, summarise=_scaleup_summarise,
     version="v2",
 )
-
-
-def scaleup_experiment(
-    n: int = 100_000,
-    site_counts: Sequence[int] = DEFAULT_SITE_COUNTS,
-    **matrix: Any,
-) -> tuple[Report, dict[str, Any]]:
-    """Selection + joinABprime swept over machine sizes.
-
-    Returns the shape-checked :class:`Report` (speedup-vs-sites table)
-    plus a JSON profile with the per-point kernel event counts.
-    """
-    run = run_experiment(
-        EXTENSION_E5_SPEC, n=n, site_counts=site_counts, **matrix,
-    )
-    assert run.profile is not None
-    return run.report, run.profile
-
-
-def save_scaleup_profile(profile: dict[str, Any]) -> str:
-    """Write the sweep profile JSON next to the markdown report."""
-    import json
-    import os
-
-    from .reporting import results_dir
-
-    path = os.path.join(
-        results_dir(), f"{profile['experiment']}.json"
-    )
-    with open(path, "w") as fh:
-        json.dump(profile, fh, indent=2)
-        fh.write("\n")
-    return path

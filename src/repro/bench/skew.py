@@ -20,8 +20,6 @@ speedup survives.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Optional, Sequence
 
 from ..engine import GammaMachine
@@ -34,8 +32,8 @@ from ..workloads import (
 )
 from ..workloads.queries import join_abprime
 from .harness import run_stored
-from .matrix import Axis, ExperimentSpec, Grid, run_experiment
-from .reporting import Report, results_dir
+from .matrix import Axis, ExperimentSpec, Grid
+from .reporting import Report
 
 DEFAULT_SKEWS = (0.0, 0.75, 1.5)
 DEFAULT_SITE_COUNTS = (1, 8)
@@ -113,6 +111,9 @@ def _skew_grid(
     site_counts: Sequence[int] = DEFAULT_SITE_COUNTS,
     seed: int = 1988,
 ) -> Grid:
+    """joinABprime under every (skew, strategy) pair at both ends of the
+    processor range; the summary's profile of every cell is written as
+    ``extension_e4_skew.json``."""
     lo, hi = min(site_counts), max(site_counts)
 
     def derive(config: dict[str, Any]) -> dict[str, Any]:
@@ -227,32 +228,3 @@ EXTENSION_E4_SPEC = ExperimentSpec(
     name="extension_e4_skew", label="Extension E4", kind="extension",
     grid=_skew_grid, point=_skew_point, summarise=_skew_summarise,
 )
-
-
-def skew_join_experiment(
-    n: int = 10_000,
-    skews: Sequence[float] = DEFAULT_SKEWS,
-    strategies: Sequence[str] = SKEW_STRATEGIES,
-    site_counts: Sequence[int] = DEFAULT_SITE_COUNTS,
-    seed: int = 1988,
-    **matrix: Any,
-) -> tuple[Report, dict[str, Any]]:
-    """joinABprime under every (skew, strategy) pair at both ends of the
-    processor range.  Returns the shape-checked :class:`Report` plus a
-    JSON profile of every cell."""
-    run = run_experiment(
-        EXTENSION_E4_SPEC, n=n, skews=skews, strategies=strategies,
-        site_counts=site_counts, seed=seed, **matrix,
-    )
-    assert run.profile is not None
-    return run.report, run.profile
-
-
-def save_skew_profile(
-    profile: dict[str, Any], directory: Optional[str] = None
-) -> str:
-    """Write the sweep profile JSON next to the markdown report."""
-    path = os.path.join(results_dir(directory), "extension_e4_skew.json")
-    with open(path, "w") as fh:
-        json.dump(profile, fh, indent=2, sort_keys=False)
-    return path

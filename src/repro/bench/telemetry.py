@@ -24,14 +24,11 @@ from typing import Any, Optional
 from ..metrics.slo import SlidingWindowTracker, detect_all
 from ..metrics.telemetry import TelemetrySampler
 from ..workloads import WorkloadSpec
-from .matrix import Axis, ExperimentSpec, Grid, run_experiment
-from .reporting import Report, results_dir
+from .matrix import Axis, ExperimentSpec, Grid
+from .reporting import Report
 from .workload import machine_builder, make_mix
 
-__all__ = [
-    "DEFAULT_RATES", "EXTENSION_E6_SPEC", "telemetry_knee_experiment",
-    "save_telemetry_profile",
-]
+__all__ = ["DEFAULT_RATES", "EXTENSION_E6_SPEC"]
 
 #: Offered arrival rates (queries/second) straddling both machines'
 #: saturation throughput at the committed scale.
@@ -94,6 +91,9 @@ def _telemetry_grid(
     seed: int = 1988,
     machines: tuple[str, ...] = ("gamma", "teradata"),
 ) -> Grid:
+    """Arrival-rate sweep with time-resolved percentiles on both machines;
+    the summary's profile holds every point's latency summary, stored
+    telemetry tracks and detector alerts."""
     return Grid(
         axes=(
             Axis("machine", tuple(machines)),
@@ -195,44 +195,3 @@ EXTENSION_E6_SPEC = ExperimentSpec(
     grid=_telemetry_grid, point=_telemetry_point,
     summarise=_telemetry_summarise,
 )
-
-
-def telemetry_knee_experiment(
-    n: int = 1_000,
-    queries: int = 64,
-    mix: str = "mixed",
-    rates: tuple[float, ...] = DEFAULT_RATES,
-    mpl: int = 8,
-    timeout: Optional[float] = None,
-    interval: float = 0.25,
-    window: float = 4.0,
-    seed: int = 1988,
-    machines: tuple[str, ...] = ("gamma", "teradata"),
-    **matrix: Any,
-) -> tuple[Report, dict[str, Any]]:
-    """Arrival-rate sweep with time-resolved percentiles on both machines.
-
-    Returns the shape-checked :class:`Report` plus a JSON-serialisable
-    profile holding every point's latency summary, stored telemetry
-    tracks and detector alerts.
-    """
-    run = run_experiment(
-        EXTENSION_E6_SPEC, n=n, queries=queries, mix=mix, rates=rates,
-        mpl=mpl, timeout=timeout, interval=interval, window=window,
-        seed=seed, machines=machines, **matrix,
-    )
-    assert run.profile is not None
-    return run.report, run.profile
-
-
-def save_telemetry_profile(
-    profile: dict[str, Any], directory: Optional[str] = None
-) -> str:
-    """Write the sweep profile JSON next to the markdown report."""
-    import json
-    import os
-
-    path = os.path.join(results_dir(directory), "telemetry_knee.json")
-    with open(path, "w") as fh:
-        json.dump(profile, fh, indent=2, sort_keys=False)
-    return path

@@ -8,9 +8,8 @@ contention inside the machine).  Everything is seeded, so a sweep is
 reproducible bit for bit.
 
 Each (machine, MPL) cell is one grid point — a fresh machine and a
-fresh mix per point, exactly like
-:func:`~repro.workloads.multiuser.mpl_sweep`, because update mixes
-mutate relations and reusing a machine would couple the points.
+fresh mix per point, because update mixes mutate relations and reusing
+a machine would couple the points.
 """
 
 from __future__ import annotations
@@ -21,18 +20,16 @@ from ..workloads import (
     QueryMix,
     WorkloadSpec,
     mixed_mix,
-    mpl_sweep,
     selection_mix,
     update_mix,
 )
 from .harness import build_gamma, build_teradata
-from .matrix import Axis, ExperimentSpec, Grid, run_experiment
-from .reporting import Report, results_dir
+from .matrix import Axis, ExperimentSpec, Grid
+from .reporting import Report
 
 __all__ = [
     "DEFAULT_MPLS", "A_RELATION", "BPRIME_RELATION", "make_mix",
-    "workload_relations", "machine_builder", "workload_mpl_experiment",
-    "save_workload_profile", "mpl_sweep", "EXTENSION_E3_SPEC",
+    "workload_relations", "machine_builder", "EXTENSION_E3_SPEC",
 ]
 
 DEFAULT_MPLS = (1, 2, 4, 8, 16)
@@ -97,6 +94,12 @@ def _workload_grid(
     seed: int = 1988,
     machines: tuple[str, ...] = ("gamma", "teradata"),
 ) -> Grid:
+    """MPL 1→16 sweep of a closed-loop terminal workload on both machines.
+
+    The summary's profile holds every point's raw
+    :class:`~repro.metrics.WorkloadResult` dictionary, per-query records
+    included.
+    """
     return Grid(
         axes=(
             Axis("machine", tuple(machines)),
@@ -188,44 +191,3 @@ EXTENSION_E3_SPEC = ExperimentSpec(
     grid=_workload_grid, point=_workload_point,
     summarise=_workload_summarise,
 )
-
-
-def workload_mpl_experiment(
-    n: int = 1_000,
-    queries: int = 32,
-    clients: int = 16,
-    mix: str = "mixed",
-    mpls: tuple[int, ...] = DEFAULT_MPLS,
-    think_time: float = 0.2,
-    policy: str = "fifo",
-    timeout: Optional[float] = None,
-    seed: int = 1988,
-    machines: tuple[str, ...] = ("gamma", "teradata"),
-    **matrix: Any,
-) -> tuple[Report, dict[str, Any]]:
-    """MPL 1→16 sweep of a closed-loop terminal workload on both machines.
-
-    Returns the shape-checked :class:`Report` plus a JSON-serialisable
-    profile of every sweep point (the raw :class:`~repro.metrics.
-    WorkloadResult` dictionaries, per-query records included).
-    """
-    run = run_experiment(
-        EXTENSION_E3_SPEC, n=n, queries=queries, clients=clients, mix=mix,
-        mpls=mpls, think_time=think_time, policy=policy, timeout=timeout,
-        seed=seed, machines=machines, **matrix,
-    )
-    assert run.profile is not None
-    return run.report, run.profile
-
-
-def save_workload_profile(
-    profile: dict[str, Any], directory: Optional[str] = None
-) -> str:
-    """Write the sweep profile JSON next to the markdown report."""
-    import json
-    import os
-
-    path = os.path.join(results_dir(directory), "workload_mpl.json")
-    with open(path, "w") as fh:
-        json.dump(profile, fh, indent=2, sort_keys=False)
-    return path

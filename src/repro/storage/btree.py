@@ -183,7 +183,12 @@ class BPlusTree:
     # search
     # ------------------------------------------------------------------
     def search(self, key: Any) -> SearchPath:
-        """Descend to the leaf where ``key`` lives (or would live)."""
+        """Descend to the leaf where ``key`` lives (or would live).
+
+        The descent goes right of a separator equal to ``key``; for a
+        duplicated key that is not the first leaf holding it, so readers
+        of every entry start from :meth:`_leftmost_leaf` instead.
+        """
         node = self.root
         page_ids = [node.page_id]
         while not node.is_leaf:
@@ -192,6 +197,21 @@ class BPlusTree:
             page_ids.append(node.page_id)
         index = bisect_left(node.keys, key)
         return SearchPath(page_ids, node, index)
+
+    def _leftmost_leaf(self, key: Any) -> tuple[list[int], BTreeNode]:
+        """Node page ids root→leaf and the first leaf that may hold ``key``.
+
+        Descends left of a separator equal to ``key``: entries with a
+        duplicated key sit on both sides of it.  For unique keys the
+        leaf to the left holds nothing >= ``key``, so a scan from here
+        yields exactly what a scan from :meth:`search` would.
+        """
+        node = self.root
+        page_ids = [node.page_id]
+        while not node.is_leaf:
+            node = node.children[bisect_left(node.keys, key)]
+            page_ids.append(node.page_id)
+        return page_ids, node
 
     def lookup(self, key: Any) -> list[Any]:
         """All payloads stored under exactly ``key``."""
@@ -203,9 +223,9 @@ class BPlusTree:
         """Yield ``(leaf_page_id, key, payload)`` for low <= key <= high."""
         if low > high:
             return
-        path = self.search(low)
-        leaf: Optional[BTreeNode] = path.leaf
-        index = path.index
+        _page_ids, first = self._leftmost_leaf(low)
+        leaf: Optional[BTreeNode] = first
+        index = bisect_left(first.keys, low)
         while leaf is not None:
             keys = leaf.keys
             while index < len(keys):
@@ -296,15 +316,8 @@ class BPlusTree:
         Raises:
             RecordNotFoundError: if no matching entry exists.
         """
-        # Descend left of a separator equal to ``key``: entries with a
-        # duplicated key sit on both sides of it, and :meth:`search` would
-        # start to its right.
-        node = self.root
-        page_ids = [node.page_id]
-        while not node.is_leaf:
-            node = node.children[bisect_left(node.keys, key)]
-            page_ids.append(node.page_id)
-        leaf: Optional[BTreeNode] = node
+        page_ids, first = self._leftmost_leaf(key)
+        leaf: Optional[BTreeNode] = first
         while leaf is not None:
             keys = leaf.keys
             index = bisect_left(keys, key)

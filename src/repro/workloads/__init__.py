@@ -26,7 +26,6 @@ from .multiuser import (  # noqa: E402
     WorkloadSpec,
     drive_workload,
     mixed_mix,
-    mpl_sweep,
     selection_mix,
     update_mix,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "generate_skewed_tuples",
     "generate_tuples",
     "mixed_mix",
-    "mpl_sweep",
     "selection_mix",
     "selection_range",
     "update_mix",

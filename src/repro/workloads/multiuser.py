@@ -410,25 +410,3 @@ def drive_workload(
         records=records,
         admission=admission.as_dict(),
     )
-
-
-def mpl_sweep(
-    make_machine: Callable[[], Any],
-    make_mix: Callable[[], QueryMix],
-    spec: WorkloadSpec,
-    mpls: tuple[int, ...] = (1, 2, 4, 8, 16),
-) -> list[WorkloadResult]:
-    """Run the same workload at each multiprogramming level.
-
-    A fresh machine and a fresh mix are built per point (updates in the
-    mix mutate relations, so reusing one machine would couple the
-    points), keeping every point — and therefore the whole sweep —
-    bit-identical under a fixed seed.
-    """
-    results = []
-    for mpl in mpls:
-        machine = make_machine()
-        results.append(
-            machine.run_workload(make_mix(), spec.with_mpl(mpl))
-        )
-    return results

@@ -14,6 +14,7 @@ from repro.bench import (
     build_gamma,
     build_teradata,
     ratio_note,
+    run_experiment,
     run_stored,
     speedup_series,
 )
@@ -133,19 +134,23 @@ class TestExperimentsSmoke:
     """Miniature versions of each experiment run end to end."""
 
     def test_fig01_02_tiny(self):
-        from repro.bench import fig01_02_experiment
+        from repro.bench.experiments import FIG01_02_SPEC
 
-        report = fig01_02_experiment(n=4_000, processor_counts=(1, 4))
+        report = run_experiment(
+            FIG01_02_SPEC, n=4_000, processor_counts=(1, 4)
+        ).report
         assert len(report.rows) == 6
 
     def test_fig13_tiny(self):
-        from repro.bench import fig13_experiment
+        from repro.bench.experiments import FIG13_SPEC
 
-        report = fig13_experiment(n=4_000, memory_ratios=(1.4, 0.4))
+        report = run_experiment(
+            FIG13_SPEC, n=4_000, memory_ratios=(1.4, 0.4)
+        ).report
         assert len(report.rows) == 4
 
     def test_aggregate_report(self):
-        from repro.bench import aggregate_experiment
+        from repro.bench.experiments import AGGREGATE_SPEC
 
-        report = aggregate_experiment(n=2_000)
+        report = run_experiment(AGGREGATE_SPEC, n=2_000).report
         assert report.all_checks_pass

@@ -2,16 +2,77 @@
 keeps ``benchmarks/results/`` and the registry from diverging."""
 
 import importlib.util
+import json
 import os
 
 import pytest
 
-from repro.bench.registry import REGISTRY, get, names, ordered
+from repro.__main__ import main
+from repro.bench.registry import (
+    REGISTRY,
+    get,
+    names,
+    ordered,
+    run_registered,
+)
+from repro.bench.store import ResultStore
 from repro.errors import BenchmarkError
 
 _REPO = os.path.join(os.path.dirname(__file__), "..", "..")
 _GENERATOR = os.path.join(_REPO, "benchmarks", "generate_experiments_md.py")
 _RESULTS = os.path.join(_REPO, "benchmarks", "results")
+_COMMITTED_STORE = os.path.join(_RESULTS, "store")
+
+
+def test_default_grids_are_committed(monkeypatch):
+    """A warm registry executes nothing: every point of every registered
+    default grid already has a record in the committed store."""
+    monkeypatch.delenv("GAMMA_BENCH_SIZES", raising=False)
+    store = ResultStore(_COMMITTED_STORE)
+    missing = [
+        (spec.name, config)
+        for spec in REGISTRY
+        for config in spec.grid().points()
+        if store.get(spec.name, spec.version, config) is None
+    ]
+    assert missing == []
+
+
+class TestMatrixCli:
+    """``python -m repro matrix run|report`` validates every name before
+    anything runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "no_such_experiment"],
+        ["run", "table1_selection", "typo"],
+        ["report", "typo"],
+    ])
+    def test_unknown_name_is_a_usage_error(self, argv, tmp_path, capsys):
+        store = tmp_path / "cli_store"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["repro", "matrix", "--store", str(store), *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert "table1_selection" in err and "telemetry_knee" in err
+        # Nothing ran: no store records, no regenerated report.
+        assert not store.exists() or not any(store.iterdir())
+        assert not os.path.exists(
+            os.path.join(os.environ["GAMMA_BENCH_RESULTS"],
+                         "table1_selection.md"))
+
+
+def test_run_registered_writes_report_and_profile():
+    run = run_registered(
+        "workload_mpl", n=200, queries=4, clients=2, mpls=(1,),
+        machines=("gamma",),
+    )
+    results = os.environ["GAMMA_BENCH_RESULTS"]
+    assert os.path.exists(os.path.join(results, "workload_mpl.md"))
+    with open(os.path.join(results, "workload_mpl.json")) as fh:
+        text = fh.read()
+    assert text.endswith("}\n")
+    assert json.loads(text) == json.loads(json.dumps(run.profile))
 
 
 def _load_generator():
@@ -28,14 +89,14 @@ class TestRegistry:
         assert len(names()) == len(set(names())) == len(REGISTRY) == 21
 
     def test_ordered_pairs_names_with_labels(self):
-        assert ordered() == [(e.spec.name, e.spec.label) for e in REGISTRY]
+        assert ordered() == [(spec.name, spec.label) for spec in REGISTRY]
 
     def test_get_unknown_name_raises(self):
         with pytest.raises(BenchmarkError, match="table1_selection"):
             get("no_such_experiment")
 
     def test_kinds_are_known(self):
-        assert {e.spec.kind for e in REGISTRY} <= {
+        assert {spec.kind for spec in REGISTRY} <= {
             "table", "figure", "ablation", "extension",
         }
 

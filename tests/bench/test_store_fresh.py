@@ -25,7 +25,7 @@ _CHEAP = ("workload_mpl", "aggregate", "extension_e2_recovery")
 
 @pytest.mark.parametrize("name", _CHEAP)
 def test_cold_rerun_equals_committed_store(name, tmp_path):
-    spec = get(name).spec
+    spec = get(name)
     fresh_dir = str(tmp_path / "fresh")
     run = run_experiment(spec, ResultStore(fresh_dir), jobs=1)
     assert run.cached == 0 and run.executed == len(run.grid.points())

@@ -9,8 +9,8 @@ import os
 
 import pytest
 
-from repro.bench import bench_jobs, run_sweep
-from repro.bench.experiments import fig01_02_experiment, fig14_15_experiment
+from repro.bench import bench_jobs, run_experiment, run_sweep
+from repro.bench.experiments import FIG01_02_SPEC, FIG14_15_SPEC
 from repro.errors import BenchmarkError
 
 
@@ -53,16 +53,20 @@ class TestParallelDeterminism:
     def test_fig01_02_tables_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GAMMA_BENCH_RESULTS", str(tmp_path))
         monkeypatch.setenv("GAMMA_BENCH_JOBS", "1")
-        sequential = fig01_02_experiment(n=4000, processor_counts=(1, 2))
+        sequential = run_experiment(
+            FIG01_02_SPEC, n=4000, processor_counts=(1, 2)).report
         monkeypatch.setenv("GAMMA_BENCH_JOBS", "2")
-        parallel = fig01_02_experiment(n=4000, processor_counts=(1, 2))
+        parallel = run_experiment(
+            FIG01_02_SPEC, n=4000, processor_counts=(1, 2)).report
         assert parallel.to_markdown() == sequential.to_markdown()
         assert parallel.rows == sequential.rows
 
     def test_fig14_15_tables_byte_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GAMMA_BENCH_RESULTS", str(tmp_path))
         monkeypatch.setenv("GAMMA_BENCH_JOBS", "1")
-        sequential = fig14_15_experiment(n=2000, page_sizes_kb=(2, 16, 32))
+        sequential = run_experiment(
+            FIG14_15_SPEC, n=2000, page_sizes_kb=(2, 16, 32)).report
         monkeypatch.setenv("GAMMA_BENCH_JOBS", "2")
-        parallel = fig14_15_experiment(n=2000, page_sizes_kb=(2, 16, 32))
+        parallel = run_experiment(
+            FIG14_15_SPEC, n=2000, page_sizes_kb=(2, 16, 32)).report
         assert parallel.to_markdown() == sequential.to_markdown()

@@ -212,3 +212,94 @@ def test_property_range_matches_filter(keys, bounds):
     tree.bulk_load([(k, k) for k in sorted(keys)])
     got = [k for _pg, k, _p in tree.range_entries(low, high)]
     assert got == sorted(k for k in keys if low <= k <= high)
+
+
+class TestDuplicateKeyReads:
+    """Entries of a duplicated key sit on both sides of a separator equal
+    to it; every read must start from the leftmost leaf that holds one."""
+
+    N = 500
+
+    def _pairs(self):
+        return sorted(((i % 3, i) for i in range(self.N)),
+                      key=lambda kp: kp[0])
+
+    def test_bulk_loaded_lookup_and_range_see_every_entry(self):
+        tree = BPlusTree("t", 2048)
+        tree.bulk_load(self._pairs())
+        assert sorted(tree.lookup(1)) == [i for i in range(self.N)
+                                          if i % 3 == 1]
+        assert len(list(tree.range_entries(0, 2))) == self.N
+
+    def test_insert_built_lookup_sees_every_entry(self):
+        tree = BPlusTree("t", 2048)
+        for i in range(self.N):
+            tree.insert(i % 3, i)
+        for key in range(3):
+            assert sorted(tree.lookup(key)) == [
+                i for i in range(self.N) if i % 3 == key
+            ]
+
+    def test_unique_keys_read_from_the_search_leaf(self):
+        # For unique keys the left descent changes nothing: the scan
+        # yields the same (leaf page, key, payload) sequence as one that
+        # starts at the leaf ``search`` reaches.
+        tree = make_tree(page_size=512, pairs=[(i, i) for i in range(2000)])
+        for low in (0, 1, 37, 38, 999, 1998):
+            path = tree.search(low)
+            start = path.leaf.keys[path.index]
+            got = list(tree.range_entries(low, low + 300))
+            assert got[0] == (path.leaf.page_id, start, start)
+            assert [k for _pg, k, _p in got] == list(
+                range(low, min(low + 301, 2000)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=400),
+    domain=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**16),
+    bulk=st.booleans(),
+    page_size=st.sampled_from([512, 1024, 2048]),
+    data=st.data(),
+)
+def test_property_reads_match_sorted_list_model(
+    n, domain, seed, bulk, page_size, data
+):
+    """Bulk-loaded or insert-built, with duplicates or without, after
+    deletes: ``lookup``, ``range_entries`` and ``items`` agree with a
+    sorted list of ``(key, payload)`` entries."""
+    import random
+
+    rng = random.Random(seed)
+    if data.draw(st.booleans(), label="unique keys"):
+        keys = rng.sample(range(n + domain), n)
+    else:
+        keys = [rng.randrange(domain) for _ in range(n)]
+    model = sorted((key, i) for i, key in enumerate(keys))
+    tree = BPlusTree("t", page_size)
+    if bulk:
+        tree.bulk_load(model)
+    else:
+        for payload, key in enumerate(keys):
+            tree.insert(key, payload)
+    if model:
+        doomed = data.draw(
+            st.lists(st.sampled_from(model), max_size=len(model),
+                     unique=True),
+            label="deleted entries",
+        )
+        for key, payload in doomed:
+            tree.delete(key, payload)
+            model.remove((key, payload))
+    assert sorted(tree.items()) == model
+    assert tree.size == len(model)
+    top = n + domain
+    for key in range(-1, top + 1):
+        assert sorted(tree.lookup(key)) == [p for k, p in model if k == key]
+    low = data.draw(st.integers(min_value=-1, max_value=top), label="low")
+    high = data.draw(st.integers(min_value=low, max_value=top + 1),
+                     label="high")
+    got = [(k, p) for _pg, k, p in tree.range_entries(low, high)]
+    assert [k for k, _p in got] == sorted(k for k, _p in got)
+    assert sorted(got) == [(k, p) for k, p in model if low <= k <= high]

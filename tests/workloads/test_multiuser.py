@@ -6,6 +6,8 @@ import random
 import pytest
 
 from repro import GammaConfig, GammaMachine, Query, TeradataConfig
+from repro.bench import run_experiment
+from repro.bench.workload import EXTENSION_E3_SPEC
 from repro.errors import ConfigError
 from repro.teradata import TeradataMachine
 from repro.workloads import (
@@ -13,7 +15,6 @@ from repro.workloads import (
     QueryMix,
     WorkloadSpec,
     mixed_mix,
-    mpl_sweep,
     selection_mix,
     update_mix,
 )
@@ -188,16 +189,16 @@ class TestDriveWorkload:
 
 class TestMplSweep:
     def test_sweep_is_deterministic_and_throughput_rises(self):
-        spec = WorkloadSpec(queries=16, clients=8, think_time=0.05, seed=2)
-
         def run():
-            return mpl_sweep(
-                gamma, lambda: selection_mix("A", N), spec, mpls=(1, 4),
-            )
+            return run_experiment(
+                EXTENSION_E3_SPEC, n=N, queries=16, clients=8,
+                mix="selection", think_time=0.05, seed=2,
+                machines=("gamma",), mpls=(1, 4),
+            ).profile["points"]
 
         a, b = run(), run()
-        assert [r.to_json() for r in a] == [r.to_json() for r in b]
-        assert [r.mpl for r in a] == [1, 4]
+        assert a == b
+        assert [r["mpl"] for r in a] == [1, 4]
         # More concurrency, more throughput; less queueing.
-        assert a[1].throughput > a[0].throughput
-        assert a[1].queue_wait.mean < a[0].queue_wait.mean
+        assert a[1]["throughput"] > a[0]["throughput"]
+        assert a[1]["queue_wait"]["mean"] < a[0]["queue_wait"]["mean"]
