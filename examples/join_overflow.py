@@ -18,15 +18,15 @@ from repro.hardware import KB
 from repro.workloads.queries import join_abprime
 
 
-def run_sweep(n: int, algorithm: str) -> None:
+def run_sweep(n: int, policy: str) -> None:
     base = GammaConfig.paper_default()
     smaller_bytes = (n // 10) * 208 * base.hash_table_overhead
-    print(f"\n=== {algorithm} hash join ===")
+    print(f"\n=== join_overflow={policy!r} ===")
     print(f"{'mem/|B|':>8} {'local':>10} {'remote':>10} {'overflows':>10}")
     for ratio in (1.2, 0.9, 0.6, 0.3, 0.2):
         config = replace(
             base.with_join_memory(max(64 * KB, int(ratio * smaller_bytes))),
-            join_algorithm=algorithm,
+            join_overflow=policy,
         )
         machine = build_gamma(
             config, relations=[("A", n, "heap"), ("Bp", n // 10, "heap")],
@@ -55,7 +55,7 @@ def main() -> None:
         "\nafter the first overflow switches the distribution hash;"
         "\n(2) response deteriorates rapidly as overflows multiply."
     )
-    run_sweep(n, "hybrid")
+    run_sweep(n, "static")
     print(
         "\nThe Hybrid join plans its partitions up front, writes and reads"
         "\nevery spooled tuple exactly once, and degrades linearly — the"

@@ -122,7 +122,9 @@ def _a2_point(config: dict[str, Any]) -> float:
     smaller_bytes = (n // 10) * 208 * base.hash_table_overhead
     machine_config = replace(
         base.with_join_memory(max(64 * KB, int(ratio * smaller_bytes))),
-        join_algorithm=algorithm,
+        # The grid keeps its ``algorithm`` axis (and store hashes); the
+        # Hybrid join is its default ``static`` policy.
+        join_overflow="simple" if algorithm == "simple" else "static",
     )
     machine = build_gamma(
         machine_config,
@@ -304,10 +306,9 @@ def _a4_point(config: dict[str, Any]) -> dict[str, Any]:
     smaller_bytes = (n // 10) * 208 * base.hash_table_overhead
     machine_config = replace(
         base.with_join_memory(max(64 * KB, int(ratio * smaller_bytes))),
-        join_algorithm="hybrid",
         use_bit_filters=filters,
-        hybrid_spill_policy=policy,
-        hybrid_estimate_factor=err,
+        join_overflow=policy,
+        join_estimate_factor=err,
     )
     machine = build_gamma(
         machine_config,

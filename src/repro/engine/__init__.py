@@ -19,14 +19,7 @@ from .plan import (
     ScanNode,
     TruePredicate,
 )
-from .planner import (
-    PhysicalAggregate,
-    PhysicalJoin,
-    PhysicalPlan,
-    PhysicalScan,
-    Planner,
-    SpillConfig,
-)
+from .planner import Planner
 from .results import QueryResult
 from .split_table import Destination, SplitTable
 
@@ -51,16 +44,11 @@ __all__ = [
     "JoinNode",
     "ModifyTuple",
     "Node",
-    "PhysicalAggregate",
-    "PhysicalJoin",
-    "PhysicalPlan",
-    "PhysicalScan",
     "Planner",
     "Query",
     "QueryResult",
     "RangePredicate",
     "ScanNode",
-    "SpillConfig",
     "SplitTable",
     "TruePredicate",
 ]

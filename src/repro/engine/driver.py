@@ -40,8 +40,7 @@ from .ir import (
 from .node import ExecutionContext, Node
 from .operators import DestSpec
 from .operators.aggregate import AggregateDriver
-from .operators.hybrid_join import HybridHashJoinDriver
-from .operators.join import SimpleHashJoinDriver
+from .operators.join import HashJoinDriver
 from .operators.project import ProjectDriver
 from .operators.scan import ScanDriver
 from .operators.sort import SortDriver
@@ -176,8 +175,8 @@ class QueryDriver(GammaDriver):
                     (node.relation.name, site) for site in node.sites
                 )
             elif isinstance(node, HashJoinProbeOp):
-                visit(node.build)
-                visit(node.probe)
+                visit(node.build_input.source)
+                visit(node.source)
             elif isinstance(node, (AggregateOp, ProjectOp, SortOp)):
                 visit(node.child)
 
@@ -213,10 +212,7 @@ class QueryDriver(GammaDriver):
         if isinstance(node, ScanOp):
             yield from ScanDriver().run(self, node, dest)
         elif isinstance(node, HashJoinProbeOp):
-            if self.ctx.config.join_algorithm == "hybrid":
-                yield from HybridHashJoinDriver().run(self, node, dest)
-            else:
-                yield from SimpleHashJoinDriver().run(self, node, dest)
+            yield from HashJoinDriver().run(self, node, dest)
         elif isinstance(node, AggregateOp):
             yield from AggregateDriver().run(self, node, dest)
         elif isinstance(node, ProjectOp):

@@ -216,42 +216,6 @@ class HashJoinBuildOp:
         return self.source.describe()
 
 
-@dataclass(frozen=True)
-class SpillConfig:
-    """Hybrid-join spill strategy carried on the physical plan.
-
-    The planner derives one from the machine config's ``hybrid_*`` knobs
-    (:meth:`PlanCompiler.join_spill`); carrying it on the IR node lets a
-    backend or a test override the strategy per plan.
-
-    Attributes:
-        policy: ``static`` | ``demote`` | ``dynamic`` (see
-            ``GammaConfig.hybrid_spill_policy``).
-        partitions: Forced spool-partition count; 0 = plan from the
-            optimizer estimate.
-        max_recursion: Depth bound for recursive re-partitioning
-            (``dynamic`` policy only).
-        estimate_factor: Multiplier injected into the build-side
-            cardinality estimate (the A4 estimate-error knob).
-    """
-
-    policy: str = "static"
-    partitions: int = 0
-    max_recursion: int = 3
-    estimate_factor: float = 1.0
-
-    @classmethod
-    def from_config(cls, config: Any) -> "SpillConfig":
-        """The strategy a machine config's ``hybrid_*`` knobs describe
-        (defaults for configs without them, e.g. Teradata's)."""
-        return cls(
-            policy=getattr(config, "hybrid_spill_policy", "static"),
-            partitions=getattr(config, "hybrid_partitions", 0),
-            max_recursion=getattr(config, "hybrid_max_recursion", 3),
-            estimate_factor=getattr(config, "hybrid_estimate_factor", 1.0),
-        )
-
-
 @dataclass
 class HashJoinProbeOp:
     """The probing half of a hash join; owns its build side.
@@ -269,25 +233,6 @@ class HashJoinProbeOp:
     schema: Schema
     op_id: str = "join"
     placement: Placement = field(default=Placement("join-sites"))
-    spill: Optional[SpillConfig] = None
-
-    # Accessors under the pre-IR PhysicalJoin names: ``build``/``probe``
-    # are the operator subtrees feeding the two exchange edges.
-    @property
-    def build(self) -> "IRNode":
-        return self.build_input.source
-
-    @property
-    def probe(self) -> "IRNode":
-        return self.source
-
-    @property
-    def build_attr(self) -> str:
-        return self.build_input.attr
-
-    @property
-    def probe_attr(self) -> str:
-        return self.attr
 
     @property
     def estimated_rows(self) -> float:
@@ -654,7 +599,6 @@ class PlanCompiler:
             schema=build.schema.concat(probe.schema),
             op_id=self.next_id("join"),
             placement=self.join_placement(node.mode),
-            spill=self.join_spill(),
         )
 
     def lower_aggregate(self, node: AggregateNode, child: IRNode) -> IRNode:
@@ -777,11 +721,6 @@ class PlanCompiler:
 
     def join_placement(self, mode: JoinMode) -> Placement:
         return Placement("join-sites", mode=mode)
-
-    def join_spill(self) -> Optional[SpillConfig]:
-        """Hybrid-join spill strategy; None = the executing machine's
-        config default (:meth:`SpillConfig.from_config`)."""
-        return None
 
     def aggregate_placement(self) -> Placement:
         return Placement("diskless")

@@ -7,12 +7,12 @@ from .aggregate import (
 )
 from .base import DestSpec, SpoolFile, operator_done
 from .join import (
+    HashJoinDriver,
     JoinState,
     OverflowExchange,
     build_consumer,
     close_output,
     probe_consumer,
-    resolve_round,
 )
 from .scan import (
     clustered_index_scan_operator,
@@ -30,6 +30,7 @@ from .update import (
 
 __all__ = [
     "DestSpec",
+    "HashJoinDriver",
     "JoinState",
     "OverflowExchange",
     "SpoolFile",
@@ -50,6 +51,5 @@ __all__ = [
     "partial_aggregate_operator",
     "probe_consumer",
     "reinsert_operator",
-    "resolve_round",
     "store_operator",
 ]

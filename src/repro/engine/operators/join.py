@@ -1,35 +1,80 @@
-"""Distributed Simple hash-partitioned join [DEWI85, KITS83].
+"""Distributed hash join [DEWI85, KITS83] with four overflow policies.
 
 Phase one builds main-memory hash tables from the (smaller) building
-relation; phase two probes them with the larger relation.  When a node's
-hash table exceeds its memory budget the *Simple* overflow algorithm kicks
-in: the node halves the fraction of the key space it keeps resident, evicts
-everything else to spool files, and — crucially — the overflow tuples are
-redistributed across **all** joining processors with a *different* hash
-function ("This change in hash functions is necessary in order to ensure
-that all joining processors are used in the case when only a subset of
-sites overflow").  Spooled build/probe pairs are joined recursively, one
-round per overflow generation, which is what makes the algorithm
-"deteriorate exponentially with multiple overflows" (Figure 13) and also
-why Local joins lose their short-circuit advantage after the first overflow
-(the crossover in Figure 13).
+relation; phase two probes them with the larger relation; a resolve phase
+joins whatever was spooled; a close phase ends each node's output stream.
+Every policy runs that one pipeline, with the same ports, bit filters,
+probe kernel and hash-table counter.  They differ only in what a node does
+when its table outgrows its memory (``GammaConfig.join_overflow``):
+
+* ``simple`` — the paper's measured algorithm.  The node halves the
+  fraction of the key space it keeps resident, evicts everything else to
+  spool files, and the overflow tuples are redistributed across **all**
+  joining processors with a *different* hash function ("This change in
+  hash functions is necessary in order to ensure that all joining
+  processors are used in the case when only a subset of sites
+  overflow").  Spooled build/probe pairs are joined one round per
+  overflow generation, which is what makes the algorithm "deteriorate
+  exponentially with multiple overflows" (Figure 13) and why Local joins
+  lose their short-circuit advantage after the first overflow.
+* ``static`` / ``demote`` / ``dynamic`` — the parallel Hybrid hash join
+  the Conclusions announce as the replacement.  Each node *plans* its
+  memory from the optimizer's estimate (:class:`PartitionPlan`):
+  partition 0 is built at once, partitions 1..k-1 are spooled locally on
+  both sides and joined one at a time afterwards, each tuple written and
+  read once.  The three differ in how they handle an estimate that was
+  wrong ("Design Trade-offs for a Robust Dynamic Hybrid Hash Join"):
+  ``static`` trusts the plan and spools the excess build tuples, dual-
+  routing resident-region probes to memory and disk; ``demote`` halves
+  the resident key region into a fresh spooled partition until the table
+  fits; ``dynamic`` starts all-in-memory, demotes on demand and re-
+  partitions oversized spooled pairs during the resolve sweep (bounded by
+  :data:`MAX_RECURSION`, then chunk-and-rescan).
+
+Each policy keeps its own build charge order (floats do not add
+associatively): Simple charges ``hash_table_insert * n`` plus
+``bitfilter_set`` per record plus the eviction rehash; the
+Hybrid policies fold ``(insert, bitset)`` per record through
+:func:`_repeat_charge`.  All cuts are pure functions of the key hash, so
+every policy is deterministic.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
+from math import ceil
 from typing import Any, Generator, Optional
 
 from ...catalog.partitioning import stable_hash
 from ...errors import ExecutionError
+from ...sim import WaitAll
 from ..bitfilter import BitVectorFilter
 from ..node import ExecutionContext, Node
 from ..ports import EndOfStream, InputPort, OutputPort
-from .base import SpoolFile, operator_done
+from ..split_table import Destination
+from .base import DestSpec, SpoolFile, operator_done
 
-#: Safety valve against non-terminating overflow recursion.
-MAX_OVERFLOW_ROUNDS = 200
+#: ``simple``: resolution rounds before the join gives up.  A build side
+#: whose keys all collide never fits however the key space is cut.
+MAX_OVERFLOW_ROUNDS = 100
 
+#: ``dynamic``: depth bound for recursive re-partitioning of a spooled
+#: pair; beyond it the resolve sweep falls back to chunk-and-rescan.
+MAX_RECURSION = 3
+
+#: Hybrid overflow reactions trigger past ``capacity * OVERFLOW_SLACK``,
+#: not the instant capacity is crossed: the plan sizes partition 0 at 0.95
+#: of capacity precisely to absorb per-node distribution variance of the
+#: hash split, so single-digit overruns are expected noise.  Genuine
+#: estimate error overshoots by integer factors and blows past the slack.
+OVERFLOW_SLACK = 1.10
+
+#: Cache of sequential per-record charge folds, keyed by
+#: (per-record cost components, record count).  Bounded: long matrix
+#: sweeps in one process would otherwise accumulate one entry per
+#: distinct packet size forever.
+_charge_cache: dict[tuple[tuple[float, ...], int], float] = {}
+_CHARGE_CACHE_MAX = 4096
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 
@@ -54,7 +99,7 @@ def _h2(value: Any, seed: int) -> float:
 
 
 def _route_h(value: Any, seed: int) -> float:
-    """The hash that picks which node owns a spooled tuple.
+    """The hash that picks which node owns a spooled tuple (``simple``).
 
     It must be independent of :func:`_h2`: every spooled tuple has
     ``_h2(key) >= kept_fraction`` by construction, so routing by the same
@@ -66,56 +111,196 @@ def _route_h(value: Any, seed: int) -> float:
     return _h2(value, seed + 1_000_003)
 
 
+def _repeat_charge(parts: tuple[float, ...], n: int) -> float:
+    """The sequential float fold of charging ``parts`` once per record.
+
+    Replaying the exact per-record addition order once per distinct
+    ``(parts, n)`` — instead of on every packet — keeps accumulated packet
+    charges bit-identical to the original inner loop: float addition is
+    not associative, so ``n * sum(parts)`` would drift.
+    """
+    key = (parts, n)
+    total = _charge_cache.get(key)
+    if total is None:
+        total = 0.0
+        for _ in range(n):
+            for part in parts:
+                total += part
+        if len(_charge_cache) >= _CHARGE_CACHE_MAX:
+            # Evicting the oldest entry is safe: recomputation is
+            # bit-identical, the cache is purely a wall-clock win.
+            del _charge_cache[next(iter(_charge_cache))]
+        _charge_cache[key] = total
+    return total
+
+
+class PartitionPlan:
+    """Pure key-space layout of one node's Hybrid join.
+
+    The unit interval of ``_h2(key, 0)`` is cut into regions:
+
+    * ``[0, fraction0)`` — memory-resident (partition 0);
+    * ``[static_cut, 1.0)`` — the statically planned spool partitions
+      ``1..n_static-1``, equal slices;
+    * ``[fraction0, static_cut)`` — demoted slices, one per
+      :meth:`demote` call, newest (lowest) last in ``cuts``.
+
+    With no demotions ``fraction0 == static_cut`` and routing is exactly
+    the planned Hybrid layout.  Kept free of simulator state so tests can
+    exercise the routing arithmetic directly.
+    """
+
+    __slots__ = ("n_static", "fraction0", "static_cut", "cuts")
+
+    def __init__(
+        self, expected_bytes: float, capacity_bytes: int,
+        optimistic: bool = False,
+    ) -> None:
+        expected_bytes = max(1.0, expected_bytes)
+        if optimistic:
+            # Dynamic policy: assume memory suffices, demote on demand.
+            n, fraction0 = 1, 1.0
+        else:
+            n = max(1, ceil(expected_bytes * 1.05 / capacity_bytes))
+            fraction0 = min(1.0, capacity_bytes * 0.95 / expected_bytes)
+        self.n_static = n
+        self.fraction0 = fraction0
+        self.static_cut = fraction0
+        self.cuts: list[float] = []
+
+    @property
+    def n_partitions(self) -> int:
+        """Planned partitions plus demoted slices."""
+        return self.n_static + len(self.cuts)
+
+    def partition_of(self, key: Any) -> int:
+        """0 = memory-resident; 1..k-1 = spooled partitions."""
+        h = _h2(key, 0)
+        if h < self.fraction0:
+            return 0
+        if h >= self.static_cut and self.n_static > 1:
+            rest = (h - self.static_cut) / max(1e-12, 1.0 - self.static_cut)
+            return 1 + min(self.n_static - 2, int(rest * (self.n_static - 1)))
+        for i, cut in enumerate(self.cuts):
+            if h >= cut:
+                return self.n_static + i
+        return 0
+
+    def demote(self) -> float:
+        """Halve the resident key region; returns the new lower cut.
+
+        The evicted slice ``[cut, old fraction0)`` becomes spooled
+        partition ``n_static + len(cuts) - 1``.  Once the region is
+        vanishingly small the cut snaps to 0.0 (everything spools) so
+        pathological skew cannot demote forever.
+        """
+        cut = self.fraction0 / 2.0
+        if cut < 1e-9:
+            cut = 0.0
+        self.fraction0 = cut
+        self.cuts.append(cut)
+        return cut
+
+
 class JoinState:
-    """Per-node state of one distributed hash join."""
+    """Per-node state of one distributed hash join, under any policy.
+
+    ``route(key)`` is a key's partition: 0 = resident, ``p > 0`` =
+    ``build_spools``/``probe_spools[p - 1]``.  Under ``simple`` those are
+    the current :class:`OverflowExchange`'s lists (one spool per joining
+    node, shared by every state); under the Hybrid policies the node's own
+    planned and demoted partitions, and the instance's ``route`` is the
+    plan's lookup (a bound method of the plan, not of the state, so the
+    state stays free of reference cycles and its table is freed at once).
+    """
 
     def __init__(
         self,
         ctx: ExecutionContext,
         node: Node,
         index: int,
-        build_pos: int,
-        probe_pos: int,
+        policy: str,
+        positions: tuple[int, int],
+        record_bytes: tuple[int, int],
         capacity_bytes: int,
-        build_record_bytes: int,
-        probe_record_bytes: int,
+        expected_build_tuples: float,
         output: OutputPort,
         bit_filter: Optional[BitVectorFilter],
-        build_port: InputPort,
-        probe_port: InputPort,
+        ports: tuple[InputPort, InputPort],
     ) -> None:
         self.ctx = ctx
         self.node = node
         self.index = index
-        self.build_pos = build_pos
-        self.probe_pos = probe_pos
+        self.policy = policy
+        self.build_pos, self.probe_pos = positions
+        self.build_record_bytes, self.probe_record_bytes = record_bytes
         self.capacity_bytes = capacity_bytes
-        self.build_record_bytes = build_record_bytes
-        self.probe_record_bytes = probe_record_bytes
+        self.expected_build_tuples = expected_build_tuples
         self.output = output
         self.bit_filter = bit_filter
-        self.build_port = build_port
-        self.probe_port = probe_port
-        self.entry_bytes = build_record_bytes * ctx.config.hash_table_overhead
+        self.build_port, self.probe_port = ports
+        self.entry_bytes = (
+            self.build_record_bytes * ctx.config.hash_table_overhead
+        )
         self.table: dict[Any, list[tuple]] = defaultdict(list)
         self.bytes_used = 0.0
-        self.kept_fraction = 1.0
-        self.seed = 0
-        self.overflows = 0
         self.matches = 0
-        self.build_tuples = 0
-        self.probe_tuples = 0
-        self.expected_build_tuples = 0.0
+        #: Actual overflow reactions (Simple evictions; Hybrid static
+        #: activation, demotions, re-partitionings and extra resolve
+        #: chunks) — what ``QueryResult.overflows_per_node`` reports.
+        self.overflows = 0
+        #: True while every key stays resident, so the consumers skip the
+        #: per-record hash; cleared by the first overflow reaction.
+        self.all_in_memory = True
+        self.build_spools: list[SpoolFile] = []
+        self.probe_spools: list[SpoolFile] = []
+        self.overflow_build: Optional[SpoolFile] = None
+        self.overflow_probe: Optional[SpoolFile] = None
+        if policy == "simple":
+            self.kept_fraction = 1.0
+            self.seed = 0
+            self.build_tuples = 0
+            return
+        self.trigger_bytes = capacity_bytes * OVERFLOW_SLACK
+        # Partition 0 fills memory; the rest are sized to fit memory one
+        # at a time during the resolve sweep.
+        self.plan = PartitionPlan(
+            max(self.entry_bytes,
+                expected_build_tuples * self.entry_bytes),
+            capacity_bytes, optimistic=policy == "dynamic",
+        )
+        self.route = self.plan.partition_of
+        self.all_in_memory = (
+            self.plan.n_static == 1 or self.plan.fraction0 >= 1.0
+        )
+        self.build_spools = [
+            SpoolFile(ctx, node, f"hb{p}", self.build_record_bytes)
+            for p in range(1, self.plan.n_static)
+        ]
+        self.probe_spools = [
+            SpoolFile(ctx, node, f"hp{p}", self.probe_record_bytes)
+            for p in range(1, self.plan.n_static)
+        ]
+
+    def route(self, key: Any) -> int:
+        """``simple``: 0 below the kept fraction; else 1 + the owning
+        node's index."""
+        if _h2(key, self.seed) < self.kept_fraction:
+            return 0
+        n = len(self.build_spools)
+        return 1 + min(n - 1, int(_route_h(key, self.seed) * n))
 
     def reset_for_round(self, seed: int, expected_build_tuples: float) -> None:
+        """``simple``: start the next overflow generation's table."""
         self.table = defaultdict(list)
         self.bytes_used = 0.0
         self.kept_fraction = 1.0
+        self.all_in_memory = True
         self.seed = seed
         self.expected_build_tuples = expected_build_tuples
 
     def target_kept_fraction(self) -> float:
-        """The kept fraction chosen when an overflow is detected.
+        """``simple``: the kept fraction chosen when an overflow is detected.
 
         The query scheduler knows the optimizer's estimate of the building
         relation, so the Simple-join subpartition can be sized to make the
@@ -139,18 +324,16 @@ class JoinState:
 
 
 class OverflowExchange:
-    """One generation of cross-node overflow spool files.
+    """``simple``: one generation of cross-node overflow spool files.
 
     Tuples spooled during round ``seed`` are routed to the join node that
-    owns their ``_h2(key, seed)`` slice, so the next round's work is spread
-    over every joining processor.
+    owns their ``_route_h(key, seed)`` slice, so the next round's work is
+    spread over every joining processor.
     """
 
     def __init__(
         self, ctx: ExecutionContext, states: list[JoinState], seed: int
     ) -> None:
-        self.seed = seed
-        self.n = len(states)
         self.build_spools = [
             SpoolFile(ctx, s.node, f"jb{seed}", s.build_record_bytes)
             for s in states
@@ -159,19 +342,28 @@ class OverflowExchange:
             SpoolFile(ctx, s.node, f"jp{seed}", s.probe_record_bytes)
             for s in states
         ]
+        for state in states:
+            state.build_spools = self.build_spools
+            state.probe_spools = self.probe_spools
 
-    def target_index(self, h2_value: float) -> int:
-        return min(self.n - 1, int(h2_value * self.n))
-
-    def spooled_build(self) -> int:
-        return sum(len(s) for s in self.build_spools)
-
-    def spooled_probe(self) -> int:
-        return sum(len(s) for s in self.probe_spools)
+    def spooled(self) -> int:
+        return sum(len(s) for s in [*self.build_spools, *self.probe_spools])
 
     def flush(self) -> Generator[Any, Any, None]:
         for spool in [*self.build_spools, *self.probe_spools]:
             yield from spool.flush()
+
+
+def _table_counter(state: JoinState) -> None:
+    """Passive hash-table telemetry: metrics sample + Perfetto counter."""
+    ctx = state.ctx
+    ctx.metrics.record_hash_table_bytes(state.node.name, state.bytes_used)
+    if ctx.trace is not None:
+        args = {"bytes": float(state.bytes_used),
+                "overflows": float(state.overflows)}
+        if state.policy != "simple":
+            args["partitions"] = float(state.plan.n_partitions)
+        ctx.trace.counter(state.node.name, "hash-table", ctx.sim.now, args)
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +371,20 @@ class OverflowExchange:
 # ---------------------------------------------------------------------------
 
 
-def _insert_batch(
-    state: JoinState,
-    records: list[tuple],
-    exchange: OverflowExchange,
-) -> Generator[Any, Any, None]:
-    """Insert build records, evicting to the exchange on overflow."""
+def _insert_simple(
+    state: JoinState, records: list[tuple], spill: dict[int, list[tuple]]
+) -> float:
+    """Insert build records, evicting a key-space slice on overflow.
+
+    Returns the CPU charge: every record pays the insert whether or not
+    it spills (integer-valued constants make the bulk multiply exact)
+    and, one record at a time, the bit-filter set; evictions add the
+    rehash.  A spilled record sets its bit too: the merged filter screens
+    the whole probe stream, spooled partitions included.
+    """
     costs = state.node.config.costs
-    # Every record pays the insert charge regardless of whether it spills;
-    # the constants are integer-valued, so one bulk multiply is exactly the
-    # float sum of the per-record adds.
     cpu = costs.hash_table_insert * len(records)
-    seed = state.seed
     pos = state.build_pos
-    spill: dict[int, list[tuple]] = defaultdict(list)
     bitset_cost = costs.bitfilter_set
     entry_bytes = state.entry_bytes
     capacity = state.capacity_bytes
@@ -201,55 +393,37 @@ def _insert_batch(
     bf_add = bf.add if bf is not None else None
     build_tuples = state.build_tuples
     bytes_used = state.bytes_used
-    kept = state.kept_fraction
-    # While no eviction has happened kept_fraction is 1.0 and
-    # ``_h2(key) >= kept`` is unreachable (_h2 maps into [0, 1)), so the
-    # subpartition hash is skipped entirely; the first eviction drops
-    # ``kept`` below 1.0 and re-enables it mid-batch.
-    fast = kept >= 1.0
+    route = state.route
+    # While nothing is evicted every key is resident, so the subpartition
+    # hash is skipped; the first eviction re-enables it mid-batch.
+    fast = state.all_in_memory
     for record in records:
         key = record[pos]
-        if not fast and _h2(key, seed) >= kept:
-            spill[exchange.target_index(_route_h(key, seed))].append(record)
-            continue
-        table[key].append(record)
-        build_tuples += 1
-        bytes_used += entry_bytes
         if bf_add is not None:
             bf_add(key)
             cpu += bitset_cost
+        if not fast:
+            p = route(key)
+            if p:
+                spill[p].append(record)
+                continue
+        table[key].append(record)
+        build_tuples += 1
+        bytes_used += entry_bytes
         if bytes_used > capacity:
             state.build_tuples = build_tuples
             state.bytes_used = bytes_used
-            cpu += _evict(state, exchange, spill, costs)
+            cpu += _evict(state, spill, costs)
             build_tuples = state.build_tuples
             bytes_used = state.bytes_used
-            table = state.table
-            kept = state.kept_fraction
-            fast = kept >= 1.0
+            fast = False
     state.build_tuples = build_tuples
     state.bytes_used = bytes_used
-    state.ctx.metrics.record_hash_table_bytes(
-        state.node.name, state.bytes_used
-    )
-    if state.ctx.trace is not None:
-        state.ctx.trace.counter(
-            state.node.name, "hash-table", state.ctx.sim.now,
-            {"bytes": float(state.bytes_used),
-             "overflows": float(state.overflows)},
-        )
-    yield state.node.work(cpu)
-    for target, batch in spill.items():
-        yield from exchange.build_spools[target].add_batch(
-            batch, sender=state.node
-        )
+    return cpu
 
 
 def _evict(
-    state: JoinState,
-    exchange: OverflowExchange,
-    spill: dict[int, list[tuple]],
-    costs: Any,
+    state: JoinState, spill: dict[int, list[tuple]], costs: Any
 ) -> float:
     """Shrink the kept key-space fraction; move evicted entries to spill.
 
@@ -258,16 +432,18 @@ def _evict(
     state.overflows += 1
     state.ctx.metrics.record_overflow_chunk(state.node.name)
     state.kept_fraction = state.target_kept_fraction()
+    state.all_in_memory = False
     seed = state.seed
     doomed = [
         key for key in state.table if _h2(key, seed) >= state.kept_fraction
     ]
     cpu = costs.hash_table_insert * len(state.table)
+    n = len(state.build_spools)
     for key in doomed:
         bucket = state.table.pop(key)
         state.bytes_used -= state.entry_bytes * len(bucket)
         state.build_tuples -= len(bucket)
-        spill[exchange.target_index(_route_h(key, seed))].extend(bucket)
+        spill[1 + min(n - 1, int(_route_h(key, seed) * n))].extend(bucket)
     if not doomed and state.kept_fraction < 2 ** -40:
         raise ExecutionError(
             "hash-table overflow cannot make progress (all keys collide)"
@@ -275,14 +451,159 @@ def _evict(
     return cpu
 
 
+def _insert_hybrid(
+    state: JoinState, records: list[tuple], spill: dict[int, list[tuple]]
+) -> tuple[float, Optional[list[tuple]]]:
+    """Insert partition-0 records, route the rest to their partitions.
+
+    Returns the CPU charge — spilled records pay the same insert/bitset
+    charges as resident ones, so the whole batch folds through
+    :func:`_repeat_charge` — and the batch for the static overflow spool.
+    """
+    costs = state.node.config.costs
+    bf = state.bit_filter
+    bf_add = bf.add if bf is not None else None
+    pos = state.build_pos
+    entry_bytes = state.entry_bytes
+    table = state.table
+    bytes_used = state.bytes_used
+    cpu = _repeat_charge(
+        (costs.hash_table_insert, costs.bitfilter_set) if bf is not None
+        else (costs.hash_table_insert,),
+        len(records),
+    )
+    overflow_batch: Optional[list[tuple]] = None
+    if state.all_in_memory and (
+        bytes_used + len(records) * entry_bytes <= state.trigger_bytes
+    ):
+        if bf_add is not None:
+            for record in records:
+                key = record[pos]
+                bf_add(key)
+                table[key].append(record)
+                bytes_used += entry_bytes
+        else:
+            for record in records:
+                table[record[pos]].append(record)
+                bytes_used += entry_bytes
+    else:
+        partition_of = state.plan.partition_of
+        overflow_spool = state.overflow_build
+        for record in records:
+            key = record[pos]
+            if bf_add is not None:
+                bf_add(key)
+            p = partition_of(key)
+            if p:
+                spill[p].append(record)
+            elif overflow_spool is not None:
+                if overflow_batch is None:
+                    overflow_batch = []
+                overflow_batch.append(record)
+            else:
+                table[key].append(record)
+                bytes_used += entry_bytes
+    state.bytes_used = bytes_used
+    return cpu, overflow_batch
+
+
+def _handle_build_overflow(state: JoinState) -> Generator[Any, Any, None]:
+    """Hybrid: react to the resident build partition exceeding capacity.
+
+    ``static``: open the overflow spool pair once — later resident-region
+    build tuples spool instead of growing the table.  ``demote`` /
+    ``dynamic``: halve the resident key region and evict its buckets into
+    a fresh spooled partition (paying the spool writes) until the table
+    fits.  Eviction walks the insertion-ordered table, so the reaction is
+    deterministic and independent of hash salts.
+    """
+    ctx = state.ctx
+    if state.policy == "static":
+        if state.overflow_build is None:
+            state.overflow_build = SpoolFile(
+                ctx, state.node, "hov.b", state.build_record_bytes
+            )
+            state.overflow_probe = SpoolFile(
+                ctx, state.node, "hov.p", state.probe_record_bytes
+            )
+            state.all_in_memory = False
+            state.overflows += 1
+            ctx.metrics.record_overflow_chunk(state.node.name)
+            _table_counter(state)
+        return
+    plan = state.plan
+    table = state.table
+    # Demote back below *capacity*, not just the trigger: the gap is the
+    # hysteresis that keeps one demotion per estimate-error magnitude.
+    while state.bytes_used > state.capacity_bytes and plan.fraction0 > 0.0:
+        cut = plan.demote()
+        doomed = [key for key in table if _h2(key, 0) >= cut]
+        evicted: list[tuple] = []
+        for key in doomed:
+            evicted.extend(table.pop(key))
+        state.bytes_used -= len(evicted) * state.entry_bytes
+        slice_no = len(plan.cuts) - 1
+        build_spool = SpoolFile(
+            ctx, state.node, f"hd{slice_no}.b", state.build_record_bytes
+        )
+        probe_spool = SpoolFile(
+            ctx, state.node, f"hd{slice_no}.p", state.probe_record_bytes
+        )
+        state.build_spools.append(build_spool)
+        state.probe_spools.append(probe_spool)
+        state.all_in_memory = False
+        state.overflows += 1
+        ctx.metrics.record_overflow_chunk(state.node.name)
+        ctx.metrics.add("hash_demotions")
+        if evicted:
+            yield from build_spool.add_batch(evicted)
+        _table_counter(state)
+
+
+def _build_batch(
+    state: JoinState, records: list[tuple]
+) -> Generator[Any, Any, None]:
+    """Insert one batch under the state's policy, then pay for it."""
+    spill: dict[int, list[tuple]] = defaultdict(list)
+    overflow_batch = None
+    if state.policy == "simple":
+        cpu = _insert_simple(state, records, spill)
+    else:
+        cpu, overflow_batch = _insert_hybrid(state, records, spill)
+    _table_counter(state)
+    yield state.node.work(cpu)
+    for p, batch in spill.items():
+        yield from state.build_spools[p - 1].add_batch(
+            batch, sender=state.node
+        )
+    if overflow_batch:
+        assert state.overflow_build is not None
+        yield from state.overflow_build.add_batch(overflow_batch)
+    if state.policy != "simple" and state.bytes_used > state.trigger_bytes:
+        yield from _handle_build_overflow(state)
+
+
+def _flush_local_spools(
+    state: JoinState, spools: list[SpoolFile], overflow: Optional[SpoolFile]
+) -> Generator[Any, Any, None]:
+    """Hybrid: force the node's partial spool pages out after a phase.
+    (``simple`` flushes the shared exchange from the scheduler.)"""
+    if state.policy == "simple":
+        return
+    for spool in spools:
+        yield from spool.flush()
+    if overflow is not None:
+        yield from overflow.flush()
+
+
 def build_consumer(
-    ctx: ExecutionContext, state: JoinState, exchange: OverflowExchange
+    ctx: ExecutionContext, state: JoinState
 ) -> Generator[Any, Any, None]:
     """Drain the build port into the hash table (phase one).
 
     The receive loop is :meth:`InputPort.next_packet` written inline —
     one Get yield per message, then ``receive_effect`` and, on an
-    observed port, ``observe`` — so there is no generator per packet.
+    observed port, ``observe`` — so receiving makes no generator.
     """
     port = state.build_port
     get_effect = port._get_effect
@@ -298,7 +619,105 @@ def build_consumer(
         yield receive(message)
         if observed:
             port.observe(message)
-        yield from _insert_batch(state, message.records, exchange)
+        yield from _build_batch(state, message.records)
+    yield from _flush_local_spools(
+        state, state.build_spools, state.overflow_build
+    )
+
+
+# ---------------------------------------------------------------------------
+# probe
+# ---------------------------------------------------------------------------
+
+
+def _probe(
+    records: list[tuple], pos: int, table_get: Any, res_append: Any,
+    cpu: float, result_cost: float,
+) -> float:
+    """The probe kernel: append every match of ``records``; returns
+    ``cpu`` plus the result charge of the matches."""
+    for record in records:
+        bucket = table_get(record[pos])
+        if bucket:
+            cpu += result_cost * len(bucket)
+            for build_record in bucket:
+                res_append(build_record + record)
+    return cpu
+
+
+def _probe_batch(
+    state: JoinState, records: list[tuple]
+) -> Generator[Any, Any, None]:
+    """Probe with a batch, spooling tuples aimed at spooled partitions.
+
+    Under an active static-policy overflow, resident-region probes are
+    *dual-routed*: probed against the memory-resident table now, and
+    spooled for the resolve sweep against the overflowed build tuples —
+    each build tuple lives in exactly one place, so no duplicates.
+    """
+    costs = state.node.config.costs
+    # Hits, misses and spills all pay the probe charge; integer-valued
+    # constants make the bulk multiply exact.
+    cpu = costs.hash_table_probe * len(records)
+    spill: dict[int, list[tuple]] = {}
+    if state.all_in_memory:
+        resident = records
+    else:
+        resident = []
+        spill = defaultdict(list)
+        route = state.route
+        pos = state.probe_pos
+        for record in records:
+            p = route(record[pos])
+            if p:
+                spill[p].append(record)
+            else:
+                resident.append(record)
+    results: list[tuple] = []
+    cpu = _probe(resident, state.probe_pos, state.table.get, results.append,
+                 cpu, costs.join_result_tuple)
+    state.matches += len(results)
+    yield state.node.work(cpu)
+    if results:
+        yield from state.output.emit_many(results)
+    for p, batch in spill.items():
+        yield from state.probe_spools[p - 1].add_batch(
+            batch, sender=state.node
+        )
+    if state.overflow_probe is not None and resident:
+        yield from state.overflow_probe.add_batch(resident)
+
+
+def probe_consumer(
+    ctx: ExecutionContext, state: JoinState
+) -> Generator[Any, Any, None]:
+    """Drain the probe port through the hash table (phase two).
+
+    Same inline receive loop as :func:`build_consumer`.
+    """
+    port = state.probe_port
+    get_effect = port._get_effect
+    receive = port.receive_effect
+    observed = port.observed
+    while port.expected_producers == 0 or (
+        port._eos_seen < port.expected_producers
+    ):
+        message = yield get_effect
+        if type(message) is EndOfStream:
+            port._eos_seen += 1
+            continue
+        yield receive(message)
+        if observed:
+            port.observe(message)
+        yield from _probe_batch(state, message.records)
+    yield from _flush_local_spools(
+        state, state.probe_spools, state.overflow_probe
+    )
+
+
+# ---------------------------------------------------------------------------
+# simple: the hash-function switch and the overflow generations
+# ---------------------------------------------------------------------------
 
 
 def overflow_route(states_count: int):
@@ -385,6 +804,7 @@ def redistribute_tables_after_overflow(
         evict_to_global()
     for state in states:
         state.kept_fraction = kept_global
+        state.all_in_memory = False
 
     def charge(state: JoinState) -> Generator[Any, Any, None]:
         i = state.index
@@ -412,110 +832,165 @@ def redistribute_tables_after_overflow(
     return [charge(state) for state in states]
 
 
-# ---------------------------------------------------------------------------
-# probe
-# ---------------------------------------------------------------------------
-
-
-def _probe_batch(
-    state: JoinState,
-    records: list[tuple],
-    exchange: OverflowExchange,
-) -> Generator[Any, Any, None]:
-    """Probe with a batch, spooling tuples aimed at evicted partitions."""
-    costs = state.node.config.costs
-    # Every record pays the probe charge whether it hits, misses, or
-    # spills; integer-valued constants make the bulk multiply exact.
-    cpu = costs.hash_table_probe * len(records)
-    seed = state.seed
-    pos = state.probe_pos
-    table_get = state.table.get
-    result_cost = costs.join_result_tuple
-    spill: dict[int, list[tuple]] = defaultdict(list)
-    results: list[tuple] = []
-    res_append = results.append
-    if state.kept_fraction >= 1.0:
-        # No partition was evicted: the spill branch is unreachable (see
-        # _insert_batch), so skip the subpartition hash per tuple.
-        for record in records:
-            bucket = table_get(record[pos])
-            if bucket:
-                cpu += result_cost * len(bucket)
-                for build_record in bucket:
-                    res_append(build_record + record)
-        state.probe_tuples += len(records)
-    else:
-        kept = state.kept_fraction
-        for record in records:
-            key = record[pos]
-            state.probe_tuples += 1
-            if _h2(key, seed) >= kept:
-                spill[exchange.target_index(_route_h(key, seed))].append(
-                    record
-                )
-                continue
-            bucket = table_get(key)
-            if bucket:
-                cpu += result_cost * len(bucket)
-                for build_record in bucket:
-                    res_append(build_record + record)
-    state.matches += len(results)
-    yield state.node.work(cpu)
-    if results:
-        yield from state.output.emit_many(results)
-    if spill:
-        for target, batch in spill.items():
-            yield from exchange.probe_spools[target].add_batch(
-                batch, sender=state.node
-            )
-
-
-def probe_consumer(
-    ctx: ExecutionContext, state: JoinState, exchange: OverflowExchange
-) -> Generator[Any, Any, None]:
-    """Drain the probe port through the hash table (phase two).
-
-    Same inline receive loop as :func:`build_consumer`.
-    """
-    port = state.probe_port
-    get_effect = port._get_effect
-    receive = port.receive_effect
-    observed = port.observed
-    while port.expected_producers == 0 or (
-        port._eos_seen < port.expected_producers
-    ):
-        message = yield get_effect
-        if type(message) is EndOfStream:
-            port._eos_seen += 1
-            continue
-        yield receive(message)
-        if observed:
-            port.observe(message)
-        yield from _probe_batch(state, message.records, exchange)
-
-
-# ---------------------------------------------------------------------------
-# overflow resolution rounds
-# ---------------------------------------------------------------------------
-
-
 def resolve_round(
     ctx: ExecutionContext,
     state: JoinState,
     build_spool: SpoolFile,
     probe_spool: SpoolFile,
-    next_exchange: OverflowExchange,
+    seed: int,
 ) -> Generator[Any, Any, None]:
-    """Join one node's spooled partition pair from the previous round."""
+    """Join one node's spooled partition pair from the previous round
+    through the build/probe batches of the next generation ``seed``."""
     # The node's own spool size is known exactly, so the round's
     # subpartition fraction is well chosen.
-    state.reset_for_round(next_exchange.seed, float(len(build_spool)))
+    state.reset_for_round(seed, float(len(build_spool)))
     for page_no, records in build_spool.read_pages():
         yield from build_spool.read_page_io(page_no)
-        yield from _insert_batch(state, records, next_exchange)
+        yield from _build_batch(state, records)
     for page_no, records in probe_spool.read_pages():
         yield from probe_spool.read_page_io(page_no)
-        yield from _probe_batch(state, records, next_exchange)
+        yield from _probe_batch(state, records)
+
+
+# ---------------------------------------------------------------------------
+# hybrid: the resolve sweep
+# ---------------------------------------------------------------------------
+
+
+def _repartition_pair(
+    ctx: ExecutionContext,
+    state: JoinState,
+    build_spool: SpoolFile,
+    probe_spool: SpoolFile,
+    depth: int,
+    pairs: deque,
+) -> Generator[Any, Any, None]:
+    """Recursively split an oversized spooled pair (``dynamic`` policy).
+
+    Both spools are read once and re-spooled into ``k`` sub-pairs under a
+    depth-specific hash seed (the parent partition is a *slice* of seed
+    0's unit interval, so re-cutting it needs an independent hash).  The
+    sub-pairs go to the front of the worklist: depth-first keeps at most
+    one lineage of sub-spools alive.
+    """
+    k = min(
+        64,
+        max(2, ceil(
+            len(build_spool.records) * state.entry_bytes * 1.05
+            / state.capacity_bytes
+        )),
+    )
+    seed = depth + 1
+    node = state.node
+    sub_build = [
+        SpoolFile(ctx, node, f"hr{depth}.{i}.b", state.build_record_bytes)
+        for i in range(k)
+    ]
+    sub_probe = [
+        SpoolFile(ctx, node, f"hr{depth}.{i}.p", state.probe_record_bytes)
+        for i in range(k)
+    ]
+    for spool, subs, pos in (
+        (build_spool, sub_build, state.build_pos),
+        (probe_spool, sub_probe, state.probe_pos),
+    ):
+        for page_no, records in spool.read_pages():
+            yield from spool.read_page_io(page_no)
+            batches: list[list[tuple]] = [[] for _ in range(k)]
+            for record in records:
+                h = _h2(record[pos], seed)
+                batches[min(k - 1, int(h * k))].append(record)
+            for sub, batch in zip(subs, batches):
+                if batch:
+                    yield from sub.add_batch(batch)
+        for sub in subs:
+            yield from sub.flush()
+    state.overflows += 1
+    ctx.metrics.record_overflow_chunk(node.name)
+    ctx.metrics.add("hybrid_repartitions")
+    pairs.extendleft(
+        reversed([(b, p, depth + 1) for b, p in zip(sub_build, sub_probe)])
+    )
+
+
+def hybrid_resolve(
+    ctx: ExecutionContext, state: JoinState
+) -> Generator[Any, Any, None]:
+    """Join the spooled partition pairs, one partition at a time.
+
+    A partition whose build side unexpectedly exceeds memory (estimate
+    error) is processed in memory-sized chunks, re-scanning its probe
+    spool per chunk — bounded, never recursive — unless the ``dynamic``
+    policy is active, which re-partitions the pair recursively (bounded
+    by :data:`MAX_RECURSION`) so each side is read and written once per
+    level instead of re-scanning the probe spool per chunk.
+    """
+    costs = ctx.config.costs
+    pairs: deque = deque(
+        (b, p, 0) for b, p in zip(state.build_spools, state.probe_spools)
+    )
+    if state.overflow_build is not None:
+        pairs.append((state.overflow_build, state.overflow_probe, 0))
+    while pairs:
+        build_spool, probe_spool, depth = pairs.popleft()
+        build_pages = list(build_spool.read_pages())
+        if not build_pages:
+            # No build tuples landed in this partition: its probe spool
+            # can produce no matches and is skipped entirely.
+            continue
+        if (
+            state.policy == "dynamic"
+            and depth < MAX_RECURSION
+            and len(build_spool.records) * state.entry_bytes
+            > state.trigger_bytes
+        ):
+            yield from _repartition_pair(
+                ctx, state, build_spool, probe_spool, depth, pairs
+            )
+            continue
+        start = 0
+        while start < len(build_pages):
+            state.table = defaultdict(list)
+            state.bytes_used = 0.0
+            consumed = 0
+            cpu = 0.0
+            for page_no, records in build_pages[start:]:
+                if (
+                    state.bytes_used + len(records) * state.entry_bytes
+                    > state.capacity_bytes
+                    and state.bytes_used > 0
+                ):
+                    break
+                yield from build_spool.read_page_io(page_no)
+                for record in records:
+                    cpu += costs.hash_table_insert
+                    state.table[record[state.build_pos]].append(record)
+                    state.bytes_used += state.entry_bytes
+                consumed += 1
+            yield state.node.work(cpu)
+            if consumed == 0:
+                break
+            if start > 0 or consumed < len(build_pages) - start:
+                state.overflows += 1
+                ctx.metrics.node(state.node.name).overflow_chunks += 1
+            _table_counter(state)
+            start += consumed
+            results: list[tuple] = []
+            cpu = 0.0
+            for page_no, records in probe_spool.read_pages():
+                yield from probe_spool.read_page_io(page_no)
+                cpu = _probe(
+                    records, state.probe_pos, state.table.get,
+                    results.append,
+                    cpu + costs.hash_table_probe * len(records),
+                    costs.join_result_tuple,
+                )
+            state.matches += len(results)
+            yield state.node.work(cpu)
+            if results:
+                yield from state.output.emit_many(results)
+        state.table = defaultdict(list)
+        state.bytes_used = 0.0
 
 
 def close_output(
@@ -526,24 +1001,40 @@ def close_output(
     yield from operator_done(ctx, state.node)
 
 
-class SimpleHashJoinDriver:
-    """Drives a hash join with Gamma's original *Simple* overflow scheme:
-    build, (maybe) switch hash functions, probe, then resolution rounds
-    until no partition spills (Section 6.1)."""
+# ---------------------------------------------------------------------------
+# driver
+# ---------------------------------------------------------------------------
+
+
+class HashJoinDriver:
+    """Drives one hash join: build, probe, resolve, close.
+
+    Under ``simple`` an overflowed build switches hash functions before the
+    probe and the resolve phase is the sequence of overflow generations
+    (Section 6.1); under the Hybrid policies it is each node's sweep over
+    its own spooled partitions.
+    """
 
     def run(self, sched: Any, join: Any, dest: Any) -> Generator[Any, Any, None]:
-        from ...errors import ExecutionError
-        from ...sim import WaitAll
-        from ..ports import InputPort
-        from ..split_table import Destination
-        from .base import DestSpec
-
         ctx = sched.ctx
         config = ctx.config
+        policy = config.join_overflow
+        build = join.build_input
         nodes = ctx.placement_nodes(join.placement)
         capacity = config.join_memory_total // len(nodes)
-        build_pos = join.build.schema.position(join.build_attr)
-        probe_pos = join.probe.schema.position(join.probe_attr)
+        positions = (
+            build.schema.position(build.attr),
+            join.source.schema.position(join.attr),
+        )
+        record_bytes = (
+            build.schema.tuple_bytes, join.source.schema.tuple_bytes
+        )
+        # The optimizer's building-relation estimate sizes the Simple
+        # overflow fraction (Section 6.2.2's robustness claim) and the
+        # Hybrid partition plan.
+        expected = (
+            build.estimated_rows / len(nodes) * config.join_estimate_factor
+        )
         states: list[JoinState] = []
         build_ports: list[Destination] = []
         probe_ports: list[Destination] = []
@@ -560,33 +1051,30 @@ class SimpleHashJoinDriver:
             # activations' worth of scheduling messages per node.
             yield from sched._initiate(node)
             yield from sched._initiate(node)
-            states.append(
-                JoinState(
-                    ctx, node, idx, build_pos, probe_pos, capacity,
-                    join.build.schema.tuple_bytes,
-                    join.probe.schema.tuple_bytes,
-                    output, bit_filter, build_port, probe_port,
-                )
-            )
-        # The optimizer's building-relation estimate sizes the overflow
-        # subpartition fraction (Section 6.2.2's robustness claim).
-        est = join.build_input.estimated_rows
-        for state in states:
-            state.expected_build_tuples = est / len(nodes)
-        exchange = OverflowExchange(ctx, states, seed=1)
+            states.append(JoinState(
+                ctx, node, idx, policy, positions, record_bytes, capacity,
+                expected, output, bit_filter, (build_port, probe_port),
+            ))
+        if policy == "simple":
+            exchange = OverflowExchange(ctx, states, seed=1)
+
+        def spawn_all(
+            body: Any, label: str, op_id: str, phase: str
+        ) -> WaitAll:
+            """One ``body(ctx, state)`` process per node, joined as one."""
+            return WaitAll([
+                sched._spawn(s.node, body(ctx, s),
+                             f"{join.op_id}.{label}.{s.index}",
+                             op_id=op_id, phase=phase)
+                for s in states
+            ])
 
         # Phase one: build.
-        build_procs = [
-            sched._spawn(s.node, build_consumer(ctx, s, exchange),
-                         f"{join.op_id}.build.{s.index}",
-                         op_id=join.build_input.op_id, phase="build")
-            for s in states
-        ]
+        building = spawn_all(build_consumer, "build", build.op_id, "build")
         yield from sched.run_op(
-            join.build,
-            sched.lower_exchange(join.build_input.exchange, build_ports),
+            build.source, sched.lower_exchange(build.exchange, build_ports)
         )
-        yield WaitAll(build_procs)
+        yield building
 
         # Bit-vector filters: collected from the joining nodes, merged, and
         # installed in the probe-side split tables before probing starts.
@@ -601,21 +1089,21 @@ class SimpleHashJoinDriver:
                 )
                 probe_filter.union(state.bit_filter)
 
-        # Hash-function switch: if any node overflowed during the build,
-        # the scheduler redistributes the kept tables under the new hash
-        # and passes the new function to the probing selections' split
-        # tables (Section 6.2.2) — Local joins lose their short-circuit.
-        if any(s.overflows for s in states):
-            charges = redistribute_tables_after_overflow(ctx, states, exchange)
-            redist_procs = [
-                sched._spawn(s.node, gen, f"{join.op_id}.redist.{s.index}",
-                             op_id=join.op_id, phase="overflow")
-                for s, gen in zip(states, charges)
-            ]
-            yield WaitAll(redist_procs)
+        # Simple's hash-function switch: if any node overflowed during the
+        # build, the scheduler redistributes the kept tables under the new
+        # hash and passes the new function to the probing selections'
+        # split tables (Section 6.2.2) — Local joins lose their
+        # short-circuit.
+        if policy == "simple" and any(s.overflows for s in states):
+            charges = redistribute_tables_after_overflow(
+                ctx, states, exchange
+            )
+            yield spawn_all(
+                lambda ctx, s: charges[s.index], "redist", join.op_id,
+                "overflow",
+            )
             probe_dest = DestSpec(
-                "fn", probe_ports, attr=join.probe_attr,
-                bit_filter=probe_filter,
+                "fn", probe_ports, attr=join.attr, bit_filter=probe_filter,
                 route_fn=overflow_route(len(states)),
             )
         else:
@@ -624,47 +1112,34 @@ class SimpleHashJoinDriver:
             )
 
         # Phase two: probe.
-        probe_procs = [
-            sched._spawn(s.node, probe_consumer(ctx, s, exchange),
-                         f"{join.op_id}.probe.{s.index}",
-                         op_id=join.op_id, phase="probe")
-            for s in states
-        ]
-        yield from sched.run_op(join.probe, probe_dest)
-        yield WaitAll(probe_procs)
+        probing = spawn_all(probe_consumer, "probe", join.op_id, "probe")
+        yield from sched.run_op(join.source, probe_dest)
+        yield probing
 
-        # Overflow resolution rounds: one generation at a time, all nodes
+        # Resolve.  Simple: one overflow generation at a time, all nodes
         # in parallel, until no partition spilled.
-        round_no = 1
-        yield from exchange.flush()
-        while exchange.spooled_build() or exchange.spooled_probe():
-            round_no += 1
-            if round_no > 100:
-                raise ExecutionError("join overflow did not converge")
-            next_exchange = OverflowExchange(ctx, states, seed=round_no)
-            round_procs = [
-                sched._spawn(
-                    s.node,
-                    resolve_round(
-                        ctx, s,
-                        exchange.build_spools[s.index],
-                        exchange.probe_spools[s.index],
-                        next_exchange,
+        if policy == "simple":
+            round_no = 1
+            yield from exchange.flush()
+            while exchange.spooled():
+                round_no += 1
+                if round_no > MAX_OVERFLOW_ROUNDS:
+                    raise ExecutionError("join overflow did not converge")
+                spooled = exchange
+                exchange = OverflowExchange(ctx, states, seed=round_no)
+                yield spawn_all(
+                    lambda ctx, s: resolve_round(
+                        ctx, s, spooled.build_spools[s.index],
+                        spooled.probe_spools[s.index], round_no,
                     ),
-                    f"{join.op_id}.ovfl.{round_no}.{s.index}",
-                    op_id=join.op_id, phase="overflow",
+                    f"ovfl.{round_no}", join.op_id, "overflow",
                 )
-                for s in states
-            ]
-            yield WaitAll(round_procs)
-            yield from next_exchange.flush()
-            exchange = next_exchange
+                yield from exchange.flush()
+        else:
+            yield spawn_all(hybrid_resolve, "resolve", join.op_id, "overflow")
 
-        closers = [
-            sched._spawn(s.node, close_output(ctx, s),
-                         f"{join.op_id}.close.{s.index}",
-                         op_id=join.op_id, phase="probe")
-            for s in states
-        ]
-        yield WaitAll(closers)
+        yield spawn_all(close_output, "close", join.op_id, "probe")
         sched.overflows_per_node = [s.overflows for s in states]
+        if policy != "simple":
+            # Planned partitions, reported apart from actual overflows.
+            sched.partitions_per_node = [s.plan.n_static for s in states]

@@ -39,7 +39,6 @@ from .ir import (
     ProjectOp,
     ScanOp,
     SortOp,
-    SpillConfig,
     StoreOp,
     UpdateIR,
 )
@@ -63,17 +62,6 @@ from .skew import (
     hot_keys,
     virtual_map,
 )
-
-# The IR operator classes under their pre-refactor names: the physical
-# node a Gamma plan's ``root`` exposes for a scan / join / aggregate /
-# projection / sort is exactly the corresponding IR operator.
-PhysicalScan = ScanOp
-PhysicalJoin = HashJoinProbeOp
-PhysicalAggregate = AggregateOp
-PhysicalProject = ProjectOp
-PhysicalSort = SortOp
-PhysicalPlan = PhysicalIR
-PhysicalNode = IRNode
 
 
 class Planner(PlanCompiler):
@@ -249,11 +237,6 @@ class Planner(PlanCompiler):
             joined.build_input.exchange, joined.exchange = exchanges
         return joined
 
-    def join_spill(self) -> Optional[SpillConfig]:
-        """The spill strategy the machine config's ``hybrid_*`` knobs
-        select, stamped on every compiled join."""
-        return SpillConfig.from_config(self.config)
-
     def _join_fragments(self, mode: JoinMode) -> int:
         """How many fragments a join of this mode runs on (mirrors
         ``ExecutionContext.join_nodes``)."""
@@ -356,7 +339,7 @@ class Planner(PlanCompiler):
             return node.relation if attr in node.relation.schema else None
         if isinstance(node, HashJoinProbeOp):
             return (
-                self._base_relation_with(attr, node.build)
+                self._base_relation_with(attr, node.build_input.source)
                 or self._base_relation_with(attr, node.source)
             )
         if isinstance(node, (AggregateOp, ProjectOp, SortOp)):
@@ -398,21 +381,13 @@ __all__ = [
     "HashJoinProbeOp",
     "HostSinkOp",
     "IRNode",
-    "PhysicalAggregate",
     "PhysicalIR",
-    "PhysicalJoin",
-    "PhysicalNode",
-    "PhysicalPlan",
-    "PhysicalProject",
-    "PhysicalScan",
-    "PhysicalSort",
     "Placement",
     "PlanCompiler",
     "Planner",
     "ProjectOp",
     "ScanOp",
     "SortOp",
-    "SpillConfig",
     "StoreOp",
     "UpdateIR",
 ]

@@ -20,6 +20,10 @@ from .network import GAMMA_NETWORK, YNET_NETWORK, NetworkModel
 KB = 1024
 MB = 1024 * 1024
 
+#: ``GammaConfig.join_overflow`` values: the paper's Simple hash join and
+#: the three spill policies of its announced Hybrid replacement.
+JOIN_OVERFLOW_POLICIES = ("simple", "static", "demote", "dynamic")
+
 
 @dataclass(frozen=True)
 class GammaConfig:
@@ -57,32 +61,24 @@ class GammaConfig:
     sched_messages_per_operator: int = 4
     use_bit_filters: bool = False
     prefetch_depth: int = 2
-    join_algorithm: str = "simple"
-    """Overflow handling: ``simple`` (the paper's measured algorithm) or
-    ``hybrid`` (the parallel Hybrid hash join the Conclusions announce as
-    its replacement — "The solution we are in the process of adopting is
-    to replace the current algorithm with a parallel version of the Hybrid
-    hash-join algorithm")."""
-    hybrid_spill_policy: str = "static"
-    """How the Hybrid hash join reacts when a node's memory-resident
-    build partition exceeds its capacity (optimizer estimate error):
-    ``static`` (plan from the estimate; excess build tuples overflow to a
-    spool and partition-0 probes are routed both to memory and to disk),
-    ``demote`` (halve the resident key region and evict its buckets to a
-    new spooled partition until the table fits), or ``dynamic`` (start
-    optimistically all-in-memory, demote on demand, and recursively
-    re-partition spooled partitions that still exceed memory during the
-    resolution sweep).  ``static`` reproduces the planned algorithm
-    bit-identically when capacity is never exceeded."""
-    hybrid_partitions: int = 0
-    """Force the Hybrid join's spooled-partition count (0 = plan it from
-    the optimizer estimate; 1 = assume everything fits in memory)."""
-    hybrid_max_recursion: int = 3
-    """Depth bound for recursive re-partitioning under the ``dynamic``
-    spill policy; beyond it the join falls back to chunk-and-rescan."""
-    hybrid_estimate_factor: float = 1.0
+    join_overflow: str = "simple"
+    """What the hash join does when a node's table outgrows its memory:
+    ``simple`` (the paper's measured algorithm: evict a key-space slice,
+    switch hash functions, resolve in overflow rounds), or one of the
+    parallel Hybrid hash join's policies the Conclusions announce as its
+    replacement ("The solution we are in the process of adopting is to
+    replace the current algorithm with a parallel version of the Hybrid
+    hash-join algorithm"), which plan spooled partitions from the
+    optimizer's estimate and differ when the estimate is wrong:
+    ``static`` (excess build tuples overflow to a spool and partition-0
+    probes are routed both to memory and to disk), ``demote`` (halve the
+    resident key region and evict its buckets to a new spooled partition
+    until the table fits), or ``dynamic`` (start all-in-memory, demote on
+    demand, and recursively re-partition spooled partitions that still
+    exceed memory during the resolve sweep)."""
+    join_estimate_factor: float = 1.0
     """Multiplier applied to the optimizer's build-side cardinality
-    estimate as seen by the Hybrid join — the estimate-error knob the A4
+    estimate as seen by the hash join — the estimate-error knob the A4
     ablation sweeps (0.25 = the optimizer underestimates 4x)."""
     use_recovery_server: bool = False
     """Enable the recovery server of the Conclusions ("We also intend on
@@ -120,22 +116,13 @@ class GammaConfig:
             raise ConfigError("hash_table_overhead must be >= 1.0")
         if self.prefetch_depth < 1:
             raise ConfigError("prefetch_depth must be >= 1")
-        if self.join_algorithm not in ("simple", "hybrid"):
+        if self.join_overflow not in JOIN_OVERFLOW_POLICIES:
             raise ConfigError(
-                f"join_algorithm must be 'simple' or 'hybrid',"
-                f" got {self.join_algorithm!r}"
+                f"join_overflow must be one of {JOIN_OVERFLOW_POLICIES},"
+                f" got {self.join_overflow!r}"
             )
-        if self.hybrid_spill_policy not in ("static", "demote", "dynamic"):
-            raise ConfigError(
-                f"hybrid_spill_policy must be 'static', 'demote' or"
-                f" 'dynamic', got {self.hybrid_spill_policy!r}"
-            )
-        if self.hybrid_partitions < 0:
-            raise ConfigError("hybrid_partitions must be >= 0 (0 = plan)")
-        if self.hybrid_max_recursion < 0:
-            raise ConfigError("hybrid_max_recursion must be non-negative")
-        if self.hybrid_estimate_factor <= 0:
-            raise ConfigError("hybrid_estimate_factor must be positive")
+        if self.join_estimate_factor <= 0:
+            raise ConfigError("join_estimate_factor must be positive")
 
     @classmethod
     def paper_default(cls) -> "GammaConfig":
@@ -161,21 +148,14 @@ class GammaConfig:
 
     def with_hybrid(
         self,
-        spill_policy: str | None = None,
-        partitions: int | None = None,
-        max_recursion: int | None = None,
+        spill_policy: str = "static",
         estimate_factor: float | None = None,
     ) -> "GammaConfig":
-        """The Hybrid hash join with the given spill strategy."""
-        changes: dict = {"join_algorithm": "hybrid"}
-        if spill_policy is not None:
-            changes["hybrid_spill_policy"] = spill_policy
-        if partitions is not None:
-            changes["hybrid_partitions"] = partitions
-        if max_recursion is not None:
-            changes["hybrid_max_recursion"] = max_recursion
+        """The Hybrid hash join under ``spill_policy`` (``static`` |
+        ``demote`` | ``dynamic``)."""
+        changes: dict = {"join_overflow": spill_policy}
         if estimate_factor is not None:
-            changes["hybrid_estimate_factor"] = estimate_factor
+            changes["join_estimate_factor"] = estimate_factor
         return replace(self, **changes)
 
     @property

@@ -6,8 +6,8 @@ import pytest
 
 from repro import GammaConfig, GammaMachine
 from repro.engine import JoinMode, Query, RangePredicate, ScanNode
-from repro.engine.operators import hybrid_join
-from repro.engine.operators.hybrid_join import PartitionPlan, _h2
+from repro.engine.operators import join
+from repro.engine.operators.join import PartitionPlan, _h2
 from repro.workloads import generate_tuples
 
 
@@ -24,7 +24,7 @@ def hybrid_machine(join_memory=10_000_000, **kwargs):
     config = replace(
         GammaConfig(n_disk_sites=4, n_diskless=4,
                     join_memory_total=join_memory),
-        join_algorithm="hybrid", **kwargs,
+        **{"join_overflow": "static", **kwargs},
     )
     m = GammaMachine(config)
     m.load_wisconsin("A", 2_000, seed=21)
@@ -95,11 +95,11 @@ class TestHybridCorrectness:
 
 
 class TestHybridVsSimple:
-    def _run(self, algorithm, join_memory):
+    def _run(self, policy, join_memory):
         config = replace(
             GammaConfig(n_disk_sites=4, n_diskless=4,
                         join_memory_total=join_memory),
-            join_algorithm=algorithm,
+            join_overflow=policy,
         )
         m = GammaMachine(config)
         m.load_wisconsin("A", 4_000, seed=21)
@@ -109,17 +109,17 @@ class TestHybridVsSimple:
 
     def test_same_answer_both_algorithms(self):
         simple = self._run("simple", 40_000)
-        hybrid = self._run("hybrid", 40_000)
+        hybrid = self._run("static", 40_000)
         assert simple.result_count == hybrid.result_count == 1000
 
     def test_hybrid_wins_under_deep_pressure(self):
         simple = self._run("simple", 25_000)
-        hybrid = self._run("hybrid", 25_000)
+        hybrid = self._run("static", 25_000)
         assert hybrid.response_time < simple.response_time
 
     def test_equivalent_with_ample_memory(self):
         simple = self._run("simple", 10_000_000)
-        hybrid = self._run("hybrid", 10_000_000)
+        hybrid = self._run("static", 10_000_000)
         assert hybrid.response_time == pytest.approx(
             simple.response_time, rel=0.02
         )
@@ -128,7 +128,7 @@ class TestHybridVsSimple:
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            GammaConfig(join_algorithm="sort-merge")
+            GammaConfig(join_overflow="sort-merge")
 
 
 class TestPartitionPlan:
@@ -152,15 +152,16 @@ class TestPartitionPlan:
         # n_static == 2 exercises the min(n_static - 2, ...) clamp: the
         # whole rest region is one spool partition, even for hash values
         # at the very top of the unit interval.
-        plan = PartitionPlan(1_000_000, 1_000_000, forced_partitions=2)
+        plan = PartitionPlan(1_500_000, 1_000_000)
+        assert plan.n_static == 2  # ceil(1.5 * 1.05)
         assert {plan.partition_of(k) for k in self.KEYS} <= {0, 1}
         top = max(self.KEYS, key=lambda k: _h2(k, 0))
         assert _h2(top, 0) > 0.999  # effectively the 1.0 boundary
         assert plan.partition_of(top) == 1
 
-    def test_forced_single_partition_keeps_everything_resident(self):
-        plan = PartitionPlan(9_999_999, 1_000, forced_partitions=1)
-        assert plan.fraction0 == 1.0
+    def test_fitting_estimate_keeps_everything_resident(self):
+        plan = PartitionPlan(500, 1_000)
+        assert plan.n_static == 1 and plan.fraction0 == 1.0
         assert all(plan.partition_of(k) == 0 for k in self.KEYS)
 
     def test_optimistic_plan_ignores_the_estimate(self):
@@ -215,8 +216,8 @@ class TestSpillPolicies:
     def test_estimate_error_never_changes_answers(self, policy, factor):
         # 10x under- and overestimates change the plan, never the join.
         m = hybrid_machine(join_memory=30_000,
-                           hybrid_spill_policy=policy,
-                           hybrid_estimate_factor=factor)
+                           join_overflow=policy,
+                           join_estimate_factor=factor)
         m.run(Query.join(ScanNode("Bprime"), ScanNode("A"),
                          on=("unique2", "unique2"), into="o"))
         assert sorted(m.catalog.lookup("o").records()) == self._oracle()
@@ -232,7 +233,7 @@ class TestSpillPolicies:
 
     def test_dynamic_recursion_matches_oracle(self):
         m = hybrid_machine(join_memory=8_000,
-                           hybrid_spill_policy="dynamic")
+                           join_overflow="dynamic")
         r = m.run(Query.join(ScanNode("Bprime"), ScanNode("A"),
                              on=("unique2", "unique2"), into="o"))
         assert sorted(m.catalog.lookup("o").records()) == self._oracle()
@@ -241,8 +242,8 @@ class TestSpillPolicies:
     def test_dynamic_response_independent_of_estimate(self):
         def run(factor):
             m = hybrid_machine(join_memory=20_000,
-                               hybrid_spill_policy="dynamic",
-                               hybrid_estimate_factor=factor)
+                               join_overflow="dynamic",
+                               join_estimate_factor=factor)
             return m.run(Query.join(ScanNode("Bprime"), ScanNode("A"),
                                     on=("unique2", "unique2"), into="o"))
 
@@ -252,24 +253,16 @@ class TestSpillPolicies:
     def test_static_and_demote_identical_without_overflow(self):
         def run(policy):
             m = hybrid_machine(join_memory=100_000,
-                               hybrid_spill_policy=policy)
+                               join_overflow=policy)
             return m.run(Query.join(ScanNode("Bprime"), ScanNode("A"),
                                     on=("unique2", "unique2"), into="o"))
 
         assert (run("static").response_time
                 == run("demote").response_time)
 
-    def test_forced_partitions_knob(self):
-        m = hybrid_machine(join_memory=10_000_000, hybrid_partitions=4)
-        r = m.run(Query.join(ScanNode("Bprime"), ScanNode("A"),
-                             on=("unique2", "unique2"), into="o"))
-        assert r.result_count == 500
-        assert r.max_partitions == 4
-
-    def test_recursion_depth_zero_falls_back_to_chunking(self):
-        m = hybrid_machine(join_memory=8_000,
-                           hybrid_spill_policy="dynamic",
-                           hybrid_max_recursion=0)
+    def test_recursion_depth_zero_falls_back_to_chunking(self, monkeypatch):
+        monkeypatch.setattr(join, "MAX_RECURSION", 0)
+        m = hybrid_machine(join_memory=8_000, join_overflow="dynamic")
         m.run(Query.join(ScanNode("Bprime"), ScanNode("A"),
                          on=("unique2", "unique2"), into="o"))
         assert sorted(m.catalog.lookup("o").records()) == self._oracle()
@@ -280,42 +273,40 @@ class TestHybridConfigKnobs:
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            GammaConfig(hybrid_spill_policy="panic")
-
-    def test_negative_partitions_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            GammaConfig(hybrid_partitions=-1)
+            GammaConfig(join_overflow="panic")
 
     def test_nonpositive_estimate_factor_rejected(self):
         from repro.errors import ConfigError
 
         with pytest.raises(ConfigError):
-            GammaConfig(hybrid_estimate_factor=0.0)
+            GammaConfig(join_estimate_factor=0.0)
 
     def test_with_hybrid_helper(self):
         config = GammaConfig().with_hybrid(
             spill_policy="dynamic", estimate_factor=0.5)
-        assert config.join_algorithm == "hybrid"
-        assert config.hybrid_spill_policy == "dynamic"
-        assert config.hybrid_estimate_factor == 0.5
+        assert config.join_overflow == "dynamic"
+        assert config.join_estimate_factor == 0.5
         # Unset knobs keep their defaults.
-        assert config.hybrid_partitions == 0
-        assert config.hybrid_max_recursion == 3
+        default = GammaConfig().with_hybrid()
+        assert default.join_overflow == "static"
+        assert default.join_estimate_factor == 1.0
 
 
 class TestChargeCache:
+    @pytest.fixture(autouse=True)
+    def small_cache(self, monkeypatch):
+        # A small cap exercises the same eviction in milliseconds.
+        monkeypatch.setattr(join, "_charge_cache", {})
+        monkeypatch.setattr(join, "_CHARGE_CACHE_MAX", 16)
+
     def test_cache_is_bounded(self):
-        hybrid_join._charge_cache.clear()
-        for n in range(2 * hybrid_join._CHARGE_CACHE_MAX):
-            hybrid_join._repeat_charge((0.001, 0.002), n)
-        assert (len(hybrid_join._charge_cache)
-                <= hybrid_join._CHARGE_CACHE_MAX)
+        for n in range(2 * join._CHARGE_CACHE_MAX):
+            join._repeat_charge((0.001, 0.002), n)
+        assert len(join._charge_cache) == join._CHARGE_CACHE_MAX
 
     def test_eviction_keeps_values_correct(self):
-        hybrid_join._charge_cache.clear()
-        direct = hybrid_join._repeat_charge((0.003, 0.007), 10)
-        for n in range(hybrid_join._CHARGE_CACHE_MAX + 10):
-            hybrid_join._repeat_charge((0.001,), n)
-        assert hybrid_join._repeat_charge((0.003, 0.007), 10) == direct
+        direct = join._repeat_charge((0.003, 0.007), 10)
+        for n in range(join._CHARGE_CACHE_MAX + 10):
+            join._repeat_charge((0.001,), n)
+        assert (0.003, 0.007) not in {parts for parts, _ in join._charge_cache}
+        assert join._repeat_charge((0.003, 0.007), 10) == direct

@@ -24,7 +24,7 @@ import pytest
 
 from repro.bench.harness import build_gamma
 from repro.engine.node import ExecutionContext
-from repro.engine.operators import hybrid_join, join, store
+from repro.engine.operators import join, store
 from repro.engine.ports import DataPacket, EndOfStream, InputPort
 from repro.hardware import GammaConfig, Interconnect
 from repro.metrics import TraceBuffer
@@ -119,7 +119,7 @@ def _next_packet_driven(consumer: Any, port_of: Any) -> Any:
     """``consumer`` as its instrumented branch ran it:
     ``message = yield from port.next_packet()``, ``None`` ending the loop.
 
-    Rather than carry a second copy of five loop bodies, the shipped
+    Rather than carry a second copy of three loop bodies, the shipped
     generator is stepped by hand with its own receive switched off on this
     port; every ``Get`` it asks for is answered by the reference
     ``next_packet``.
@@ -157,12 +157,8 @@ def reference_path() -> Generator[None, None, None]:
         )
         patch.setattr(InputPort, "next_packet", _reference_next_packet)
         for module, name, port_of in [
-            (join, "build_consumer", lambda ctx, s, ex: s.build_port),
-            (join, "probe_consumer", lambda ctx, s, ex: s.probe_port),
-            (hybrid_join, "hybrid_build_consumer",
-             lambda ctx, s: s.build_port),
-            (hybrid_join, "hybrid_probe_consumer",
-             lambda ctx, s: s.probe_port),
+            (join, "build_consumer", lambda ctx, s: s.build_port),
+            (join, "probe_consumer", lambda ctx, s: s.probe_port),
             (store, "store_operator", lambda ctx, node, port, frag: port),
         ]:
             patch.setattr(
@@ -181,8 +177,8 @@ def _hybrid(policy: str) -> dict[str, Any]:
     # Under a third of the memory the build side needs and a 4x underestimate
     # of it: partitions spill, and demote/dynamic react mid-build.
     return dict(
-        join_algorithm="hybrid", join_memory_total=12_000,
-        hybrid_spill_policy=policy, hybrid_estimate_factor=0.25,
+        join_overflow=policy, join_memory_total=12_000,
+        join_estimate_factor=0.25,
     )
 
 

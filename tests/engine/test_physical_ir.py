@@ -122,7 +122,7 @@ class TestGammaJoins:
                 on=("unique1", "unique1"),
             )
         )
-        probe = ir.root.probe
+        probe = ir.root.source
         assert isinstance(probe, ScanOp)
         assert not isinstance(probe.predicate, TruePredicate)
 

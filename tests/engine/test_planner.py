@@ -12,7 +12,8 @@ from repro.engine import (
     ScanNode,
     TruePredicate,
 )
-from repro.engine.planner import PhysicalJoin, PhysicalScan, Planner
+from repro.engine.ir import HashJoinProbeOp
+from repro.engine.planner import Planner
 from repro.errors import PlanError
 
 
@@ -83,7 +84,7 @@ class TestJoinPlanning:
             ScanNode("Bprime"), ScanNode("A"), on=("unique2", "unique2")
         )
         plan = planner.plan(query)
-        assert isinstance(plan.root, PhysicalJoin)
+        assert isinstance(plan.root, HashJoinProbeOp)
         assert len(plan.schema) == 32  # two 16-attribute Wisconsin schemas
 
     def test_unknown_join_attr_rejected(self, join_machine):
