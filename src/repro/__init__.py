@@ -20,57 +20,20 @@ Quick start::
     print(f"{result.response_time:.2f} modeled seconds")
 """
 
-from .engine import (
-    AccessPath,
-    AggregateNode,
-    AppendTuple,
-    DeleteTuple,
-    ExactMatch,
-    GammaMachine,
-    JoinMode,
-    JoinNode,
-    ModifyTuple,
-    Query,
-    QueryResult,
-    RangePredicate,
-    ScanNode,
-    TruePredicate,
-)
-from .catalog import Hashed, RangePartitioned, RoundRobin, UniformRange
-from .hardware import GammaConfig, TeradataConfig
-from .metrics import MetricsRegistry, TraceBuffer, UtilisationReport
-from .quel import QuelSession
-from .workloads import generate_tuples, selection_range, wisconsin_schema
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AccessPath",
-    "AggregateNode",
-    "AppendTuple",
-    "DeleteTuple",
-    "ExactMatch",
-    "GammaConfig",
-    "GammaMachine",
-    "Hashed",
-    "JoinMode",
-    "JoinNode",
-    "MetricsRegistry",
-    "ModifyTuple",
-    "QuelSession",
-    "Query",
-    "QueryResult",
-    "RangePartitioned",
-    "RangePredicate",
-    "RoundRobin",
-    "ScanNode",
-    "TeradataConfig",
-    "TraceBuffer",
-    "TruePredicate",
-    "UniformRange",
-    "UtilisationReport",
-    "__version__",
-    "generate_tuples",
-    "selection_range",
-    "wisconsin_schema",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".catalog": ("Hashed", "RangePartitioned", "RoundRobin", "UniformRange"),
+    ".engine": (
+        "AccessPath", "AggregateNode", "AppendTuple", "DeleteTuple",
+        "ExactMatch", "GammaMachine", "JoinMode", "JoinNode", "ModifyTuple",
+        "Query", "QueryResult", "RangePredicate", "ScanNode", "TruePredicate",
+    ),
+    ".hardware": ("GammaConfig", "TeradataConfig"),
+    ".metrics": ("MetricsRegistry", "TraceBuffer", "UtilisationReport"),
+    ".quel": ("QuelSession",),
+    ".workloads": ("generate_tuples", "selection_range", "wisconsin_schema"),
+})
+__all__ += ["__version__"]

@@ -6,71 +6,24 @@ Each experiment is one registered :class:`ExperimentSpec`
 ``python -m repro matrix run|report <name>`` from the command line.
 """
 
-from .harness import (
-    bench_sizes,
-    build_gamma,
-    build_teradata,
-    run_stored,
-    run_to_host,
-    speedup_series,
-)
-from .matrix import (
-    Axis,
-    ExperimentSpec,
-    Grid,
-    MatrixRun,
-    run_experiment,
-)
-from .recorded import (
-    FIGURE_CLAIMS,
-    TABLE1_SELECTIONS,
-    TABLE2_JOINS,
-    TABLE3_UPDATES,
-)
-from .registry import REGISTRY, get, run_registered
-from .reporting import Report, ratio_note
-from .skew import load_skew_machine
-from .store import (
-    Record,
-    ResultStore,
-    StoreError,
-    canonical_config,
-    config_hash,
-    current_git_sha,
-)
-from .sweep import bench_jobs, run_sweep
-from .workload import machine_builder, make_mix
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Axis",
-    "ExperimentSpec",
-    "FIGURE_CLAIMS",
-    "Grid",
-    "MatrixRun",
-    "REGISTRY",
-    "Record",
-    "Report",
-    "ResultStore",
-    "StoreError",
-    "TABLE1_SELECTIONS",
-    "TABLE2_JOINS",
-    "TABLE3_UPDATES",
-    "bench_jobs",
-    "bench_sizes",
-    "build_gamma",
-    "build_teradata",
-    "canonical_config",
-    "config_hash",
-    "current_git_sha",
-    "get",
-    "load_skew_machine",
-    "machine_builder",
-    "make_mix",
-    "ratio_note",
-    "run_experiment",
-    "run_registered",
-    "run_stored",
-    "run_sweep",
-    "run_to_host",
-    "speedup_series",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".harness": (
+        "bench_sizes", "build_gamma", "build_teradata", "run_stored",
+        "run_to_host", "speedup_series",
+    ),
+    ".matrix": ("Axis", "ExperimentSpec", "Grid", "MatrixRun", "run_experiment"),
+    ".recorded": (
+        "FIGURE_CLAIMS", "TABLE1_SELECTIONS", "TABLE2_JOINS", "TABLE3_UPDATES",
+    ),
+    ".registry": ("REGISTRY", "get", "run_registered"),
+    ".reporting": ("Report", "ratio_note"),
+    ".skew": ("load_skew_machine",),
+    ".store": (
+        "Record", "ResultStore", "StoreError", "canonical_config",
+        "config_hash", "current_git_sha",
+    ),
+    ".sweep": ("bench_jobs", "run_sweep"),
+    ".workload": ("machine_builder", "make_mix"),
+})

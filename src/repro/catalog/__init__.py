@@ -1,29 +1,13 @@
 """Catalog: relations, fragments and declustering strategies."""
 
-from .catalog import Catalog
-from .partitioning import (
-    Hashed,
-    PartitioningStrategy,
-    RangePartitioned,
-    RoundRobin,
-    UniformRange,
-    gamma_hash,
-    gamma_mix,
-    stable_hash,
-)
-from .relation import AttrStats, Relation, collect_statistics
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AttrStats",
-    "Catalog",
-    "Hashed",
-    "PartitioningStrategy",
-    "RangePartitioned",
-    "Relation",
-    "collect_statistics",
-    "RoundRobin",
-    "UniformRange",
-    "gamma_hash",
-    "gamma_mix",
-    "stable_hash",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".artifacts": ("SharedRelation",),
+    ".catalog": ("Catalog",),
+    ".partitioning": (
+        "Hashed", "PartitioningStrategy", "RangePartitioned", "RoundRobin",
+        "UniformRange", "gamma_hash", "gamma_mix", "stable_hash",
+    ),
+    ".relation": ("AttrStats", "Relation", "collect_statistics"),
+})

@@ -7,6 +7,7 @@ from typing import Iterator, Optional, Sequence
 
 from ..errors import CatalogError
 from ..storage import AttrType, Schema, StoredFile
+from .artifacts import load_artifact
 from .partitioning import PartitioningStrategy
 
 
@@ -43,7 +44,18 @@ DISTINCT_SAMPLE = 100_000
 def collect_statistics(
     schema: Schema, records: Sequence[tuple]
 ) -> dict[str, AttrStats]:
-    """Min/max/distinct statistics for every integer attribute."""
+    """Min/max/distinct statistics for every integer attribute: a load
+    artifact, so a shared relation is summarised once per schema.  The
+    dict is the caller's own."""
+    return dict(load_artifact(
+        records, ("statistics", schema, DISTINCT_SAMPLE),
+        lambda: _statistics(schema, records),
+    ))
+
+
+def _statistics(
+    schema: Schema, records: Sequence[tuple]
+) -> dict[str, AttrStats]:
     stats: dict[str, AttrStats] = {}
     if not records:
         return stats

@@ -1,54 +1,19 @@
 """The Gamma engine: machine, planner, scheduler, operators."""
 
-from .admission import AdmissionController, AdmissionError, AdmissionTimeout
-from .bitfilter import BitVectorFilter
-from .locks import DeadlockError, LockManager, LockMode, LockTimeoutError
-from .machine import GammaMachine
-from .node import ExecutionContext, Node
-from .plan import (
-    AccessPath,
-    AggregateNode,
-    AppendTuple,
-    DeleteTuple,
-    ExactMatch,
-    JoinMode,
-    JoinNode,
-    ModifyTuple,
-    Query,
-    RangePredicate,
-    ScanNode,
-    TruePredicate,
-)
-from .planner import Planner
-from .results import QueryResult
-from .split_table import Destination, SplitTable
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AccessPath",
-    "AdmissionController",
-    "AdmissionError",
-    "AdmissionTimeout",
-    "AggregateNode",
-    "AppendTuple",
-    "BitVectorFilter",
-    "DeadlockError",
-    "DeleteTuple",
-    "Destination",
-    "ExactMatch",
-    "ExecutionContext",
-    "GammaMachine",
-    "LockManager",
-    "LockMode",
-    "LockTimeoutError",
-    "JoinMode",
-    "JoinNode",
-    "ModifyTuple",
-    "Node",
-    "Planner",
-    "Query",
-    "QueryResult",
-    "RangePredicate",
-    "ScanNode",
-    "SplitTable",
-    "TruePredicate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".admission": ("AdmissionController", "AdmissionError", "AdmissionTimeout"),
+    ".bitfilter": ("BitVectorFilter",),
+    ".locks": ("DeadlockError", "LockManager", "LockMode", "LockTimeoutError"),
+    ".machine": ("GammaMachine",),
+    ".node": ("ExecutionContext", "Node"),
+    ".plan": (
+        "AccessPath", "AggregateNode", "AppendTuple", "DeleteTuple",
+        "ExactMatch", "JoinMode", "JoinNode", "ModifyTuple", "Query",
+        "RangePredicate", "ScanNode", "TruePredicate",
+    ),
+    ".planner": ("Planner",),
+    ".results": ("QueryResult",),
+    ".split_table": ("Destination", "SplitTable"),
+})

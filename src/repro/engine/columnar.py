@@ -23,11 +23,13 @@ Two invariants make the fast paths safe:
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Optional, Sequence
 
 import numpy as _np
 
-from ..catalog.partitioning import stable_hash
+from ..catalog.artifacts import load_artifact, rows_of
+from ..catalog.partitioning import gamma_mix, stable_hash
 
 #: Minimum batch size for the vectorized kernels.  Below this the numpy
 #: call overhead (array construction + ufunc dispatch) exceeds the scalar
@@ -39,29 +41,33 @@ NUMPY_THRESHOLD = 32
 _MERSENNE61 = (1 << 61) - 1
 
 
-def _int_column(
-    records: Sequence[tuple], pos: int
-) -> Optional["Any"]:
-    """Extract column ``pos`` as an int64 array, or None when unsafe.
+def int_array(values: Sequence[Any]) -> Optional["Any"]:
+    """``values`` as an int64 array, or None when unsafe.
 
     Returns None unless every value is a genuine ``int`` (``bool`` and
     ``float`` would silently coerce) inside the ``hash(v) == v`` range.
     """
-    column = [record[pos] for record in records]
-    for value in column:
+    for value in values:
         if type(value) is not int:
             return None
     try:
-        arr = _np.fromiter(column, dtype=_np.int64, count=len(column))
+        arr = _np.fromiter(values, dtype=_np.int64, count=len(values))
     except OverflowError:
         return None
-    if int(arr.min()) < 0 or int(arr.max()) >= _MERSENNE61:
+    if len(arr) and (int(arr.min()) < 0 or int(arr.max()) >= _MERSENNE61):
         return None
     return arr
 
 
-def gamma_hash_array(arr: "Any", n_buckets: int) -> "Any":
-    """Vectorized :func:`repro.catalog.partitioning.gamma_hash`.
+def _int_column(
+    records: Sequence[tuple], pos: int
+) -> Optional["Any"]:
+    """Column ``pos`` of ``records`` as :func:`int_array` gives it."""
+    return int_array([record[pos] for record in records])
+
+
+def gamma_mix_array(arr: "Any") -> "Any":
+    """Vectorized :func:`repro.catalog.partitioning.gamma_mix` (uint64).
 
     ``arr`` must hold values with ``hash(v) == v`` (the caller gates
     this); the Knuth multiplicative mix then runs entirely in uint64,
@@ -74,7 +80,59 @@ def gamma_hash_array(arr: "Any", n_buckets: int) -> "Any":
     h ^= h >> _np.uint64(17)
     h = (h * _np.uint64(0x9E3779B1)) & _np.uint64(0xFFFFFFFF)
     h ^= h >> _np.uint64(13)
-    return h % _np.uint64(n_buckets)
+    return h
+
+
+def gamma_hash_array(arr: "Any", n_buckets: int) -> "Any":
+    """Vectorized :func:`repro.catalog.partitioning.gamma_hash`, under
+    :func:`gamma_mix_array`'s precondition."""
+    return gamma_mix_array(arr) % _np.uint64(n_buckets)
+
+
+def mix_column(values: Sequence[Any]) -> "Any":
+    """``gamma_mix`` of each of ``values``, as a uint32 array.
+
+    Large all-int columns go through :func:`gamma_mix_array`; anything
+    else (strings, out-of-range ints, short columns) value by value.
+    """
+    if len(values) >= NUMPY_THRESHOLD:
+        arr = int_array(values)
+        if arr is not None:
+            return gamma_mix_array(arr).astype(_np.uint32)
+    return _np.fromiter(
+        map(gamma_mix, values), dtype=_np.uint32, count=len(values)
+    )
+
+
+def key_mixes(records: Sequence[tuple], pos: int) -> "Any":
+    """:func:`mix_column` of column ``pos`` of ``records`` — a load
+    artifact, so a shared relation mixes each key column once."""
+    return load_artifact(
+        records, ("mix", pos),
+        lambda: mix_column([record[pos] for record in records]),
+    )
+
+
+def scatter(
+    records: Sequence[tuple], routes: "Any", n_buckets: int,
+    order: Optional["Any"] = None,
+) -> list[list[tuple]]:
+    """Deal ``records`` into ``n_buckets`` lists: the record at
+    ``order[i]`` (``i`` when no order is given) goes to bucket
+    ``routes[i]``, and each bucket keeps the order the records come in."""
+    if order is not None:
+        take = order.tolist()
+        rows = rows_of(records)
+        # One C-level gather; ``itemgetter`` of one index is no tuple.
+        records = (
+            itemgetter(*take)(rows) if len(take) > 1
+            else [rows[i] for i in take]
+        )
+    buckets: list[list[tuple]] = [[] for _ in range(n_buckets)]
+    appends = [bucket.append for bucket in buckets]
+    for record, route in zip(records, routes.tolist()):
+        appends[route](record)
+    return buckets
 
 
 def hash_route_batch(
@@ -290,12 +348,10 @@ def partition_batch(
 ) -> list[list[tuple]]:
     """Bucket ``records`` by ``gamma_hash(record[pos], n_sites)``.
 
-    The load-time declustering kernel: one vectorized hash pass and one
-    scatter, instead of a per-record ``site_of`` call.  Identical bucket
-    assignment to the scalar path by :func:`hash_route_batch`'s contract.
+    The load-time declustering kernel: the key column's mixes (kept on a
+    shared relation), one vectorized modulo and one scatter, instead of a
+    per-record ``site_of`` call.  Identical bucket contents and order to
+    the scalar path, since ``gamma_hash(v, n) == gamma_mix(v) % n``.
     """
-    buckets: list[list[tuple]] = [[] for _ in range(n_sites)]
-    sites = hash_route_batch(records, pos, n_sites)
-    for record, site in zip(records, sites):
-        buckets[site].append(record)
-    return buckets
+    sites = key_mixes(records, pos) % _np.uint32(n_sites)
+    return scatter(records, sites, n_sites)

@@ -333,11 +333,6 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
-    def disk_stats(self) -> dict[str, int]:
-        read = sum(n.drive.pages_read for n in self.disk_nodes if n.drive)
-        written = sum(n.drive.pages_written for n in self.disk_nodes if n.drive)
-        return {"pages_read": read, "pages_written": written}
-
     def utilisations(self) -> dict[str, float]:
         """Flat ``{"node.resource": busy fraction}`` map over all nodes."""
         return self.utilisation_report().as_dict()

@@ -1,34 +1,14 @@
 """Hardware models: CPUs, disks, interconnects and machine configurations."""
 
-from .configs import KB, MB, GammaConfig, TeradataConfig
-from .costs import DEFAULT_GAMMA_COSTS, GammaCosts
-from .cpu import INTEL_80286, VAX_11_750, CpuModel
-from .disk import FUJITSU_M2333, HITACHI_DK815, DiskDrive, DiskModel
-from .network import (
-    GAMMA_NETWORK,
-    YNET_NETWORK,
-    Interconnect,
-    NetworkInterface,
-    NetworkModel,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CpuModel",
-    "DEFAULT_GAMMA_COSTS",
-    "DiskDrive",
-    "DiskModel",
-    "FUJITSU_M2333",
-    "GAMMA_NETWORK",
-    "GammaConfig",
-    "GammaCosts",
-    "HITACHI_DK815",
-    "INTEL_80286",
-    "Interconnect",
-    "KB",
-    "MB",
-    "NetworkInterface",
-    "NetworkModel",
-    "TeradataConfig",
-    "VAX_11_750",
-    "YNET_NETWORK",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".configs": ("KB", "MB", "GammaConfig", "TeradataConfig"),
+    ".costs": ("DEFAULT_GAMMA_COSTS", "GammaCosts"),
+    ".cpu": ("INTEL_80286", "VAX_11_750", "CpuModel"),
+    ".disk": ("FUJITSU_M2333", "HITACHI_DK815", "DiskDrive", "DiskModel"),
+    ".network": (
+        "GAMMA_NETWORK", "YNET_NETWORK", "Interconnect", "NetworkInterface",
+        "NetworkModel",
+    ),
+})

@@ -28,48 +28,18 @@ simulated timeline is bit-identical with metrics enabled or disabled):
   detection with simulated timestamps.
 """
 
-from .profile import OperatorSpan, Profiler, QueryProfile, explain_analyze
-from .registry import MetricsRegistry, NodeMetrics, OperatorMetrics
-from .report import NodeUtilisation, UtilisationReport, peak_utilisation
-from .slo import (
-    Alert,
-    SlidingWindowTracker,
-    detect_all,
-    detect_convoy,
-    detect_overload,
-    detect_skew,
-)
-from .telemetry import SampleSeries, TelemetrySampler, render_dashboard
-from .timeline import PhaseTimeline, density_strip, sparkline
-from .trace import TraceBuffer
-from .workload import LatencyStats, QueryRecord, WorkloadResult, percentile
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Alert",
-    "LatencyStats",
-    "MetricsRegistry",
-    "NodeMetrics",
-    "NodeUtilisation",
-    "OperatorMetrics",
-    "OperatorSpan",
-    "PhaseTimeline",
-    "Profiler",
-    "QueryProfile",
-    "QueryRecord",
-    "SampleSeries",
-    "SlidingWindowTracker",
-    "TelemetrySampler",
-    "TraceBuffer",
-    "UtilisationReport",
-    "WorkloadResult",
-    "density_strip",
-    "detect_all",
-    "detect_convoy",
-    "detect_overload",
-    "detect_skew",
-    "explain_analyze",
-    "peak_utilisation",
-    "percentile",
-    "render_dashboard",
-    "sparkline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".profile": ("OperatorSpan", "Profiler", "QueryProfile", "explain_analyze"),
+    ".registry": ("MetricsRegistry", "NodeMetrics", "OperatorMetrics"),
+    ".report": ("NodeUtilisation", "UtilisationReport", "peak_utilisation"),
+    ".slo": (
+        "Alert", "SlidingWindowTracker", "detect_all", "detect_convoy",
+        "detect_overload", "detect_skew",
+    ),
+    ".telemetry": ("SampleSeries", "TelemetrySampler", "render_dashboard"),
+    ".timeline": ("PhaseTimeline", "density_strip", "sparkline"),
+    ".trace": ("TraceBuffer",),
+    ".workload": ("LatencyStats", "QueryRecord", "WorkloadResult", "percentile"),
+})

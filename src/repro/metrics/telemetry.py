@@ -138,21 +138,14 @@ class TelemetrySampler:
         self.samples = 0
         self._probes: list[Probe] = []
         self._ticks = 0
-        self._sim: Optional["Simulation"] = None
         if slo is not None and hasattr(slo, "wire"):
             slo.wire(self)
 
     # -- kernel hookup ----------------------------------------------------
     def attach(self, sim: "Simulation") -> None:
         """Install the pull hook; the first boundary is one interval in."""
-        self._sim = sim
         self._ticks = 0
         sim.set_sample_hook(self._on_due, self.interval)
-
-    def detach(self) -> None:
-        if self._sim is not None:
-            self._sim.set_sample_hook(None, float("inf"))
-            self._sim = None
 
     def _on_due(self, limit: float) -> float:
         """Sample every boundary ``<= limit``; return the next due time."""

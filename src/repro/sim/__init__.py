@@ -7,34 +7,13 @@ Public surface::
     from repro.sim import UseRun  # a run of back-to-back Uses on one server
 """
 
-from .events import (
-    Acquire,
-    Delay,
-    Get,
-    Join,
-    Put,
-    Release,
-    Use,
-    UseRun,
-    WaitAll,
-)
-from .kernel import Process, Simulation, run_to_completion
-from .resources import IntervalStats, Server, Store
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Acquire",
-    "Delay",
-    "Get",
-    "IntervalStats",
-    "Join",
-    "Process",
-    "Put",
-    "Release",
-    "Server",
-    "Simulation",
-    "Store",
-    "Use",
-    "UseRun",
-    "WaitAll",
-    "run_to_completion",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".events": (
+        "Acquire", "Delay", "Get", "Join", "Put", "Release", "Use", "UseRun",
+        "WaitAll",
+    ),
+    ".kernel": ("Process", "Simulation", "run_to_completion"),
+    ".resources": ("IntervalStats", "Server", "Store"),
+})

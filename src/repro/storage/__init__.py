@@ -1,46 +1,19 @@
 """WiSS storage substrate: pages, heap files, B+-trees, buffers, sort."""
 
-from .btree import (
-    BPlusTree,
-    BTreeNode,
-    SearchPath,
-    build_dense_index,
-    build_sparse_index,
-)
-from .buffer import BufferPool
-from .heap import RID, HeapFile, build_heap_file, expected_pages
-from .page import (
-    PAGE_HEADER_BYTES,
-    RECORD_OVERHEAD_BYTES,
-    Page,
-    records_per_page,
-)
-from .schema import Attribute, AttrType, Schema, int_attr, string_attr
-from .sort import SortStats, external_sort
-from .wiss import PageAccess, StoredFile
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AttrType",
-    "Attribute",
-    "BPlusTree",
-    "BTreeNode",
-    "BufferPool",
-    "HeapFile",
-    "PAGE_HEADER_BYTES",
-    "Page",
-    "PageAccess",
-    "RECORD_OVERHEAD_BYTES",
-    "RID",
-    "Schema",
-    "SearchPath",
-    "SortStats",
-    "StoredFile",
-    "build_dense_index",
-    "build_heap_file",
-    "build_sparse_index",
-    "expected_pages",
-    "external_sort",
-    "int_attr",
-    "records_per_page",
-    "string_attr",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".btree": (
+        "BPlusTree", "BTreeNode", "SearchPath", "build_dense_index",
+        "build_sparse_index",
+    ),
+    ".buffer": ("BufferPool",),
+    ".heap": ("RID", "HeapFile", "build_heap_file", "expected_pages"),
+    ".page": (
+        "PAGE_HEADER_BYTES", "RECORD_OVERHEAD_BYTES", "Page",
+        "records_per_page",
+    ),
+    ".schema": ("Attribute", "AttrType", "Schema", "int_attr", "string_attr"),
+    ".sort": ("SortStats", "external_sort"),
+    ".wiss": ("PageAccess", "StoredFile"),
+})

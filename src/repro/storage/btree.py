@@ -115,15 +115,6 @@ class BPlusTree:
         return node
 
     @property
-    def num_nodes(self) -> int:
-        return self._count_nodes(self.root)
-
-    def _count_nodes(self, node: BTreeNode) -> int:
-        if node.is_leaf:
-            return 1
-        return 1 + sum(self._count_nodes(c) for c in node.children)
-
-    @property
     def height(self) -> int:
         """Number of levels (a lone leaf has height 1)."""
         levels = 1

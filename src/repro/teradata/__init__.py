@@ -1,16 +1,9 @@
 """The Teradata DBC/1012 baseline (Section 3 of the paper)."""
 
-from .amp import Amp, AmpFragment, DenseHashIndex, hash_key_order
-from .costs import DEFAULT_TERADATA_COSTS, TeradataCosts
-from .machine import TeradataMachine, TeradataRelation
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Amp",
-    "AmpFragment",
-    "DEFAULT_TERADATA_COSTS",
-    "DenseHashIndex",
-    "TeradataCosts",
-    "TeradataMachine",
-    "TeradataRelation",
-    "hash_key_order",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".amp": ("Amp", "AmpFragment", "DenseHashIndex", "hash_key_order"),
+    ".costs": ("DEFAULT_TERADATA_COSTS", "TeradataCosts"),
+    ".machine": ("TeradataMachine", "TeradataRelation"),
+})

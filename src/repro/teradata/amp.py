@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from ..catalog import gamma_hash, gamma_mix
+from ..catalog import gamma_hash
 from ..hardware import DiskDrive, TeradataConfig
 from ..sim import Server, Simulation, Use, UseRun
 from ..storage import BufferPool, HeapFile, Schema, records_per_page
@@ -30,23 +30,40 @@ def hash_partition(
 
     One :func:`~repro.catalog.gamma_mix` per record yields both its AMP
     (``mix % n_amps``, i.e. ``gamma_hash(key, n_amps)``) and its place in
-    the hash-key order; the mix is 32 bits wide, so the batch router
-    computes it as ``gamma_hash(key, 2**32)``.
+    the hash-key order (:func:`hash_order`); a shared relation keeps both.
     """
     # Imported by the first load, not with the package: numpy comes with it.
-    from ..engine.columnar import hash_route_batch
+    from ..engine.columnar import key_mixes, scatter
 
-    keys = [record[key_pos] for record in records]
-    mixes = hash_route_batch(records, key_pos, 1 << 32)
-    place = [mix % HASH_ORDER_BUCKETS for mix in mixes]
-    # Two stable passes, minor key first: no (hash, key) pair per record
-    # for the collector to track.
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    order.sort(key=place.__getitem__)
-    buckets: list[list[tuple]] = [[] for _ in range(n_amps)]
-    for i in order:
-        buckets[mixes[i] % n_amps].append(records[i])
-    return buckets
+    order = hash_order(records, key_pos)
+    amps = key_mixes(records, key_pos)[order] % n_amps
+    return scatter(records, amps, n_amps, order)
+
+
+def hash_order(records: Sequence[tuple], key_pos: int) -> Any:
+    """Positions of ``records`` in hash-key order — by the low 30 bits of
+    the key's mix, then key, then position — as an int32 array: a load
+    artifact, so a shared relation sorts each key column once.
+
+    All-int keys take one stable ``lexsort``; anything else (strings,
+    out-of-range ints) two stable Python sorts, minor key first.
+    """
+    import numpy as np
+
+    from ..catalog.artifacts import load_artifact
+    from ..engine.columnar import int_array, key_mixes
+
+    def build() -> Any:
+        place = key_mixes(records, key_pos) & np.uint32(HASH_ORDER_BUCKETS - 1)
+        keys = [record[key_pos] for record in records]
+        column = int_array(keys)
+        if column is not None:
+            return np.lexsort((column, place)).astype(np.int32)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        order.sort(key=place.tolist().__getitem__)
+        return np.array(order, dtype=np.int32)
+
+    return load_artifact(records, ("hash order", key_pos), build)
 
 
 def hash_key_order(records: Sequence[tuple], key_pos: int) -> list[tuple]:
@@ -77,10 +94,14 @@ class DenseHashIndex:
         return (len(self.entries) + per_page - 1) // per_page
 
     def build(self, values: list[Any]) -> None:
-        place = [gamma_mix(v) % HASH_ORDER_BUCKETS for v in values]
+        import numpy as np
+
+        from ..engine.columnar import mix_column
+
+        place = mix_column(values) & np.uint32(HASH_ORDER_BUCKETS - 1)
         self.entries = {
             i: values[i]
-            for i in sorted(range(len(values)), key=place.__getitem__)
+            for i in np.argsort(place, kind="stable").tolist()
         }
 
     def matching(self, low: Any, high: Any) -> list[int]:

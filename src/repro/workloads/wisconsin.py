@@ -20,7 +20,11 @@ The relation source: one column-wise builder makes every relation, takes
 every integer from one process-wide table (a tuple allocates nothing but
 itself, ≈ 170 bytes) and memoises the result per ``(n, seed, strings)``
 as an immutable tuple of tuples, so the machines of a process — both
-backends, every rebuilt copy — load the same tuple objects.
+backends, every rebuilt copy — load the same tuple objects.  The memo
+entry is a :class:`~repro.catalog.artifacts.SharedRelation`, which is
+what ``load_wisconsin`` loads: what a load derives from the relation
+(key hash mixes, hash-key order, statistics) is computed by the first
+load and kept in the entry.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from itertools import accumulate
 from typing import Iterator, Literal, Optional, Sequence
 from zlib import crc32
 
+from ..catalog.artifacts import SharedRelation
 from ..errors import BenchmarkError
 from ..storage import Schema, int_attr, string_attr
 
@@ -99,8 +104,9 @@ _INTS: list[int] = []
 
 #: ``(n, seed, strings)`` → relation, oldest first.  The relations are
 #: tuples of tuples: nothing a loader does can change one, which is what
-#: lets every machine in the process reference the same objects.
-_MEMO: dict[tuple[int, int, str], tuple[tuple, ...]] = {}
+#: lets every machine in the process reference the same objects (and the
+#: entry keep the load artifacts, dropped with it on eviction).
+_MEMO: dict[tuple[int, int, str], SharedRelation] = {}
 
 
 def _ints(n: int) -> list[int]:
@@ -182,37 +188,45 @@ def wisconsin_relation(
     it holds more than :data:`MEMO_MAX_TUPLES`; a relation larger than
     that is built and returned but not kept.
     """
+    return _shared(n, seed, strings).rows
+
+
+def _shared(n: int, seed: int, strings: StringsMode) -> SharedRelation:
+    """The memo entry of :func:`wisconsin_relation`: the relation and the
+    load artifacts derived from it, evicted together."""
     _check_size(n)
     key = (n, seed, strings)
-    relation = _MEMO.get(key)
-    if relation is None:
+    shared = _MEMO.get(key)
+    if shared is None:
         rng = random.Random(seed)
         unique1 = _ints(n)
         rng.shuffle(unique1)
         unique2 = _ints(n)
         rng.shuffle(unique2)
-        relation = tuple(zip(*_columns(unique1, unique2, strings)))
+        shared = SharedRelation(
+            tuple(zip(*_columns(unique1, unique2, strings)))
+        )
         if n <= MEMO_MAX_TUPLES:
-            _MEMO[key] = relation
+            _MEMO[key] = shared
             held = sum(size for size, _seed, _strings in _MEMO)
             for oldest in list(_MEMO):
                 if held <= MEMO_MAX_TUPLES:
                     break
                 del _MEMO[oldest]
                 held -= oldest[0]
-    return relation
+    return shared
 
 
 def wisconsin_load_set(
     name: str, n: int, seed: Optional[int], strings: StringsMode
-) -> tuple[Schema, tuple[tuple, ...]]:
+) -> tuple[Schema, SharedRelation]:
     """What ``load_wisconsin(name, n, seed, strings=...)`` loads on either
-    machine: the schema and the shared relation."""
+    machine: the schema and the shared relation, with its artifacts."""
     if seed is None:
         # crc32, not builtin hash: string hashing is salted per process,
         # and a per-run default seed would defeat reproducibility.
         seed = crc32(name.encode("utf-8")) % (2**31)
-    return wisconsin_schema(), wisconsin_relation(n, seed, strings)
+    return wisconsin_schema(), _shared(n, seed, strings)
 
 
 def generate_tuples(
