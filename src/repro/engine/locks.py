@@ -149,10 +149,6 @@ class LockManager:
             self._dispatch(name, state)
         self._waits_for.pop(txn, None)
 
-    def holders_of(self, name: Hashable) -> dict[Hashable, LockMode]:
-        state = self._locks.get(name)
-        return dict(state.holders) if state else {}
-
     # ------------------------------------------------------------------
     def _grant(
         self, txn: Hashable, name: Hashable, mode: LockMode, state: _LockState

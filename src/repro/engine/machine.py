@@ -166,10 +166,6 @@ class GammaMachine:
     def drop_relation(self, name: str) -> None:
         self.catalog.drop(name)
 
-    def drop_if_exists(self, name: str) -> None:
-        if name in self.catalog:
-            self.catalog.drop(name)
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------

@@ -14,7 +14,9 @@ from typing import Any, Generator, Optional
 
 from ..errors import ExecutionError
 from ..hardware import DiskDrive, GammaConfig, Interconnect
-from ..metrics import MetricsRegistry, Profiler, TraceBuffer, UtilisationReport
+from ..hardware.inventory import Inventory, InventoryRow
+from ..metrics import MetricsRegistry, Profiler, TraceBuffer
+from ..metrics.report import NodeUtilisation, UtilisationReport
 from ..metrics.telemetry import TelemetrySampler
 from ..sim import Server, Simulation, Use
 from ..storage import BufferPool
@@ -136,7 +138,9 @@ class ExecutionContext:
     ``telemetry`` attaches a
     :class:`~repro.metrics.telemetry.TelemetrySampler` to the kernel's
     pull hook and wires the cluster's servers, lock manager and buffer
-    pools into it.  Tracing, profiling, telemetry and the always-on
+    pools into it.  All three find the servers in :attr:`hardware`, the
+    machine's one :class:`~repro.hardware.Inventory`.  Tracing,
+    profiling, telemetry and the always-on
     :class:`~repro.metrics.MetricsRegistry` are passive — they never
     schedule events, so the simulated timeline is identical whether or
     not they are inspected.
@@ -197,12 +201,14 @@ class ExecutionContext:
         self._spool_rr = itertools.cycle(range(len(self.disk_nodes)))
         self._temp_ids = itertools.count()
         self.telemetry = telemetry
+        self.hardware = self._inventory()
         if trace is not None:
-            self._wire_trace(trace)
+            trace.watch(self.hardware)
         if self.profiler is not None:
-            self._wire_profile(self.profiler)
+            self.profiler.watch(self.hardware)
         if telemetry is not None:
-            self._wire_telemetry(telemetry)
+            telemetry.watch(self.hardware)
+            self._watch_gauges(telemetry)
 
     @property
     def stats(self) -> Counter[str]:
@@ -210,67 +216,27 @@ class ExecutionContext:
         compatibility with the pre-registry ``ctx.stats`` dict)."""
         return self.metrics.query
 
-    def _wire_trace(self, trace: TraceBuffer) -> None:
-        """Attach service-interval observers to every hardware server."""
-
-        def observer(node_name: str, lane: str):
-            def on_service(server_name: str, start: float, dur: float) -> None:
-                trace.duration(node_name, lane, lane, start, dur, cat=lane)
-
-            return on_service
-
+    def _inventory(self) -> Inventory:
+        """Gamma's hardware: each node's CPU and drive, each NIC, then
+        the ring (keys ``disk0.cpu``, ``disk0.disk``, ``disk0.nic``,
+        ``ring``)."""
+        rows = []
         for node in self.nodes.values():
-            node.cpu.observer = observer(node.name, "cpu")
+            rows.append(InventoryRow(node.cpu, node.name, "cpu", "cpu"))
             if node.drive is not None:
-                node.drive.server.observer = observer(node.name, "disk")
+                rows.append(InventoryRow(
+                    node.drive.server, node.name, "disk", "disk"
+                ))
         for name, interface in self.net.interfaces.items():
-            interface.server.observer = observer(name, "nic")
-        self.net.ring.observer = observer("ring", "ring")
-
-    def _wire_profile(self, profiler: Profiler) -> None:
-        """Attach profile hooks, declaring each server's resource class
-        explicitly (cpu/disk/net) — never inferred from server names."""
-        for node in self.nodes.values():
-            profiler.wire_server(node.cpu, "cpu", node.name)
-            if node.drive is not None:
-                profiler.wire_server(node.drive.server, "disk", node.name)
-        for name, interface in self.net.interfaces.items():
-            profiler.wire_server(interface.server, "net", name)
-        profiler.wire_server(self.net.ring, "net", "ring")
-
-    def _wire_telemetry(self, sampler: TelemetrySampler) -> None:
-        """Attach the sampler to the kernel and wire cluster gauges.
-
-        Aggregate tracks (mean/max/min/spread utilisation over the CPU,
-        disk and NIC groups, lock-manager counts, buffer pages,
-        hash-table bytes) are always wired; small machines also get
-        per-node lanes so the dashboard can show individual sites.
-        """
-        sampler.attach(self.sim)
-        sampler.watch_group(
-            "cluster", "cpu.util",
-            [(n.name, n.cpu) for n in self.nodes.values()],
+            rows.append(InventoryRow(interface.server, name, "nic", "net"))
+        rows.append(InventoryRow(self.net.ring, "ring", "ring", "net"))
+        return Inventory(
+            self.sim, rows, [node.name for node in self.disk_nodes]
         )
-        sampler.watch_group(
-            "cluster", "disk.util",
-            [
-                (n.name, n.drive.server)
-                for n in self.nodes.values() if n.drive is not None
-            ],
-        )
-        sampler.watch_group(
-            "cluster", "nic.util",
-            [
-                (name, interface.server)
-                for name, interface in self.net.interfaces.items()
-            ],
-        )
-        sampler.watch_server(self.net.ring, "ring", "net")
-        if len(self.disk_nodes) <= sampler.per_node_limit:
-            for node in self.disk_nodes:
-                sampler.watch_server(node.cpu, node.name, "cpu")
-                if node.drive is not None:
-                    sampler.watch_server(node.drive.server, node.name, "disk")
+
+    def _watch_gauges(self, sampler: TelemetrySampler) -> None:
+        """Gamma's own telemetry gauges: lock-manager counts, buffer
+        pages and hash-table peak bytes."""
         sampler.watch_locks(self.locks)
         nodes = list(self.nodes.values())
         sampler.add_gauge(
@@ -339,4 +305,19 @@ class ExecutionContext:
 
     def utilisation_report(self) -> UtilisationReport:
         """The per-node CPU/disk/network busy-fraction report (post-run)."""
-        return UtilisationReport.from_context(self)
+        busy = self.hardware.utilisations()
+        rows = []
+        for name, node in self.nodes.items():
+            nm = self.metrics.node(name)
+            drive = node.drive
+            rows.append(NodeUtilisation(
+                name=name,
+                cpu=busy[f"{name}.cpu"],
+                disk=busy.get(f"{name}.disk"),
+                nic=busy.get(f"{name}.nic"),
+                pages_read=drive.pages_read if drive else 0,
+                pages_written=drive.pages_written if drive else 0,
+                tuples_in=nm.tuples_in,
+                tuples_out=nm.tuples_out,
+            ))
+        return UtilisationReport(self.sim.now, rows, ring=busy["ring"])

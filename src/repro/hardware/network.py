@@ -76,17 +76,14 @@ class Interconnect:
     def __init__(self, model: NetworkModel, node_names: list[str]) -> None:
         self.model = model
         self.ring = Server("ring")
-        self.interfaces = {
-            name: NetworkInterface(name) for name in node_names
-        }
+        self.interfaces: dict[str, NetworkInterface] = {}
+        for name in node_names:
+            if name in self.interfaces:
+                raise ConfigError(f"duplicate node name {name!r}")
+            self.interfaces[name] = NetworkInterface(name)
         self.messages_sent = 0
         self.messages_short_circuited = 0
         self.bytes_on_ring = 0
-
-    def add_node(self, name: str) -> None:
-        if name in self.interfaces:
-            raise ConfigError(f"duplicate node name {name!r}")
-        self.interfaces[name] = NetworkInterface(name)
 
     def transfer(
         self, src: str, dst: str, nbytes: int
@@ -218,8 +215,8 @@ class _FastCourier:
         """A courier about to run ``stage``; stages before it need no
         server.  ``sender=None`` at ``_SENDER`` makes that stage the
         short-circuit delay ``sender_s``, followed directly by the Put.
-        ``owner`` is the dispatching process (None outside any), read by
-        ``Server.profile_hook`` callers in place of a requesting process."""
+        ``owner`` is the dispatching process (None outside any), which
+        ``Server.hooks`` see in place of a requesting process."""
         self.sim = sim
         self.owner = owner
         self.store = store

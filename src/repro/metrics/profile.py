@@ -6,8 +6,9 @@ caused it:
 
 * drivers *register* each operator process against an IR node id and a
   phase ("build", "probe", "overflow", ...) when they spawn it;
-* every :class:`~repro.sim.Server` carrying a ``profile_hook`` reports
-  ``(server, process, start, duration)`` at service start; the profiler
+* every server of the machine's :class:`~repro.hardware.Inventory`
+  reports ``(server, process, start, duration)`` at service start
+  through its hooks (:meth:`Profiler.watch`); the profiler
   resolves the process to an operator by walking ``Process.parent`` —
   helper processes (page feeders) need no explicit registration, and a
   network courier, which is no process, reports the process that
@@ -100,15 +101,15 @@ class Profiler:
         self.placements: dict[str, set[str]] = {}
 
     # -- wiring ------------------------------------------------------------
-    def wire_server(
-        self, server: "Server", resource_class: str, node_name: str
-    ) -> None:
-        """Attach the profile hook to ``server``, declaring its resource
-        class explicitly (never inferred from the server's name)."""
-        self._servers[server] = (resource_class, node_name)
-        self._server_class[server.name] = resource_class
-        self.class_counts[resource_class] += 1
-        server.profile_hook = self._on_service
+    def watch(self, inventory: Any) -> None:
+        """Attribute every service interval on the servers of
+        ``inventory`` (a :class:`~repro.hardware.Inventory`), classed by
+        each row's declared resource — never inferred from a name."""
+        for row in inventory.rows:
+            self._servers[row.server] = (row.resource, row.node)
+            self._server_class[row.server.name] = row.resource
+            self.class_counts[row.resource] += 1
+        inventory.subscribe(self._on_service)
 
     def register(
         self,

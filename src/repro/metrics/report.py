@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Mapping, Optional
 
 
 def peak_utilisation(
@@ -76,36 +76,6 @@ class UtilisationReport:
         self.rows = rows
         self.ring = ring
 
-    @classmethod
-    def from_context(cls, ctx: Any) -> "UtilisationReport":
-        """Build from a finished :class:`~repro.engine.node.ExecutionContext`.
-
-        Duck-typed on purpose (``ctx`` needs ``sim``, ``nodes``, ``net``
-        and ``metrics``) so the metrics layer never imports the engine.
-        """
-        now = ctx.sim.now
-        rows = []
-        for name, node in ctx.nodes.items():
-            nm = ctx.metrics.node(name)
-            interface = ctx.net.interfaces.get(name)
-            rows.append(NodeUtilisation(
-                name=name,
-                cpu=node.cpu.utilisation(now),
-                disk=(
-                    node.drive.server.utilisation(now)
-                    if node.drive is not None else None
-                ),
-                nic=(
-                    interface.server.utilisation(now)
-                    if interface is not None else None
-                ),
-                pages_read=node.drive.pages_read if node.drive else 0,
-                pages_written=node.drive.pages_written if node.drive else 0,
-                tuples_in=nm.tuples_in,
-                tuples_out=nm.tuples_out,
-            ))
-        return cls(now, rows, ring=ctx.net.ring.utilisation(now))
-
     # -- analysis ---------------------------------------------------------
     def bottleneck(self) -> tuple[str, str, float]:
         """(node, resource, busy fraction) of the most utilised resource."""
@@ -117,16 +87,6 @@ class UtilisationReport:
         if self.ring is not None and self.ring > best[2]:
             best = ("ring", "ring", self.ring)
         return best
-
-    def max_utilisation(self, resource: str) -> float:
-        """Highest busy fraction of ``resource`` (cpu|disk|nic) on any node."""
-        values = [
-            getattr(row, resource)
-            for row in self.rows
-            if getattr(row, resource) is not None
-            and math.isfinite(getattr(row, resource))
-        ]
-        return max(values, default=0.0)
 
     def as_dict(self) -> dict[str, float]:
         """Flat ``{"node.resource": fraction}`` map (QueryResult shape)."""

@@ -40,9 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .workload import QueryRecord
 
 #: A probe reads simulation state at one sample boundary and appends to
-#: the series it owns.  Probes must be pure observers: reading counters
-#: and pro-rated accruals only, never scheduling events or mutating
-#: engine state.
+#: the series it owns.  Probes must be passive: reading counters and
+#: pro-rated accruals only, never scheduling events or mutating engine
+#: state.
 Probe = Callable[[float], None]
 
 
@@ -105,18 +105,22 @@ class SampleSeries:
 class TelemetrySampler:
     """Samples wired gauges every ``interval`` simulated seconds.
 
-    Wiring helpers (:meth:`watch_server`, :meth:`watch_group`,
-    :meth:`watch_admission`, :meth:`watch_locks`, :meth:`add_gauge`)
+    :meth:`watch` attaches to a machine's hardware inventory; the
+    helpers it builds on (:meth:`watch_server`, :meth:`watch_group`)
+    and :meth:`watch_admission`, :meth:`watch_locks`, :meth:`add_gauge`
     register probes; :meth:`attach` installs the kernel's pull hook.
     Per-interval rates (utilisation, mean queue wait) are computed as
     deltas of the servers' cumulative accruals between consecutive
     boundaries, so every interval is exact rather than a point sample.
     """
 
-    #: Machines with at most this many disk sites also get per-node
+    #: Machines with at most this many data sites also get per-site
     #: lanes (beyond the cluster aggregate) — enough to chart, not
     #: enough to drown a 1000-site dashboard.
     per_node_limit = 8
+
+    #: Cluster group track of each resource class's per-site servers.
+    _GROUPS = (("cpu", "cpu.util"), ("disk", "disk.util"), ("net", "nic.util"))
 
     def __init__(
         self,
@@ -191,6 +195,33 @@ class TelemetrySampler:
         return series
 
     # -- wiring helpers ----------------------------------------------------
+    def watch(self, inventory: Any) -> None:
+        """Attach to the simulation of ``inventory`` (a
+        :class:`~repro.hardware.Inventory`) and sample its servers.
+
+        Per-site servers are aggregated by resource class into cluster
+        groups (``cluster.cpu.util.*``, ``cluster.disk.util.*`` and
+        ``cluster.nic.util.*``); a machine-wide server — node == lane,
+        the ring or the Y-net — gets its own ``{node}.net.*`` series;
+        and a machine with at most :attr:`per_node_limit` sites also
+        gets ``{node}.{lane}.*`` for every CPU and drive on a site.
+        """
+        self.attach(inventory.sim)
+        rows = inventory.rows
+        for resource, track in self._GROUPS:
+            self.watch_group("cluster", track, [
+                (row.node, row.server) for row in rows
+                if row.resource == resource and row.node != row.lane
+            ])
+        for row in rows:
+            if row.node == row.lane:
+                self.watch_server(row.server, row.node, row.resource)
+        if len(inventory.sites) <= self.per_node_limit:
+            sites = set(inventory.sites)
+            for row in rows:
+                if row.node in sites and row.resource != "net":
+                    self.watch_server(row.server, row.node, row.lane)
+
     def watch_server(
         self, server: "Server", node: str, prefix: str
     ) -> None:

@@ -48,6 +48,10 @@ class TraceBuffer:
         self.dropped = 0
         self._pids: dict[str, int] = {}
         self._tids: dict[tuple[str, str], int] = {}
+        #: Watched hardware server -> (node, lane) it is drawn on, and
+        #: -> (lane, pid, tid) once its first interval has been drawn.
+        self._servers: dict[Any, tuple[str, str]] = {}
+        self._server_ids: dict[Any, tuple[str, int, int]] = {}
 
     @property
     def events(self) -> list[dict[str, Any]]:
@@ -150,6 +154,32 @@ class TraceBuffer:
             "cat": "counter", "ph": "C", "ts": ts * _US,
             "pid": self._pid(node), "tid": 0,
             "args": dict(values),
+        })
+
+    # -- hardware lanes ---------------------------------------------------
+    def watch(self, inventory: Any) -> None:
+        """Draw every service interval on the servers of ``inventory``
+        (a :class:`~repro.hardware.Inventory`) on its row's lane."""
+        for row in inventory.rows:
+            self._servers[row.server] = (row.node, row.lane)
+        inventory.subscribe(self._on_service)
+
+    def _on_service(
+        self, server: Any, _proc: Any, start: float, dur: float
+    ) -> None:
+        """:meth:`duration` of ``lane`` on ``lane``.  The lane's ids are
+        resolved at its first interval, so tracks are numbered in
+        first-event order, and looked up once per interval after it."""
+        ids = self._server_ids.get(server)
+        if ids is None:
+            node, lane = self._servers[server]
+            ids = self._server_ids[server] = (
+                lane, self._pid(node), self._tid(node, lane)
+            )
+        lane, pid, tid = ids
+        self._record({
+            "name": lane, "cat": lane, "ph": "X",
+            "ts": start * _US, "dur": dur * _US, "pid": pid, "tid": tid,
         })
 
     # -- export -----------------------------------------------------------

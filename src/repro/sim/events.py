@@ -81,8 +81,9 @@ class UseRun:
     each hop's duration only once the hop before it has finished — so
     state an iterator keeps or mutates (a drive's head position, an LRU)
     evolves as it does under ``for d in hops: yield Use(server, d)``,
-    which a run is equivalent to.  On a server declared private the
-    whole run costs one kernel event (:meth:`Server._run_private`).
+    which a run is equivalent to.  On a server declared private that
+    nothing observes the whole run costs one kernel event
+    (:meth:`Server._run_private`).
     """
 
     __slots__ = ("server", "hops")

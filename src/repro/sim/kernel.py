@@ -150,15 +150,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # scheduling primitives
     # ------------------------------------------------------------------
-    def call_at(self, time: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn`` to run at absolute simulated ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} before now {self._now}"
-            )
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, fn, _NO_VALUE))
-
     def call_after(self, delay: float, fn: Callable[[], None]) -> None:
         """Schedule ``fn`` to run ``delay`` seconds from now."""
         if delay < 0:
@@ -429,7 +420,10 @@ class _HopByHop:
 
 def _do_use_run(sim: Simulation, proc: Process, effect: UseRun) -> None:
     server = effect.server
-    if server.private:
+    # The one place a run may collapse into one event: on a private
+    # server nothing observes.  A server hook needs every hop, and a
+    # sample hook reads the accruals at boundaries inside the run.
+    if server.private and not server.hooks and sim._sample_hook is None:
         server._run_private(sim, proc, effect.hops)
     else:
         proc._gen = _HopByHop(proc, effect)  # type: ignore[assignment]

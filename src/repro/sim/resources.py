@@ -31,15 +31,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 Resume = Callable[..., None]
 
-#: ``server.observer`` signature: (server_name, start_time, duration).
-ServiceObserver = Callable[[str, float, float], None]
-
-#: ``server.profile_hook`` signature: (server, process, start, duration).
-#: The process is the one whose ``Use`` is being serviced; a process-less
-#: requester (a network courier or burst) resolves to its ``owner`` — the
-#: process that dispatched it — and to None when it has none.  Profilers
-#: attribute the interval to an operator by walking ``process.parent``.
-ProfileHook = Callable[["Server", Optional["Process"], float, float], None]
+#: A ``Server.hooks`` entry: called (server, process, start, duration)
+#: at the start of every service interval.  The process is the one whose
+#: ``Use`` is being serviced; a process-less requester (a network courier
+#: or burst) resolves to its ``owner`` — the process that dispatched it —
+#: and to None when it has none.  The trace draws the interval on the
+#: server's lane; the profiler attributes it to an operator by walking
+#: ``process.parent``.
+ServiceHook = Callable[["Server", Optional["Process"], float, float], None]
 
 
 class IntervalStats:
@@ -96,9 +95,13 @@ class Server:
 
     ``private=True`` declares that the server never has two requesters at
     once (an AMP's own drive in a standalone DBC/1012 request).  It
-    behaves as any server does, except that a ``UseRun`` costs it one
-    kernel event instead of one per hop (:meth:`_run_private`) and that a
-    second concurrent requester during a run is an error, not a queue.
+    behaves as any server does, except that a ``UseRun`` nothing observes
+    costs it one kernel event instead of one per hop (:meth:`_run_private`)
+    and that a second concurrent requester during such a run is an error,
+    not a queue.
+
+    ``hooks`` is the one instrumentation slot: a tuple of
+    :data:`ServiceHook` callables, empty when nothing watches.
 
     Statistics kept for utilisation reports (all interval-accurate):
 
@@ -121,8 +124,7 @@ class Server:
         "_slot_accrued",
         "_qlen_accrued",
         "wait_stats",
-        "observer",
-        "profile_hook",
+        "hooks",
         "_sim",
         "_complete_cb",
         "_complete_proc_cb",
@@ -148,8 +150,7 @@ class Server:
         self._slot_accrued = 0.0  # slot-seconds of service
         self._qlen_accrued = 0.0  # queue-length-seconds
         self.wait_stats = IntervalStats()
-        self.observer: Optional[ServiceObserver] = None
-        self.profile_hook: Optional[ProfileHook] = None
+        self.hooks: tuple[ServiceHook, ...] = ()
         # The owning simulation, captured at first service: lets service
         # completion run as a bound method + resume argument on the event
         # heap instead of a per-interval closure.  Process-owned Use
@@ -167,11 +168,6 @@ class Server:
     def queue_length(self) -> int:
         """Number of waiting (not yet serviced) requests."""
         return len(self._queue)
-
-    @property
-    def in_service(self) -> int:
-        """Number of slots currently serving."""
-        return self._in_service
 
     @property
     def busy_time(self) -> float:
@@ -255,15 +251,10 @@ class Server:
             ws.bins[0] += 1
             self._in_service = n + 1
             self._sim = sim
-            if self.observer is not None:
-                self.observer(self.name, now, duration)
-            if self.profile_hook is not None:
-                self.profile_hook(
-                    self,
-                    getattr(resume, "owner", None) if proc is None else proc,
-                    now,
-                    duration,
-                )
+            if self.hooks:
+                who = getattr(resume, "owner", None) if proc is None else proc
+                for hook in self.hooks:
+                    hook(self, who, now, duration)
             if proc is not None:
                 cb: Callable[..., None] = self._complete_proc_cb
                 arg: Any = proc
@@ -334,15 +325,10 @@ class Server:
         # _advance(sim.now) has already run on every path into here.
         self._in_service += 1
         self._sim = sim
-        if self.observer is not None:
-            self.observer(self.name, sim._now, duration)
-        if self.profile_hook is not None:
-            self.profile_hook(
-                self,
-                getattr(resume, "owner", None) if proc is None else proc,
-                sim._now,
-                duration,
-            )
+        if self.hooks:
+            who = getattr(resume, "owner", None) if proc is None else proc
+            for hook in self.hooks:
+                hook(self, who, sim._now, duration)
         if proc is not None:
             cb: Callable[..., None] = self._complete_proc_cb
             arg: Any = proc
@@ -418,11 +404,6 @@ class Server:
                 f"private server {self.name!r} has two requesters:"
                 f" {proc.name!r} asks for a run while {self._holder(sim)}"
                 " is in service"
-            )
-        if self.observer is not None or self.profile_hook is not None:
-            raise SimulationError(
-                f"private server {self.name!r} is instrumented: hooks"
-                " need hop-by-hop service, so build it shared"
             )
         start = t = sim._now
         busy = self._busy_accrued
@@ -511,16 +492,6 @@ class Store:
 
     def __len__(self) -> int:
         return len(self._items)
-
-    @property
-    def blocked_getters(self) -> int:
-        """Consumers currently blocked on an empty store."""
-        return len(self._getters)
-
-    @property
-    def blocked_putters(self) -> int:
-        """Producers currently blocked on a full store."""
-        return len(self._putters)
 
     # -- kernel-facing API ------------------------------------------------
     # _schedule_now is inlined below (seq bump + ready append): a store

@@ -60,12 +60,5 @@ class BufferPool:
         """Non-mutating membership probe (no statistics update)."""
         return (file_id, page_no) in self._lru
 
-    def invalidate_file(self, file_id: Hashable) -> int:
-        """Drop every cached page of ``file_id``; returns pages dropped."""
-        doomed = [key for key in self._lru if key[0] == file_id]
-        for key in doomed:
-            del self._lru[key]
-        return len(doomed)
-
     def clear(self) -> None:
         self._lru.clear()

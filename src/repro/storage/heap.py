@@ -9,7 +9,7 @@ sparse B+-tree (see :mod:`repro.storage.btree`) sits on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..errors import RecordNotFoundError, StorageError
 from .page import Page, RECORD_OVERHEAD_BYTES
@@ -129,15 +129,6 @@ class HeapFile:
             self._record_count += len(chunk)
             i += per_page
 
-    def insert_with_space_reuse(self, record: tuple) -> RID:
-        """Insert preferring a page with a hole (post-delete reuse)."""
-        for page_no, page in enumerate(self.pages):
-            if page.num_slots > page.num_records and page.fits(self.record_bytes):
-                slot = page.insert(record, self.record_bytes)
-                self._record_count += 1
-                return RID(page_no, slot)
-        return self.append(record)
-
     def delete(self, rid: RID) -> tuple:
         """Delete the record at ``rid``; returns it."""
         page = self._page(rid.page_no)
@@ -174,19 +165,6 @@ class HeapFile:
         for page_no, page in self.scan_pages():
             for slot, record in page.slotted_records():
                 yield RID(page_no, slot), record
-
-    def find_first(
-        self, predicate: Callable[[tuple], bool]
-    ) -> tuple[RID, tuple]:
-        """First record satisfying ``predicate``.
-
-        Raises:
-            RecordNotFoundError: if no record matches.
-        """
-        for rid, record in self.rids():
-            if predicate(record):
-                return rid, record
-        raise RecordNotFoundError(f"no record matches in {self.name}")
 
     def _page(self, page_no: int) -> Page:
         if not 0 <= page_no < len(self.pages):

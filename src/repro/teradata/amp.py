@@ -259,7 +259,8 @@ class Amp:
     ) -> None:
         """``private``: this AMP serves one request at a time (a
         standalone run), so its CPU and drives never see two requesters
-        at once and their service runs cost one kernel event each."""
+        at once and their unobserved service runs cost one kernel event
+        each."""
         self.sim = sim
         self.index = index
         self.name = f"amp{index}"

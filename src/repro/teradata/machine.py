@@ -16,8 +16,9 @@ from ..engine.plan import Query, UpdateRequest
 from ..engine.results import QueryResult
 from ..errors import CatalogError
 from ..hardware import TeradataConfig
+from ..hardware.inventory import Inventory, InventoryRow
 from ..metrics import Profiler
-from ..sim import Simulation
+from ..sim import Server, Simulation
 from ..storage import Schema
 from ..workloads import StringsMode, wisconsin_load_set
 from .amp import Amp, AmpFragment, hash_partition
@@ -26,52 +27,19 @@ from .executor import TeradataRun, TeradataUpdateRun
 from .planner import TeradataPlanner
 
 
-def _wire_profiler(profiler, amps, ynet=None) -> None:
-    """Classify every hardware server so spans split busy time correctly."""
+def _hardware(
+    sim: Simulation, amps: Sequence[Amp], ynet: Optional[Server] = None
+) -> Inventory:
+    """The DBC/1012's hardware: each AMP's CPU and drives (keys
+    ``amp0.cpu``, ``amp0.d0`` ...), then the Y-net when the run has one."""
+    rows = []
     for amp in amps:
-        profiler.wire_server(amp.cpu, "cpu", amp.name)
-        for drive in amp.drives:
-            profiler.wire_server(drive.server, "disk", amp.name)
+        rows.append(InventoryRow(amp.cpu, amp.name, "cpu", "cpu"))
+        for d, drive in enumerate(amp.drives):
+            rows.append(InventoryRow(drive.server, amp.name, f"d{d}", "disk"))
     if ynet is not None:
-        profiler.wire_server(ynet, "net", "ynet")
-
-
-def _wire_telemetry(sampler, sim, amps, ynet=None) -> None:
-    """Attach a telemetry sampler to a DBC/1012 simulation.
-
-    Mirrors :meth:`repro.engine.node.ExecutionContext._wire_telemetry`:
-    cluster-aggregate CPU/disk utilisation tracks, per-AMP lanes on
-    small machines, and the Y-net server — so the same dashboard and
-    detectors read both machines.
-    """
-    sampler.attach(sim)
-    sampler.watch_group(
-        "cluster", "cpu.util", [(amp.name, amp.cpu) for amp in amps]
-    )
-    sampler.watch_group(
-        "cluster", "disk.util",
-        [(amp.name, drive.server) for amp in amps for drive in amp.drives],
-    )
-    if ynet is not None:
-        sampler.watch_server(ynet, "ynet", "net")
-    if len(amps) <= sampler.per_node_limit:
-        for amp in amps:
-            sampler.watch_server(amp.cpu, amp.name, "cpu")
-            for drive in amp.drives:
-                sampler.watch_server(drive.server, amp.name, "disk")
-
-
-def _amp_utilisations(sim, amps, ynet=None) -> dict[str, float]:
-    """Per-AMP CPU/disk (and Y-net) busy fractions for one finished run."""
-    now = sim.now
-    out: dict[str, float] = {}
-    for amp in amps:
-        out[f"{amp.name}.cpu"] = amp.cpu.utilisation(now)
-        for drive in amp.drives:
-            out[f"{drive.name}"] = drive.server.utilisation(now)
-    if ynet is not None:
-        out["ynet"] = ynet.utilisation(now)
-    return out
+        rows.append(InventoryRow(ynet, "ynet", "ynet", "net"))
+    return Inventory(sim, rows, [amp.name for amp in amps])
 
 
 class TeradataRelation:
@@ -201,9 +169,6 @@ class TeradataMachine:
         self.lookup(name)
         del self.relations[name]
 
-    def drop_if_exists(self, name: str) -> None:
-        self.relations.pop(name, None)
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -218,19 +183,19 @@ class TeradataMachine:
             raise CatalogError(f"result relation {query.into!r} exists")
         ir = self._planner().plan(query)
         sim = Simulation()
-        # One request, bulk-synchronous, nothing watching: every AMP has
-        # a single requester at a time (DESIGN 5.6, "Service runs").
-        private = not profile and telemetry is None
+        # One request, bulk-synchronous: every AMP has a single requester
+        # at a time (DESIGN 5.6, "Service runs").
         amps = [
-            Amp(sim, i, self.config, private=private)
+            Amp(sim, i, self.config, private=True)
             for i in range(self.config.n_amps)
         ]
         profiler = Profiler() if profile else None
         run = TeradataRun(self, sim, amps, ir, profiler=profiler)
+        hardware = _hardware(sim, amps, run.ynet)
         if profiler is not None:
-            _wire_profiler(profiler, amps, run.ynet)
+            profiler.watch(hardware)
         if telemetry is not None:
-            _wire_telemetry(telemetry, sim, amps, run.ynet)
+            telemetry.watch(hardware)
         sim.spawn(run.coordinator(), name="ifp")
         response_time = sim.run()
         if query.into is not None and run.result_relation is not None:
@@ -241,7 +206,7 @@ class TeradataMachine:
             result_relation=query.into,
             result_count=run.result_count,
             stats=dict(run.stats),
-            utilisations=_amp_utilisations(sim, amps, run.ynet),
+            utilisations=hardware.utilisations(),
             plan=run.plan_description,
         )
         if profiler is not None:
@@ -263,14 +228,13 @@ class TeradataMachine:
         single physical Y-net (the DBC/1012's broadcast network is the
         shared resource multiuser contention exposes first).
         """
-        from ..sim import Server
         from ..workloads.multiuser import drive_workload
 
         sim = Simulation()
         amps = [Amp(sim, i, self.config) for i in range(self.config.n_amps)]
         ynet = Server("ynet")
         if telemetry is not None:
-            _wire_telemetry(telemetry, sim, amps, ynet)
+            telemetry.watch(_hardware(sim, amps, ynet))
         machine = self
 
         class _Session:
@@ -305,15 +269,16 @@ class TeradataMachine:
         ir = self._planner().compile_update(request)
         sim = Simulation()
         amps = [
-            Amp(sim, i, self.config, private=not profile)
+            Amp(sim, i, self.config, private=True)
             for i in range(self.config.n_amps)
         ]
         run = TeradataUpdateRun(self, sim, amps, ir)
         proc = sim.spawn(run.coordinator(), name="ifp")
+        hardware = _hardware(sim, amps)
         profiler: Optional[Profiler] = None
         if profile:
             profiler = Profiler()
-            _wire_profiler(profiler, amps)
+            profiler.watch(hardware)
             # Updates execute inline in the coordinator process.
             profiler.register(proc, ir.op_id, "update")
         response_time = sim.run()
@@ -321,7 +286,7 @@ class TeradataMachine:
             response_time=response_time,
             result_count=run.affected,
             stats=dict(run.stats),
-            utilisations=_amp_utilisations(sim, amps),
+            utilisations=hardware.utilisations(),
             plan=ir.description,
         )
         if profiler is not None:

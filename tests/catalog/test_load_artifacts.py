@@ -199,7 +199,8 @@ def test_artifacts_are_kept_per_key_column(cold_source):
     teradata = TeradataMachine(TeradataConfig(n_amps=8))
     for attr in ("unique1", "unique2", "unique1"):
         for name, records in ((f"s{attr}", shared), (f"l{attr}", rows)):
-            gamma.drop_if_exists(name)
+            if name in gamma.catalog:
+                gamma.drop_relation(name)
             gamma.load_relation(
                 name, schema, records, partitioning=Hashed(attr)
             )

@@ -177,11 +177,11 @@ class TestJoinModesTiming:
         m.load_wisconsin("Bp", 800, seed=2)
         times = {}
         for mode in (JoinMode.LOCAL, JoinMode.REMOTE):
-            m.drop_if_exists("o")
             times[mode] = m.run(
                 Query.join(ScanNode("Bp"), ScanNode("A"),
                            on=("unique1", "unique1"), mode=mode, into="o")
             ).response_time
+            m.drop_relation("o")
         assert times[JoinMode.LOCAL] < times[JoinMode.REMOTE]
 
     def test_remote_wins_on_nonpartitioning_attribute(self):
@@ -190,9 +190,9 @@ class TestJoinModesTiming:
         m.load_wisconsin("Bp", 800, seed=2)
         times = {}
         for mode in (JoinMode.LOCAL, JoinMode.REMOTE):
-            m.drop_if_exists("o")
             times[mode] = m.run(
                 Query.join(ScanNode("Bp"), ScanNode("A"),
                            on=("unique2", "unique2"), mode=mode, into="o")
             ).response_time
+            m.drop_relation("o")
         assert times[JoinMode.REMOTE] < times[JoinMode.LOCAL]

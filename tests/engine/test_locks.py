@@ -96,7 +96,7 @@ class TestLockManager:
         def proc(manager):
             yield from manager.acquire("t", "frag", LockMode.SHARED)
             yield from manager.acquire("t", "frag", LockMode.EXCLUSIVE)
-            assert manager.holders_of("frag") == {"t": LockMode.EXCLUSIVE}
+            assert manager._locks["frag"].holders == {"t": LockMode.EXCLUSIVE}
             manager.release_all("t")
 
         run_lock_procs(proc)
@@ -175,7 +175,7 @@ class TestLockTimeout:
         assert events == ["i-timeout"]
         assert manager.timeouts == 1
         # The withdrawn request holds nothing and queues nowhere.
-        assert "i" not in manager.holders_of("frag")
+        assert "i" not in manager._locks["frag"].holders
         assert not manager._locks["frag"].queue
 
     def test_timeout_leaves_no_dangling_waits_for_edge(self):

@@ -216,9 +216,8 @@ class TestInterconnect:
         assert elapsed >= 2 * one
 
     def test_duplicate_node_rejected(self):
-        net = Interconnect(NetworkModel(), ["a"])
-        with pytest.raises(ConfigError):
-            net.add_node("a")
+        with pytest.raises(ConfigError, match="duplicate node name 'a'"):
+            Interconnect(NetworkModel(), ["a", "b", "a"])
 
 
 class TestGammaConfig:

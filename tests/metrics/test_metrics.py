@@ -222,7 +222,8 @@ class TestEndToEnd:
         assert 0.0 < value <= 1.0
         # A non-indexed selection is disk-bound (the Figures 1-2 argument).
         assert resource == "disk"
-        assert report.max_utilisation("disk") >= report.max_utilisation("cpu")
+        utils = report.as_dict()
+        assert peak_utilisation(utils, "disk") >= peak_utilisation(utils, "cpu")
         rendered = report.to_markdown()
         assert "Bottleneck" in rendered and "disk0" in rendered
 

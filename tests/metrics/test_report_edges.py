@@ -57,9 +57,9 @@ class TestUtilisationReportEdges:
             assert "0.00" in text
 
     def test_max_utilisation_skips_non_finite(self):
-        report = self._nan_report()
-        assert report.max_utilisation("cpu") == 0.25
-        assert report.max_utilisation("disk") == 0.5
+        utils = self._nan_report().as_dict()
+        assert peak_utilisation(utils, "cpu") == 0.25
+        assert peak_utilisation(utils, "disk") == 0.5
 
     def test_bottleneck_ignores_nan_rows(self):
         node, resource, value = self._nan_report().bottleneck()

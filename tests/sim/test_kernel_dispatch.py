@@ -292,9 +292,15 @@ class TestZeroDelayFastPath:
         """A due heap event scheduled before a zero-delay one fires first."""
         sim = Simulation()
         order = []
-        sim.call_at(0.0, lambda: order.append("heap-first"))
-        sim.call_after(0.0, lambda: order.append("ready-second"))
-        sim.call_at(0.0, lambda: order.append("heap-third"))
+
+        def at_one():
+            # 1.0 + 1e-20 == 1.0: two heap events due now, drawn around
+            # a ready one.
+            sim.call_after(1e-20, lambda: order.append("heap-first"))
+            sim.call_after(0.0, lambda: order.append("ready-second"))
+            sim.call_after(1e-20, lambda: order.append("heap-third"))
+
+        sim.call_after(1.0, at_one)
         sim.run()
         assert order == ["heap-first", "ready-second", "heap-third"]
 

@@ -177,8 +177,8 @@ class TestServerAccounting:
     def test_observer_sees_service_intervals(self):
         server = Server("disk")
         seen = []
-        server.observer = lambda name, start, dur: seen.append(
-            (name, start, dur)
+        server.hooks = (
+            lambda srv, proc, start, dur: seen.append((srv.name, start, dur)),
         )
         sim = Simulation()
 
@@ -248,15 +248,15 @@ class TestStore:
 
         def observer():
             yield Delay(1.0)
-            assert store.blocked_putters == 1
-            assert store.blocked_getters == 0
+            assert len(store._putters) == 1
+            assert not store._getters
             yield Get(store)
             yield Get(store)
 
         sim.spawn(producer())
         sim.spawn(observer())
         sim.run()
-        assert store.blocked_putters == 0
+        assert not store._putters
 
     def test_get_from_empty_waits_for_put(self):
         store = Store("mbox")
@@ -431,7 +431,7 @@ class TestSharedQueueEntries:
         entry = (0.002, lambda _value: None, sim.now, None)
         for _ in range(5):
             server._use_entry(sim, entry)
-        assert server.in_service == 1 and server.queue_length == 4
+        assert server._in_service == 1 and server.queue_length == 4
         assert {id(queued) for queued in server._queue} == {id(entry)}
         sim.run()
         assert sim.now == pytest.approx(0.010)
@@ -653,23 +653,33 @@ class TestServiceRuns:
         assert sim.run() == 1.0
         assert server.requests == 4 and server.busy_time == 1.0
 
-    def test_private_server_refuses_instrumentation(self):
+    @pytest.mark.parametrize("watch", ["server hook", "sample hook"])
+    def test_watched_private_server_serves_hop_by_hop(self, watch):
+        """A run collapses only when nothing observes it: with a server
+        or a sample hook every hop is its own event, timed as a loop."""
         sim, server = Simulation(), Server("srv", private=True)
-        server.observer = lambda name, start, duration: None
+        seen = []
+        if watch == "server hook":
+            server.hooks = (lambda srv, proc, start, dur: seen.append(start),)
+        else:
+            sim.set_sample_hook(lambda limit: limit + 1.0, 0.25)
 
         def runner():
-            yield UseRun(server, [0.5])
+            yield UseRun(server, [0.5, 0.25, 0.125])
 
         sim.spawn(runner())
-        with pytest.raises(SimulationError, match="instrumented"):
-            sim.run()
+        assert sim.run() == 0.875
+        assert sim.events_processed == 4  # spawn + one per hop
+        assert server.requests == 3 and server.busy_time == 0.875
+        if watch == "server hook":
+            assert seen == [0.0, 0.5, 0.75]
 
     def test_hooks_see_every_hop_and_its_process(self):
         sim, server = Simulation(), Server("srv")
         seen = []
-        server.observer = lambda name, start, dur: seen.append((start, dur))
-        server.profile_hook = (
-            lambda srv, proc, start, dur: seen.append((proc.name, start))
+        server.hooks = (
+            lambda srv, proc, start, dur: seen.append((start, dur)),
+            lambda srv, proc, start, dur: seen.append((proc.name, start)),
         )
 
         def runner():

@@ -35,14 +35,6 @@ class TestBufferPool:
         pool.access("f", 0)
         assert pool.access("g", 0) is False
 
-    def test_invalidate_file(self):
-        pool = BufferPool("bp", 10)
-        pool.access("f", 0)
-        pool.access("f", 1)
-        pool.access("g", 0)
-        assert pool.invalidate_file("f") == 2
-        assert pool.contains("g", 0)
-
     def test_hit_ratio(self):
         pool = BufferPool("bp", 10)
         pool.access("f", 0)

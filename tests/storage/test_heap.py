@@ -10,6 +10,11 @@ def schema2():
     return Schema([int_attr("a"), int_attr("b")])
 
 
+def rid_of(hf, key):
+    """The RID of the first record whose first field is ``key``."""
+    return next(rid for rid, record in hf.rids() if record[0] == key)
+
+
 class TestHeapFile:
     def test_append_returns_stable_rids(self):
         hf = HeapFile("f", schema2(), 4096)
@@ -40,8 +45,7 @@ class TestHeapFile:
 
     def test_delete_and_count(self):
         hf = build_heap_file("f", schema2(), 4096, [(i, 0) for i in range(10)])
-        rid, _rec = hf.find_first(lambda r: r[0] == 5)
-        deleted = hf.delete(rid)
+        deleted = hf.delete(rid_of(hf, 5))
         assert deleted == (5, 0)
         assert hf.num_records == 9
         assert all(r[0] != 5 for r in hf.records())
@@ -53,26 +57,9 @@ class TestHeapFile:
 
     def test_replace(self):
         hf = build_heap_file("f", schema2(), 4096, [(1, 1)])
-        rid, _ = hf.find_first(lambda r: True)
+        rid = rid_of(hf, 1)
         hf.replace(rid, (1, 99))
         assert hf.fetch(rid) == (1, 99)
-
-    def test_insert_with_space_reuse_prefers_hole(self):
-        schema = schema2()
-        per_page = (4096 - 32) // (schema.tuple_bytes + 30)
-        hf = build_heap_file(
-            "f", schema, 4096, [(i, 0) for i in range(per_page * 2)]
-        )
-        rid, _ = hf.find_first(lambda r: r[0] == 0)
-        hf.delete(rid)
-        new_rid = hf.insert_with_space_reuse((999, 0))
-        assert new_rid.page_no == 0
-        assert hf.fetch(new_rid) == (999, 0)
-
-    def test_find_first_no_match_raises(self):
-        hf = build_heap_file("f", schema2(), 4096, [(1, 1)])
-        with pytest.raises(RecordNotFoundError):
-            hf.find_first(lambda r: False)
 
     def test_scan_pages_range(self):
         hf = build_heap_file("f", schema2(), 4096, [(i, 0) for i in range(300)])

@@ -21,6 +21,11 @@ def records(n, shuffle_seed=None):
     return recs
 
 
+def _find(sf, key):
+    """``(rid, record)`` of the stored record whose key is ``key``."""
+    return next((rid, r) for rid, r in sf.heap.rids() if r[0] == key)
+
+
 class TestCreate:
     def test_heap_preserves_input_order(self):
         recs = records(100, shuffle_seed=1)
@@ -201,7 +206,7 @@ class TestUpdates:
     def test_delete_record(self):
         sf = StoredFile.create("r", schema(), 4096, records(100))
         sf.add_secondary_index("other")
-        rid, rec = sf.heap.find_first(lambda r: r[0] == 42)
+        rid, rec = _find(sf, 42)
         deleted, accesses = sf.delete_record(rid)
         assert deleted == rec
         assert sf.num_records == 99
@@ -211,7 +216,7 @@ class TestUpdates:
 
     def test_replace_record_in_place(self):
         sf = StoredFile.create("r", schema(), 4096, records(100))
-        rid, rec = sf.heap.find_first(lambda r: r[0] == 10)
+        rid, rec = _find(sf, 10)
         old, _acc = sf.replace_record(rid, (10, rec[1], 777))
         assert old == rec
         assert sf.fetch(rid) == (10, rec[1], 777)
@@ -219,7 +224,7 @@ class TestUpdates:
     def test_replace_record_updates_changed_index(self):
         sf = StoredFile.create("r", schema(), 4096, records(100))
         sf.add_secondary_index("other")
-        rid, rec = sf.heap.find_first(lambda r: r[0] == 10)
+        rid, rec = _find(sf, 10)
         sf.replace_record(rid, (10, 88_888, rec[2]))
         _d, entries = sf.secondary_range("other", 88_888, 88_888)
         assert [sf.fetch(r) for _pg, _k, r in entries] == [(10, 88_888, rec[2])]

@@ -406,7 +406,7 @@ def test_retrieval_matches_the_per_page_reference(
     else:
         assert sorted(new_m.lookup("out").records()) == sorted(
             old_m.lookup("out").records())
-    # Instrumented runs serve hop by hop on shared servers: the same
+    # Watched runs serve hop by hop on the same private AMPs: the same
     # machine to the bit, and the reference's event count exactly.
     for kwargs in ({"profile": True},
                    {"telemetry": TelemetrySampler(interval=0.5)}):
