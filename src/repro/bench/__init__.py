@@ -10,16 +10,14 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".harness": (
-        "bench_sizes", "build_gamma", "build_teradata", "run_stored",
-        "run_to_host", "speedup_series",
+        "bench_sizes", "build_abprime", "build_gamma", "build_teradata",
+        "by_config", "instrumented_rerun", "join_memory_config",
+        "run_stored", "series", "speedup_series",
     ),
     ".matrix": ("Axis", "ExperimentSpec", "Grid", "MatrixRun", "run_experiment"),
-    ".recorded": (
-        "FIGURE_CLAIMS", "TABLE1_SELECTIONS", "TABLE2_JOINS", "TABLE3_UPDATES",
-    ),
+    ".recorded": ("TABLE1_SELECTIONS", "TABLE2_JOINS", "TABLE3_UPDATES"),
     ".registry": ("REGISTRY", "get", "run_registered"),
     ".reporting": ("Report", "ratio_note"),
-    ".skew": ("load_skew_machine",),
     ".store": (
         "Record", "ResultStore", "StoreError", "canonical_config",
         "config_hash", "current_git_sha",

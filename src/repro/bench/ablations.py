@@ -25,20 +25,26 @@ function — run by :func:`~repro.bench.matrix.run_experiment`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import Any, Optional, Sequence
 
 from ..engine import JoinMode, Query
 from ..engine.plan import RangePredicate, ScanNode
 from ..hardware import KB, GammaConfig
-from ..metrics import TraceBuffer
 from ..workloads import selection_range
 from ..workloads.queries import join_abprime, join_aselb, selection_query
-from .harness import build_gamma, run_stored
+from .harness import (
+    build_abprime,
+    build_gamma,
+    by_config,
+    instrumented_rerun,
+    join_memory_config,
+    run_stored,
+    series,
+)
 from .matrix import Axis, ExperimentSpec, Grid
 from .recorded import TABLE1_SELECTIONS
-from .reporting import Report, results_dir
+from .reporting import Report
 
 
 # ---------------------------------------------------------------------------
@@ -47,13 +53,10 @@ from .reporting import Report, results_dir
 
 def _a1_point(config: dict[str, Any]) -> dict[str, Any]:
     """Grid point: joinABprime with filters on or off (picklable)."""
-    n, use = config["n"], config["filters"]
-    machine_config = replace(
-        GammaConfig.paper_default(), use_bit_filters=use
-    )
-    machine = build_gamma(
-        machine_config,
-        relations=[("A", n, "heap"), ("Bp", n // 10, "heap")],
+    n = config["n"]
+    machine = build_abprime(
+        replace(GammaConfig.paper_default(),
+                use_bit_filters=config["filters"]), n,
     )
     result = run_stored(
         machine,
@@ -78,10 +81,7 @@ def _a1_summarise(grid: Grid, results: list[Any]) -> Report:
         columns=["filters", "response (s)", "tuples shipped",
                  "tuples dropped at scan"],
     )
-    points = {
-        config["filters"]: point
-        for config, point in zip(grid.points(), results)
-    }
+    points = by_config(grid, results, "filters")
     for use in (False, True):
         point = points[use]
         report.add_row(
@@ -117,19 +117,14 @@ ABLATION_A1_SPEC = ExperimentSpec(
 
 def _a2_point(config: dict[str, Any]) -> float:
     """Grid point: one (memory ratio, algorithm) cell (picklable)."""
-    n, ratio, algorithm = config["n"], config["ratio"], config["algorithm"]
-    base = GammaConfig.paper_default()
-    smaller_bytes = (n // 10) * 208 * base.hash_table_overhead
-    machine_config = replace(
-        base.with_join_memory(max(64 * KB, int(ratio * smaller_bytes))),
+    n = config["n"]
+    machine_config = join_memory_config(
+        n, config["ratio"],
         # The grid keeps its ``algorithm`` axis (and store hashes); the
         # Hybrid join is its default ``static`` policy.
-        join_overflow="simple" if algorithm == "simple" else "static",
+        join_overflow="simple" if config["algorithm"] == "simple" else "static",
     )
-    machine = build_gamma(
-        machine_config,
-        relations=[("A", n, "heap"), ("Bp", n // 10, "heap")],
-    )
+    machine = build_abprime(machine_config, n)
     return run_stored(
         machine,
         lambda into: join_abprime(
@@ -160,10 +155,9 @@ def _a2_summarise(grid: Grid, results: list[Any]) -> Report:
               f" joinABprime on {n:,} under memory pressure",
         columns=["memory/|Bprime|", "simple (s)", "hybrid (s)", "hybrid gain"],
     )
-    times: dict[tuple[str, float], float] = {
-        (config["algorithm"], config["ratio"]): response
-        for config, response in zip(grid.points(), results)
-    }
+    times: dict[tuple[str, float], float] = by_config(
+        grid, results, "algorithm", "ratio"
+    )
     for ratio in memory_ratios:
         simple = times[("simple", ratio)]
         hybrid = times[("hybrid", ratio)]
@@ -196,12 +190,6 @@ ABLATION_A2_SPEC = ExperimentSpec(
 # ---------------------------------------------------------------------------
 # A3 — default page size
 # ---------------------------------------------------------------------------
-
-_A3_QUERY_LABELS = (
-    "10% file scan", "1% non-clustered index", "1% clustered index",
-    "joinAselB",
-)
-
 
 def _a3_point(config: dict[str, Any]) -> dict[str, float]:
     """Grid point: the mixed query set at one page size (picklable)."""
@@ -248,16 +236,12 @@ def _a3_summarise(grid: Grid, results: list[Any]) -> Report:
         title=f"Ablation A3 — default page size (mixed workload, {n:,})",
         columns=["query", "4 KB (s)", "8 KB (s)", "32 KB (s)"],
     )
-    times: dict[tuple[str, int], float] = {}
-    for config, ptimes in zip(grid.points(), results):
-        for label, response in ptimes.items():
-            times[(label, config["page_kb"])] = response
+    times = series(grid, results, "page_kb")
     total = {kb: 0.0 for kb in page_sizes}
-    for label in _A3_QUERY_LABELS:
-        report.add_row(label, times[(label, 4)], times[(label, 8)],
-                       times[(label, 32)])
+    for label, per_kb in times.items():
+        report.add_row(label, per_kb[4], per_kb[8], per_kb[32])
         for kb in page_sizes:
-            total[kb] += times[(label, kb)]
+            total[kb] += per_kb[kb]
     report.add_row("TOTAL", total[4], total[8], total[32])
     report.check(
         "8 KB beats 4 KB on the mixed workload",
@@ -265,8 +249,8 @@ def _a3_summarise(grid: Grid, results: list[Any]) -> Report:
     )
     report.check(
         "track-sized (32 KB) pages hurt the non-clustered index query",
-        times[("1% non-clustered index", 32)]
-        > times[("1% non-clustered index", 8)],
+        times["1% non-clustered index"][32]
+        > times["1% non-clustered index"][8],
     )
     report.check(
         "8 KB is the best (or tied-best) overall default",
@@ -300,20 +284,14 @@ def _a4_point(config: dict[str, Any]) -> dict[str, Any]:
     4.0 for one 4x larger (an overestimate).  The data itself never
     changes, so every cell must produce the same join answer.
     """
-    n, err, ratio = config["n"], config["err"], config["ratio"]
-    policy, filters = config["policy"], config["filters"]
-    base = GammaConfig.paper_default()
-    smaller_bytes = (n // 10) * 208 * base.hash_table_overhead
-    machine_config = replace(
-        base.with_join_memory(max(64 * KB, int(ratio * smaller_bytes))),
-        use_bit_filters=filters,
-        join_overflow=policy,
-        join_estimate_factor=err,
+    n = config["n"]
+    machine_config = join_memory_config(
+        n, config["ratio"],
+        use_bit_filters=config["filters"],
+        join_overflow=config["policy"],
+        join_estimate_factor=config["err"],
     )
-    machine = build_gamma(
-        machine_config,
-        relations=[("A", n, "heap"), ("Bp", n // 10, "heap")],
-    )
+    machine = build_abprime(machine_config, n)
 
     def query(into: str) -> Query:
         return join_abprime("A", "Bp", key=False, mode=JoinMode.REMOTE,
@@ -333,18 +311,9 @@ def _a4_point(config: dict[str, Any]) -> dict[str, Any]:
         # (bytes / overflow events / partition count as they evolve), the
         # profile the per-phase demotion and re-partitioning story.
         # Instrumentation is passive, so the timing must not move.
-        rerun = run_stored(
-            machine, query, trace=(trace := TraceBuffer()), profile=True,
+        point["profiled_identical"] = result.response_time == (
+            instrumented_rerun(machine, query, "ablation_a4_hybrid_dynamic")
         )
-        point["profiled_identical"] = (
-            rerun.response_time == result.response_time
-        )
-        trace.write(os.path.join(
-            results_dir(), "ablation_a4_hybrid_dynamic.trace.json"))
-        with open(os.path.join(
-                results_dir(),
-                "ablation_a4_hybrid_dynamic.profile.json"), "w") as fh:
-            fh.write(rerun.profile.to_json())
     return point
 
 
@@ -353,20 +322,14 @@ def _a4_grid(
     errors: Sequence[float] = A4_ERRORS,
     memory_ratios: Sequence[float] = A4_MEMORY_RATIOS,
     policies: Sequence[str] = A4_POLICIES,
-    profile: bool = True,
 ) -> Grid:
-    """A4: Hybrid spill policies under optimizer estimate error.
-
-    The summary's profile of every cell is written as
-    ``ablation_a4_hybrid_dynamic.json``; with ``profile`` the most
-    stressed dynamic cell is re-run with the profiler and a trace.
-    """
+    """A4: Hybrid spill policies under optimizer estimate error; the most
+    stressed dynamic cell is re-run with the profiler and a trace."""
     worst_err, deepest = min(errors), min(memory_ratios)
 
     def derive(config: dict[str, Any]) -> dict[str, Any]:
         config["profiled"] = (
-            bool(profile)
-            and config["err"] == worst_err
+            config["err"] == worst_err
             and config["ratio"] == deepest
             and config["policy"] == "dynamic"
             and config["filters"] is False
@@ -384,9 +347,7 @@ def _a4_grid(
     )
 
 
-def _a4_summarise(
-    grid: Grid, results: list[Any]
-) -> tuple[Report, dict[str, Any]]:
+def _a4_summarise(grid: Grid, results: list[Any]) -> Report:
     n = grid.base["n"]
     errors = grid.axis("err").values
     memory_ratios = grid.axis("ratio").values
@@ -398,19 +359,9 @@ def _a4_summarise(
         columns=["est err x", "memory/|Bprime|", "policy", "response (s)",
                  "+filters (s)", "overflow events", "planned parts"],
     )
-    profile: dict[str, Any] = {
-        "experiment": "ablation_a4_hybrid_dynamic",
-        "n": n,
-        "errors": list(errors),
-        "memory_ratios": list(memory_ratios),
-        "policies": list(policies),
-        "points": [],
-    }
-    cells: dict[tuple[float, float, str, bool], dict[str, Any]] = {
-        (config["err"], config["ratio"], config["policy"],
-         config["filters"]): point
-        for config, point in zip(grid.points(), results)
-    }
+    cells: dict[tuple[float, float, str, bool], dict[str, Any]] = by_config(
+        grid, results, "err", "ratio", "policy", "filters"
+    )
     counts: set[int] = set()
     profiled_identical: Optional[bool] = None
     for err in errors:
@@ -426,14 +377,6 @@ def _a4_summarise(
                     filtered["response"], plain["overflows"],
                     plain["partitions"],
                 )
-                profile["points"].append({
-                    "err": err, "ratio": ratio, "policy": policy,
-                    "response": plain["response"],
-                    "response_filtered": filtered["response"],
-                    "overflows": plain["overflows"],
-                    "partitions": plain["partitions"],
-                    "spool_pages": plain["spool_pages"],
-                })
 
     def t(err: float, ratio: float, policy: str) -> float:
         return cells[(err, ratio, policy, False)]["response"]
@@ -514,7 +457,7 @@ def _a4_summarise(
         " is what the estimate sized.  Bit filters ride along to show"
         " the policies compose with them."
     )
-    return report, profile
+    return report
 
 
 ABLATION_A4_SPEC = ExperimentSpec(
@@ -576,10 +519,7 @@ def _e1_summarise(grid: Grid, results: list[Any]) -> Report:
         columns=["join mode", "join (s)", "concurrent selection (s)",
                  "selection alone (s)"],
     )
-    points = {
-        config["mode"]: point
-        for config, point in zip(grid.points(), results)
-    }
+    points = by_config(grid, results, "mode")
     solo_time = points["solo"]["selection"]
     for mode in ("local", "remote"):
         report.add_row(mode, points[mode]["join"],
@@ -648,40 +588,28 @@ def _e2_summarise(grid: Grid, results: list[Any]) -> Report:
         columns=["operation", "no logging (s)", "with logging (s)",
                  "overhead"],
     )
-    points = {
-        config["logging"]: point
-        for config, point in zip(grid.points(), results)
-    }
-    times = {
-        ("bulk store (10% retrieve into)", logging): points[logging]["bulk"]
-        for logging in (False, True)
-    }
-    times.update({
-        ("single-tuple append", logging): points[logging]["append"]
-        for logging in (False, True)
-    })
-    for label in ("bulk store (10% retrieve into)", "single-tuple append"):
-        off = times[(label, False)]
-        on = times[(label, True)]
-        report.add_row(label, off, on, f"{(on / off - 1) * 100:.0f}%")
+    points = by_config(grid, results, "logging")
+    off, on = points[False], points[True]
+    for label, field in (("bulk store (10% retrieve into)", "bulk"),
+                         ("single-tuple append", "append")):
+        report.add_row(label, off[field], on[field],
+                       f"{(on[field] / off[field] - 1) * 100:.0f}%")
 
     report.check(
         "logging ships one record per stored tuple",
-        points[True]["log_records"] == round(0.10 * n),
+        on["log_records"] == round(0.10 * n),
     )
     report.check(
         "group commit keeps bulk-store overhead under 2x",
-        times[("bulk store (10% retrieve into)", True)]
-        < 2.0 * times[("bulk store (10% retrieve into)", False)],
+        on["bulk"] < 2.0 * off["bulk"],
     )
     report.check(
         "single-tuple appends pay a log force but stay cheap (< 50% over)",
-        times[("single-tuple append", True)]
-        < 1.5 * times[("single-tuple append", False)],
+        on["append"] < 1.5 * off["append"],
     )
     report.check(
         "Gamma with logging still beats Teradata's logged path",
-        times[("bulk store (10% retrieve into)", True)]
+        on["bulk"]
         < TABLE1_SELECTIONS["10% nonindexed selection"][100_000]["teradata"]
         * n / 100_000,
     )

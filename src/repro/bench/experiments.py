@@ -16,13 +16,14 @@ spec's grid parameters as keyword overrides.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Optional, Sequence
+import functools
+from dataclasses import replace
+from typing import Any, Callable, Optional, Sequence
 
 from ..engine import JoinMode, Query
 from ..engine.plan import AccessPath
 from ..hardware import KB, GammaConfig
-from ..metrics import TraceBuffer, peak_utilisation
+from ..metrics import peak_utilisation
 from ..workloads.queries import (
     join_abprime,
     join_aselb,
@@ -33,99 +34,133 @@ from ..workloads.queries import (
 )
 from .harness import (
     bench_sizes,
+    build_abprime,
     build_gamma,
     build_teradata,
+    by_config,
+    instrumented_rerun,
+    join_memory_config,
     run_stored,
+    series,
     speedup_series,
 )
 from .matrix import Axis, ExperimentSpec, Grid
 from .recorded import TABLE1_SELECTIONS, TABLE2_JOINS, TABLE3_UPDATES
-from .reporting import Report, ratio_note, results_dir
+from .reporting import Report, ratio_note
 
 
 # ---------------------------------------------------------------------------
-# Table 1 — selections
+# Tables 1-3 — the paper's published seconds beside the measured ones
 # ---------------------------------------------------------------------------
+
+def _size_grid(sizes: Optional[Sequence[int]] = None) -> Grid:
+    """Tables 1-3: one point per relation size (default
+    ``GAMMA_BENCH_SIZES``), each measuring every row on both machines."""
+    return Grid(axes=(Axis("n", tuple(sizes or bench_sizes())),))
+
+
+def _paper_table(
+    name: str,
+    title: str,
+    paper: dict[str, dict[int, dict[str, Optional[float]]]],
+    grid: Grid,
+    results: list[Any],
+    ratio: bool = True,
+) -> tuple[Report, Callable[..., float], Callable[[str], None]]:
+    """One paper table's report, measured-cell lookup and scoped check.
+
+    Each point's result is a list of ``[row label, machine, seconds]``.
+    The report has a row per (paper row, size) with both machines' paper
+    and measured seconds, plus, with ``ratio``, Gamma's measured/paper
+    ratio.  The lookup is ``t(label, n, machine="gamma")``.
+    ``gamma_faster(claim)`` checks that Gamma beats Teradata on exactly
+    the cells where the paper's own numbers have Gamma faster, and names
+    that scope in the check text.
+    """
+    sizes = grid.axis("n").values
+    measured: dict[tuple[str, int, str], float] = {
+        (label, n, machine): seconds
+        for n, rows in by_config(grid, results, "n").items()
+        for label, machine, seconds in rows
+    }
+    columns = ["query", "tuples", "teradata paper", "teradata",
+               "gamma paper", "gamma"]
+    if ratio:
+        columns.append("gamma ratio")
+    report = Report(name=name, title=title, columns=columns)
+    for label, per_size in paper.items():
+        for n in sizes:
+            cell = per_size[n]
+            gm = measured.get((label, n, "gamma"))
+            row = [label, n, cell["teradata"],
+                   measured.get((label, n, "teradata")), cell["gamma"], gm]
+            if ratio:
+                row.append(None if gm is None
+                           else ratio_note(gm, cell["gamma"]))
+            report.add_row(*row)
+
+    def t(label: str, n: int, machine: str = "gamma") -> float:
+        return measured[(label, n, machine)]
+
+    def gamma_faster(claim: str) -> None:
+        common = [(label, n) for label in paper for n in sizes
+                  if paper[label][n]["teradata"] is not None]
+        faster = [(label, n) for label, n in common
+                  if paper[label][n]["gamma"] < paper[label][n]["teradata"]]
+        scope = f"{len(faster)} of {len(common)} two-machine cells"
+        slower = [f"{label} at {n:,}" for label, n in common
+                  if (label, n) not in faster]
+        if slower:
+            scope += "; not " + ", ".join(slower)
+        report.check(
+            f"{claim} wherever the paper has it faster ({scope})",
+            all(t(label, n) < t(label, n, "teradata") for label, n in faster),
+        )
+
+    return report, t, gamma_faster
+
 
 def _table1_point(config: dict[str, Any]) -> list[list[Any]]:
     """Grid point: both machines at one relation size (picklable)."""
     n = config["n"]
     measured: list[list[Any]] = []
-    gamma = build_gamma(relations=[
-        (f"heap{n}", n, "heap"), (f"idx{n}", n, "indexed"),
-    ])
-    teradata = build_teradata(relations=[
-        (f"heap{n}", n, "heap"), (f"idx{n}", n, "indexed"),
-    ])
-    runs = {
-        "1% nonindexed selection": lambda into, m=n: selection_query(
-            f"heap{m}", m, 0.01, into=into),
-        "10% nonindexed selection": lambda into, m=n: selection_query(
-            f"heap{m}", m, 0.10, into=into),
-        "1% selection using non-clustered index":
-            lambda into, m=n: selection_query(f"idx{m}", m, 0.01, into=into),
-        "10% selection using non-clustered index":
-            lambda into, m=n: selection_query(f"idx{m}", m, 0.10, into=into),
-        "1% selection using clustered index":
-            lambda into, m=n: selection_query(
-                f"idx{m}", m, 0.01, attr="unique1", into=into),
-        "10% selection using clustered index":
-            lambda into, m=n: selection_query(
-                f"idx{m}", m, 0.10, attr="unique1", into=into),
+    rels = [(f"heap{n}", n, "heap"), (f"idx{n}", n, "indexed")]
+    gamma, teradata = build_gamma(relations=rels), build_teradata(relations=rels)
+    runs = {  # label: (relation, selectivity, attribute)
+        "1% nonindexed selection": (f"heap{n}", 0.01, "unique2"),
+        "10% nonindexed selection": (f"heap{n}", 0.10, "unique2"),
+        "1% selection using non-clustered index": (f"idx{n}", 0.01, "unique2"),
+        "10% selection using non-clustered index": (f"idx{n}", 0.10, "unique2"),
+        "1% selection using clustered index": (f"idx{n}", 0.01, "unique1"),
+        "10% selection using clustered index": (f"idx{n}", 0.10, "unique1"),
     }
-    for label, builder in runs.items():
+    for label, (relation, sel, attr) in runs.items():
+        def builder(into, r=relation, s=sel, a=attr):
+            return selection_query(r, n, s, attr=a, into=into)
+
         measured.append(
             [label, "gamma", run_stored(gamma, builder).response_time]
         )
-        if "clustered index" not in label or "non-clustered" in label:
+        if attr != "unique1":  # the DBC/1012 has no clustered indices
             measured.append(
                 [label, "teradata",
                  run_stored(teradata, builder).response_time]
             )
     # Single-tuple select returns to the host.
     single = single_tuple_select(f"idx{n}", n // 2)
-    measured.append(
-        ["single tuple select", "gamma", gamma.run(single).response_time]
-    )
-    measured.append(
-        ["single tuple select", "teradata",
-         teradata.run(single).response_time]
-    )
+    for machine, tag in ((gamma, "gamma"), (teradata, "teradata")):
+        measured.append(
+            ["single tuple select", tag, machine.run(single).response_time]
+        )
     return measured
 
 
-def _table1_grid(sizes: Optional[Sequence[int]] = None) -> Grid:
-    """Table 1: seven selection variants on both machines, one point per
-    relation size (default ``GAMMA_BENCH_SIZES``)."""
-    return Grid(axes=(Axis("n", tuple(sizes or bench_sizes())),))
-
-
 def _table1_summarise(grid: Grid, results: list[Any]) -> Report:
-    sizes = list(grid.axis("n").values)
-    report = Report(
-        name="table1_selection",
-        title="Table 1 — Selection Queries (seconds)",
-        columns=["query", "tuples", "teradata paper", "teradata",
-                 "gamma paper", "gamma", "gamma ratio"],
+    report, t, gamma_faster = _paper_table(
+        "table1_selection", "Table 1 — Selection Queries (seconds)",
+        TABLE1_SELECTIONS, grid, results,
     )
-    measured: dict[tuple[str, int, str], float] = {}
-    for config, rows in zip(grid.points(), results):
-        for label, machine, response in rows:
-            measured[(label, config["n"], machine)] = response
-
-    for label, per_size in TABLE1_SELECTIONS.items():
-        for n in sizes:
-            paper = per_size[n]
-            gm = measured.get((label, n, "gamma"))
-            tm = measured.get((label, n, "teradata"))
-            report.add_row(
-                label, n, paper["teradata"], tm, paper["gamma"], gm,
-                ratio_note(gm, paper["gamma"]) if gm is not None else None,
-            )
-
-    def t(label, n, machine="gamma"):
-        return measured[(label, n, machine)]
-
+    sizes = grid.axis("n").values
     big = max(sizes)
     small = min(sizes)
     if len(sizes) > 1:
@@ -149,16 +184,7 @@ def _table1_summarise(grid: Grid, results: list[Any]) -> Report:
             - t("10% nonindexed selection", big))
         < 0.25 * t("10% nonindexed selection", big),
     )
-    report.check(
-        "Gamma beats Teradata on every common row",
-        all(
-            t(label, n) < t(label, n, "teradata")
-            for label in TABLE1_SELECTIONS
-            for n in sizes
-            if (label, n, "teradata") in measured
-            and (label, n, "gamma") in measured
-        ),
-    )
+    gamma_faster("Gamma beats Teradata")
     report.check(
         "Teradata's non-clustered index barely helps at 10%"
         " (hash-ordered dense index)",
@@ -171,13 +197,9 @@ def _table1_summarise(grid: Grid, results: list[Any]) -> Report:
 
 TABLE1_SPEC = ExperimentSpec(
     name="table1_selection", label="Table 1", kind="table",
-    grid=_table1_grid, point=_table1_point, summarise=_table1_summarise,
+    grid=_size_grid, point=_table1_point, summarise=_table1_summarise,
 )
 
-
-# ---------------------------------------------------------------------------
-# Table 2 — joins
-# ---------------------------------------------------------------------------
 
 def _table2_point(config: dict[str, Any]) -> list[list[Any]]:
     """Grid point: the six join variants at one size (picklable)."""
@@ -188,64 +210,31 @@ def _table2_point(config: dict[str, Any]) -> list[list[Any]]:
         (f"A{n}", n, "heap"), (f"B{n}", n, "heap"),
         (f"Bp{n}", tenth, "heap"), (f"C{n}", tenth, "heap"),
     ]
-    gamma = build_gamma(relations=rels)
-    teradata = build_teradata(relations=rels)
-    builders = {
-        "joinABprime (non-key attributes)": lambda into, m=n: join_abprime(
-            f"A{m}", f"Bp{m}", key=False, into=into),
-        "joinAselB (non-key attributes)": lambda into, m=n: join_aselb(
-            f"A{m}", f"B{m}", m, key=False, into=into),
-        "joinCselAselB (non-key attributes)": lambda into, m=n: join_cselaselb(
-            f"A{m}", f"B{m}", f"C{m}", m, key=False, into=into),
-        "joinABprime (key attributes)": lambda into, m=n: join_abprime(
-            f"A{m}", f"Bp{m}", key=True, into=into),
-        "joinAselB (key attributes)": lambda into, m=n: join_aselb(
-            f"A{m}", f"B{m}", m, key=True, into=into),
-        "joinCselAselB (key attributes)": lambda into, m=n: join_cselaselb(
-            f"A{m}", f"B{m}", f"C{m}", m, key=True, into=into),
-    }
-    for label, builder in builders.items():
-        measured.append(
-            [label, "gamma", run_stored(gamma, builder).response_time]
-        )
-        measured.append(
-            [label, "teradata", run_stored(teradata, builder).response_time]
-        )
+    gamma, teradata = build_gamma(relations=rels), build_teradata(relations=rels)
+    for key in (False, True):
+        attrs = "key attributes" if key else "non-key attributes"
+        builders = {
+            "joinABprime": lambda into, k=key: join_abprime(
+                f"A{n}", f"Bp{n}", key=k, into=into),
+            "joinAselB": lambda into, k=key: join_aselb(
+                f"A{n}", f"B{n}", n, key=k, into=into),
+            "joinCselAselB": lambda into, k=key: join_cselaselb(
+                f"A{n}", f"B{n}", f"C{n}", n, key=k, into=into),
+        }
+        for query, builder in builders.items():
+            for machine, tag in ((gamma, "gamma"), (teradata, "teradata")):
+                measured.append([f"{query} ({attrs})", tag,
+                                 run_stored(machine, builder).response_time])
     return measured
 
 
-def _table2_grid(sizes: Optional[Sequence[int]] = None) -> Grid:
-    """Table 2: three join queries × key/non-key attributes per size."""
-    return Grid(axes=(Axis("n", tuple(sizes or bench_sizes())),))
-
-
 def _table2_summarise(grid: Grid, results: list[Any]) -> Report:
-    sizes = list(grid.axis("n").values)
-    report = Report(
-        name="table2_join",
-        title="Table 2 — Join Queries (seconds); Gamma Remote, 4 KB pages",
-        columns=["query", "tuples", "teradata paper", "teradata",
-                 "gamma paper", "gamma", "gamma ratio"],
+    report, t, gamma_faster = _paper_table(
+        "table2_join",
+        "Table 2 — Join Queries (seconds); Gamma Remote, 4 KB pages",
+        TABLE2_JOINS, grid, results,
     )
-    measured: dict[tuple[str, int, str], float] = {}
-    for config, rows in zip(grid.points(), results):
-        for label, machine, response in rows:
-            measured[(label, config["n"], machine)] = response
-
-    for label, per_size in TABLE2_JOINS.items():
-        for n in sizes:
-            paper = per_size[n]
-            gm = measured.get((label, n, "gamma"))
-            tm = measured.get((label, n, "teradata"))
-            report.add_row(
-                label, n, paper["teradata"], tm, paper["gamma"], gm,
-                ratio_note(gm, paper["gamma"]) if gm is not None else None,
-            )
-
-    def t(label, n, machine="gamma"):
-        return measured[(label, n, machine)]
-
-    big = max(sizes)
+    big = max(grid.axis("n").values)
     report.check(
         "Gamma: joinAselB FASTER than joinABprime (selection propagation)",
         t("joinAselB (non-key attributes)", big)
@@ -272,36 +261,22 @@ def _table2_summarise(grid: Grid, results: list[Any]) -> Report:
         / t("joinABprime (non-key attributes)", big)
         <= 1.10,
     )
-    report.check(
-        "Gamma beats Teradata on every join",
-        all(
-            t(label, n) < t(label, n, "teradata")
-            for label in TABLE2_JOINS for n in sizes
-        ),
-    )
+    gamma_faster("Gamma beats Teradata on joins")
     return report
 
 
 TABLE2_SPEC = ExperimentSpec(
     name="table2_join", label="Table 2", kind="table",
-    grid=_table2_grid, point=_table2_point, summarise=_table2_summarise,
+    grid=_size_grid, point=_table2_point, summarise=_table2_summarise,
 )
 
-
-# ---------------------------------------------------------------------------
-# Table 3 — updates
-# ---------------------------------------------------------------------------
 
 def _table3_point(config: dict[str, Any]) -> list[list[Any]]:
     """Grid point: the update mix at one size (picklable)."""
     n = config["n"]
     measured: list[list[Any]] = []
-    gamma = build_gamma(relations=[
-        (f"heap{n}", n, "heap"), (f"idx{n}", n, "indexed"),
-    ])
-    teradata = build_teradata(relations=[
-        (f"heap{n}", n, "heap"), (f"idx{n}", n, "indexed"),
-    ])
+    rels = [(f"heap{n}", n, "heap"), (f"idx{n}", n, "indexed")]
+    gamma, teradata = build_gamma(relations=rels), build_teradata(relations=rels)
     heap_suite = update_suite(f"heap{n}", n)
     idx_suite = update_suite(f"idx{n}", n)
     for machine, tag in ((gamma, "gamma"), (teradata, "teradata")):
@@ -313,37 +288,12 @@ def _table3_point(config: dict[str, Any]) -> list[list[Any]]:
     return measured
 
 
-def _table3_grid(sizes: Optional[Sequence[int]] = None) -> Grid:
-    """Table 3: the append/delete/modify mix per size."""
-    return Grid(axes=(Axis("n", tuple(sizes or bench_sizes())),))
-
-
 def _table3_summarise(grid: Grid, results: list[Any]) -> Report:
-    sizes = list(grid.axis("n").values)
-    report = Report(
-        name="table3_update",
-        title="Table 3 — Update Queries (seconds)",
-        columns=["query", "tuples", "teradata paper", "teradata",
-                 "gamma paper", "gamma"],
+    report, t, gamma_faster = _paper_table(
+        "table3_update", "Table 3 — Update Queries (seconds)",
+        TABLE3_UPDATES, grid, results, ratio=False,
     )
-    measured: dict[tuple[str, int, str], float] = {}
-    for config, rows in zip(grid.points(), results):
-        for label, machine, response in rows:
-            measured[(label, config["n"], machine)] = response
-
-    for label, per_size in TABLE3_UPDATES.items():
-        for n in sizes:
-            paper = per_size[n]
-            report.add_row(
-                label, n, paper["teradata"],
-                measured[(label, n, "teradata")],
-                paper["gamma"], measured[(label, n, "gamma")],
-            )
-
-    def t(label, n, machine="gamma"):
-        return measured[(label, n, machine)]
-
-    big = max(sizes)
+    big = max(grid.axis("n").values)
     report.check(
         "append through an index costs more than a bare append"
         " (deferred-update file)",
@@ -356,21 +306,27 @@ def _table3_summarise(grid: Grid, results: list[Any]) -> Report:
         t("modify 1 tuple (key attribute)", big)
         == max(t(label, big) for label in TABLE3_UPDATES),
     )
-    report.check(
-        "Gamma is faster than Teradata on every update"
-        " (partial recovery vs full logging)",
-        all(
-            t(label, n) < t(label, n, "teradata")
-            for label in TABLE3_UPDATES for n in sizes
-        ),
+    gamma_faster(
+        "Gamma is faster than Teradata on updates (partial recovery vs"
+        " full logging)"
     )
     return report
 
 
 TABLE3_SPEC = ExperimentSpec(
     name="table3_update", label="Table 3", kind="table",
-    grid=_table3_grid, point=_table3_point, summarise=_table3_summarise,
+    grid=_size_grid, point=_table3_point, summarise=_table3_summarise,
 )
+
+
+def _procs_grid(
+    n: int = 100_000, processor_counts: Sequence[int] = (1, 2, 4, 8)
+) -> Grid:
+    """Processor counts swept over ``n``-tuple relations (Figures 3-4:
+    indexed selections, incl. the 0% slowdown anomaly; Figures 9-12)."""
+    return Grid(
+        axes=(Axis("procs", tuple(processor_counts)),), base={"n": n},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,67 +336,58 @@ TABLE3_SPEC = ExperimentSpec(
 _FIG01_02_SELECTIVITIES = (0.0, 0.01, 0.10)
 
 
+def _heap_selections(
+    machine_config: GammaConfig, n: int, selectivities: Sequence[float]
+) -> tuple[Any, list[tuple[float, Any]]]:
+    """A machine holding the ``n``-tuple heap relation ``rel``, and each
+    selectivity's non-indexed selection result on it (Figures 1-2, 5-6)."""
+    machine = build_gamma(machine_config, relations=[("rel", n, "heap")])
+    return machine, [
+        (sel, run_stored(machine, lambda into, s=sel: selection_query(
+            "rel", n, s, into=into)))
+        for sel in selectivities
+    ]
+
+
 def _fig01_02_point(config: dict[str, Any]) -> dict[str, Any]:
     """Grid point: one processor count, all selectivities (picklable)."""
-    n, procs = config["n"], config["procs"]
-    traced, profiled = config["traced"], config["profiled"]
-    machine = build_gamma(
-        GammaConfig.paper_default().with_sites(procs),
-        relations=[("rel", n, "heap")],
+    n = config["n"]
+    machine, runs = _heap_selections(
+        GammaConfig.paper_default().with_sites(config["procs"]), n,
+        _FIG01_02_SELECTIVITIES,
     )
-    sels: list[list[Any]] = []
-    for sel in _FIG01_02_SELECTIVITIES:
-        result = run_stored(
-            machine, lambda into, s=sel: selection_query(
-                "rel", n, s, into=into)
-        )
-        sels.append([sel, result.response_time, result.utilisations])
+    sels = [[sel, r.response_time, r.utilisations] for sel, r in runs]
     traced_time: Optional[float] = None
-    if traced:
-        traced_run = run_stored(
-            machine,
-            lambda into: selection_query("rel", n, 0.01, into=into),
-            trace=(trace := TraceBuffer()),
-            profile=profiled,
+    if config["traced"]:
+        traced_time = instrumented_rerun(
+            machine, lambda into: selection_query("rel", n, 0.01, into=into),
+            "fig01_02_select_speedup",
         )
-        traced_time = traced_run.response_time
-        trace.write(os.path.join(
-            results_dir(), "fig01_02_select_speedup.trace.json"))
-        if profiled:
-            path = os.path.join(
-                results_dir(), "fig01_02_select_speedup.profile.json")
-            with open(path, "w") as fh:
-                fh.write(traced_run.profile.to_json())
     return {"sels": sels, "traced_time": traced_time}
 
 
 def _fig01_02_grid(
-    n: int = 100_000,
-    processor_counts: Sequence[int] = (1, 2, 4, 8),
-    profile: bool = True,
+    n: int = 100_000, processor_counts: Sequence[int] = (1, 2, 4, 8)
 ) -> Grid:
     """Response time and speedup of 0/1/10% selections vs processors.
 
     Besides the paper's two figures, each row reports the busiest node's
     CPU/disk/network busy fractions, and the widest configuration's 1%
-    selection is re-run under a :class:`~repro.metrics.TraceBuffer` to
-    (a) export a Chrome-trace timeline next to the markdown report and
-    (b) assert that tracing leaves the simulated timeline bit-identical.
-    With ``profile`` the re-run also attaches the query profiler and
-    writes the EXPLAIN ANALYZE output as
-    ``fig01_02_select_speedup.profile.json``.
+    selection is re-run with a :class:`~repro.metrics.TraceBuffer` and
+    the query profiler attached to (a) export
+    ``fig01_02_select_speedup.trace.json`` and ``.profile.json`` next to
+    the markdown report and (b) assert that instrumentation leaves the
+    simulated timeline bit-identical.
     """
     widest = max(processor_counts)
 
     def derive(config: dict[str, Any]) -> dict[str, Any]:
+        # Two names for one flag: both are in the stored configs' keys.
         config["traced"] = config["procs"] == widest
-        config["profiled"] = bool(profile) and config["procs"] == widest
+        config["profiled"] = config["procs"] == widest
         return config
 
-    return Grid(
-        axes=(Axis("procs", tuple(processor_counts)),),
-        base={"n": n}, derive=derive,
-    )
+    return replace(_procs_grid(n, processor_counts), derive=derive)
 
 
 def _fig01_02_summarise(grid: Grid, results: list[Any]) -> Report:
@@ -457,14 +404,12 @@ def _fig01_02_summarise(grid: Grid, results: list[Any]) -> Report:
     times: dict[float, dict[int, float]] = {s: {} for s in selectivities}
     utils: dict[tuple[float, int], dict[str, float]] = {}
     traced_pair: Optional[tuple[float, float]] = None
-    for config, point in zip(grid.points(), results):
-        procs = config["procs"]
-        ptimes = {sel: response for sel, response, _ in point["sels"]}
+    for procs, point in by_config(grid, results, "procs").items():
         for sel, response, putils in point["sels"]:
             times[sel][procs] = response
             utils[(sel, procs)] = putils
         if point["traced_time"] is not None:
-            traced_pair = (ptimes[0.01], point["traced_time"])
+            traced_pair = (times[0.01][procs], point["traced_time"])
     for sel in selectivities:
         speedups = speedup_series(times[sel], min(processor_counts))
         for procs in processor_counts:
@@ -545,29 +490,30 @@ _FIG03_04_VARIANTS = {
 }
 
 
-def _fig03_04_point(config: dict[str, Any]) -> dict[str, float]:
-    """Grid point: indexed-selection variants at one width (picklable)."""
-    n, procs = config["n"], config["procs"]
-    machine = build_gamma(
-        GammaConfig.paper_default().with_sites(procs),
-        relations=[("rel", n, "indexed")],
-    )
-    times: dict[str, float] = {}
-    for label, (attr, sel, forced) in _FIG03_04_VARIANTS.items():
-        times[label] = run_stored(
+def _indexed_times(
+    machine_config: GammaConfig,
+    n: int,
+    variants: dict[str, tuple[str, float, Optional[AccessPath]]],
+) -> dict[str, float]:
+    """Response time of each ``label: (attr, selectivity, forced path)``
+    selection on an ``n``-tuple relation clustered on unique1 with a
+    non-clustered index on unique2 (Figures 3-4 and 7-8)."""
+    machine = build_gamma(machine_config, relations=[("rel", n, "indexed")])
+    return {
+        label: run_stored(
             machine,
             lambda into, a=attr, s=sel, f=forced: selection_query(
                 "rel", n, s, attr=a, into=into, forced_path=f),
         ).response_time
-    return times
+        for label, (attr, sel, forced) in variants.items()
+    }
 
 
-def _fig03_04_grid(
-    n: int = 100_000, processor_counts: Sequence[int] = (1, 2, 4, 8)
-) -> Grid:
-    """Indexed selections vs processors, incl. the 0% slowdown anomaly."""
-    return Grid(
-        axes=(Axis("procs", tuple(processor_counts)),), base={"n": n},
+def _fig03_04_point(config: dict[str, Any]) -> dict[str, float]:
+    """Grid point: indexed-selection variants at one width (picklable)."""
+    return _indexed_times(
+        GammaConfig.paper_default().with_sites(config["procs"]),
+        config["n"], _FIG03_04_VARIANTS,
     )
 
 
@@ -581,10 +527,7 @@ def _fig03_04_summarise(grid: Grid, results: list[Any]) -> Report:
         columns=["query", "processors", "response (s)", "speedup"],
     )
     variants = _FIG03_04_VARIANTS
-    times: dict[str, dict[int, float]] = {v: {} for v in variants}
-    for config, ptimes in zip(grid.points(), results):
-        for label in variants:
-            times[label][config["procs"]] = ptimes[label]
+    times = series(grid, results, "procs")
     for label in variants:
         speedups = speedup_series(times[label], min(processor_counts))
         for procs in processor_counts:
@@ -614,7 +557,7 @@ def _fig03_04_summarise(grid: Grid, results: list[Any]) -> Report:
 
 FIG03_04_SPEC = ExperimentSpec(
     name="fig03_04_indexed_speedup", label="Figures 3-4", kind="figure",
-    grid=_fig03_04_grid, point=_fig03_04_point,
+    grid=_procs_grid, point=_fig03_04_point,
     summarise=_fig03_04_summarise,
 )
 
@@ -628,24 +571,18 @@ _FIG05_06_SELECTIVITIES = (0.0, 0.01, 0.10, 1.0)
 
 def _fig05_06_point(config: dict[str, Any]) -> list[list[float]]:
     """Grid point: one page size, all selectivities (picklable)."""
-    n, kb = config["n"], config["page_kb"]
-    machine = build_gamma(
-        GammaConfig.paper_default().with_page_size(kb * KB),
-        relations=[("rel", n, "heap")],
+    _machine, runs = _heap_selections(
+        GammaConfig.paper_default().with_page_size(config["page_kb"] * KB),
+        config["n"], _FIG05_06_SELECTIVITIES,
     )
-    out: list[list[float]] = []
-    for sel in _FIG05_06_SELECTIVITIES:
-        out.append([sel, run_stored(
-            machine, lambda into, s=sel: selection_query(
-                "rel", n, s, into=into)
-        ).response_time])
-    return out
+    return [[sel, r.response_time] for sel, r in runs]
 
 
-def _fig05_06_grid(
+def _page_grid(
     n: int = 100_000, page_sizes_kb: Sequence[int] = (2, 4, 8, 16, 32)
 ) -> Grid:
-    """Non-indexed selections across disk page sizes (8 disk sites)."""
+    """Disk page sizes swept over ``n``-tuple relations on the default
+    8 disk sites (Figures 5-6, 7-8 and 14-15)."""
     return Grid(
         axes=(Axis("page_kb", tuple(page_sizes_kb)),), base={"n": n},
     )
@@ -661,10 +598,7 @@ def _fig05_06_summarise(grid: Grid, results: list[Any]) -> Report:
         columns=["selectivity", "page KB", "response (s)", "speedup vs 2KB"],
     )
     selectivities = _FIG05_06_SELECTIVITIES
-    times: dict[float, dict[int, float]] = {s: {} for s in selectivities}
-    for config, pairs in zip(grid.points(), results):
-        for sel, response in pairs:
-            times[sel][config["page_kb"]] = response
+    times = series(grid, results, "page_kb")
     for sel in selectivities:
         base = times[sel][min(page_sizes_kb)]
         for kb in page_sizes_kb:
@@ -691,7 +625,7 @@ def _fig05_06_summarise(grid: Grid, results: list[Any]) -> Report:
 
 FIG05_06_SPEC = ExperimentSpec(
     name="fig05_06_pagesize_select", label="Figures 5-6", kind="figure",
-    grid=_fig05_06_grid, point=_fig05_06_point,
+    grid=_page_grid, point=_fig05_06_point,
     summarise=_fig05_06_summarise,
 )
 
@@ -701,39 +635,18 @@ FIG05_06_SPEC = ExperimentSpec(
 # ---------------------------------------------------------------------------
 
 _FIG07_08_VARIANTS = {
-    "1% non-clustered": ("unique2", 0.01),
-    "1% clustered": ("unique1", 0.01),
-    "10% clustered": ("unique1", 0.10),
+    "1% non-clustered": ("unique2", 0.01, AccessPath.NONCLUSTERED_INDEX),
+    "1% clustered": ("unique1", 0.01, None),
+    "10% clustered": ("unique1", 0.10, None),
 }
 
 
 def _fig07_08_point(config: dict[str, Any]) -> dict[str, float]:
-    """Grid point: indexed variants at one page size (picklable)."""
-    n, kb = config["n"], config["page_kb"]
-    machine = build_gamma(
-        GammaConfig.paper_default().with_page_size(kb * KB),
-        relations=[("rel", n, "indexed")],
-    )
-    times: dict[str, float] = {}
-    for label, (attr, sel) in _FIG07_08_VARIANTS.items():
-        forced = (
-            AccessPath.NONCLUSTERED_INDEX
-            if label == "1% non-clustered" else None
-        )
-        times[label] = run_stored(
-            machine,
-            lambda into, a=attr, s=sel, f=forced: selection_query(
-                "rel", n, s, attr=a, into=into, forced_path=f),
-        ).response_time
-    return times
-
-
-def _fig07_08_grid(
-    n: int = 100_000, page_sizes_kb: Sequence[int] = (2, 4, 8, 16, 32)
-) -> Grid:
-    """Indexed selections across page sizes: fan-out vs transfer time."""
-    return Grid(
-        axes=(Axis("page_kb", tuple(page_sizes_kb)),), base={"n": n},
+    """Grid point: indexed variants at one page size (picklable) — index
+    fan-out against transfer time."""
+    return _indexed_times(
+        GammaConfig.paper_default().with_page_size(config["page_kb"] * KB),
+        config["n"], _FIG07_08_VARIANTS,
     )
 
 
@@ -747,10 +660,7 @@ def _fig07_08_summarise(grid: Grid, results: list[Any]) -> Report:
         columns=["query", "page KB", "response (s)"],
     )
     variants = _FIG07_08_VARIANTS
-    times: dict[str, dict[int, float]] = {v: {} for v in variants}
-    for config, ptimes in zip(grid.points(), results):
-        for label in variants:
-            times[label][config["page_kb"]] = ptimes[label]
+    times = series(grid, results, "page_kb")
     for label in variants:
         for kb in page_sizes_kb:
             report.add_row(label, kb, times[label][kb])
@@ -774,7 +684,7 @@ def _fig07_08_summarise(grid: Grid, results: list[Any]) -> Report:
 
 FIG07_08_SPEC = ExperimentSpec(
     name="fig07_08_pagesize_indexed", label="Figures 7-8", kind="figure",
-    grid=_fig07_08_grid, point=_fig07_08_point,
+    grid=_page_grid, point=_fig07_08_point,
     summarise=_fig07_08_summarise,
 )
 
@@ -789,10 +699,7 @@ _FIG09_12_MODES = (JoinMode.LOCAL, JoinMode.REMOTE, JoinMode.ALLNODES)
 def _fig09_12_point(config: dict[str, Any]) -> list[list[Any]]:
     """Grid point: every placement × join-attr pair at one width."""
     n, procs = config["n"], config["procs"]
-    machine = build_gamma(
-        GammaConfig.paper_default().with_sites(procs),
-        relations=[("A", n, "heap"), ("Bp", n // 10, "heap")],
-    )
+    machine = build_abprime(GammaConfig.paper_default().with_sites(procs), n)
     out: list[list[Any]] = []
     for key in (True, False):
         for mode in _FIG09_12_MODES:
@@ -802,15 +709,6 @@ def _fig09_12_point(config: dict[str, Any]) -> list[list[Any]]:
                     "A", "Bp", key=k, mode=md, into=into),
             ).response_time])
     return out
-
-
-def _fig09_12_grid(
-    n: int = 100_000, processor_counts: Sequence[int] = (2, 4, 8)
-) -> Grid:
-    """joinABprime under Local/Remote/Allnodes on key and non-key attrs."""
-    return Grid(
-        axes=(Axis("procs", tuple(processor_counts)),), base={"n": n},
-    )
 
 
 def _fig09_12_summarise(grid: Grid, results: list[Any]) -> Report:
@@ -824,21 +722,19 @@ def _fig09_12_summarise(grid: Grid, results: list[Any]) -> Report:
                  "speedup vs 2"],
     )
     modes = _FIG09_12_MODES
-    times: dict[tuple[bool, JoinMode], dict[int, float]] = {
-        (key, mode): {} for key in (True, False) for mode in modes
-    }
-    for config, rows in zip(grid.points(), results):
+    times: dict[tuple[bool, JoinMode], dict[int, float]] = {}
+    for procs, rows in by_config(grid, results, "procs").items():
         for key, mode_value, response in rows:
-            times[(key, JoinMode(mode_value))][config["procs"]] = response
+            times.setdefault((key, JoinMode(mode_value)), {})[procs] = response
     reference = min(processor_counts)
     for key in (True, False):
         for mode in modes:
-            series = times[(key, mode)]
-            speedups = speedup_series(series, reference)
+            curve = times[(key, mode)]
+            speedups = speedup_series(curve, reference)
             for procs in processor_counts:
                 report.add_row(
                     "key" if key else "non-key", mode.value, procs,
-                    series[procs], speedups[procs],
+                    curve[procs], speedups[procs],
                 )
 
     hi = max(processor_counts)
@@ -871,7 +767,10 @@ def _fig09_12_summarise(grid: Grid, results: list[Any]) -> Report:
 
 FIG09_12_SPEC = ExperimentSpec(
     name="fig09_12_join_speedup", label="Figures 9-12", kind="figure",
-    grid=_fig09_12_grid, point=_fig09_12_point,
+    # joinABprime under Local/Remote/Allnodes on key and non-key
+    # attributes; speedup is measured from 2 processors.
+    grid=functools.partial(_procs_grid, processor_counts=(2, 4, 8)),
+    point=_fig09_12_point,
     summarise=_fig09_12_summarise,
 )
 
@@ -882,65 +781,48 @@ FIG09_12_SPEC = ExperimentSpec(
 
 def _fig13_point(config: dict[str, Any]) -> dict[str, Any]:
     """Grid point: Local + Remote joins at one memory ratio (picklable)."""
-    n, ratio, profiled = config["n"], config["ratio"], config["profiled"]
-    base_config = GammaConfig.paper_default()
-    smaller_bytes = (n // 10) * 208 * base_config.hash_table_overhead
-    machine_config = base_config.with_join_memory(
-        max(64 * KB, int(ratio * smaller_bytes))
-    )
-    machine = build_gamma(
-        machine_config,
-        relations=[("A", n, "heap"), ("Bp", n // 10, "heap")],
-    )
+    n = config["n"]
+    machine = build_abprime(join_memory_config(n, config["ratio"]), n)
+
+    def query(mode: JoinMode) -> Callable[[str], Query]:
+        return lambda into: join_abprime(
+            "A", "Bp", key=True, mode=mode, into=into)
+
     per_mode: list[list[Any]] = []
     for mode in (JoinMode.LOCAL, JoinMode.REMOTE):
-        result = run_stored(
-            machine,
-            lambda into, md=mode: join_abprime(
-                "A", "Bp", key=True, mode=md, into=into),
-        )
+        result = run_stored(machine, query(mode))
         per_mode.append(
             [mode.value, result.response_time, result.max_overflows]
         )
     profiled_time: Optional[float] = None
-    if profiled:
-        # Re-run the overflowing Remote join with the profiler and a
-        # trace attached: the trace carries the hash-table/queue-depth
-        # counter tracks, the profile the per-phase overflow story.
-        result = run_stored(
-            machine,
-            lambda into: join_abprime(
-                "A", "Bp", key=True, mode=JoinMode.REMOTE, into=into),
-            trace=(trace := TraceBuffer()),
-            profile=True,
+    if config["profiled"]:
+        # The overflowing Remote join again: the trace carries the
+        # hash-table/queue-depth counter tracks, the profile the
+        # per-phase overflow story.
+        profiled_time = instrumented_rerun(
+            machine, query(JoinMode.REMOTE), "fig13_overflow"
         )
-        profiled_time = result.response_time
-        trace.write(os.path.join(results_dir(), "fig13_overflow.trace.json"))
-        with open(os.path.join(
-                results_dir(), "fig13_overflow.profile.json"), "w") as fh:
-            fh.write(result.profile.to_json())
     return {"per_mode": per_mode, "profiled_time": profiled_time}
 
 
 def _fig13_grid(
     n: int = 100_000,
     memory_ratios: Sequence[float] = (1.2, 1.0, 0.9, 0.8, 0.6, 0.45, 0.3, 0.2),
-    profile: bool = True,
 ) -> Grid:
     """joinABprime response vs available-memory/smaller-relation ratio.
 
     Ratio 1.0 means hash-table capacity for exactly the building relation
     ("available memory was initially set to be sufficient to hold the
     total number of tuples required in the building phase"), so the
-    bucket/pointer overhead factor is included in the budget.  With
-    ``profile`` the deepest overflow point is re-run with the profiler
-    and a trace attached, writing ``fig13_overflow.profile.json`` and a
-    Perfetto trace with hash-table/queue-depth counter tracks.
+    bucket/pointer overhead factor is included in the budget.  The
+    deepest overflow point is re-run with the profiler and a trace
+    attached, writing ``fig13_overflow.profile.json`` and a Perfetto
+    trace with hash-table/queue-depth counter tracks.
     """
     deepest = min(memory_ratios)
 
     def derive(config: dict[str, Any]) -> dict[str, Any]:
-        config["profiled"] = bool(profile) and config["ratio"] == deepest
+        config["profiled"] = config["ratio"] == deepest
         return config
 
     return Grid(
@@ -962,8 +844,7 @@ def _fig13_summarise(grid: Grid, results: list[Any]) -> Report:
     times: dict[tuple[JoinMode, float], float] = {}
     overflows: dict[tuple[JoinMode, float], int] = {}
     profiled_pair: Optional[tuple[float, float]] = None
-    for config, point in zip(grid.points(), results):
-        ratio = config["ratio"]
+    for ratio, point in by_config(grid, results, "ratio").items():
         for mode_value, response, ovf in point["per_mode"]:
             times[(JoinMode(mode_value), ratio)] = response
             overflows[(JoinMode(mode_value), ratio)] = ovf
@@ -1030,7 +911,7 @@ FIG13_SPEC = ExperimentSpec(
 # ---------------------------------------------------------------------------
 
 def _fig14_15_point(config: dict[str, Any]) -> float:
-    """Grid point: joinAselB at one page size (picklable)."""
+    """Grid point: joinAselB at one page size, ample memory (picklable)."""
     n, kb = config["n"], config["page_kb"]
     machine = build_gamma(
         GammaConfig.paper_default().with_page_size(kb * KB),
@@ -1042,15 +923,6 @@ def _fig14_15_point(config: dict[str, Any]) -> float:
     ).response_time
 
 
-def _fig14_15_grid(
-    n: int = 100_000, page_sizes_kb: Sequence[int] = (2, 4, 8, 16, 32)
-) -> Grid:
-    """joinAselB across page sizes (16 query processors, ample memory)."""
-    return Grid(
-        axes=(Axis("page_kb", tuple(page_sizes_kb)),), base={"n": n},
-    )
-
-
 def _fig14_15_summarise(grid: Grid, results: list[Any]) -> Report:
     n = grid.base["n"]
     page_sizes_kb = grid.axis("page_kb").values
@@ -1059,10 +931,7 @@ def _fig14_15_summarise(grid: Grid, results: list[Any]) -> Report:
         title=f"Figures 14-15 — joinAselB on {n:,} tuples vs disk page size",
         columns=["page KB", "response (s)", "speedup vs 2KB"],
     )
-    times: dict[int, float] = {
-        config["page_kb"]: response
-        for config, response in zip(grid.points(), results)
-    }
+    times: dict[int, float] = by_config(grid, results, "page_kb")
     base = times[min(page_sizes_kb)]
     for kb in page_sizes_kb:
         report.add_row(kb, times[kb], base / times[kb])
@@ -1080,7 +949,7 @@ def _fig14_15_summarise(grid: Grid, results: list[Any]) -> Report:
 
 FIG14_15_SPEC = ExperimentSpec(
     name="fig14_15_pagesize_join", label="Figures 14-15", kind="figure",
-    grid=_fig14_15_grid, point=_fig14_15_point,
+    grid=_page_grid, point=_fig14_15_point,
     summarise=_fig14_15_summarise,
 )
 

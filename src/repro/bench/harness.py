@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import os
 import zlib
-from typing import Iterable, Optional
+from dataclasses import replace
+from typing import Any, Callable, Iterable, Optional
 
 from ..engine import GammaMachine, Query
 from ..engine.results import QueryResult
-from ..hardware import GammaConfig, TeradataConfig
+from ..hardware import KB, GammaConfig, TeradataConfig
+from ..metrics import TraceBuffer
 from ..teradata import TeradataMachine
+from .matrix import Grid
+from .reporting import results_dir
 
 
 def bench_sizes() -> list[int]:
@@ -47,24 +51,10 @@ def build_gamma(
     (clustered on unique1 + non-clustered on unique2, Section 5's second
     copy).
     """
-    machine = GammaMachine(config or GammaConfig.paper_default())
-    for name, n, organisation in relations:
-        load_gamma_relation(machine, name, n, organisation)
-    return machine
-
-
-def load_gamma_relation(
-    machine: GammaMachine, name: str, n: int, organisation: str = "heap"
-) -> None:
-    if organisation == "heap":
-        machine.load_wisconsin(name, n, seed=seed_for(name, n))
-    elif organisation == "indexed":
-        machine.load_wisconsin(
-            name, n, seed=seed_for(name, n),
-            clustered_on="unique1", secondary_on=["unique2"],
-        )
-    else:
-        raise ValueError(f"unknown organisation {organisation!r}")
+    return _loaded(
+        GammaMachine(config or GammaConfig.paper_default()), relations,
+        clustered_on="unique1", secondary_on=["unique2"],
+    )
 
 
 def build_teradata(
@@ -76,29 +66,33 @@ def build_teradata(
     The DBC/1012 only has hash-key-ordered files; ``indexed`` adds the
     dense non-clustered secondary index on unique2.
     """
-    machine = TeradataMachine(config or TeradataConfig.paper_default())
+    return _loaded(
+        TeradataMachine(config or TeradataConfig.paper_default()), relations,
+        secondary_on=["unique2"],
+    )
+
+
+def _loaded(machine, relations: Iterable[tuple[str, int, str]], **indexed):
+    """``machine`` with each ``(name, n, organisation)`` Wisconsin relation
+    loaded; an ``indexed`` one gets the ``indexed`` load options."""
     for name, n, organisation in relations:
-        if organisation == "indexed":
-            machine.load_wisconsin(
-                name, n, seed=seed_for(name, n), secondary_on=["unique2"]
-            )
-        else:
-            machine.load_wisconsin(name, n, seed=seed_for(name, n))
+        if organisation not in ("heap", "indexed"):
+            raise ValueError(f"unknown organisation {organisation!r}")
+        options = indexed if organisation == "indexed" else {}
+        machine.load_wisconsin(name, n, seed=seed_for(name, n), **options)
     return machine
 
 
-def run_stored(
-    machine, make_query, trace=None, profile=False, telemetry=None,
-    name=None,
-) -> QueryResult:
+def run_stored(machine, make_query, name=None, **options) -> QueryResult:
     """Run a stored-result query, then drop the result relation.
 
     ``make_query(into_name)`` builds the query.  Dropping keeps repeated
     sweeps memory-flat, and mirrors Gamma's cheap recovery story (dropping
-    a result relation is just deleting its files).  Pass a
-    :class:`~repro.metrics.TraceBuffer` as ``trace`` to record the run's
-    execution timeline (Gamma machines only); pass ``profile=True`` to
-    attach a :class:`~repro.metrics.QueryProfile` to the result.
+    a result relation is just deleting its files).  ``options`` go to
+    ``machine.run``: a :class:`~repro.metrics.TraceBuffer` as ``trace``
+    records the run's execution timeline (Gamma machines only),
+    ``profile=True`` attaches a :class:`~repro.metrics.QueryProfile` to
+    the result.
 
     The result-relation name defaults to a per-machine sequence
     (``bench_result_0``, ``bench_result_1``, …): each grid point builds
@@ -111,21 +105,71 @@ def run_stored(
         index = getattr(machine, "_bench_result_seq", 0)
         machine._bench_result_seq = index + 1
         name = f"bench_result_{index}"
-    kwargs: dict = {}
-    if trace is not None:
-        kwargs["trace"] = trace
-    if profile:
-        kwargs["profile"] = True
-    if telemetry is not None:
-        kwargs["telemetry"] = telemetry
-    result = machine.run(make_query(name), **kwargs)
+    result = machine.run(make_query(name), **options)
     machine.drop_relation(name)
     return result
 
 
-def run_to_host(machine, query: Query) -> QueryResult:
-    """Run a query whose result returns to the host."""
-    return machine.run(query)
+def build_abprime(config: Optional[GammaConfig], n: int) -> GammaMachine:
+    """A Gamma machine holding joinABprime's heap relations ``A`` (``n``
+    tuples) and ``Bp`` (``n // 10``)."""
+    return build_gamma(
+        config, relations=[("A", n, "heap"), ("Bp", n // 10, "heap")]
+    )
+
+
+def join_memory_config(n: int, ratio: float, **fields: Any) -> GammaConfig:
+    """The paper-default Gamma config with join memory for ``ratio`` times
+    the hash table of joinABprime's ``n // 10``-tuple building relation
+    (208-byte tuples plus bucket/pointer overhead; never under 64 KB),
+    and any other config ``fields`` replaced."""
+    base = GammaConfig.paper_default()
+    smaller_bytes = (n // 10) * 208 * base.hash_table_overhead
+    return replace(
+        base.with_join_memory(max(64 * KB, int(ratio * smaller_bytes))),
+        **fields,
+    )
+
+
+def instrumented_rerun(
+    machine, make_query: Callable[[str], Query], stem: str
+) -> float:
+    """Re-run a stored-result query with a trace and the profiler attached.
+
+    Writes ``<stem>.trace.json`` (Chrome/Perfetto format) and
+    ``<stem>.profile.json`` (the EXPLAIN ANALYZE payload) under
+    :func:`~repro.bench.reporting.results_dir` and returns the run's
+    response time, which the caller's report holds bit-identical to the
+    uninstrumented run.
+    """
+    trace = TraceBuffer()
+    result = run_stored(machine, make_query, trace=trace, profile=True)
+    trace.write(os.path.join(results_dir(), f"{stem}.trace.json"))
+    with open(os.path.join(results_dir(), f"{stem}.profile.json"), "w") as fh:
+        fh.write(result.profile.to_json())
+    return result.response_time
+
+
+def by_config(grid: Grid, results: list[Any], *fields: str) -> dict[Any, Any]:
+    """Each point's result keyed by its config's ``fields`` values (the
+    bare value for one field, a tuple for several)."""
+    out: dict[Any, Any] = {}
+    for config, result in zip(grid.points(), results):
+        key = tuple(config[name] for name in fields)
+        out[key if len(fields) > 1 else key[0]] = result
+    return out
+
+
+def series(
+    grid: Grid, results: list[Any], field: str
+) -> dict[Any, dict[Any, Any]]:
+    """``{label: {config[field]: value}}`` for points whose result maps
+    each label to a value (a dict, or a list of ``[label, value]``)."""
+    out: dict[Any, dict[Any, Any]] = {}
+    for x, result in by_config(grid, results, field).items():
+        for label, value in dict(result).items():
+            out.setdefault(label, {})[x] = value
+    return out
 
 
 def speedup_series(times: dict[int, float], reference: int) -> dict[int, float]:

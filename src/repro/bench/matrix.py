@@ -12,8 +12,7 @@ with three small objects:
 * :class:`ExperimentSpec` — a named, versioned experiment: a grid
   builder, a picklable **point function** (config dict in, JSON-safe
   result out), and a **summarise** function that folds the per-point
-  results into a :class:`~repro.bench.reporting.Report` (optionally
-  plus a JSON profile artifact).
+  results into a :class:`~repro.bench.reporting.Report`.
 
 :func:`run_experiment` ties them to the persistent
 :class:`~repro.bench.store.ResultStore`: every grid point already in
@@ -21,6 +20,8 @@ the store is *not* re-executed (resume), missing points fan out through
 :func:`~repro.bench.sweep.run_sweep`, fresh results are appended, and
 the report is summarised from stored results — so a warm store
 regenerates every table byte-identically while executing zero points.
+The store is the one machine-readable record of a grid point; the
+report is its human-readable summary.
 """
 
 from __future__ import annotations
@@ -28,16 +29,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional
 
 from ..errors import BenchmarkError
 from .reporting import Report
 from .store import Record, ResultStore
 from .sweep import run_sweep
-
-#: What a summarise function may return: the report alone, or the
-#: report plus a JSON-serialisable profile written as ``<name>.json``.
-Summary = Union[Report, tuple[Report, dict[str, Any]]]
 
 
 @dataclass(frozen=True)
@@ -111,8 +108,8 @@ class ExperimentSpec:
             defaults reproduce the committed full-scale reports.
         point: Module-level picklable function, config dict → JSON-safe
             result (it crosses a process boundary under ``run_sweep``).
-        summarise: ``summarise(grid, results) -> Report | (Report,
-            profile)`` with ``results`` aligned to ``grid.points()``.
+        summarise: ``summarise(grid, results) -> Report`` with
+            ``results`` aligned to ``grid.points()``.
         version: Code-version tag.  Bump when the point function's
             semantics change: stored runs of older versions stop
             matching and the grid re-executes.
@@ -123,18 +120,22 @@ class ExperimentSpec:
     kind: str
     grid: Callable[..., Grid]
     point: Callable[[dict[str, Any]], Any]
-    summarise: Callable[[Grid, list[Any]], Summary]
+    summarise: Callable[[Grid, list[Any]], Report]
     version: str = "v1"
 
 
 @dataclass
 class MatrixRun:
-    """Outcome of one :func:`run_experiment` invocation."""
+    """Outcome of one :func:`run_experiment` invocation.
+
+    ``results`` are the raw point results, aligned with
+    ``grid.points()`` — what the store holds for each point.
+    """
 
     spec: ExperimentSpec
     grid: Grid
     report: Report
-    profile: Optional[dict[str, Any]]
+    results: list[Any]
     records: list[Optional[Record]]
     executed: int
     cached: int
@@ -203,12 +204,8 @@ def run_experiment(
                 wall_s=wall_s, replace=force,
             )
 
-    summary = spec.summarise(grid, results)
-    if isinstance(summary, tuple):
-        report, profile = summary
-    else:
-        report, profile = summary, None
     return MatrixRun(
-        spec=spec, grid=grid, report=report, profile=profile,
+        spec=spec, grid=grid, report=spec.summarise(grid, results),
+        results=results,
         records=hits, executed=len(missing), cached=len(configs) - len(missing),
     )

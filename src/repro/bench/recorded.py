@@ -1,11 +1,10 @@
 """Every number the paper publishes, for paper-vs-measured reports.
 
 Tables 1-3 are transcribed from the SIGMOD 1988 text.  ``None`` marks cells
-the paper leaves blank (e.g. clustered-index rows for the Teradata machine,
-which cannot build clustered indices, and 1 M-tuple Teradata cells missing
-from the join table).  Figures 1-15 are published only as graphs; the
-module records their *qualitative claims* instead, which is what the
-benchmarks assert.
+the paper leaves blank (the clustered-index rows for the Teradata machine,
+which cannot build clustered indices).  Figures 1-15 are published only as
+graphs; their qualitative claims are the shape checks of the figure
+experiments.
 """
 
 from __future__ import annotations
@@ -117,50 +116,3 @@ TABLE3_UPDATES: dict[str, dict[int, dict[str, float | None]]] = {
         1_000_000: {"teradata": 3.72, "gamma": 0.52},
     },
 }
-
-#: Figures 1-15 publish curves, not numbers; these are the claims the
-#: benchmarks verify (quotes/paraphrases from Sections 5-6).
-FIGURE_CLAIMS: dict[str, list[str]] = {
-    "fig1-2": [
-        "response time decreases as processors are added",
-        "almost linear speedup is obtained for all three queries",
-        "the 10% curve lags the 0%/1% curves (network-interface path)",
-    ],
-    "fig3-4": [
-        "0% indexed selection slows down as processors are added"
-        " (0.25s at 1 processor vs 0.58s at 8)",
-        "1% non-clustered index selection comes close to linear speedup",
-        "clustered-index selections speed up sub-linearly",
-    ],
-    "fig5-6": [
-        "at 2 KB pages the system is disk bound; by 16 KB it is CPU bound",
-        "beyond 8 KB pages the response changes little",
-        "larger pages widen the 10%-vs-0% gap (network interface)",
-    ],
-    "fig7-8": [
-        "any page-size increase degrades the 1% non-clustered selection",
-        "the 10% clustered selection keeps improving with page size",
-        "the 1% clustered selection worsens slightly from 16 KB to 32 KB",
-    ],
-    "fig9-12": [
-        "key-attribute joins: Local fastest, then Allnodes, then Remote",
-        "non-key joins: Remote fastest, then Allnodes, then Local",
-        "near-linear speedup from the 2-processor reference point",
-    ],
-    "fig13": [
-        "response deteriorates rapidly as memory shrinks (Simple hash)",
-        "flat from zero to two overflows",
-        "Local and Remote curves cross after the first overflow"
-        " (the overflow hash function ignores the partitioning attribute)",
-    ],
-    "fig14-15": [
-        "larger pages reduce joinAselB response time",
-        "the improvement levels off at 16 KB pages",
-    ],
-}
-
-#: The paper's own summary of the million-tuple join pathology.
-OVERFLOW_CLAIM = (
-    "the computation of the million tuple join queries required six"
-    " partition overflow resolutions on each of the diskless processors"
-)

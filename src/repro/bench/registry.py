@@ -9,14 +9,11 @@ This is the single source of truth the rest of the tooling reads:
 
 Specs appear in EXPERIMENTS.md order.  :func:`run_registered` runs one
 by name through :func:`~repro.bench.matrix.run_experiment` and writes
-its artifacts: the markdown report and, when the summary carries one,
-the profile JSON ``<name>.json`` next to it.
+its markdown report; the per-point results live only in the store.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Optional
 
 from ..errors import BenchmarkError
@@ -42,12 +39,10 @@ from .experiments import (
     TABLE3_SPEC,
 )
 from .matrix import ExperimentSpec, MatrixRun, run_experiment
-from .reporting import results_dir
 from .scaleup import EXTENSION_E5_SPEC
 from .skew import EXTENSION_E4_SPEC
 from .store import ResultStore
-from .telemetry import EXTENSION_E6_SPEC
-from .workload import EXTENSION_E3_SPEC
+from .workload import EXTENSION_E3_SPEC, EXTENSION_E6_SPEC
 
 #: Every experiment, in EXPERIMENTS.md section order.
 REGISTRY: tuple[ExperimentSpec, ...] = (
@@ -103,13 +98,7 @@ def run_registered(
     **overrides: Any,
 ) -> MatrixRun:
     """Run one registered experiment (resuming from ``store``) and write
-    its report — plus its profile, if the summary returns one — under
-    :func:`~repro.bench.reporting.results_dir`."""
+    its report under :func:`~repro.bench.reporting.results_dir`."""
     run = run_experiment(get(name), store, force=force, jobs=jobs, **overrides)
     run.report.save()
-    if run.profile is not None:
-        path = os.path.join(results_dir(), f"{name}.json")
-        with open(path, "w") as fh:
-            json.dump(run.profile, fh, indent=2)
-            fh.write("\n")
     return run

@@ -20,8 +20,7 @@ Two regimes show up, and both are the point of the table:
   resources".
 
 The simulator-side story is tracked alongside: the kernel event count
-per configuration (deterministic) lands in the report and the JSON
-profile.  Host seconds are not part of a point's result — a stored
+per configuration (deterministic) lands in the report.  Host seconds are not part of a point's result — a stored
 result must re-execute equal — so they live only where
 ``run_experiment`` stamps them, in ``Record.wall_s``; how fast the
 simulator runs at 256 sites is the perf ledger's ``scaleup_256``
@@ -34,7 +33,7 @@ from typing import Any, Sequence
 
 from ..hardware import GammaConfig
 from ..workloads.queries import join_abprime, selection_query
-from .harness import build_gamma, run_stored
+from .harness import build_gamma, by_config, run_stored
 from .matrix import Axis, ExperimentSpec, Grid
 from .reporting import Report
 
@@ -49,38 +48,31 @@ _SCALEUP_QUERIES = ("selection", "joinABprime")
 
 def _scaleup_point(config: dict[str, Any]) -> list[Any]:
     """[response s, result count, kernel events] for one cell."""
-    n, sites, query = config["n"], config["sites"], config["query"]
-    machine_config = GammaConfig.paper_default().with_sites(sites)
+    n, query = config["n"], config["query"]
+    relations = [(PROBE_RELATION, n, "heap")]
     if query == "selection":
-        machine = build_gamma(
-            machine_config, relations=[(PROBE_RELATION, n, "heap")]
-        )
         make = lambda into: selection_query(  # noqa: E731
             PROBE_RELATION, n, 0.01, into=into
         )
     elif query == "joinABprime":
-        machine = build_gamma(machine_config, relations=[
-            (PROBE_RELATION, n, "heap"),
-            (BUILD_RELATION, max(1, n // 10), "heap"),
-        ])
+        relations.append((BUILD_RELATION, max(1, n // 10), "heap"))
         make = lambda into: join_abprime(  # noqa: E731
             PROBE_RELATION, BUILD_RELATION, key=False, into=into
         )
     else:  # pragma: no cover - guarded by the grid builder
         raise ValueError(f"unknown scaleup query {query!r}")
+    machine = build_gamma(
+        GammaConfig.paper_default().with_sites(config["sites"]), relations
+    )
     result = run_stored(machine, make)
-    return [
-        result.response_time,
-        result.result_count,
-        result.stats["sim_events"],
-    ]
+    return [result.response_time, result.result_count,
+            result.stats["sim_events"]]
 
 
 def _scaleup_grid(
     n: int = 100_000, site_counts: Sequence[int] = DEFAULT_SITE_COUNTS
 ) -> Grid:
-    """Selection + joinABprime swept over machine sizes; the summary's
-    profile carries the per-point kernel event counts."""
+    """Selection + joinABprime swept over machine sizes."""
     site_counts = sorted(set(int(s) for s in site_counts))
     if not site_counts:
         raise ValueError("scaleup needs at least one site count")
@@ -93,9 +85,7 @@ def _scaleup_grid(
     )
 
 
-def _scaleup_summarise(
-    grid: Grid, results: list[Any]
-) -> tuple[Report, dict[str, Any]]:
+def _scaleup_summarise(grid: Grid, results: list[Any]) -> Report:
     n = grid.base["n"]
     site_counts = list(grid.axis("sites").values)
     queries = _SCALEUP_QUERIES
@@ -112,16 +102,7 @@ def _scaleup_summarise(
             "joinABprime (s)", f"speedup @{base}", "kernel events",
         ],
     )
-    profile: dict[str, Any] = {
-        "experiment": "extension_e5_scaleup",
-        "n": n,
-        "site_counts": list(site_counts),
-        "points": [],
-    }
-    cells = {
-        (config["sites"], config["query"]): outcome
-        for config, outcome in zip(grid.points(), results)
-    }
+    cells = by_config(grid, results, "sites", "query")
     responses: dict[str, dict[int, float]] = {q: {} for q in queries}
     counts: dict[str, set[int]] = {q: set() for q in queries}
     for sites in site_counts:
@@ -136,10 +117,6 @@ def _scaleup_summarise(
                 response,
                 responses[query][base] / response,
             ])
-            profile["points"].append({
-                "sites": sites, "query": query, "response": response,
-                "result_count": count, "events": events,
-            })
         row.append(events_total)
         report.add_row(*row)
     for query in queries:
@@ -171,7 +148,7 @@ def _scaleup_summarise(
         " rolls over once fragments drop below about a page — the"
         " trade-off Section 4.5 of the paper weighs."
     )
-    return report, profile
+    return report
 
 
 EXTENSION_E5_SPEC = ExperimentSpec(

@@ -31,7 +31,7 @@ from ..workloads import (
     wisconsin_schema,
 )
 from ..workloads.queries import join_abprime
-from .harness import run_stored
+from .harness import by_config, run_stored
 from .matrix import Axis, ExperimentSpec, Grid
 from .reporting import Report
 
@@ -41,37 +41,6 @@ DEFAULT_SITE_COUNTS = (1, 8)
 #: Relation names used by the skew experiment.
 PROBE_RELATION = "skew_a"
 BUILD_RELATION = "skew_bprime"
-
-
-def load_skew_machine(
-    n: int,
-    skew: float,
-    sites: int,
-    strategy: str,
-    seed: int = 1988,
-) -> GammaMachine:
-    """A Gamma machine loaded for the skewed joinABprime.
-
-    The probe relation's ``unique2`` is Zipf(``skew``) over the build
-    relation's key domain ``0..n//10-1``, so every probe tuple matches
-    exactly one build tuple and the join result is always ``n`` tuples —
-    a correctness cross-check that holds for every strategy.
-    """
-    machine = GammaMachine(
-        GammaConfig.paper_default().with_sites(sites),
-        skew_strategy=strategy,
-    )
-    n_build = max(1, n // 10)
-    machine.load_relation(
-        PROBE_RELATION, wisconsin_schema(),
-        list(generate_skewed_tuples(n, seed=seed, skew=skew,
-                                    domain=n_build)),
-    )
-    machine.load_relation(
-        BUILD_RELATION, wisconsin_schema(),
-        list(generate_tuples(n_build, seed=seed + 1)),
-    )
-    return machine
 
 
 def _join_op_id(profile: Any) -> Optional[str]:
@@ -84,11 +53,24 @@ def _join_op_id(profile: Any) -> Optional[str]:
 
 
 def _skew_point(config: dict[str, Any]) -> list[Any]:
-    """[response time, result count, utilisation spread] for one cell."""
-    machine = load_skew_machine(
-        config["n"], config["skew"], config["sites"], config["strategy"],
-        seed=config["seed"],
+    """[response time, result count, utilisation spread] for one cell.
+
+    The probe relation's ``unique2`` is Zipf(``skew``) over the build
+    relation's key domain ``0..n//10-1``, so every probe tuple matches
+    exactly one build tuple and the join result is always ``n`` tuples —
+    a correctness cross-check that holds for every strategy.
+    """
+    n, seed = config["n"], config["seed"]
+    machine = GammaMachine(
+        GammaConfig.paper_default().with_sites(config["sites"]),
+        skew_strategy=config["strategy"],
     )
+    n_build = max(1, n // 10)
+    machine.load_relation(PROBE_RELATION, wisconsin_schema(), list(
+        generate_skewed_tuples(n, seed=seed, skew=config["skew"],
+                               domain=n_build)))
+    machine.load_relation(BUILD_RELATION, wisconsin_schema(), list(
+        generate_tuples(n_build, seed=seed + 1)))
     result = run_stored(
         machine,
         lambda into: join_abprime(
@@ -112,8 +94,7 @@ def _skew_grid(
     seed: int = 1988,
 ) -> Grid:
     """joinABprime under every (skew, strategy) pair at both ends of the
-    processor range; the summary's profile of every cell is written as
-    ``extension_e4_skew.json``."""
+    processor range."""
     lo, hi = min(site_counts), max(site_counts)
 
     def derive(config: dict[str, Any]) -> dict[str, Any]:
@@ -131,10 +112,8 @@ def _skew_grid(
     )
 
 
-def _skew_summarise(
-    grid: Grid, results: list[Any]
-) -> tuple[Report, dict[str, Any]]:
-    n, seed = grid.base["n"], grid.base["seed"]
+def _skew_summarise(grid: Grid, results: list[Any]) -> Report:
+    n = grid.base["n"]
     skews = grid.axis("skew").values
     strategies = grid.axis("strategy").values
     lo = min(grid.axis("sites").values)
@@ -151,19 +130,9 @@ def _skew_summarise(
             "result tuples",
         ],
     )
-    profile: dict[str, Any] = {
-        "experiment": "extension_e4_skew",
-        "n": n,
-        "skews": list(skews),
-        "strategies": list(strategies),
-        "site_counts": [lo, hi],
-        "seed": seed,
-        "points": [],
-    }
-    cells: dict[tuple[float, str, int], list[Any]] = {
-        (config["skew"], config["strategy"], config["sites"]): outcome
-        for config, outcome in zip(grid.points(), results)
-    }
+    cells: dict[tuple[float, str, int], list[Any]] = by_config(
+        grid, results, "skew", "strategy", "sites"
+    )
     speedups: dict[tuple[float, str], float] = {}
     spreads: dict[tuple[float, str], Optional[float]] = {}
     counts: set[int] = set()
@@ -178,12 +147,6 @@ def _skew_summarise(
             report.add_row(
                 skew, strategy, t_lo, t_hi, speedup, spread, count_hi
             )
-            profile["points"].append({
-                "skew": skew, "strategy": strategy,
-                "sites": [lo, hi], "response": [t_lo, t_hi],
-                "speedup": speedup, "spread": spread,
-                "result_count": count_hi,
-            })
 
     report.check(
         "every (skew, strategy, sites) cell returns the same join"
@@ -221,7 +184,7 @@ def _skew_summarise(
         " join result is the probe cardinality for every strategy —"
         " redistribution changes timing, never answers."
     )
-    return report, profile
+    return report
 
 
 EXTENSION_E4_SPEC = ExperimentSpec(

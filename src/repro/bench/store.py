@@ -38,7 +38,7 @@ import json
 import os
 import subprocess
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from ..errors import BenchmarkError
 
@@ -175,16 +175,6 @@ class ResultStore:
             raise StoreError(f"bad experiment name {experiment!r}")
         return os.path.join(self.directory, f"{experiment}.jsonl")
 
-    def experiments(self) -> list[str]:
-        """Experiment names present on disk, sorted."""
-        if not os.path.isdir(self.directory):
-            return []
-        return sorted(
-            name[:-len(".jsonl")]
-            for name in os.listdir(self.directory)
-            if name.endswith(".jsonl")
-        )
-
     # -- loading -------------------------------------------------------
 
     def _ensure_loaded(self, experiment: str) -> None:
@@ -215,10 +205,6 @@ class ResultStore:
                 self.corrupt_lines.get(experiment, 0) + bad
             )
 
-    def load_all(self) -> None:
-        for experiment in self.experiments():
-            self._ensure_loaded(experiment)
-
     # -- queries -------------------------------------------------------
 
     def get(
@@ -229,36 +215,18 @@ class ResultStore:
         return self._records.get((experiment, version, config_hash(config)))
 
     def records(
-        self,
-        experiment: Optional[str] = None,
-        version: Optional[str] = None,
-        git_sha: Optional[str] = None,
-        predicate: Optional[Callable[[Record], bool]] = None,
+        self, experiment: str, version: Optional[str] = None
     ) -> list[Record]:
-        """Deduplicated records, filtered, in deterministic order."""
-        if experiment is None:
-            self.load_all()
-        else:
-            self._ensure_loaded(experiment)
+        """One experiment's deduplicated records (of one ``version``, if
+        given), in deterministic order."""
+        self._ensure_loaded(experiment)
         out = [
             r for r in self._records.values()
-            if (experiment is None or r.experiment == experiment)
+            if r.experiment == experiment
             and (version is None or r.version == version)
-            and (git_sha is None or r.git_sha == git_sha)
-            and (predicate is None or predicate(r))
         ]
-        out.sort(key=lambda r: (r.experiment, r.version, r.config_hash))
+        out.sort(key=lambda r: (r.version, r.config_hash))
         return out
-
-    def shas(self) -> list[str]:
-        """Git shas present in the store, oldest recorded first."""
-        self.load_all()
-        seen: dict[str, str] = {}
-        for record in self._records.values():
-            stamp = seen.get(record.git_sha)
-            if stamp is None or record.recorded_at < stamp:
-                seen[record.git_sha] = record.recorded_at
-        return [sha for sha, _ in sorted(seen.items(), key=lambda kv: kv[1])]
 
     # -- appends -------------------------------------------------------
 
@@ -332,11 +300,3 @@ class ResultStore:
         os.replace(tmp, path)
         self.corrupt_lines.pop(experiment, None)
         return len(survivors)
-
-    def counts(self) -> dict[str, int]:
-        """Records per experiment (deduplicated)."""
-        self.load_all()
-        out: dict[str, int] = {}
-        for record in self._records.values():
-            out[record.experiment] = out.get(record.experiment, 0) + 1
-        return dict(sorted(out.items()))

@@ -1,13 +1,23 @@
-"""The multiuser experiment the paper left open (Section 6.2.1).
+"""The multiuser experiments the paper left open (Section 6.2.1).
 
-Sweeps the admission multiprogramming level on both machines under the
-same terminal workload and reports the throughput–latency trade-off:
-throughput climbs with MPL until the hardware saturates, queue waits
-shrink (more slots), and per-query service times stretch (more
-contention inside the machine).  Everything is seeded, so a sweep is
-reproducible bit for bit.
+* **E3** (``workload_mpl``) sweeps the admission multiprogramming level
+  on both machines under the same closed-loop terminal workload and
+  reports the throughput–latency trade-off: throughput climbs with MPL
+  until the hardware saturates, queue waits shrink (more slots), and
+  per-query service times stretch (more contention inside the machine).
+* **E6** (``telemetry_knee``) answers the overload-facing question
+  closed loops cannot — *where is the knee?* — with open-loop arrivals:
+  a Poisson stream at a fixed offered rate, independent of completions.
+  Percentiles stay flat while the machine keeps up, then grow without
+  bound once the offered rate crosses the service capacity.  Every
+  point runs with a :class:`~repro.metrics.TelemetrySampler` attached
+  (passive, so the numbers are bit-identical with or without it) and
+  stores the sliding-window p95 track, the admission-queue depth track
+  and the detector alerts — the knee row of the table is backed by the
+  simulated timestamp overload onset fired.
 
-Each (machine, MPL) cell is one grid point — a fresh machine and a
+Everything is seeded, so a sweep is reproducible bit for bit.  Each
+(machine, MPL or rate) cell is one grid point — a fresh machine and a
 fresh mix per point, because update mixes mutate relations and reusing
 a machine would couple the points.
 """
@@ -16,6 +26,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from ..metrics.slo import SlidingWindowTracker, detect_all
+from ..metrics.telemetry import TelemetrySampler
 from ..workloads import (
     QueryMix,
     WorkloadSpec,
@@ -28,15 +40,22 @@ from .matrix import Axis, ExperimentSpec, Grid
 from .reporting import Report
 
 __all__ = [
-    "DEFAULT_MPLS", "A_RELATION", "BPRIME_RELATION", "make_mix",
-    "workload_relations", "machine_builder", "EXTENSION_E3_SPEC",
+    "make_mix", "machine_builder", "EXTENSION_E3_SPEC", "EXTENSION_E6_SPEC",
 ]
 
 DEFAULT_MPLS = (1, 2, 4, 8, 16)
 
+#: Offered arrival rates (queries/second) straddling both machines'
+#: saturation throughput at the committed scale.
+DEFAULT_RATES = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
+
 #: Relation names used by every workload experiment.
 A_RELATION = "wl_a"
 BPRIME_RELATION = "wl_bprime"
+
+#: Telemetry tracks persisted per E6 point (times + values); the rest of
+#: the sampler's series stay in-process to keep the store light.
+_STORED_TRACKS = ("slo.p50", "slo.p95", "slo.p99", "admission.queued")
 
 
 def make_mix(name: str, n: int) -> QueryMix:
@@ -50,17 +69,15 @@ def make_mix(name: str, n: int) -> QueryMix:
     raise ValueError(f"unknown mix {name!r}; expected selection/update/mixed")
 
 
-def workload_relations(n: int) -> list[tuple[str, int, str]]:
-    return [(A_RELATION, n, "heap"), (BPRIME_RELATION, max(1, n // 10), "heap")]
-
-
 def machine_builder(machine: str, n: int) -> Callable[[], Any]:
     """A zero-argument builder for a freshly loaded machine.
 
     Fresh per sweep point: the update mixes mutate relations, so reusing
     one machine would couple the points and break per-point determinism.
     """
-    relations = workload_relations(n)
+    relations = [
+        (A_RELATION, n, "heap"), (BPRIME_RELATION, max(1, n // 10), "heap"),
+    ]
     if machine == "gamma":
         return lambda: build_gamma(relations=relations)
     if machine == "teradata":
@@ -68,18 +85,53 @@ def machine_builder(machine: str, n: int) -> Callable[[], Any]:
     raise ValueError(f"unknown machine {machine!r}")
 
 
+def _curves(
+    report: Report,
+    grid: Grid,
+    results: list[Any],
+    row: Callable[[dict[str, Any]], list[Any]],
+) -> dict[str, list[dict[str, Any]]]:
+    """Add one report row per point (the machine, then ``row(point)``)
+    and return the points grouped into one curve per machine."""
+    curves: dict[str, list[dict[str, Any]]] = {
+        m: [] for m in grid.axis("machine").values
+    }
+    for config, point in zip(grid.points(), results):
+        curves[config["machine"]].append(point)
+        report.add_row(config["machine"], *row(point))
+    return curves
+
+
+def _check_completed(report: Report, machine: str, points: list[Any]) -> None:
+    report.check(
+        f"{machine}: every submitted query completed",
+        all(p["failed"] == 0 for p in points),
+    )
+
+
+def _run_workload(
+    config: dict[str, Any], spec: WorkloadSpec, telemetry: Any = None
+) -> Any:
+    """The point's mix under ``spec`` on a freshly loaded machine."""
+    machine = machine_builder(config["machine"], config["n"])()
+    return machine.run_workload(
+        make_mix(config["mix"], config["n"]), spec, telemetry=telemetry
+    )
+
+
+# ---------------------------------------------------------------------------
+# E3 — closed-loop MPL sweep
+# ---------------------------------------------------------------------------
+
 def _workload_point(config: dict[str, Any]) -> dict[str, Any]:
     """Grid point: one (machine, MPL) workload run (picklable)."""
-    n = config["n"]
     spec = WorkloadSpec(
         queries=config["queries"], clients=config["clients"],
         arrival="closed", think_time=config["think_time"],
         policy=config["policy"], timeout=config["timeout"],
         seed=config["seed"],
     ).with_mpl(config["mpl"])
-    machine = machine_builder(config["machine"], n)()
-    result = machine.run_workload(make_mix(config["mix"], n), spec)
-    return result.to_dict()
+    return _run_workload(config, spec).to_dict()
 
 
 def _workload_grid(
@@ -96,9 +148,8 @@ def _workload_grid(
 ) -> Grid:
     """MPL 1→16 sweep of a closed-loop terminal workload on both machines.
 
-    The summary's profile holds every point's raw
-    :class:`~repro.metrics.WorkloadResult` dictionary, per-query records
-    included.
+    Each point stores its raw :class:`~repro.metrics.WorkloadResult`
+    dictionary, per-query records included.
     """
     return Grid(
         axes=(
@@ -113,18 +164,13 @@ def _workload_grid(
     )
 
 
-def _workload_summarise(
-    grid: Grid, results: list[Any]
-) -> tuple[Report, dict[str, Any]]:
+def _workload_summarise(grid: Grid, results: list[Any]) -> Report:
     n = grid.base["n"]
-    mix = grid.base["mix"]
     queries, clients = grid.base["queries"], grid.base["clients"]
-    machines = grid.axis("machine").values
-    mpls = grid.axis("mpl").values
     report = Report(
         name="workload_mpl",
         title=(
-            f"Multiuser {mix} workload: MPL sweep"
+            f"Multiuser {grid.base['mix']} workload: MPL sweep"
             f" ({clients} terminals, {queries} queries, {n:,}-tuple"
             f" relations)"
         ),
@@ -134,31 +180,12 @@ def _workload_summarise(
             "service mean (s)",
         ],
     )
-    profile: dict[str, Any] = {
-        "experiment": "workload_mpl",
-        "mix": mix,
-        "relations": {"a": n, "bprime": max(1, n // 10)},
-        "spec": {
-            "queries": queries, "clients": clients, "arrival": "closed",
-            "think_time": grid.base["think_time"],
-            "policy": grid.base["policy"],
-            "timeout": grid.base["timeout"], "seed": grid.base["seed"],
-        },
-        "mpls": list(mpls),
-        "points": [],
-    }
-    curves: dict[str, list[dict[str, Any]]] = {m: [] for m in machines}
-    for config, point in zip(grid.points(), results):
-        curves[config["machine"]].append(point)
-        report.add_row(
-            config["machine"], point["mpl"],
-            f"{point['completed']}/{point['submitted']}",
-            point["throughput"],
-            point["latency"]["p50"], point["latency"]["p95"],
-            point["queue_wait"]["mean"], point["service"]["mean"],
-        )
-        profile["points"].append(point)
-
+    curves = _curves(report, grid, results, lambda point: [
+        point["mpl"], f"{point['completed']}/{point['submitted']}",
+        point["throughput"],
+        point["latency"]["p50"], point["latency"]["p95"],
+        point["queue_wait"]["mean"], point["service"]["mean"],
+    ])
     for machine, points in curves.items():
         first, last = points[0], points[-1]
         report.check(
@@ -175,19 +202,146 @@ def _workload_summarise(
             f"{machine}: per-query service stretches under contention",
             last["service"]["mean"] > first["service"]["mean"],
         )
-        report.check(
-            f"{machine}: every submitted query completed",
-            all(p["failed"] == 0 for p in points),
-        )
+        _check_completed(report, machine, points)
     report.notes.append(
         "Closed-loop terminals with exponential think times; seeded, so"
         " every number is reproducible bit for bit."
     )
-    return report, profile
+    return report
 
 
 EXTENSION_E3_SPEC = ExperimentSpec(
     name="workload_mpl", label="Extension E3", kind="extension",
     grid=_workload_grid, point=_workload_point,
     summarise=_workload_summarise,
+)
+
+
+# ---------------------------------------------------------------------------
+# E6 — open-loop arrival-rate sweep with time-resolved SLOs
+# ---------------------------------------------------------------------------
+
+def _telemetry_point(config: dict[str, Any]) -> dict[str, Any]:
+    """Grid point: one (machine, rate) open-loop run with telemetry."""
+    spec = WorkloadSpec(
+        queries=config["queries"], arrival="open",
+        arrival_rate=config["rate"], mpl=config["mpl"],
+        timeout=config["timeout"], seed=config["seed"],
+    )
+    slo = SlidingWindowTracker(window=config["window"])
+    sampler = TelemetrySampler(interval=config["interval"], slo=slo)
+    result = _run_workload(config, spec, telemetry=sampler)
+    alerts = detect_all(sampler)
+    overload = [a for a in alerts if a.kind == "overload"]
+    queued = sampler.series.get("admission.queued")
+    summary = result.to_dict()
+    del summary["records"]  # per-query records would dominate the store
+    summary.update({
+        "rate": config["rate"],
+        "warmup_end": slo.warmup_end(),
+        "overload_at": overload[0].at if overload else None,
+        "alerts": [a.as_dict() for a in alerts],
+        "peak_queue_depth": max(queued.values) if queued else 0.0,
+        "telemetry": {
+            "interval": sampler.interval,
+            "samples": sampler.samples,
+            "tracks": {
+                key: {
+                    "times": list(sampler.series[key].times),
+                    "values": list(sampler.series[key].values),
+                }
+                for key in _STORED_TRACKS if key in sampler.series
+            },
+        },
+    })
+    return summary
+
+
+def _telemetry_grid(
+    n: int = 1_000,
+    queries: int = 64,
+    mix: str = "mixed",
+    rates: tuple[float, ...] = DEFAULT_RATES,
+    mpl: int = 8,
+    timeout: Optional[float] = None,
+    interval: float = 0.25,
+    window: float = 4.0,
+    seed: int = 1988,
+    machines: tuple[str, ...] = ("gamma", "teradata"),
+) -> Grid:
+    """Arrival-rate sweep with time-resolved percentiles on both machines;
+    each point stores its latency summary, telemetry tracks and detector
+    alerts."""
+    return Grid(
+        axes=(
+            Axis("machine", tuple(machines)),
+            Axis("rate", tuple(rates)),
+        ),
+        base={
+            "n": n, "queries": queries, "mix": mix, "mpl": mpl,
+            "timeout": timeout, "interval": interval, "window": window,
+            "seed": seed,
+        },
+    )
+
+
+def _telemetry_summarise(grid: Grid, results: list[Any]) -> Report:
+    report = Report(
+        name="telemetry_knee",
+        title=(
+            f"Open-loop arrival-rate sweep ({grid.base['mix']} mix,"
+            f" {grid.base['queries']} queries, mpl={grid.base['mpl']},"
+            f" {grid.base['n']:,}-tuple relations): the latency knee"
+        ),
+        columns=[
+            "machine", "rate (q/s)", "throughput (q/s)",
+            "latency p50 (s)", "latency p95 (s)", "latency p99 (s)",
+            "peak queue", "overload onset (s)",
+        ],
+    )
+    curves = _curves(report, grid, results, lambda point: [
+        point["rate"], point["throughput"],
+        point["latency"]["p50"], point["latency"]["p95"],
+        point["latency"]["p99"], point["peak_queue_depth"],
+        "-" if point["overload_at"] is None else point["overload_at"],
+    ])
+    for machine, points in curves.items():
+        low, high = points[0], points[-1]
+        report.check(
+            f"{machine}: offered load {low['rate']:g}->{high['rate']:g} q/s"
+            " pushes p95 past the knee (>= 2x)",
+            high["latency"]["p95"] >= 2.0 * low["latency"]["p95"],
+        )
+        report.check(
+            f"{machine}: throughput saturates below the top offered rate",
+            high["throughput"] < high["rate"],
+        )
+        report.check(
+            f"{machine}: overload detector fires at the top rate only"
+            " after staying quiet at the bottom one",
+            low["overload_at"] is None and high["overload_at"] is not None,
+        )
+        report.check(
+            f"{machine}: sliding-window p95 track covers the run",
+            all(
+                len(p["telemetry"]["tracks"]["slo.p95"]["values"]) > 0
+                for p in points
+            ),
+        )
+        _check_completed(report, machine, points)
+    report.notes.append(
+        "Open-loop Poisson arrivals at a fixed offered rate; telemetry"
+        " sampled every"
+        f" {grid.base['interval']:g}s of simulated time with a"
+        f" {grid.base['window']:g}s sliding SLO window.  The sampler is"
+        " pulled by the kernel, never scheduled, so every number is"
+        " bit-identical with telemetry on or off."
+    )
+    return report
+
+
+EXTENSION_E6_SPEC = ExperimentSpec(
+    name="telemetry_knee", label="Extension E6", kind="extension",
+    grid=_telemetry_grid, point=_telemetry_point,
+    summarise=_telemetry_summarise,
 )

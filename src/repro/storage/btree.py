@@ -154,10 +154,16 @@ class BPlusTree:
         if not leaves:
             return
         level = leaves
+        fanout = self.internal_fanout
         while len(level) > 1:
+            starts = list(range(0, len(level), fanout))
+            if len(level) % fanout == 1:
+                # A lone last node would be a one-child parent: split the
+                # last two groups (fanout + 1 nodes) about evenly instead.
+                starts[-1] -= fanout // 2
             parents: list[BTreeNode] = []
-            for start in range(0, len(level), self.internal_fanout):
-                group = level[start:start + self.internal_fanout]
+            for start, end in zip(starts, starts[1:] + [len(level)]):
+                group = level[start:end]
                 parent = self._new_node(is_leaf=False)
                 parent.children = group
                 parent.keys = [self._min_key(c) for c in group[1:]]

@@ -5,7 +5,6 @@ import os
 import pytest
 
 from repro.bench import (
-    FIGURE_CLAIMS,
     Report,
     TABLE1_SELECTIONS,
     TABLE2_JOINS,
@@ -43,8 +42,36 @@ class TestRecorded:
     def test_table3_complete(self):
         assert len(TABLE3_UPDATES) == 6
 
-    def test_figure_claims_non_empty(self):
-        assert all(FIGURE_CLAIMS.values())
+
+_PAPER_TABLES = {
+    "table1_selection": TABLE1_SELECTIONS,
+    "table2_join": TABLE2_JOINS,
+    "table3_update": TABLE3_UPDATES,
+}
+
+
+@pytest.mark.parametrize("name", _PAPER_TABLES)
+def test_paper_cells_pass_the_cross_machine_checks(name):
+    """Fed the paper's own seconds as measurements, at all three sizes,
+    each table's Gamma-vs-Teradata check passes: it covers exactly the
+    cells where the paper has Gamma faster (Teradata wins Table 2's key
+    joinABprime at 1 M and Table 3's delete at 100 k)."""
+    from repro.bench.registry import get
+
+    spec, paper = get(name), _PAPER_TABLES[name]
+    grid = spec.grid(sizes=(10_000, 100_000, 1_000_000))
+    results = [
+        [[label, machine, per_size[config["n"]][machine]]
+         for label, per_size in paper.items()
+         for machine in ("gamma", "teradata")
+         if per_size[config["n"]][machine] is not None]
+        for config in grid.points()
+    ]
+    checks = [c for c in spec.summarise(grid, results).checks
+              if "Gamma beats Teradata" in c
+              or "Gamma is faster than Teradata" in c]
+    assert len(checks) == 1
+    assert checks[0].startswith("[PASS]"), checks
 
 
 class TestReport:

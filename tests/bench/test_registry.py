@@ -2,7 +2,6 @@
 keeps ``benchmarks/results/`` and the registry from diverging."""
 
 import importlib.util
-import json
 import os
 
 import pytest
@@ -62,17 +61,17 @@ class TestMatrixCli:
                          "table1_selection.md"))
 
 
-def test_run_registered_writes_report_and_profile():
+def test_run_registered_writes_only_the_report():
+    """The report is the one file a run writes; the per-point results
+    are ``run.results`` (and the store's records), never a JSON copy."""
     run = run_registered(
         "workload_mpl", n=200, queries=4, clients=2, mpls=(1,),
         machines=("gamma",),
     )
     results = os.environ["GAMMA_BENCH_RESULTS"]
-    assert os.path.exists(os.path.join(results, "workload_mpl.md"))
-    with open(os.path.join(results, "workload_mpl.json")) as fh:
-        text = fh.read()
-    assert text.endswith("}\n")
-    assert json.loads(text) == json.loads(json.dumps(run.profile))
+    assert os.listdir(results) == ["workload_mpl.md"]
+    assert len(run.results) == len(run.grid.points()) == 1
+    assert run.results[0]["mpl"] == 1 and run.results[0]["records"]
 
 
 def _load_generator():

@@ -1,7 +1,5 @@
-"""Toy-scale run of the skew experiment: schema of the report/profile
-and the acceptance claims at a size CI can afford."""
-
-import json
+"""Toy-scale run of the skew experiment: schema of the report and the
+point results, and the acceptance claims at a size CI can afford."""
 
 from repro.bench import run_experiment
 from repro.bench.skew import EXTENSION_E4_SPEC
@@ -13,20 +11,21 @@ class TestSkewExperiment:
         run = run_experiment(
             EXTENSION_E4_SPEC, n=2_000, skews=(0.0, 1.5), site_counts=(1, 4),
         )
-        report, profile = run.report, run.profile
+        report = run.report
         assert report.all_checks_pass, "\n".join(report.checks)
-        # One row per (skew, strategy).
+        # One row per (skew, strategy); one point per (skew, strategy,
+        # sites), holding [response, result count, spread].
         assert len(report.rows) == 2 * 4
-        # The JSON profile mirrors the table.
-        assert profile["n"] == 2_000
-        assert len(profile["points"]) == len(report.rows)
-        for point in profile["points"]:
-            assert point["result_count"] == 2_000
-            assert point["speedup"] > 0
-            assert point["spread"] is None or point["spread"] >= 1.0
-        # ... and survives the JSON round trip of its artifact.
-        assert json.loads(json.dumps(profile))["experiment"] == (
-            "extension_e4_skew")
+        assert len(run.results) == 2 * len(report.rows)
+        for config, (response, count, spread) in zip(
+            run.grid.points(), run.results
+        ):
+            assert response > 0 and count == 2_000
+            assert (spread is None) == (config["sites"] == 1)
+            assert spread is None or spread >= 1.0
+        for row in report.rows:
+            assert row[4] > 0  # speedup
+            assert row[6] == 2_000  # result tuples
 
     def test_sweep_is_deterministic_across_job_counts(
         self, tmp_path, monkeypatch

@@ -151,23 +151,18 @@ class TestRoundTrip:
 class TestQueries:
     def test_records_filters_and_orders(self, tmp_path):
         store = ResultStore(str(tmp_path))
-        store.append("b_exp", "v1", {"n": 1}, 1.0, git_sha="aaa")
-        store.append("a_exp", "v1", {"n": 1}, 1.0, git_sha="aaa")
-        store.append("a_exp", "v1", {"n": 2}, 2.0, git_sha="bbb")
+        store.append("b_exp", "v1", {"n": 1}, 1.0)
+        store.append("a_exp", "v2", {"n": 2}, 2.0)
+        store.append("a_exp", "v1", {"n": 1}, 1.0)
+        store.append("a_exp", "v1", {"n": 2}, 2.0)
         fresh = ResultStore(str(tmp_path))
-        assert [r.experiment for r in fresh.records()] == [
-            "a_exp", "a_exp", "b_exp",
-        ]
-        assert len(fresh.records("a_exp")) == 2
-        assert len(fresh.records(git_sha="bbb")) == 1
-        assert fresh.experiments() == ["a_exp", "b_exp"]
-        assert fresh.counts() == {"a_exp": 2, "b_exp": 1}
-
-    def test_shas_ordered_by_first_recording(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        store.append("exp", "v1", {"n": 1}, 1.0, git_sha="older")
-        store.append("exp", "v1", {"n": 2}, 2.0, git_sha="newer")
-        assert ResultStore(str(tmp_path)).shas() == ["older", "newer"]
+        records = fresh.records("a_exp")
+        assert [r.experiment for r in records] == ["a_exp"] * 3
+        assert [r.version for r in records] == ["v1", "v1", "v2"]
+        assert records == sorted(
+            records, key=lambda r: (r.version, r.config_hash))
+        assert [r.result for r in fresh.records("a_exp", "v2")] == [2.0]
+        assert len(fresh.records("b_exp")) == 1
 
 
 class TestCorruptionRecovery:

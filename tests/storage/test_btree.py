@@ -1,7 +1,7 @@
 """Unit and property tests for the paged B+-tree."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RecordNotFoundError, StorageError
@@ -159,6 +159,40 @@ class TestBuilders:
         tree = build_sparse_index("s", 4096, [(0, 0), (100, 1), (200, 2)])
         _pg, _key, page_no = tree.floor_entry(150)
         assert page_no == 1
+
+
+def _level_sizes(tree):
+    """Node count of each level, root first."""
+    sizes, level = [], [tree.root]
+    while level:
+        sizes.append(len(level))
+        level = [c for node in level if not node.is_leaf for c in node.children]
+    return sizes
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=1500),
+    page_size=st.sampled_from([128, 256, 512, 1024]),
+)
+# On 128-byte pages a level of 1 (mod fanout) nodes once left the last
+# parent a single child, which check_invariants rejects.
+@example(n=37, page_size=128)
+@example(n=42, page_size=128)
+@example(n=73, page_size=128)
+@example(n=78, page_size=128)
+@example(n=109, page_size=128)
+@example(n=114, page_size=128)
+def test_property_bulk_load_keeps_every_invariant(n, page_size):
+    tree = BPlusTree("t", page_size)
+    tree.bulk_load([(k, k) for k in range(n)])
+    tree.check_invariants()
+    assert [k for k, _ in tree.items()] == list(range(n))
+    # Each level packs full groups: ceil(nodes below / capacity) nodes.
+    expected = [max(1, -(-n // tree.leaf_capacity))]
+    while expected[0] > 1:
+        expected.insert(0, -(-expected[0] // tree.internal_fanout))
+    assert _level_sizes(tree) == expected
 
 
 @settings(max_examples=50, deadline=None)

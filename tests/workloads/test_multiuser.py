@@ -194,7 +194,7 @@ class TestMplSweep:
                 EXTENSION_E3_SPEC, n=N, queries=16, clients=8,
                 mix="selection", think_time=0.05, seed=2,
                 machines=("gamma",), mpls=(1, 4),
-            ).profile["points"]
+            ).results
 
         a, b = run(), run()
         assert a == b
