@@ -17,10 +17,9 @@ of IR :class:`~repro.engine.ir.Exchange` edges to
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Any, Generator, Optional
 
-from ..catalog import Catalog, gamma_hash
+from ..catalog import Catalog
 from ..errors import PlanError
 from ..sim import Delay, Process, WaitAll
 from ..storage import Schema, StoredFile
@@ -36,6 +35,7 @@ from .ir import (
     SortOp,
     StoreOp,
     UpdateIR,
+    walk,
 )
 from .node import ExecutionContext, Node
 from .operators import DestSpec
@@ -47,6 +47,7 @@ from .operators.sort import SortDriver
 from .operators.store import HostSinkDriver, StoreDriver
 from .plan import AppendTuple, DeleteTuple, ModifyTuple
 from .ports import OutputPort
+from .skew import router
 from .split_table import SplitTable
 
 CONTROL_BYTES = 128
@@ -167,20 +168,12 @@ class QueryDriver(GammaDriver):
         """
         from .locks import LockMode
 
-        names: set[tuple[str, int]] = set()
-
-        def visit(node: IRNode) -> None:
-            if isinstance(node, ScanOp):
-                names.update(
-                    (node.relation.name, site) for site in node.sites
-                )
-            elif isinstance(node, HashJoinProbeOp):
-                visit(node.build_input.source)
-                visit(node.source)
-            elif isinstance(node, (AggregateOp, ProjectOp, SortOp)):
-                visit(node.child)
-
-        visit(self.plan.root)
+        names = {
+            (node.relation.name, site)
+            for node in walk(self.plan.root)
+            if isinstance(node, ScanOp)
+            for site in node.sites
+        }
         for name in sorted(names):
             yield from self.ctx.locks.acquire(
                 self.txn, name, LockMode.SHARED,
@@ -234,16 +227,6 @@ class QueryDriver(GammaDriver):
             return DestSpec(
                 "hash", ports, attr=exchange.attr, bit_filter=bit_filter
             )
-        if kind is ExchangeKind.RANGE:
-            bounds = list(exchange.boundaries or [])
-
-            def route(value: Any) -> int:
-                return bisect_right(bounds, value)
-
-            return DestSpec(
-                "fn", ports, attr=exchange.attr, route_fn=route,
-                bit_filter=bit_filter,
-            )
         if kind is ExchangeKind.RECORD_HASH:
             return DestSpec(
                 "record_hash", ports, attr=None,
@@ -253,51 +236,13 @@ class QueryDriver(GammaDriver):
             return DestSpec("rr", ports)
         if kind is ExchangeKind.MERGE:
             return DestSpec("single", ports)
-        if kind is ExchangeKind.VHASH:
-            vmap = tuple(exchange.virtual_map or ())
-            if not vmap:
-                raise PlanError("vhash exchange needs a virtual_map")
-            v = len(vmap)
-            n = len(ports)
-
-            def route(value: Any) -> int:
-                return vmap[gamma_hash(value, v)] % n
-
-            return DestSpec(
-                "fn", ports, attr=exchange.attr, route_fn=route,
-                bit_filter=bit_filter,
-            )
-        if kind is ExchangeKind.HOT_BROADCAST:
-            hot = exchange.hot_keys or frozenset()
-            n = len(ports)
-            everywhere = tuple(range(n))
-
-            def route(value: Any) -> Any:
-                if value in hot:
-                    return everywhere
-                return gamma_hash(value, n)
-
-            return DestSpec(
-                "fn", ports, attr=exchange.attr, route_fn=route,
-                bit_filter=bit_filter,
-            )
-        if kind is ExchangeKind.HOT_SPRAY:
-            hot = exchange.hot_keys or frozenset()
-            n = len(ports)
-            state = {"next": 0}
-
-            def route(value: Any) -> int:
-                if value in hot:
-                    idx = state["next"]
-                    state["next"] = (idx + 1) % n
-                    return idx
-                return gamma_hash(value, n)
-
-            return DestSpec(
-                "fn", ports, attr=exchange.attr, route_fn=route,
-                bit_filter=bit_filter,
-            )
-        raise PlanError(f"Gamma cannot lower exchange {exchange.describe()}")
+        # Range and the skew-aware kinds: a split table over the
+        # strategy's value → port function (a tuple of ports for a
+        # hot-broadcast key); ``router`` rejects a local exchange.
+        return DestSpec(
+            "fn", ports, attr=exchange.attr,
+            route_fn=router(exchange, len(ports)), bit_filter=bit_filter,
+        )
 
     def _make_output(
         self, node: Node, dest: DestSpec, schema: Schema

@@ -9,8 +9,10 @@ DAG of physical operator nodes (:class:`ScanOp`, :class:`ProjectOp`,
 :class:`AggregateOp`, :class:`SortOp`, :class:`StoreOp`,
 :class:`HostSinkOp`) connected by explicit :class:`Exchange` edges that say
 how tuples are redistributed between operator fragments (hash-split,
-range-split, round-robin, broadcast, merge) and a :class:`Placement`
-saying where each fragment runs.
+range-split, round-robin, merge, local, and the skew-aware kinds of
+:mod:`repro.engine.skew`) and a :class:`Placement` saying where each
+fragment runs.  Every node lists its children, in plan order, in
+``inputs``; :func:`walk` is the one generic traversal built on them.
 
 Backends never see logical plan nodes: the Gamma driver
 (:mod:`repro.engine.driver`) lowers Exchange edges to split tables and
@@ -26,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 from ..errors import PlanError
 from ..storage import Schema, int_attr
@@ -58,7 +60,6 @@ class ExchangeKind(Enum):
     RANGE = "range"        #: range-split on ``attr`` at ``boundaries``
     RECORD_HASH = "record-hash"  #: hash of the projected ``positions``
     ROUND_ROBIN = "rr"     #: even round-robin spray
-    BROADCAST = "broadcast"  #: replicate to every consumer fragment
     MERGE = "merge"        #: all producers feed one consumer (merge-to-host)
     LOCAL = "local"        #: no redistribution: producer and consumer are
     #: co-partitioned (Teradata's primary-key join shortcut)
@@ -123,10 +124,41 @@ class Placement:
         where = self.role if self.sites is None else f"{len(self.sites)} sites"
         return where if self.mode is None else f"{where}:{self.mode.value}"
 
+    def pools(self, has_diskless: bool) -> tuple[str, ...]:
+        """The Gamma processor pools this placement runs on, in fragment
+        order: ``"disk"`` sites, ``"diskless"`` processors or the
+        ``"host"``.  A machine without diskless processors runs their
+        work on its disk sites.  The planner counts these pools and
+        ``ExecutionContext.placement_nodes`` resolves them to nodes, so
+        both size a placement by this one rule."""
+        if self.role == "join-sites":
+            if self.mode is JoinMode.LOCAL or not has_diskless:
+                return ("disk",)
+            if self.mode is JoinMode.REMOTE:
+                return ("diskless",)
+            return ("disk", "diskless")
+        if self.role == "diskless":
+            return ("diskless",) if has_diskless else ("disk",)
+        if self.role == "disk-sites":
+            return ("disk",)
+        if self.role == "host":
+            return ("host",)
+        raise PlanError(f"unknown placement role {self.role!r}")
+
 
 # ---------------------------------------------------------------------------
 # operator nodes
 # ---------------------------------------------------------------------------
+
+
+class _Unary:
+    """A node fed by one input stream, its ``source``."""
+
+    source: Any
+
+    @property
+    def inputs(self) -> tuple[Any, ...]:
+        return (self.source,)
 
 
 @dataclass
@@ -143,6 +175,10 @@ class ScanOp:
     placement: Placement = field(default=Placement("disk-sites"))
 
     @property
+    def inputs(self) -> tuple[Any, ...]:
+        return ()
+
+    @property
     def estimated_rows(self) -> float:
         return self.estimated_matches
 
@@ -154,29 +190,7 @@ class ScanOp:
 
 
 @dataclass
-class FilterOp:
-    """A standalone predicate over a stream.
-
-    Both current backends fuse predicates into their scans (Gamma compiles
-    them "into machine language"; the AMPs evaluate them while scanning),
-    so today's compilers never emit this node — it exists so a backend
-    without predicate pushdown can still express its plans in the IR.
-    """
-
-    source: "IRNode"
-    exchange: Exchange
-    predicate: object
-    schema: Schema
-    op_id: str = "filter"
-    placement: Placement = field(default=Placement("disk-sites"))
-    estimated_rows: float = 0.0
-
-    def describe(self) -> str:
-        return f"filter({self.source.describe()})"
-
-
-@dataclass
-class ProjectOp:
+class ProjectOp(_Unary):
     """A placed projection (streaming, or hash-partitioned dedup)."""
 
     source: "IRNode"
@@ -188,18 +202,13 @@ class ProjectOp:
     placement: Placement = field(default=Placement("diskless"))
     estimated_rows: float = 0.0
 
-    # Backwards-compatible field name from the pre-IR planner.
-    @property
-    def child(self) -> "IRNode":
-        return self.source
-
     def describe(self) -> str:
         kind = "unique" if self.unique else "stream"
         return f"project[{kind}]({self.source.describe()})"
 
 
 @dataclass
-class HashJoinBuildOp:
+class HashJoinBuildOp(_Unary):
     """The building half of a hash join: consumes the hashed build stream."""
 
     source: "IRNode"
@@ -235,6 +244,10 @@ class HashJoinProbeOp:
     placement: Placement = field(default=Placement("join-sites"))
 
     @property
+    def inputs(self) -> tuple[Any, ...]:
+        return (self.build_input, self.source)
+
+    @property
     def estimated_rows(self) -> float:
         return min(
             self.build_input.estimated_rows, self.source.estimated_rows
@@ -263,6 +276,10 @@ class SortMergeJoinOp:
     placement: Placement = field(default=Placement("amps"))
 
     @property
+    def inputs(self) -> tuple[Any, ...]:
+        return (self.left, self.right)
+
+    @property
     def estimated_rows(self) -> float:
         return min(self.left.estimated_rows, self.right.estimated_rows)
 
@@ -274,7 +291,7 @@ class SortMergeJoinOp:
 
 
 @dataclass
-class AggregateOp:
+class AggregateOp(_Unary):
     """One aggregation stage.
 
     ``stage`` distinguishes the dataflow shapes: a ``grouped`` aggregate is
@@ -311,7 +328,7 @@ class AggregateOp:
 
 
 @dataclass
-class SortOp:
+class SortOp(_Unary):
     """A placed parallel sort: range slices + ordered emission chain."""
 
     source: "IRNode"
@@ -323,10 +340,6 @@ class SortOp:
     op_id: str = "sort"
     placement: Placement = field(default=Placement("diskless"))
     estimated_rows: float = 0.0
-
-    @property
-    def child(self) -> "IRNode":
-        return self.source
 
     @property
     def boundaries(self) -> Optional[list]:
@@ -343,7 +356,7 @@ class SortOp:
 
 
 @dataclass
-class StoreOp:
+class StoreOp(_Unary):
     """Materialise the result stream as a new declustered relation."""
 
     source: "IRNode"
@@ -359,7 +372,7 @@ class StoreOp:
 
 
 @dataclass
-class HostSinkOp:
+class HostSinkOp(_Unary):
     """Merge the result stream back to the host."""
 
     source: "IRNode"
@@ -374,7 +387,7 @@ class HostSinkOp:
 
 
 IRNode = Union[
-    ScanOp, FilterOp, ProjectOp, HashJoinBuildOp, HashJoinProbeOp,
+    ScanOp, ProjectOp, HashJoinBuildOp, HashJoinProbeOp,
     SortMergeJoinOp, AggregateOp, SortOp, StoreOp, HostSinkOp,
 ]
 
@@ -400,25 +413,25 @@ class PhysicalIR:
         return self.sink.describe()
 
 
+def walk(node: IRNode) -> Iterator[IRNode]:
+    """Every node of the DAG under ``node``, itself first: pre-order, a
+    node before its :attr:`inputs`, the inputs in plan order."""
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        yield current
+        stack.extend(reversed(current.inputs))
+
+
 def ir_op_ids(ir: Any) -> set[str]:
     """Every operator id of one compiled plan (PhysicalIR or UpdateIR).
 
     Concurrent entry points use this to filter a shared profiler's spans
     down to the nodes one request owns.
     """
-    sink = getattr(ir, "sink", None)
-    if sink is None:
-        return {ir.op_id}
-    ids: set[str] = set()
-    stack: list[Any] = [sink]
-    while stack:
-        node = stack.pop()
-        ids.add(node.op_id)
-        for attr in ("build_input", "source", "left", "right"):
-            child = getattr(node, attr, None)
-            if child is not None and hasattr(child, "op_id"):
-                stack.append(child)
-    return ids
+    if isinstance(ir, PhysicalIR):
+        return {node.op_id for node in walk(ir.sink)}
+    return {ir.op_id}
 
 
 @dataclass
@@ -461,9 +474,21 @@ class PlanCompiler:
     hooks for operator siting).
     """
 
-    def __init__(self, config: Any, catalog: Any) -> None:
+    def __init__(
+        self, config: Any, catalog: Any, skew_strategy: str = "hash"
+    ) -> None:
+        # Imported here: the skew module builds this module's Exchanges.
+        from .skew import SKEW_STRATEGIES
+
+        if skew_strategy not in SKEW_STRATEGIES:
+            raise PlanError(
+                f"unknown skew_strategy {skew_strategy!r};"
+                f" expected one of {SKEW_STRATEGIES}"
+            )
         self.config = config
         self.catalog = catalog
+        #: The join redistribution (:data:`~repro.engine.skew.SKEW_STRATEGIES`).
+        self.skew_strategy = skew_strategy
         self._op_seq = itertools.count()
 
     # -- entry points ---------------------------------------------------
@@ -477,9 +502,6 @@ class PlanCompiler:
             schema=root.schema,
             description=root.describe(),
         )
-
-    # ``compile`` reads better at call sites that never saw the old API.
-    compile = plan
 
     def compile_update(self, request: UpdateRequest) -> UpdateIR:
         relation = self.catalog.lookup(request.relation)
@@ -513,6 +535,15 @@ class PlanCompiler:
 
     def next_id(self, kind: str) -> str:
         return f"{self.id_prefix}{kind}{next(self._op_seq)}"
+
+    def base_relation(self, attr: str, node: IRNode) -> Optional[Any]:
+        """The base relation a plan-time sample of ``attr`` is drawn
+        from: the first scan under ``node``, in :func:`walk` order, whose
+        relation has the attribute."""
+        for op in walk(node):
+            if isinstance(op, ScanOp) and attr in op.relation.schema:
+                return op.relation
+        return None
 
     # -- the generic walk ----------------------------------------------
     def compile_node(self, node: PlanNode) -> IRNode:

@@ -186,22 +186,7 @@ class GammaMachine:
         ``telemetry`` to sample cluster time series on a fixed cadence.
         None of them change the simulated timeline.
         """
-        if query.into is not None and query.into in self.catalog:
-            raise CatalogError(
-                f"result relation {query.into!r} already exists"
-            )
-        ctx = ExecutionContext(
-            self.config, trace=trace, profile=profile, telemetry=telemetry
-        )
-        plan = self._planner().plan(query)
-        run = QueryDriver(ctx, self.catalog, plan)
-        ctx.sim.spawn(run.host_process(), name="host")
-        response_time = ctx.sim.run()
-        ctx.stats["sim_events"] = ctx.sim.events_processed
-        result = self._build_result(ctx, run, query, response_time)
-        if ctx.profiler is not None:
-            result.profile = ctx.profiler.finish(plan, response_time)
-        return result
+        return self._execute(query, trace, profile, telemetry)
 
     def run_concurrent(
         self,
@@ -261,12 +246,7 @@ class GammaMachine:
             # Distinct op_id namespaces keep per-request profiles (and the
             # profiler's span keying) from colliding across plans.
             planner.id_prefix = f"q{i}."
-            if isinstance(request, Query):
-                ir: Any = planner.plan(request)
-                run: Any = QueryDriver(ctx, self.catalog, ir)
-            else:
-                ir = planner.compile_update(request)
-                run = UpdateDriver(ctx, self.catalog, ir)
+            ir, run = self._compile(planner, ctx, request)
             finished: list[float] = []
             failure: list[BaseException] = []
 
@@ -325,19 +305,12 @@ class GammaMachine:
             def execute(index: int, request: Query | UpdateRequest) -> Any:
                 planner = machine._planner()
                 planner.id_prefix = f"q{index}."
-                if isinstance(request, Query):
-                    if request.into is not None:
-                        raise CatalogError(
-                            "workload queries must stream to the host"
-                            f" (into=None), got into={request.into!r}"
-                        )
-                    run: Any = QueryDriver(
-                        ctx, machine.catalog, planner.plan(request)
+                if isinstance(request, Query) and request.into is not None:
+                    raise CatalogError(
+                        "workload queries must stream to the host"
+                        f" (into=None), got into={request.into!r}"
                     )
-                else:
-                    run = UpdateDriver(
-                        ctx, machine.catalog, planner.compile_update(request)
-                    )
+                _ir, run = machine._compile(planner, ctx, request)
                 yield from run.host_process()
 
         return drive_workload(_Session, spec, mix, telemetry=telemetry)
@@ -350,17 +323,49 @@ class GammaMachine:
         telemetry: Optional["Any"] = None,
     ) -> QueryResult:
         """Execute a single-tuple update request (Table 3 operations)."""
+        return self._execute(request, trace, profile, telemetry)
+
+    def _compile(
+        self,
+        planner: Planner,
+        ctx: ExecutionContext,
+        request: Query | UpdateRequest,
+    ) -> tuple[Any, Any]:
+        """The one request path: compile ``request`` and bind its driver
+        to ``ctx``.  Returns (IR, driver)."""
+        if isinstance(request, Query):
+            ir: Any = planner.plan(request)
+            return ir, QueryDriver(ctx, self.catalog, ir)
+        ir = planner.compile_update(request)
+        return ir, UpdateDriver(ctx, self.catalog, ir)
+
+    def _execute(
+        self,
+        request: Query | UpdateRequest,
+        trace: Optional["Any"],
+        profile: bool,
+        telemetry: Optional["Any"],
+    ) -> QueryResult:
+        """One request alone in its own simulation: the body of
+        :meth:`run` and :meth:`update`."""
+        if (
+            isinstance(request, Query)
+            and request.into is not None
+            and request.into in self.catalog
+        ):
+            raise CatalogError(
+                f"result relation {request.into!r} already exists"
+            )
         ctx = ExecutionContext(
             self.config, trace=trace, profile=profile, telemetry=telemetry
         )
-        update_ir = self._planner().compile_update(request)
-        run = UpdateDriver(ctx, self.catalog, update_ir)
+        ir, run = self._compile(self._planner(), ctx, request)
         ctx.sim.spawn(run.host_process(), name="host")
         response_time = ctx.sim.run()
         ctx.stats["sim_events"] = ctx.sim.events_processed
         result = self._build_result(ctx, run, request, response_time)
         if ctx.profiler is not None:
-            result.profile = ctx.profiler.finish(update_ir, response_time)
+            result.profile = ctx.profiler.finish(ir, response_time)
         return result
 
     def _build_result(

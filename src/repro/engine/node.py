@@ -254,29 +254,20 @@ class ExecutionContext:
     # ------------------------------------------------------------------
     # placement helpers
     # ------------------------------------------------------------------
-    def join_nodes(self, mode: "Any") -> list[Node]:
-        """Nodes hosting join operators for a
-        :class:`~repro.engine.plan.JoinMode`."""
-        from .plan import JoinMode
-
-        if mode is JoinMode.LOCAL or not self.diskless_nodes:
-            return list(self.disk_nodes)
-        if mode is JoinMode.REMOTE:
-            return list(self.diskless_nodes)
-        return [*self.disk_nodes, *self.diskless_nodes]
-
     def placement_nodes(self, placement: "Any") -> list[Node]:
         """Resolve an IR :class:`~repro.engine.ir.Placement` against this
-        machine's processors."""
-        if placement.role == "join-sites":
-            return self.join_nodes(placement.mode)
-        if placement.role == "diskless":
-            return list(self.diskless_nodes or self.disk_nodes)
-        if placement.role == "disk-sites":
-            return list(self.disk_nodes)
-        if placement.role == "host":
-            return [self.host_node]
-        raise ExecutionError(f"unknown placement role {placement.role!r}")
+        machine's processors (:meth:`~repro.engine.ir.Placement.pools`,
+        the rule the planner sizes fragments by)."""
+        pools = {
+            "disk": self.disk_nodes,
+            "diskless": self.diskless_nodes,
+            "host": [self.host_node],
+        }
+        return [
+            node
+            for pool in placement.pools(bool(self.diskless_nodes))
+            for node in pools[pool]
+        ]
 
     def spool_target(self, node: Node) -> Node:
         """Disk node that stores a spool file for ``node``.

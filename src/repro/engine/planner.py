@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..catalog import Catalog, Relation
+from ..catalog import Relation
 from ..errors import PlanError
-from ..hardware import GammaConfig
 from .ir import (
     AggregateOp,
     Exchange,
@@ -46,7 +45,6 @@ from .plan import (
     AccessPath,
     AppendTuple,
     ExactMatch,
-    JoinMode,
     JoinNode,
     ModifyTuple,
     PlanNode,
@@ -54,14 +52,7 @@ from .plan import (
     ScanNode,
     TruePredicate,
 )
-
-from .skew import (
-    SKEW_SAMPLE,
-    SKEW_STRATEGIES,
-    histogram_boundaries,
-    hot_keys,
-    virtual_map,
-)
+from .skew import join_exchanges, sample
 
 
 class Planner(PlanCompiler):
@@ -78,19 +69,17 @@ class Planner(PlanCompiler):
     at plan time, the same way :meth:`sort_boundaries` does.
     """
 
-    def __init__(
-        self,
-        config: GammaConfig,
-        catalog: Catalog,
-        skew_strategy: str = "hash",
-    ) -> None:
-        super().__init__(config, catalog)
-        if skew_strategy not in SKEW_STRATEGIES:
-            raise PlanError(
-                f"unknown skew_strategy {skew_strategy!r};"
-                f" expected one of {SKEW_STRATEGIES}"
-            )
-        self.skew_strategy = skew_strategy
+    def fragments(self, placement: Placement) -> int:
+        """How many fragments ``placement`` runs on: its
+        :meth:`~repro.engine.ir.Placement.pools`, counted on this
+        configuration."""
+        width = {
+            "disk": self.config.n_disk_sites,
+            "diskless": self.config.n_diskless,
+            "host": 1,
+        }
+        pools = placement.pools(bool(self.config.n_diskless))
+        return sum(width[pool] for pool in pools)
 
     # ------------------------------------------------------------------
     # scans
@@ -232,74 +221,14 @@ class Planner(PlanCompiler):
         if self.skew_strategy == "hash":
             return joined
         assert isinstance(joined, HashJoinProbeOp)
-        exchanges = self._skew_exchanges(node, probe)
+        exchanges = join_exchanges(
+            self.skew_strategy, node.build_attr, node.probe_attr,
+            self.base_relation(node.probe_attr, probe),
+            self.fragments(joined.placement),
+        )
         if exchanges is not None:
             joined.build_input.exchange, joined.exchange = exchanges
         return joined
-
-    def _join_fragments(self, mode: JoinMode) -> int:
-        """How many fragments a join of this mode runs on (mirrors
-        ``ExecutionContext.join_nodes``)."""
-        if mode is JoinMode.LOCAL or not self.config.n_diskless:
-            return self.config.n_disk_sites
-        if mode is JoinMode.REMOTE:
-            return self.config.n_diskless
-        return self.config.n_disk_sites + self.config.n_diskless
-
-    def _skew_exchanges(
-        self, node: JoinNode, probe: IRNode
-    ) -> Optional[tuple[Exchange, Exchange]]:
-        """(build exchange, probe exchange) for the selected strategy.
-
-        Returns None — keep the plain hash split — when the probe side
-        has no sampleable base relation, when a fragment count of one
-        makes redistribution moot, or when ``hot-broadcast`` detects no
-        hot key (plain hashing is then already balanced).
-        """
-        import itertools
-
-        n_frag = max(1, self._join_fragments(node.mode))
-        if n_frag == 1:
-            return None
-        relation = self._base_relation_with(node.probe_attr, probe)
-        if relation is None:
-            return None
-        pos = relation.schema.position(node.probe_attr)
-        sample = [
-            record[pos]
-            for record in itertools.islice(
-                relation.records(), SKEW_SAMPLE
-            )
-        ]
-        if not sample:
-            return None
-        if self.skew_strategy == "range":
-            boundaries = histogram_boundaries(sample, n_frag)
-            if boundaries is None:
-                return None
-            return (
-                Exchange(ExchangeKind.RANGE, attr=node.build_attr,
-                         boundaries=boundaries),
-                Exchange(ExchangeKind.RANGE, attr=node.probe_attr,
-                         boundaries=boundaries),
-            )
-        if self.skew_strategy == "vhash":
-            vmap = virtual_map(sample, n_frag)
-            return (
-                Exchange(ExchangeKind.VHASH, attr=node.build_attr,
-                         virtual_map=vmap),
-                Exchange(ExchangeKind.VHASH, attr=node.probe_attr,
-                         virtual_map=vmap),
-            )
-        hot = hot_keys(sample, n_frag)
-        if not hot:
-            return None
-        return (
-            Exchange(ExchangeKind.HOT_BROADCAST, attr=node.build_attr,
-                     hot_keys=hot),
-            Exchange(ExchangeKind.HOT_SPRAY, attr=node.probe_attr,
-                     hot_keys=hot),
-        )
 
     # ------------------------------------------------------------------
     # sorts
@@ -310,41 +239,23 @@ class Planner(PlanCompiler):
         The optimizer samples the base relation holding ``attr`` (the
         statistics a Selinger-style catalog keeps); without a base source
         for the attribute the sort degrades to one sorter node — always
-        correct, just unparallel.
+        correct, just unparallel.  The cut points are
+        ``sample[len * i // n]``, one element past
+        :func:`~repro.engine.skew.histogram_boundaries`' cut.
         """
-        import itertools
-
-        n_sorters = max(1, self.config.n_diskless or self.config.n_disk_sites)
+        n_sorters = self.fragments(self.sort_placement())
         if n_sorters == 1:
             return None
-        relation = self._base_relation_with(attr, child)
+        relation = self.base_relation(attr, child)
         if relation is None:
             return None
-        pos = relation.schema.position(attr)
-        sample = sorted(
-            record[pos]
-            for record in itertools.islice(relation.records(), 2000)
-        )
-        if len(sample) < n_sorters:
+        values = sorted(sample(relation, attr))
+        if len(values) < n_sorters:
             return None
         return [
-            sample[(len(sample) * i) // n_sorters]
+            values[(len(values) * i) // n_sorters]
             for i in range(1, n_sorters)
         ]
-
-    def _base_relation_with(
-        self, attr: str, node: IRNode
-    ) -> Optional[Relation]:
-        if isinstance(node, ScanOp):
-            return node.relation if attr in node.relation.schema else None
-        if isinstance(node, HashJoinProbeOp):
-            return (
-                self._base_relation_with(attr, node.build_input.source)
-                or self._base_relation_with(attr, node.source)
-            )
-        if isinstance(node, (AggregateOp, ProjectOp, SortOp)):
-            return self._base_relation_with(attr, node.source)
-        return None
 
     # ------------------------------------------------------------------
     # updates

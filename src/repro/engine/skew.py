@@ -1,9 +1,9 @@
-"""Skew-aware redistribution statistics, shared by both planners.
+"""Skew-aware redistribution: the one home of every join-splitting strategy.
 
 Plain hash partitioning sends every tuple with join-attribute value *v*
 to fragment ``gamma_hash(v, N)``.  Under a skewed value distribution one
 fragment receives the hot values' entire weight and the join runs at the
-speed of its slowest site.  These helpers turn a plan-time sample of the
+speed of its slowest site.  This module turns a plan-time sample of the
 join attribute into the three classic mitigations:
 
 * :func:`histogram_boundaries` — equal-depth range cut points, so each
@@ -16,22 +16,34 @@ join attribute into the three classic mitigations:
   enough that no *partitioning* scheme can balance them, so the build
   side broadcasts them and the probe side sprays them round-robin.
 
-All three are pure functions of the sample — deterministic, and shared
-by the Gamma :class:`~repro.engine.planner.Planner` and the
-:class:`~repro.teradata.planner.TeradataPlanner`.
+Both ends of a strategy live here.  At plan time :func:`join_exchanges`
+draws the :func:`sample` and returns a join's (build, probe) exchange
+pair; the Gamma :class:`~repro.engine.planner.Planner` and the
+:class:`~repro.teradata.planner.TeradataPlanner` both call it.  At run
+time :func:`router` turns an exchange into the value → consumer function
+both drivers split by: Gamma's ``QueryDriver.lower_exchange`` installs it
+in a split table, Teradata's ``TeradataRun._redistribute`` buckets spool
+tuples with it.  A new strategy is one edit to each of the two.  The
+statistics are pure functions of the sample, so plans are
+deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_right
 from collections import Counter
-from typing import Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Optional, Sequence
 
 from ..catalog import gamma_hash
+from ..errors import PlanError
+from .ir import Exchange, ExchangeKind
 
 #: Valid values for the planners' ``skew_strategy`` knob.
 SKEW_STRATEGIES = ("hash", "range", "vhash", "hot-broadcast")
 
-#: Records sampled from the probe-side base relation per join.
+#: Records sampled from a base relation per join (and per Gamma sort).
 SKEW_SAMPLE = 2000
 
 #: Virtual buckets per join fragment for ``vhash``.
@@ -100,6 +112,110 @@ def hot_keys(
     )
 
 
+def sample(relation: Any, attr: str) -> list:
+    """The first :data:`SKEW_SAMPLE` values of ``attr`` in ``relation``'s
+    stored order: the plan-time statistics every strategy (and Gamma's
+    sort boundaries) is derived from."""
+    pos = relation.schema.position(attr)
+    return [
+        record[pos]
+        for record in itertools.islice(relation.records(), SKEW_SAMPLE)
+    ]
+
+
+def join_exchanges(
+    strategy: str,
+    build_attr: str,
+    probe_attr: str,
+    relation: Optional[Any],
+    n_frag: int,
+) -> Optional[tuple[Exchange, Exchange]]:
+    """(build exchange, probe exchange) of a join split ``n_frag`` ways
+    under ``strategy``, from a sample of ``probe_attr`` in ``relation``
+    (the probe side's base relation).
+
+    Returns None — keep the plain hash split — for ``"hash"``, when
+    there is no relation to sample or nothing in it, when one fragment
+    makes redistribution moot, when the sample cannot be cut into
+    ranges, or when ``hot-broadcast`` detects no hot key (plain hashing
+    is then already balanced).
+    """
+    if strategy == "hash" or n_frag <= 1 or relation is None:
+        return None
+    values = sample(relation, probe_attr)
+    if not values:
+        return None
+    if strategy == "range":
+        boundaries = histogram_boundaries(values, n_frag)
+        if boundaries is None:
+            return None
+        return (
+            Exchange(ExchangeKind.RANGE, attr=build_attr,
+                     boundaries=boundaries),
+            Exchange(ExchangeKind.RANGE, attr=probe_attr,
+                     boundaries=boundaries),
+        )
+    if strategy == "vhash":
+        vmap = virtual_map(values, n_frag)
+        return (
+            Exchange(ExchangeKind.VHASH, attr=build_attr, virtual_map=vmap),
+            Exchange(ExchangeKind.VHASH, attr=probe_attr, virtual_map=vmap),
+        )
+    hot = hot_keys(values, n_frag)
+    if not hot:
+        return None
+    return (
+        Exchange(ExchangeKind.HOT_BROADCAST, attr=build_attr, hot_keys=hot),
+        Exchange(ExchangeKind.HOT_SPRAY, attr=probe_attr, hot_keys=hot),
+    )
+
+
+def router(exchange: Exchange, n: int) -> Callable[[Any], Any]:
+    """Value → consumer index in ``range(n)`` for a value-routed
+    exchange: hash, range, vhash, hot-broadcast (a hot value maps to the
+    tuple of every index) or hot-spray (hot values take the next index
+    round-robin, so each call of the returned function advances it).
+
+    Raises :class:`~repro.errors.PlanError` naming the kind for an
+    exchange that does not route by value (local, merge, round-robin,
+    record-hash).
+    """
+    kind = exchange.kind
+    if kind is ExchangeKind.HASH:
+        return lambda value: gamma_hash(value, n)
+    if kind is ExchangeKind.RANGE:
+        # Values past the last of the first n-1 cut points go to the
+        # last consumer.
+        bounds = list(exchange.boundaries or ())[: n - 1]
+        return partial(bisect_right, bounds)
+    if kind is ExchangeKind.VHASH:
+        vmap = tuple(exchange.virtual_map or ())
+        if not vmap:
+            raise PlanError("vhash exchange needs a virtual_map")
+        v = len(vmap)
+        return lambda value: vmap[gamma_hash(value, v)] % n
+    hot = exchange.hot_keys or frozenset()
+    if kind is ExchangeKind.HOT_BROADCAST:
+        everywhere = tuple(range(n))
+
+        def broadcast_route(value: Any) -> Any:
+            if value in hot:
+                return everywhere
+            return gamma_hash(value, n)
+
+        return broadcast_route
+    if kind is ExchangeKind.HOT_SPRAY:
+        cursor = itertools.cycle(range(n))
+
+        def spray_route(value: Any) -> int:
+            if value in hot:
+                return next(cursor)
+            return gamma_hash(value, n)
+
+        return spray_route
+    raise PlanError(f"a {kind.value} exchange does not route by value")
+
+
 __all__ = [
     "HOT_KEY_SHARE",
     "SKEW_SAMPLE",
@@ -107,5 +223,8 @@ __all__ = [
     "VIRTUAL_FACTOR",
     "histogram_boundaries",
     "hot_keys",
+    "join_exchanges",
+    "router",
+    "sample",
     "virtual_map",
 ]

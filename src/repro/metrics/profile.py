@@ -332,25 +332,9 @@ class Profiler:
 
 
 # ---------------------------------------------------------------------------
-# IR walking (duck-typed so metrics never imports the engine package)
+# IR walking (duck-typed on ``op_id``/``inputs``/``exchange`` so metrics
+# never imports the engine package)
 # ---------------------------------------------------------------------------
-
-
-def _ir_children(node: Any) -> list[Any]:
-    """Input operators of an IR node, in plan order.
-
-    Duck-typed on the PR 3 IR shapes: hash-join probes carry
-    ``build_input`` + ``source``, sort-merge joins ``left`` + ``right``,
-    unary operators ``source``, scans nothing.
-    """
-    build = getattr(node, "build_input", None)
-    if build is not None:
-        return [build, node.source]
-    left = getattr(node, "left", None)
-    if left is not None:
-        return [left, node.right]
-    source = getattr(node, "source", None)
-    return [source] if source is not None else []
 
 
 def _exchange_kind(node: Any) -> Optional[str]:
@@ -366,7 +350,7 @@ def _plan_tree(node: Any) -> dict[str, Any]:
         "op_id": node.op_id,
         "label": node.describe(),
         "exchange": _exchange_kind(node),
-        "children": [_plan_tree(child) for child in _ir_children(node)],
+        "children": [_plan_tree(child) for child in node.inputs],
     }
 
 
@@ -409,7 +393,7 @@ def _critical_path(
         span = spans.get(node.op_id)
         gating = None
         gating_span = None
-        for child in _ir_children(node):
+        for child in node.inputs:
             child_span = spans.get(child.op_id)
             if child_span is None or child_span.first > child_span.last:
                 continue

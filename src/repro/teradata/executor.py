@@ -23,7 +23,6 @@ from collections import Counter
 from itertools import repeat
 from typing import Any, Generator, Optional
 
-from ..catalog import gamma_hash
 from ..engine.ir import (
     AggregateOp,
     Exchange,
@@ -41,6 +40,7 @@ from ..engine.plan import (
     ExactMatch,
     ModifyTuple,
 )
+from ..engine.skew import router
 from ..errors import PlanError
 from ..metrics import Profiler
 from ..sim import Delay, Server, Simulation, Use, UseRun, WaitAll
@@ -75,7 +75,6 @@ class TeradataRun:
         self.collected: list[tuple] = []
         self.result_count = 0
         self.result_relation: Optional[Any] = None
-        self.plan_description = ir.description
         self._tmp = 0
 
     def _ship(self, packages: int) -> UseRun:
@@ -282,7 +281,7 @@ class TeradataRun:
         if exchange.kind is ExchangeKind.LOCAL:
             self.stats["redistributions_skipped"] += 1
             return per_amp
-        route = self._bucket_route(exchange, n_amps)
+        route = router(exchange, n_amps)
         buckets: list[list[tuple]] = [[] for _ in range(n_amps)]
         for source in per_amp:
             for record in source:
@@ -304,52 +303,6 @@ class TeradataRun:
         })
         self.stats["tuples_redistributed"] += sum(len(b) for b in buckets)
         return buckets
-
-    def _bucket_route(self, exchange: Exchange, n_amps: int) -> Any:
-        """Value → AMP number (or a tuple of AMP numbers for a
-        hot-broadcast), mirroring the Gamma driver's ``lower_exchange``
-        so both machines split identically under each strategy."""
-        kind = exchange.kind
-        if kind is ExchangeKind.RANGE:
-            from bisect import bisect_right
-
-            boundaries = list(exchange.boundaries or ())
-            return lambda value: min(
-                bisect_right(boundaries, value), n_amps - 1
-            )
-        if kind is ExchangeKind.VHASH:
-            vmap = tuple(exchange.virtual_map or ())
-            if not vmap:
-                raise PlanError("vhash exchange needs a virtual_map")
-            v = len(vmap)
-            return lambda value: vmap[gamma_hash(value, v)] % n_amps
-        if kind is ExchangeKind.HOT_BROADCAST:
-            hot = exchange.hot_keys or frozenset()
-            everywhere = tuple(range(n_amps))
-
-            def broadcast_route(value: Any) -> Any:
-                if value in hot:
-                    return everywhere
-                return gamma_hash(value, n_amps)
-
-            return broadcast_route
-        if kind is ExchangeKind.HOT_SPRAY:
-            hot = exchange.hot_keys or frozenset()
-            state = {"next": 0}
-
-            def spray_route(value: Any) -> int:
-                if value in hot:
-                    amp_no = state["next"]
-                    state["next"] = (amp_no + 1) % n_amps
-                    return amp_no
-                return gamma_hash(value, n_amps)
-
-            return spray_route
-        if kind is ExchangeKind.HASH:
-            return lambda value: gamma_hash(value, n_amps)
-        raise PlanError(
-            f"Teradata model cannot redistribute a {kind.value} exchange"
-        )
 
     def _amp_redistribute(
         self, amp: Amp, n_sent: int, n_received: int, per_page: int, i: int
@@ -605,6 +558,9 @@ class TeradataUpdateRun:
     AMPs, the append's home AMP and whether a modify relocates were all
     decided by the planner; the executor charges the runtime costs.
     """
+
+    #: Updates never cross the Y-net.
+    ynet: Optional[Server] = None
 
     def __init__(
         self, machine: "Any", sim: Simulation, amps: list[Amp],

@@ -179,39 +179,7 @@ class TeradataMachine:
         telemetry: Optional["Any"] = None,
     ) -> QueryResult:
         """Execute a retrieval query (selection / join / aggregate)."""
-        if query.into is not None and query.into in self.relations:
-            raise CatalogError(f"result relation {query.into!r} exists")
-        ir = self._planner().plan(query)
-        sim = Simulation()
-        # One request, bulk-synchronous: every AMP has a single requester
-        # at a time (DESIGN 5.6, "Service runs").
-        amps = [
-            Amp(sim, i, self.config, private=True)
-            for i in range(self.config.n_amps)
-        ]
-        profiler = Profiler() if profile else None
-        run = TeradataRun(self, sim, amps, ir, profiler=profiler)
-        hardware = _hardware(sim, amps, run.ynet)
-        if profiler is not None:
-            profiler.watch(hardware)
-        if telemetry is not None:
-            telemetry.watch(hardware)
-        sim.spawn(run.coordinator(), name="ifp")
-        response_time = sim.run()
-        if query.into is not None and run.result_relation is not None:
-            self.relations[query.into] = run.result_relation
-        result = QueryResult(
-            response_time=response_time,
-            tuples=run.collected if query.into is None else None,
-            result_relation=query.into,
-            result_count=run.result_count,
-            stats=dict(run.stats),
-            utilisations=hardware.utilisations(),
-            plan=run.plan_description,
-        )
-        if profiler is not None:
-            result.profile = profiler.finish(ir, response_time)
-        return result
+        return self._execute(query, profile, telemetry)
 
     def run_workload(
         self, mix: "Any", spec: "Any", telemetry: Optional["Any"] = None
@@ -244,20 +212,14 @@ class TeradataMachine:
             def execute(index: int, request: Query | UpdateRequest) -> "Any":
                 planner = machine._planner()
                 planner.id_prefix = f"q{index}."
-                if isinstance(request, Query):
-                    if request.into is not None:
-                        raise CatalogError(
-                            "workload queries must stream to the host"
-                            f" (into=None), got into={request.into!r}"
-                        )
-                    run: Any = TeradataRun(
-                        machine, sim, amps, planner.plan(request),
-                        ynet=ynet, tag=f"q{index}.",
+                if isinstance(request, Query) and request.into is not None:
+                    raise CatalogError(
+                        "workload queries must stream to the host"
+                        f" (into=None), got into={request.into!r}"
                     )
-                else:
-                    run = TeradataUpdateRun(
-                        machine, sim, amps, planner.compile_update(request)
-                    )
+                _ir, run = machine._compile(
+                    planner, sim, amps, request, ynet=ynet, tag=f"q{index}."
+                )
                 yield from run.coordinator()
 
         _Session.sim = sim
@@ -266,25 +228,76 @@ class TeradataMachine:
     def update(
         self, request: UpdateRequest, profile: bool = False
     ) -> QueryResult:
-        ir = self._planner().compile_update(request)
+        """Execute a single-tuple update request (Table 3 operations)."""
+        return self._execute(request, profile, None)
+
+    def _compile(
+        self,
+        planner: TeradataPlanner,
+        sim: Simulation,
+        amps: list[Amp],
+        request: Query | UpdateRequest,
+        profiler: Optional[Profiler] = None,
+        ynet: Optional[Server] = None,
+        tag: str = "",
+    ) -> tuple[Any, Any]:
+        """The one request path: compile ``request`` and bind its run to
+        ``sim``/``amps`` (and, for a query, the shared ``ynet`` and
+        spool-file ``tag`` of a concurrent run).  Returns (IR, run)."""
+        if isinstance(request, Query):
+            ir: Any = planner.plan(request)
+            return ir, TeradataRun(
+                self, sim, amps, ir, profiler=profiler, ynet=ynet, tag=tag
+            )
+        ir = planner.compile_update(request)
+        return ir, TeradataUpdateRun(self, sim, amps, ir)
+
+    def _execute(
+        self,
+        request: Query | UpdateRequest,
+        profile: bool,
+        telemetry: Optional["Any"],
+    ) -> QueryResult:
+        """One request alone in its own simulation: the body of
+        :meth:`run` and :meth:`update`."""
+        query = request if isinstance(request, Query) else None
+        if query is not None and query.into is not None and (
+            query.into in self.relations
+        ):
+            raise CatalogError(f"result relation {query.into!r} exists")
         sim = Simulation()
+        # One request, bulk-synchronous: every AMP has a single requester
+        # at a time (DESIGN 5.6, "Service runs").
         amps = [
             Amp(sim, i, self.config, private=True)
             for i in range(self.config.n_amps)
         ]
-        run = TeradataUpdateRun(self, sim, amps, ir)
-        proc = sim.spawn(run.coordinator(), name="ifp")
-        hardware = _hardware(sim, amps)
-        profiler: Optional[Profiler] = None
-        if profile:
-            profiler = Profiler()
+        profiler = Profiler() if profile else None
+        ir, run = self._compile(
+            self._planner(), sim, amps, request, profiler=profiler
+        )
+        hardware = _hardware(sim, amps, run.ynet)
+        if profiler is not None:
             profiler.watch(hardware)
+        if telemetry is not None:
+            telemetry.watch(hardware)
+        proc = sim.spawn(run.coordinator(), name="ifp")
+        if profiler is not None and query is None:
             # Updates execute inline in the coordinator process.
             profiler.register(proc, ir.op_id, "update")
         response_time = sim.run()
+        if query is not None and query.into is not None and (
+            run.result_relation is not None
+        ):
+            self.relations[query.into] = run.result_relation
         result = QueryResult(
             response_time=response_time,
-            result_count=run.affected,
+            tuples=(
+                run.collected
+                if query is not None and query.into is None else None
+            ),
+            result_relation=None if query is None else query.into,
+            result_count=run.affected if query is None else run.result_count,
             stats=dict(run.stats),
             utilisations=hardware.utilisations(),
             plan=ir.description,

@@ -43,13 +43,7 @@ from ..engine.plan import (
     RangePredicate,
     SortNode,
 )
-from ..engine.skew import (
-    SKEW_SAMPLE,
-    SKEW_STRATEGIES,
-    histogram_boundaries,
-    hot_keys,
-    virtual_map,
-)
+from ..engine.skew import join_exchanges
 from ..errors import PlanError
 from .costs import TeradataCosts
 
@@ -74,14 +68,8 @@ class TeradataPlanner(PlanCompiler):
         costs: TeradataCosts,
         skew_strategy: str = "hash",
     ) -> None:
-        super().__init__(config, catalog)
+        super().__init__(config, catalog, skew_strategy)
         self.costs = costs
-        if skew_strategy not in SKEW_STRATEGIES:
-            raise PlanError(
-                f"unknown skew_strategy {skew_strategy!r};"
-                f" expected one of {SKEW_STRATEGIES}"
-            )
-        self.skew_strategy = skew_strategy
 
     # ------------------------------------------------------------------
     # scans
@@ -152,7 +140,11 @@ class TeradataPlanner(PlanCompiler):
             and left_exchange.kind is ExchangeKind.HASH
             and right_exchange.kind is ExchangeKind.HASH
         ):
-            exchanges = self._skew_exchanges(node, probe)
+            exchanges = join_exchanges(
+                self.skew_strategy, node.build_attr, node.probe_attr,
+                self.base_relation(node.probe_attr, probe),
+                self.config.n_amps,
+            )
             if exchanges is not None:
                 left_exchange, right_exchange = exchanges
         return SortMergeJoinOp(
@@ -175,66 +167,6 @@ class TeradataPlanner(PlanCompiler):
         ):
             return Exchange(ExchangeKind.LOCAL, attr=attr)
         return Exchange(ExchangeKind.HASH, attr=attr)
-
-    def _skew_exchanges(
-        self, node: JoinNode, probe: IRNode
-    ) -> Optional[tuple[Exchange, Exchange]]:
-        """(left, right) exchanges for the selected strategy, or None to
-        keep plain hashing (no sampleable probe relation, one AMP, or no
-        hot key detected)."""
-        import itertools
-
-        n_amps = self.config.n_amps
-        if n_amps <= 1:
-            return None
-        relation = self._probe_relation(node.probe_attr, probe)
-        if relation is None:
-            return None
-        pos = relation.schema.position(node.probe_attr)
-        sample = [
-            record[pos]
-            for record in itertools.islice(relation.records(), SKEW_SAMPLE)
-        ]
-        if not sample:
-            return None
-        if self.skew_strategy == "range":
-            boundaries = histogram_boundaries(sample, n_amps)
-            if boundaries is None:
-                return None
-            return (
-                Exchange(ExchangeKind.RANGE, attr=node.build_attr,
-                         boundaries=boundaries),
-                Exchange(ExchangeKind.RANGE, attr=node.probe_attr,
-                         boundaries=boundaries),
-            )
-        if self.skew_strategy == "vhash":
-            vmap = virtual_map(sample, n_amps)
-            return (
-                Exchange(ExchangeKind.VHASH, attr=node.build_attr,
-                         virtual_map=vmap),
-                Exchange(ExchangeKind.VHASH, attr=node.probe_attr,
-                         virtual_map=vmap),
-            )
-        hot = hot_keys(sample, n_amps)
-        if not hot:
-            return None
-        return (
-            Exchange(ExchangeKind.HOT_BROADCAST, attr=node.build_attr,
-                     hot_keys=hot),
-            Exchange(ExchangeKind.HOT_SPRAY, attr=node.probe_attr,
-                     hot_keys=hot),
-        )
-
-    def _probe_relation(self, attr: str, node: IRNode) -> Optional[Any]:
-        """The base relation the probe-attribute sample is drawn from."""
-        if isinstance(node, ScanOp):
-            return node.relation if attr in node.relation.schema else None
-        if isinstance(node, SortMergeJoinOp):
-            return (
-                self._probe_relation(attr, node.left)
-                or self._probe_relation(attr, node.right)
-            )
-        return None
 
     # ------------------------------------------------------------------
     # aggregates / unsupported shapes
@@ -260,9 +192,6 @@ class TeradataPlanner(PlanCompiler):
         self, node: SortNode, child: IRNode, key_pos: int
     ) -> IRNode:
         raise PlanError("Teradata model cannot execute sorts")
-
-    def sort_boundaries(self, attr: str, child: IRNode) -> Optional[list]:
-        return None  # pragma: no cover - lower_sort rejects first
 
     def lower_sink(self, root: IRNode, into: Optional[str]) -> IRNode:
         sink = super().lower_sink(root, into)

@@ -33,12 +33,16 @@ from repro.engine.ir import (
     SortMergeJoinOp,
     SortOp,
     StoreOp,
+    ir_op_ids,
+    walk,
 )
-from repro.engine.plan import AccessPath, JoinMode, TruePredicate
+from repro.engine.plan import AccessPath, AggregateNode, JoinMode, TruePredicate
 from repro.engine.planner import Planner
+from repro.engine.skew import router
 from repro.errors import PlanError
 from repro.teradata import TeradataMachine
 from repro.teradata.planner import TeradataPlanner
+from repro.workloads.queries import join_cselaselb
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +63,7 @@ def gamma_planner(gamma):
 def teradata():
     m = TeradataMachine(TeradataConfig(n_amps=5))
     m.load_wisconsin("A", 1_000, seed=1, secondary_on=["unique2"])
+    m.load_wisconsin("B", 1_000, seed=2)
     m.load_wisconsin("Bprime", 100, seed=3)
     return m
 
@@ -312,3 +317,81 @@ class TestPlanErrors:
         compiler = PlanCompiler(gamma.config, gamma.catalog)
         with pytest.raises(NotImplementedError):
             compiler.plan(Query.select("A"))
+
+
+def _shape(node):
+    """One walk entry: the node's class, plus the relation of a scan."""
+    name = type(node).__name__
+    return f"{name}({node.relation.name})" if isinstance(node, ScanOp) else name
+
+
+def _tree_ids(tree):
+    return {tree["op_id"]}.union(*(_tree_ids(c) for c in tree["children"]))
+
+
+class TestWalk:
+    QUERY = join_cselaselb("A", "B", "Bprime", 1_000, key=False)
+
+    def test_gamma_three_way_join_pre_order(self, gamma_planner):
+        ir = gamma_planner.plan(self.QUERY)
+        assert [_shape(n) for n in walk(ir.sink)] == [
+            "HostSinkOp", "HashJoinProbeOp", "HashJoinBuildOp",
+            "ScanOp(Bprime)", "HashJoinProbeOp", "HashJoinBuildOp",
+            "ScanOp(B)", "ScanOp(A)",
+        ]
+
+    def test_teradata_three_way_join_pre_order(self, teradata_planner):
+        ir = teradata_planner.plan(self.QUERY)
+        assert [_shape(n) for n in walk(ir.sink)] == [
+            "HostSinkOp", "SortMergeJoinOp", "ScanOp(Bprime)",
+            "SortMergeJoinOp", "ScanOp(B)", "ScanOp(A)",
+        ]
+
+    def test_op_ids_match_the_profile_plan_tree(self, gamma, teradata):
+        for machine in (gamma, teradata):
+            ir = machine._planner().plan(self.QUERY)
+            tree = machine.run(self.QUERY, profile=True).profile.tree
+            # The profile's tree hangs below the sink.
+            assert _tree_ids(tree) == {n.op_id for n in walk(ir.root)}
+            assert ir_op_ids(ir) == _tree_ids(tree) | {ir.sink.op_id}
+            assert ir_op_ids(ir) == {n.op_id for n in walk(ir.sink)}
+
+
+class TestRouter:
+    @pytest.mark.parametrize("kind", [
+        ExchangeKind.LOCAL, ExchangeKind.MERGE,
+        ExchangeKind.ROUND_ROBIN, ExchangeKind.RECORD_HASH,
+    ])
+    def test_non_value_kinds_are_rejected_by_name(self, kind):
+        with pytest.raises(PlanError, match=kind.value):
+            router(Exchange(kind, attr="a", positions=[0]), 4)
+
+    def test_range_sends_values_past_the_cuts_to_the_last_consumer(self):
+        route = router(
+            Exchange(ExchangeKind.RANGE, attr="a", boundaries=[10, 20, 30]),
+            3,
+        )
+        assert [route(v) for v in (5, 10, 15, 25, 99)] == [0, 1, 1, 2, 2]
+
+
+class TestSkewSampling:
+    def test_teradata_join_over_grouped_aggregate_samples_base(
+        self, teradata
+    ):
+        """The sample search descends through aggregates on both
+        machines: the probe side here is a grouped aggregate of A, so
+        ``vhash`` samples A's ``ten`` instead of falling back to hash."""
+        grouped = AggregateNode(ScanNode("A"), "count", group_by="ten")
+        query = Query.join(ScanNode("Bprime"), grouped, on=("ten", "ten"))
+        vhash = TeradataMachine(teradata.config, skew_strategy="vhash")
+        vhash.relations = teradata.relations
+        planner = vhash._planner()
+        join = planner.plan(query).root
+        assert isinstance(join, SortMergeJoinOp)
+        assert planner.base_relation("ten", join.right).name == "A"
+        assert join.left_exchange.kind is ExchangeKind.VHASH
+        assert join.right_exchange.kind is ExchangeKind.VHASH
+        # Same answer as the plain hash split.
+        assert vhash.run(query).result_count == (
+            teradata.run(query).result_count
+        )

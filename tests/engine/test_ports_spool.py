@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.ir import Placement
 from repro.engine.node import ExecutionContext
 from repro.engine.operators.base import SpoolFile
 from repro.engine.ports import DataPacket, EndOfStream, InputPort, OutputPort
@@ -289,15 +290,20 @@ class TestExecutionContext:
         from repro.engine import JoinMode
 
         ctx = make_ctx()
-        assert all(n.has_disk for n in ctx.join_nodes(JoinMode.LOCAL))
-        assert not any(n.has_disk for n in ctx.join_nodes(JoinMode.REMOTE))
-        assert len(ctx.join_nodes(JoinMode.ALLNODES)) == 4
+
+        def join_nodes(mode):
+            return ctx.placement_nodes(Placement("join-sites", mode=mode))
+
+        assert all(n.has_disk for n in join_nodes(JoinMode.LOCAL))
+        assert not any(n.has_disk for n in join_nodes(JoinMode.REMOTE))
+        assert len(join_nodes(JoinMode.ALLNODES)) == 4
 
     def test_remote_falls_back_without_diskless(self):
         from repro.engine import JoinMode
 
         ctx = make_ctx(n_diskless=0)
-        assert all(n.has_disk for n in ctx.join_nodes(JoinMode.REMOTE))
+        remote = Placement("join-sites", mode=JoinMode.REMOTE)
+        assert all(n.has_disk for n in ctx.placement_nodes(remote))
 
     def test_spool_targets_cycle_over_disk_sites(self):
         ctx = make_ctx()

@@ -114,6 +114,8 @@ class TestSpanAccounting:
 
 
 class _FakeScan:
+    inputs = ()
+
     def __init__(self, op_id):
         self.op_id = op_id
 
@@ -126,6 +128,7 @@ class _FakeJoin:
         self.op_id = op_id
         self.build_input = build_input
         self.source = source
+        self.inputs = (build_input, source)
 
     def describe(self):
         return f"join({self.op_id})"
