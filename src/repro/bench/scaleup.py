@@ -154,5 +154,5 @@ def _scaleup_summarise(grid: Grid, results: list[Any]) -> Report:
 EXTENSION_E5_SPEC = ExperimentSpec(
     name="extension_e5_scaleup", label="Extension E5", kind="extension",
     grid=_scaleup_grid, point=_scaleup_point, summarise=_scaleup_summarise,
-    version="v2",
+    version="v3",
 )

@@ -49,10 +49,6 @@ _TIMED_OUT = object()
 _POLICIES = ("fifo", "priority")
 
 
-def _noop(*_args: Any) -> None:
-    return None
-
-
 class _Entry:
     """One queued admission request, ordered by (priority, seq)."""
 
@@ -193,7 +189,7 @@ class AdmissionController:
         while self._queue and len(self._running) < self.mpl:
             entry = self._queue.pop(0)
             self._grant(entry.token, self.sim.now - entry.enqueued)
-            entry.wakeup._put(self.sim, None, _noop)
+            entry.wakeup._deliver(self.sim, None)
 
     def _expire(self, entry: _Entry) -> None:
         """Withdraw a still-queued request whose timer fired (no-op when
@@ -203,7 +199,7 @@ class AdmissionController:
         except ValueError:
             return
         self.timeouts += 1
-        entry.wakeup._put(self.sim, _TIMED_OUT, _noop)
+        entry.wakeup._deliver(self.sim, _TIMED_OUT)
 
     def as_dict(self) -> dict[str, Any]:
         """Serialisable end-of-run summary for workload reports."""

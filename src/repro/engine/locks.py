@@ -38,10 +38,6 @@ class LockTimeoutError(ExecutionError):
 _TIMED_OUT = object()
 
 
-def _noop(*_args: Any) -> None:
-    return None
-
-
 class LockMode(Enum):
     SHARED = "S"
     EXCLUSIVE = "X"
@@ -172,9 +168,9 @@ class LockManager:
             else:
                 break
             state.queue.popleft()
-            self.sim.call_after(0.0, lambda w=wakeup: w._put(
-                self.sim, None, lambda *_: None
-            ))
+            self.sim.call_after(
+                0.0, lambda w=wakeup: w._deliver(self.sim, None)
+            )
 
     def _expire(
         self,
@@ -196,7 +192,7 @@ class LockManager:
         self.timeouts += 1
         # The withdrawn entry may have been gating grantable waiters.
         self._dispatch(name, state)
-        wakeup._put(self.sim, _TIMED_OUT, _noop)
+        wakeup._deliver(self.sim, _TIMED_OUT)
 
     def _closes_cycle(self, start: Hashable) -> bool:
         """DFS over the waits-for graph looking for a path back to start."""

@@ -121,7 +121,8 @@ class Node:
         sequential: Optional[bool] = None,
     ) -> Generator[Any, Any, None]:
         """Write one page (write-through; the page stays cached)."""
-        assert self.drive is not None, f"{self.name} has no disk"
+        if self.drive is None:
+            raise ExecutionError(f"node {self.name!r} has no disk")
         size = self.config.page_size if nbytes is None else nbytes
         yield from self.drive.write(file_id, page_no, size, sequential)
         self.buffer.access(file_id, page_no)

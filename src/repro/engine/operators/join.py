@@ -602,20 +602,18 @@ def build_consumer(
     """Drain the build port into the hash table (phase one).
 
     The receive loop is :meth:`InputPort.next_packet` written inline —
-    one Get yield per message, then ``receive_effect`` and, on an
-    observed port, ``observe`` — so receiving makes no generator.
+    one Get yield per data packet, then ``receive_effect`` and, on an
+    observed port, ``observe``; the mailbox keeps every EndOfStream but
+    the last — so receiving makes no generator.
     """
     port = state.build_port
     get_effect = port._get_effect
     receive = port.receive_effect
     observed = port.observed
-    while port.expected_producers == 0 or (
-        port._eos_seen < port.expected_producers
-    ):
+    while True:
         message = yield get_effect
         if type(message) is EndOfStream:
-            port._eos_seen += 1
-            continue
+            break
         yield receive(message)
         if observed:
             port.observe(message)
@@ -699,13 +697,10 @@ def probe_consumer(
     get_effect = port._get_effect
     receive = port.receive_effect
     observed = port.observed
-    while port.expected_producers == 0 or (
-        port._eos_seen < port.expected_producers
-    ):
+    while True:
         message = yield get_effect
         if type(message) is EndOfStream:
-            port._eos_seen += 1
-            continue
+            break
         yield receive(message)
         if observed:
             port.observe(message)

@@ -38,14 +38,11 @@ def store_operator(
     get_effect = port._get_effect
     receive = port.receive_effect
     observed = port.observed
-    while port.expected_producers == 0 or (
-        port._eos_seen < port.expected_producers
-    ):
+    while True:
         # Inline receive loop (see join.build_consumer).
         message = yield get_effect
         if type(message) is EndOfStream:
-            port._eos_seen += 1
-            continue
+            break
         yield receive(message)
         if observed:
             port.observe(message)

@@ -9,6 +9,13 @@ operator is completely self-scheduling").
 Packets are carried by *couriers* (callback chains on the interconnect) so
 a producer is not blocked for the full network latency: the sender's
 interface server provides the back-pressure, exactly like the real DMA path.
+A port's :class:`~repro.sim.Mailbox` counts the EndOfStream marks, so a
+consumer sees its data packets and then the last mark only.  Couriers,
+close bursts and the mailbox keep the simulated timeline of the generator
+couriers and counting consumers they replaced — every step at the same
+time and in the same (time, seq) order — with fewer kernel events:
+``events_processed`` is not part of that contract (DESIGN §5.9, "The
+close burst").
 
 Plain, profiled and traced runs execute the same code: a profiler or trace
 is only ever *told* what the packet path did (``record_tuples``, trace
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from ..errors import ExecutionError
-from ..sim import Get, Store
+from ..sim import Get, Mailbox
 from .node import ExecutionContext, Node
 
 
@@ -47,15 +54,14 @@ EOS_BYTES = 64
 
 
 class InputPort:
-    """Consumer endpoint: a mailbox expecting ``n_producers`` EOS marks."""
+    """Consumer endpoint: a :class:`~repro.sim.Mailbox` expecting one
+    EndOfStream per registered producer."""
 
     def __init__(self, ctx: ExecutionContext, name: str, node: Node) -> None:
         self.ctx = ctx
         self.name = name
         self.node = node
-        self.store = Store(name)
-        self.expected_producers = 0
-        self._eos_seen = 0
+        self.store = Mailbox(name, EndOfStream)
         # A Get names nothing but its store, so one instance serves
         # every receive instead of an allocation per packet.
         self._get_effect = Get(self.store)
@@ -72,7 +78,7 @@ class InputPort:
         self.observed = ctx.profiler is not None or ctx.trace is not None
 
     def add_producer(self, count: int = 1) -> None:
-        self.expected_producers += count
+        self.store.expected += count
 
     def next_packet(self) -> Generator[Any, Any, Optional[DataPacket]]:
         """Generator returning the next packet, or None once every producer
@@ -86,25 +92,19 @@ class InputPort:
         The per-packet consumers (join build/probe, store) run this same
         loop inline, so they create no generator per packet.
         """
-        while self.expected_producers == 0 or (
-            self._eos_seen < self.expected_producers
-        ):
-            message = yield self._get_effect
-            if type(message) is EndOfStream:
-                self._eos_seen += 1
-                continue
-            yield self.receive_effect(message)
-            if self.observed:
-                self.observe(message)
-            return message
-        return None
+        message = yield self._get_effect
+        if type(message) is EndOfStream:
+            return None
+        yield self.receive_effect(message)
+        if self.observed:
+            self.observe(message)
+        return message
 
     def receive_effect(self, message: DataPacket) -> Optional[Any]:
         """Metrics plus the receive-cost effect for one data message.
 
-        The caller owns the EOS bookkeeping (``_eos_seen``), yields the
-        returned effect itself and then, on an :attr:`observed` port,
-        calls :meth:`observe`.
+        The caller yields the returned effect itself and then, on an
+        :attr:`observed` port, calls :meth:`observe`.
         """
         node = self.node
         costs = node.config.costs
@@ -188,9 +188,11 @@ class OutputPort:
         self.packet_capacity = max(
             1, ctx.config.packet_size // max(1, tuple_bytes)
         )
-        self._buffers: list[list[tuple]] = [
-            [] for _ in range(len(split.destinations))
-        ]
+        # A destination's buffer is made by the first tuple routed there:
+        # at 256 sites most of a producer's destinations never get one.
+        self._buffers: list[Optional[list[tuple]]] = (
+            [None] * len(split.destinations)
+        )
         # Tuples bound for a same-node process skip the network-buffer
         # copy (NOSE short-circuiting).  The destination set is fixed for
         # the port's lifetime, so compute the flags once — and from them
@@ -230,6 +232,8 @@ class OutputPort:
             if type(dest_idx) is int:
                 cpu += dest_costs[dest_idx]
                 buffer = buffers[dest_idx]
+                if buffer is None:
+                    buffer = buffers[dest_idx] = []
                 buffer.append(record)
                 if len(buffer) >= capacity:
                     # Ship immediately so no packet exceeds the wire size.
@@ -246,6 +250,8 @@ class OutputPort:
                 for idx in dest_idx:
                     cpu += dest_costs[idx]
                     buffer = buffers[idx]
+                    if buffer is None:
+                        buffer = buffers[idx] = []
                     buffer.append(record)
                     if len(buffer) >= capacity:
                         yield work(cpu)
@@ -262,8 +268,8 @@ class OutputPort:
         producers (the sort chain): everything buffered so far enters the
         FIFO network path before the hand-off token does.
         """
-        for dest_idx in range(len(self._buffers)):
-            if self._buffers[dest_idx]:
+        for dest_idx, buffer in enumerate(self._buffers):
+            if buffer:
                 yield from self._flush(dest_idx)
 
     def close(self) -> Generator[Any, Any, None]:
@@ -278,8 +284,8 @@ class OutputPort:
         if self._closed:
             return
         self._closed = True
-        for dest_idx in range(len(self._buffers)):
-            if self._buffers[dest_idx]:
+        for dest_idx, buffer in enumerate(self._buffers):
+            if buffer:
                 yield from self._flush(dest_idx)
         ctx = self.ctx
         destinations = self.split.destinations
@@ -293,7 +299,7 @@ class OutputPort:
         records = self._buffers[dest_idx]
         if not records:
             return
-        self._buffers[dest_idx] = []
+        self._buffers[dest_idx] = None
         ctx = self.ctx
         node = self.node
         dest = self.split.destinations[dest_idx]

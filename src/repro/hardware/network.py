@@ -121,13 +121,16 @@ class Interconnect:
     ) -> None:
         """Fire-and-forget transfer delivering ``message`` into ``store``.
 
-        Event-for-event identical to spawning a courier process around
+        Timeline-identical to spawning a courier process around
         :meth:`transfer` followed by ``Put(store, message)``: the same
         server ``_use`` calls happen at the same simulated times in the
-        same sequence order, so timelines and ``events_processed`` are
-        bit-identical — without a generator frame, a :class:`Process`, or
-        the per-courier entry in the simulation's process list (which at
-        1000 sites would retain a million finished couriers).
+        same relative sequence order and the message reaches the store
+        at the same (time, seq) — without a generator frame, a
+        :class:`Process`, or the per-courier entry in the simulation's
+        process list (which at 1000 sites would retain a million finished
+        couriers).  ``events_processed`` is one lower per message: the
+        courier delivers with ``Store._deliver`` and has no resume after
+        its ``Put`` (see :class:`_FastCourier`).
 
         Couriers cannot deadlock (input-port stores are unbounded), so the
         lost deadlock diagnostics are moot.  The courier's ``owner`` is the
@@ -170,10 +173,10 @@ class Interconnect:
         """:meth:`transfer_fast` of one ``message`` to every destination.
 
         Each destination names its node (``node_name``) and its mailbox
-        (``store``).  Event-for-event identical to one ``transfer_fast``
-        per destination issued in list order with no yield in between —
-        see :class:`_Burst` — but what waits on the sender interface is
-        one object however long the list is.
+        (``store``).  Timeline-identical to one ``transfer_fast`` per
+        destination issued in list order with no yield in between — see
+        :class:`_Burst` — but what waits on the sender interface is one
+        object however long the list is, and the D start events are one.
         """
         _Burst(self, sim, src, destinations, nbytes, message)
 
@@ -183,14 +186,16 @@ _SENDER, _RING, _RECEIVER, _PUT = range(4)
 
 
 class _FastCourier:
-    """Callback chain replicating a courier generator's event sequence.
+    """Callback chain replicating a courier generator's timeline.
 
     Each invocation advances one stage: the three server ``Use``
     intervals (or, with no sender server, the short-circuit delay), then
-    the ``Put`` into the destination store, then one final no-op resume —
-    the exact events (and sequence-counter draws) the generator courier
-    produced, so simulated timelines stay bit-identical without a
-    generator frame or a :class:`~repro.sim.Process`.
+    the delivery into the destination store — the generator's events at
+    the same (time, seq) order, without a generator frame or a
+    :class:`~repro.sim.Process`.  The generator took one more event, the
+    resume after its ``Put`` in which it raised StopIteration; that
+    event only drew a sequence number, so the courier delivers with
+    ``Store._deliver`` and stops.
     """
 
     __slots__ = (
@@ -242,37 +247,37 @@ class _FastCourier:
             self.ring._use(self.sim, self.ring_s, self, None)
         elif stage == _RECEIVER:
             self.receiver._use(self.sim, self.receiver_s, self, None)
-        elif stage == _PUT:
-            self.store._put(self.sim, self.message, self)
-        # else: the final resume after the Put — the event the generator
-        # spent raising StopIteration; nothing left to do.
+        else:
+            self.store._deliver(self.sim, self.message)
 
 
 class _Burst:
-    """One message to many destinations, issued in a single process step.
+    """One message to many destinations, issued in a single kernel event.
 
-    Replaces one :class:`_FastCourier` per destination.  It posts the D
-    start events those couriers would have posted and is itself the
-    callback of each; the i-th start issues the i-th destination's first
-    stage — the sender-interface ``Use``, or for a same-node destination
-    the short-circuit delay of a courier that only has its ``Put`` left.
+    Replaces one :class:`_FastCourier` per destination.  It posts one
+    start event where those couriers posted D; when it fires,
+    :meth:`_start` issues every destination's first stage in list order
+    — the sender-interface ``Use``, or for a same-node destination the
+    short-circuit delay of a courier that only has its ``Put`` left.
     Every waiting ``Use`` is the *same* queue entry, so the sender
     interface holds one object for the whole burst, and a message gets a
     courier of its own (ring, receiver interface, ``Put``) only when it
-    comes off the sender interface.
+    comes off the sender interface.  The burst is the ``resume`` of
+    every one of its sender-interface requests.
 
-    Why the order is the couriers' order: the D start events hold
-    consecutive sequence numbers, so they fire back to back before
-    anything they schedule; the sender interface serves equal-duration
-    requests first come first served, so the burst's k-th completion is
-    the k-th remote destination's; and ``Server._complete`` starts the
-    next queued request before it calls ``resume``, which is this object
-    in both roles, so the next completion is scheduled before this
-    message's ring ``Use`` exactly as before.
+    Why the timeline is the couriers' (DESIGN §5.9, "The close burst"):
+    the D start events held consecutive sequence numbers and scheduled
+    only future or later-sequenced work, so nothing ran between them and
+    one event doing all D starts draws the same relative order; the
+    sender interface serves equal-duration requests first come first
+    served, so the burst's k-th completion is the k-th remote
+    destination's; and ``Server._complete`` starts the next queued
+    request before it calls ``resume``, so the next completion is
+    scheduled before this message's ring ``Use`` exactly as before.
     """
 
     __slots__ = (
-        "net", "sim", "owner", "src", "destinations", "started", "sent",
+        "net", "sim", "owner", "src", "destinations", "sent",
         "sender", "entry", "ring_s", "receiver_s", "message",
     )
 
@@ -299,38 +304,38 @@ class _Burst:
         self.owner = sim._current
         self.src = src
         self.destinations = destinations
-        self.started = 0  # start events fired so far
         self.sent = 0  # index after the last destination off the sender
         self.sender = src_nic.server
         self.receiver_s = model.interface_time(nbytes)
         self.ring_s = model.ring_time(nbytes)
-        # Start events fire at the instant they are posted, so this is
+        # The start event fires at the instant it is posted, so this is
         # the enqueue time Server._use would stamp on each request.
         self.entry = (
             model.message_overhead_s + self.receiver_s, self, sim.now, None
         )
         self.message = message
-        for _ in destinations:
-            sim._schedule_now(self)
+        if destinations:
+            sim._schedule_now(self._start)
 
-    def __call__(self, _value: Any = None) -> None:
-        destinations = self.destinations
-        i = self.started
-        if i < len(destinations):
-            # A start event (all of them precede the first completion).
-            self.started = i + 1
-            dest = destinations[i]
-            if dest.node_name == self.src:
-                self.sim.call_after(
+    def _start(self) -> None:
+        """Issue every destination's first stage, in list order."""
+        sim = self.sim
+        src = self.src
+        sender = self.sender
+        entry = self.entry
+        for dest in self.destinations:
+            if dest.node_name == src:
+                sim.call_after(
                     self.net.model.short_circuit_s,
-                    _FastCourier(
-                        self.sim, self.owner, dest.store, self.message, _PUT
-                    ),
+                    _FastCourier(sim, self.owner, dest.store, self.message,
+                                 _PUT),
                 )
             else:
-                self.sender._use_entry(self.sim, self.entry)
-            return
+                sender._use_entry(sim, entry)
+
+    def __call__(self, _value: Any = None) -> None:
         # A message came off the sender interface: the next remote one.
+        destinations = self.destinations
         src = self.src
         i = self.sent
         while destinations[i].node_name == src:

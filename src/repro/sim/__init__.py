@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.sim import Simulation, Server, Store
+    from repro.sim import Simulation, Server, Store, Mailbox
     from repro.sim import Delay, Use, Acquire, Release, Put, Get, Join, WaitAll
     from repro.sim import UseRun  # a run of back-to-back Uses on one server
 """
@@ -15,5 +15,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "WaitAll",
     ),
     ".kernel": ("Process", "Simulation", "run_to_completion"),
-    ".resources": ("IntervalStats", "Server", "Store"),
+    ".resources": ("IntervalStats", "Mailbox", "Server", "Store"),
 })

@@ -5,9 +5,11 @@ Two primitives cover everything the Gamma model needs:
 * :class:`Server` — a FIFO service centre with fixed capacity.  CPUs, disk
   drives, network interfaces and the token ring are all ``Server``\\ s; the
   contention they create is what produces every bottleneck in the paper.
-* :class:`Store` — a bounded FIFO buffer of items.  Mailboxes (operator input
-  ports) and prefetch pipelines are ``Store``\\ s; bounded capacity gives
-  natural back-pressure, which is how the dataflow engine self-schedules.
+* :class:`Store` — a bounded FIFO buffer of items.  Prefetch pipelines and
+  wake-up channels are ``Store``\\ s; bounded capacity gives natural
+  back-pressure, which is how the dataflow engine self-schedules.  An
+  operator input port is a :class:`Mailbox`, a ``Store`` that also counts
+  its senders' closing marks.
 
 Accounting is *interval-accurate*: every state change integrates the time
 since the previous change, so utilisation queried mid-run pro-rates
@@ -315,50 +317,60 @@ class Server:
         self._in_service -= 1
         self._dispatch(sim)
 
-    def _start(
-        self,
-        sim: "Simulation",
-        duration: float,
-        resume: Resume,
-        proc: Optional["Process"] = None,
-    ) -> None:
-        # _advance(sim.now) has already run on every path into here.
-        self._in_service += 1
-        self._sim = sim
-        if self.hooks:
-            who = getattr(resume, "owner", None) if proc is None else proc
-            for hook in self.hooks:
-                hook(self, who, sim._now, duration)
-        if proc is not None:
-            cb: Callable[..., None] = self._complete_proc_cb
-            arg: Any = proc
-        else:
-            cb = self._complete_cb
-            arg = resume
-        sim._seq += 1
-        if duration == 0.0:
-            sim._ready.append((sim._seq, cb, arg))
-        else:
-            _heappush(
-                sim._heap, (sim._now + duration, sim._seq, cb, arg)
-            )
-
     def _complete(self, resume: Resume) -> None:
-        """One service interval finished: free the slot and hand it on."""
+        """One service interval finished: free the slot and hand it on.
+
+        On a one-slot server the hand-off is :meth:`_dispatch`'s loop
+        body written out (same statements, same order): this is how a
+        courier or a close burst leaves a busy sender interface or ring,
+        the hottest completion of a close storm.
+        """
         sim = self._sim
         now = sim._now
+        queue = self._queue
         # _advance(now), inlined: at least one slot (ours) is busy here.
         dt = now - self._last_change
         if dt > 0.0:
             self._busy_accrued += dt
             self._slot_accrued += self._in_service * dt
-            queued = len(self._queue)
+            queued = len(queue)
             if queued:
                 self._qlen_accrued += queued * dt
             self._last_change = now
-        self._in_service -= 1
-        if self._queue:
+        if not queue:
+            self._in_service -= 1
+        elif self.capacity > 1:
+            self._in_service -= 1
             self._dispatch(sim)
+        else:
+            # The slot passes straight to the oldest request.
+            duration, nxt, enqueued, proc = queue.popleft()
+            waited = now - enqueued
+            ws = self.wait_stats
+            ws.count += 1
+            ws.total += waited
+            if waited > ws.max:
+                ws.max = waited
+            ws.bins[bisect_right(IntervalStats.BIN_EDGES, waited)] += 1
+            if duration is None:
+                sim._seq += 1
+                sim._ready.append((sim._seq, nxt, _NO_VALUE))
+            else:
+                if self.hooks:
+                    who = getattr(nxt, "owner", None) if proc is None else proc
+                    for hook in self.hooks:
+                        hook(self, who, now, duration)
+                if proc is not None:
+                    cb: Callable[..., None] = self._complete_proc_cb
+                    arg: Any = proc
+                else:
+                    cb = self._complete_cb
+                    arg = nxt
+                sim._seq += 1
+                if duration == 0.0:
+                    sim._ready.append((sim._seq, cb, arg))
+                else:
+                    _heappush(sim._heap, (now + duration, sim._seq, cb, arg))
         resume(None)
 
     def _complete_proc(self, proc: "Process") -> None:
@@ -458,14 +470,47 @@ class Server:
         return "another requester"
 
     def _dispatch(self, sim: "Simulation") -> None:
-        while self._queue and self._in_service < self.capacity:
-            duration, resume, enqueued, proc = self._queue.popleft()
-            self.wait_stats.record(sim.now - enqueued)
+        """Hand free slots to queued requests, oldest first.
+
+        A hand-off makes the statements :meth:`IntervalStats.record` and
+        a request that finds a free slot (:meth:`_use`) make, in the same
+        order — the wait record, the hooks, then the completion or an
+        Acquire's grant — written out so that it costs no further call.
+        :meth:`_complete` writes out the one-slot case once more.
+        """
+        # _advance(sim.now) has already run on every path into here.
+        queue = self._queue
+        now = sim._now
+        ws = self.wait_stats
+        while queue and self._in_service < self.capacity:
+            duration, resume, enqueued, proc = queue.popleft()
+            waited = now - enqueued
+            ws.count += 1
+            ws.total += waited
+            if waited > ws.max:
+                ws.max = waited
+            ws.bins[bisect_right(IntervalStats.BIN_EDGES, waited)] += 1
+            self._in_service += 1
             if duration is None:
-                self._in_service += 1
-                sim._schedule_now(resume)
+                sim._seq += 1
+                sim._ready.append((sim._seq, resume, _NO_VALUE))
+                continue
+            self._sim = sim
+            if self.hooks:
+                who = getattr(resume, "owner", None) if proc is None else proc
+                for hook in self.hooks:
+                    hook(self, who, now, duration)
+            if proc is not None:
+                cb: Callable[..., None] = self._complete_proc_cb
+                arg: Any = proc
             else:
-                self._start(sim, duration, resume, proc)
+                cb = self._complete_cb
+                arg = resume
+            sim._seq += 1
+            if duration == 0.0:
+                sim._ready.append((sim._seq, cb, arg))
+            else:
+                _heappush(sim._heap, (now + duration, sim._seq, cb, arg))
 
 
 class Store:
@@ -485,7 +530,8 @@ class Store:
         self.capacity = capacity
         self._items: deque[Any] = deque()
         self._getters: deque[Resume] = deque()
-        self._putters: deque[tuple[Any, Resume]] = deque()
+        # A None resume is a delivered item's: nobody waits for the slot.
+        self._putters: deque[tuple[Any, Optional[Resume]]] = deque()
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return f"<Store {self.name} items={len(self._items)}>"
@@ -513,21 +559,140 @@ class Store:
         else:
             self._putters.append((item, resume))
 
+    def _deliver(self, sim: "Simulation", item: Any) -> None:
+        """:meth:`_put` from a sender that resumes nothing afterwards.
+
+        A network courier's last stage and a lock or admission grant hand
+        over ``item`` and are done; the wake-up :meth:`_put` would post for
+        them only draws a sequence number, so it is not posted.  Dropping a
+        ready entry whose only effect is a sequence draw keeps the relative
+        (time, seq) order of every other entry, so timelines are unchanged.
+        """
+        if self._getters:
+            sim._seq += 1
+            sim._ready.append((sim._seq, self._getters.popleft(), item))
+        elif self.capacity is None or len(self._items) < self.capacity:
+            self._items.append(item)
+        else:
+            self._putters.append((item, None))
+
     def _get(self, sim: "Simulation", resume: Resume) -> None:
         if self._items:
             item = self._items.popleft()
             if self._putters:
                 pending, putter = self._putters.popleft()
                 self._items.append(pending)
-                sim._seq += 1
-                sim._ready.append((sim._seq, putter, _NO_VALUE))
+                if putter is not None:
+                    sim._seq += 1
+                    sim._ready.append((sim._seq, putter, _NO_VALUE))
             sim._seq += 1
             sim._ready.append((sim._seq, resume, item))
         elif self._putters:
             pending, putter = self._putters.popleft()
-            sim._seq += 1
-            sim._ready.append((sim._seq, putter, _NO_VALUE))
+            if putter is not None:
+                sim._seq += 1
+                sim._ready.append((sim._seq, putter, _NO_VALUE))
             sim._seq += 1
             sim._ready.append((sim._seq, resume, pending))
+        else:
+            self._getters.append(resume)
+
+
+class Mailbox(Store):
+    """An unbounded store that absorbs every closing mark but the last.
+
+    Each of ``expected`` senders ends its stream with one item of type
+    ``mark``; the consumer ``Get``\\ s until it receives a mark.  Only the
+    ``expected``-th mark handed over wakes it: for an earlier one the
+    wake-up still fires, at the (time, seq) the hand-off drew, but runs
+    :meth:`_absorb` — the consumer's next ``Get``, made on its behalf —
+    instead of stepping a generator that would count the mark and ask
+    again.  The event stays because another item may reach the mailbox
+    in the same instant, after the mark was handed over and before that
+    ``Get``: it must find the consumer not waiting, as it did.
+
+    ``marks`` counts the marks handed over; the k-th handed is the k-th
+    the consumer would have counted, as hand-offs are FIFO.  Senders
+    must all be registered (``expected``) before the first delivers.
+    Any other item's ``Get``, ``Put`` or delivery makes no Python call
+    that a plain :class:`Store`'s does not.
+    """
+
+    __slots__ = ("mark", "expected", "marks", "_sim", "_absorb_cb")
+
+    def __init__(self, name: str, mark: type) -> None:
+        super().__init__(name)
+        self.mark = mark
+        self.expected = 0
+        self.marks = 0
+        # Set when the first mark is absorbed, before _absorb can run.
+        self._sim: "Simulation" = None  # type: ignore[assignment]
+        self._absorb_cb = self._absorb
+
+    def _wake(self, sim: "Simulation", resume: Resume, mark: Any) -> None:
+        """Post the wake-up that hands ``mark`` to the consumer."""
+        self.marks += 1
+        sim._seq += 1
+        if self.marks == self.expected:
+            sim._ready.append((sim._seq, resume, mark))
+        else:
+            self._sim = sim
+            sim._ready.append((sim._seq, self._absorb_cb, resume))
+
+    def _absorb(self, resume: Resume) -> None:
+        """A non-final mark's wake-up: the consumer's next ``Get``
+        (:meth:`_get`, written out)."""
+        sim = self._sim
+        if self._items:
+            item = self._items.popleft()
+            if type(item) is self.mark:
+                self._wake(sim, resume, item)
+            else:
+                sim._seq += 1
+                sim._ready.append((sim._seq, resume, item))
+        else:
+            self._getters.append(resume)
+
+    # Store._put / _deliver / _get of an unbounded store, with the mark
+    # test inlined.
+    def _put(self, sim: "Simulation", item: Any, resume: Resume) -> None:
+        if self._getters:
+            getter = self._getters.popleft()
+            if type(item) is self.mark:
+                self._wake(sim, getter, item)
+            else:
+                sim._seq += 1
+                sim._ready.append((sim._seq, getter, item))
+        else:
+            self._items.append(item)
+        sim._seq += 1
+        sim._ready.append((sim._seq, resume, _NO_VALUE))
+
+    def _deliver(self, sim: "Simulation", item: Any) -> None:
+        # A courier's delivery: _wake is written out for the marks too,
+        # as nearly every mark of a close storm arrives this way.
+        if self._getters:
+            getter = self._getters.popleft()
+            sim._seq += 1
+            if type(item) is not self.mark:
+                sim._ready.append((sim._seq, getter, item))
+                return
+            self.marks += 1
+            if self.marks == self.expected:
+                sim._ready.append((sim._seq, getter, item))
+            else:
+                self._sim = sim
+                sim._ready.append((sim._seq, self._absorb_cb, getter))
+        else:
+            self._items.append(item)
+
+    def _get(self, sim: "Simulation", resume: Resume) -> None:
+        if self._items:
+            item = self._items.popleft()
+            if type(item) is self.mark:
+                self._wake(sim, resume, item)
+            else:
+                sim._seq += 1
+                sim._ready.append((sim._seq, resume, item))
         else:
             self._getters.append(resume)

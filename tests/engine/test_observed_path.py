@@ -7,7 +7,8 @@ per destination on a port close, and consumer loops driven by a
 twins are gone from ``src/``; this file keeps them as the reference and
 holds the one shipped path to them — profile JSON, trace bytes, response
 time, utilisations and counters — for a profiled, a traced and a
-profiled-and-traced run.
+profiled-and-traced run.  The kernel event count is the one counter that
+differs, by exactly what the shipped couriers save (:func:`events_saved`).
 
 Two things only this file notices (each checked by breaking the code):
 dropping the courier's ``owner`` moves data-packet interface and ring time
@@ -67,52 +68,49 @@ def _reference_transfer_burst(
 def _reference_next_packet(
     self: InputPort,
 ) -> Generator[Any, Any, Optional[DataPacket]]:
-    """``InputPort.next_packet`` with its own receive accounting."""
-    while self.expected_producers == 0 or (
-        self._eos_seen < self.expected_producers
-    ):
-        message = yield self._get_effect
-        if type(message) is EndOfStream:
-            self._eos_seen += 1
-            continue
-        node = self.node
-        costs = node.config.costs
-        if message.src_node == node.name:
-            eff = node.work(costs.packet_short_circuit)
-        else:
-            eff = node.work(costs.packet_receive)
-        if eff is not None:
-            yield eff
-        n_records = len(message.records)
-        self._query_counter["packets_received"] += 1
-        nm = self._node_metrics
-        if nm is None:
-            nm = self._node_metrics = self.ctx.metrics.node(node.name)
-        nm.packets_received += 1
-        nm.tuples_in += n_records
-        om = self._op_metrics
-        if om is None:
-            om = self._op_metrics = self.ctx.metrics.operator(
-                self.name, node.name
-            )
-        om.tuples_in += n_records
-        if self.ctx.profiler is not None:
-            self.ctx.profiler.record_tuples(
-                self.ctx.sim._current, tuples_in=len(message.records)
-            )
-        if self.ctx.trace is not None:
-            self.ctx.trace.instant(
-                self.node.name, "net", f"recv:{self.name}",
-                self.ctx.sim.now, cat="packet",
-                args={"tuples": len(message.records),
-                      "from": message.src_node},
-            )
-            self.ctx.trace.counter(
-                self.node.name, f"queue:{self.name}", self.ctx.sim.now,
-                {"depth": float(len(self.store))},
-            )
-        return message
-    return None
+    """``InputPort.next_packet`` with its own receive accounting.  (The
+    port's mailbox counts the EndOfStream marks: a consumer only ever
+    receives the last one.)"""
+    message = yield self._get_effect
+    if type(message) is EndOfStream:
+        return None
+    node = self.node
+    costs = node.config.costs
+    if message.src_node == node.name:
+        eff = node.work(costs.packet_short_circuit)
+    else:
+        eff = node.work(costs.packet_receive)
+    if eff is not None:
+        yield eff
+    n_records = len(message.records)
+    self._query_counter["packets_received"] += 1
+    nm = self._node_metrics
+    if nm is None:
+        nm = self._node_metrics = self.ctx.metrics.node(node.name)
+    nm.packets_received += 1
+    nm.tuples_in += n_records
+    om = self._op_metrics
+    if om is None:
+        om = self._op_metrics = self.ctx.metrics.operator(
+            self.name, node.name
+        )
+    om.tuples_in += n_records
+    if self.ctx.profiler is not None:
+        self.ctx.profiler.record_tuples(
+            self.ctx.sim._current, tuples_in=len(message.records)
+        )
+    if self.ctx.trace is not None:
+        self.ctx.trace.instant(
+            self.node.name, "net", f"recv:{self.name}",
+            self.ctx.sim.now, cat="packet",
+            args={"tuples": len(message.records),
+                  "from": message.src_node},
+        )
+        self.ctx.trace.counter(
+            self.node.name, f"queue:{self.name}", self.ctx.sim.now,
+            {"depth": float(len(self.store))},
+        )
+    return message
 
 
 def _next_packet_driven(consumer: Any, port_of: Any) -> Any:
@@ -234,15 +232,46 @@ def _run(machine: Any, scenario: str, profile: bool, traced: bool) -> dict:
     }
 
 
+@contextmanager
+def events_saved(tally: list[int]) -> Generator[None, None, None]:
+    """Count the kernel events the shipped couriers save over the
+    reference into ``tally[0]``: one per delivering courier (no resume
+    after the ``Put``) and D - 1 per close burst of D destinations (one
+    start event instead of D)."""
+    fast, burst = Interconnect.transfer_fast, Interconnect.transfer_burst
+
+    def counted_fast(self: Interconnect, *args: Any) -> None:
+        tally[0] += 1
+        fast(self, *args)
+
+    def counted_burst(
+        self: Interconnect, sim: Simulation, src: str, destinations: Any,
+        *args: Any,
+    ) -> None:
+        if destinations:
+            tally[0] += 2 * len(destinations) - 1
+        burst(self, sim, src, destinations, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Interconnect, "transfer_fast", counted_fast)
+        patch.setattr(Interconnect, "transfer_burst", counted_burst)
+        yield
+
+
 @pytest.mark.parametrize("sites", [4, 32])
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_shipped_path_matches_the_deleted_twins(scenario, sites):
     machine = _machine(scenario, sites)
     plain = _run(machine, scenario, False, False)
     for mode, (profile, traced) in MODES.items():
-        shipped = _run(machine, scenario, profile, traced)
+        saved = [0]
+        with events_saved(saved):
+            shipped = _run(machine, scenario, profile, traced)
         with reference_path():
             reference = _run(machine, scenario, profile, traced)
+        events = reference["stats"].pop("sim_events")
+        assert shipped["stats"]["sim_events"] == events - saved[0], mode
+        reference["stats"]["sim_events"] = shipped["stats"]["sim_events"]
         assert shipped == reference, mode
         # ... and watching changed nothing the machine was charged.
         for key in ("response_time", "utilisations", "stats"):

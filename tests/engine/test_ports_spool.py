@@ -284,6 +284,14 @@ class TestNodeIO:
             getattr(node, method)("f", 0)
         assert len(node.buffer) == 0
 
+    def test_page_write_on_diskless_node_names_the_node(self):
+        # A named error, not an assert that ``python -O`` strips.
+        ctx = make_ctx()
+        node = ctx.nodes["proc0"]
+        with pytest.raises(ExecutionError, match="proc0.*no disk"):
+            next(node.write_page("f", 0))
+        assert len(node.buffer) == 0
+
 
 class TestExecutionContext:
     def test_join_nodes_by_mode(self):

@@ -5,8 +5,12 @@ process step.  The reference is one generator courier (``transfer`` then
 ``Put``) per destination; the burst — and the per-destination callback
 courier, ``transfer_fast`` — must be indistinguishable from it in
 everything the simulated machine can see: when and in what order each
-mailbox receives, every server's accounting, every counter, the number of
-kernel events and the final sequence number.
+mailbox receives, every server's accounting, every counter and the final
+clock.  They take fewer kernel events to get there, and exactly as many
+fewer as the scenario implies: a callback courier delivers without the
+generator's resume after its ``Put`` (one event and one sequence number
+per message), and a burst posts one start event where its D couriers
+posted D.
 """
 
 from dataclasses import dataclass
@@ -112,7 +116,13 @@ def _scenario(mode: str, local_at: Any) -> dict[str, Any]:
 @pytest.mark.parametrize("mode", ["burst", "fast"])
 def test_burst_is_indistinguishable_from_generator_couriers(mode, layout):
     reference = _scenario("generator", LAYOUTS[layout])
-    assert _scenario(mode, LAYOUTS[layout]) == reference
+    shipped = _scenario(mode, LAYOUTS[layout])
+    # One courier per destination delivers; a burst is one start event.
+    destinations = len(REMOTE) + (layout != "absent")
+    saved = destinations + (destinations - 1 if mode == "burst" else 0)
+    for counter in ("events", "seq"):
+        assert shipped.pop(counter) == reference.pop(counter) - saved
+    assert shipped == reference
     # The scenario really is the contended one the burst has to survive.
     sender = reference["servers"][f"{SRC}.nic"]
     assert sender[0] == len(REMOTE) + 3  # requests

@@ -238,6 +238,43 @@ class TestStore:
         assert put_times[1] == pytest.approx(2.0)
         assert put_times[2] == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("waiting", [True, False])
+    def test_deliver_is_a_put_without_the_senders_wake_up(self, waiting):
+        """``_deliver`` hands items over as ``_put`` does — also into a
+        full store, where the item waits for a slot — but posts no
+        wake-up for the sender: one event and one sequence draw fewer
+        per item, the consumer's timeline unchanged."""
+
+        def run(deliver):
+            store = Store("mbox", capacity=1)
+            sim = Simulation()
+            got = []
+
+            def consumer():
+                if not waiting:
+                    yield Delay(1.0)
+                for _ in range(3):
+                    item = yield Get(store)
+                    got.append((sim.now, item))
+                    yield Delay(0.5)
+
+            def send(item):
+                if deliver:
+                    store._deliver(sim, item)
+                else:
+                    store._put(sim, item, lambda *_: None)
+
+            sim.spawn(consumer())
+            sim.call_after(0.25, lambda: [send(i) for i in "abc"])
+            sim.run()
+            return got, sim.now, sim.events_processed, sim._seq
+
+        got, now, events, seq = run(deliver=True)
+        ref_got, ref_now, ref_events, ref_seq = run(deliver=False)
+        assert (got, now) == (ref_got, ref_now)
+        assert [item for _, item in got] == ["a", "b", "c"]
+        assert (events, seq) == (ref_events - 3, ref_seq - 3)
+
     def test_blocked_counters(self):
         store = Store("mbox", capacity=1)
         sim = Simulation()
