@@ -46,9 +46,13 @@ def gamma_mix(value: Any) -> int:
     """The 32-bit mix that :func:`gamma_hash` reduces modulo its bucket
     count: ``gamma_hash(v, n) == gamma_mix(v) % n`` for every ``n``.
 
-    For a caller that needs several bucketings of one value — the
-    DBC/1012 load derives both the AMP and the hash-key storage order of
-    a tuple from its key — so that it mixes the value once.
+    This is the definition.  Two hot paths repeat it for speed, and
+    ``tests/engine/test_columnar.py`` holds them to it:
+    :func:`~repro.engine.columnar.hash_route_batch`'s loop over small or
+    mixed batches, and :func:`~repro.engine.columnar.gamma_mix_array`
+    over large all-int ones.  A caller that needs several bucketings of
+    one value (the DBC/1012 load derives both the AMP and the hash-key
+    storage order of a tuple from its key) mixes the value once.
     """
     h = (
         (hash(value) if type(value) is int else stable_hash(value))
@@ -72,15 +76,7 @@ def gamma_hash(value: Any, n_buckets: int) -> int:
     """
     if n_buckets <= 0:
         raise CatalogError("hash needs at least one bucket")
-    # gamma_mix, inlined: this runs once per routed tuple.
-    h = (
-        (hash(value) if type(value) is int else stable_hash(value))
-        * 2654435761
-    ) & 0xFFFFFFFF
-    h ^= h >> 17
-    h = (h * 0x9E3779B1) & 0xFFFFFFFF
-    h ^= h >> 13
-    return h % n_buckets
+    return gamma_mix(value) % n_buckets
 
 
 class PartitioningStrategy(ABC):

@@ -9,21 +9,10 @@ instead of paying network and probe costs for them.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 from ..catalog.partitioning import stable_hash
 from ..errors import ConfigError
-
-
-def _mix(value: Any, seed: int) -> int:
-    """A second, independent hash family (distinct from gamma_hash).
-
-    Routed through :func:`stable_hash` so string join keys set/test the
-    same bits in every process (integers keep the builtin hash exactly).
-    """
-    h = hash((seed, stable_hash(value)))
-    h ^= (h >> 16)
-    return h & 0x7FFFFFFF
 
 
 class BitVectorFilter:
@@ -50,8 +39,9 @@ class BitVectorFilter:
     def add(self, value: Any) -> None:
         """Set the bits for ``value`` (build side)."""
         self.set_count += 1
-        # _mix, inlined with stable_hash's integer fast path hoisted out
-        # of the per-seed loop (the bit positions are unchanged).
+        # Bit positions come from CPython's tuple hash of (seed, stable
+        # hash) — a family independent of gamma_hash; string keys set the
+        # same bits in every process.
         sv = hash(value) if type(value) is int else stable_hash(value)
         bits = self._bits
         n_bits = self.n_bits
@@ -73,6 +63,26 @@ class BitVectorFilter:
             if not bits[bit >> 3] & (1 << (bit & 7)):
                 return False
         return True
+
+    def might_contain_batch(self, values: Sequence[Any]) -> list[bool]:
+        """:meth:`might_contain` of each of ``values``, in order.
+
+        A batch of at least ``NUMPY_THRESHOLD`` ints inside the
+        ``hash(v) == v`` range is probed in numpy
+        (:func:`~repro.engine.columnar.bit_probe_array`); any other batch
+        value by value.
+        """
+        # Imported on first use, as in ``skew.router``: columnar loads
+        # numpy.
+        from .columnar import NUMPY_THRESHOLD, bit_probe_array, int_array
+
+        if len(values) >= NUMPY_THRESHOLD:
+            arr = int_array(values)
+            if arr is not None:
+                return bit_probe_array(
+                    arr, self._bits, self.n_bits, self._seeds
+                )
+        return [self.might_contain(value) for value in values]
 
     def union(self, other: "BitVectorFilter") -> None:
         """Merge another node's filter into this one (the scheduler ORs

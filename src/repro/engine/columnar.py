@@ -4,18 +4,19 @@ The engine's tuples are plain Python tuples, and at paper scales (tens of
 sites, ~40-tuple pages) per-record Python loops are affordable.  Scaling
 the simulator to hundreds or thousands of sites multiplies the tuple
 traffic until those loops dominate wall-clock time, so the hot per-batch
-kernels — split-table routing, partitioning-site assignment, bit-filter
-tests — also exist here in columnar form: extract one attribute column
-from a batch and push it through a vectorized numpy pipeline.
+kernels — value routing, load-time declustering, bit-filter probes —
+work on a batch: extract one attribute column and, when the batch is
+large enough and all-int, push it through a vectorized numpy pipeline.
 
 Two invariants make the fast paths safe:
 
 * **Bit-identical results.**  Every vectorized kernel reproduces the
-  scalar arithmetic exactly (``gamma_hash``'s Knuth mix in uint64 wraps
+  scalar arithmetic exactly (``gamma_mix``'s Knuth mix in uint64 wraps
   identically to Python's masked bignum arithmetic; CPython's tuple hash
   is replicated lane-for-lane for the bit filters) and is only entered
   when that equivalence provably holds — int values inside the
-  ``hash(v) == v`` range.  Everything else falls back to the scalar loop.
+  ``hash(v) == v`` range.  Everything else takes the scalar loop: the
+  batch in hand picks the path.
 * **Unchanged cost model.**  These kernels change how fast the simulator
   *computes* a decision, never what the simulated machine is *charged*
   for it; golden timelines are unaffected.
@@ -59,13 +60,6 @@ def int_array(values: Sequence[Any]) -> Optional["Any"]:
     return arr
 
 
-def _int_column(
-    records: Sequence[tuple], pos: int
-) -> Optional["Any"]:
-    """Column ``pos`` of ``records`` as :func:`int_array` gives it."""
-    return int_array([record[pos] for record in records])
-
-
 def gamma_mix_array(arr: "Any") -> "Any":
     """Vectorized :func:`repro.catalog.partitioning.gamma_mix` (uint64).
 
@@ -81,12 +75,6 @@ def gamma_mix_array(arr: "Any") -> "Any":
     h = (h * _np.uint64(0x9E3779B1)) & _np.uint64(0xFFFFFFFF)
     h ^= h >> _np.uint64(13)
     return h
-
-
-def gamma_hash_array(arr: "Any", n_buckets: int) -> "Any":
-    """Vectorized :func:`repro.catalog.partitioning.gamma_hash`, under
-    :func:`gamma_mix_array`'s precondition."""
-    return gamma_mix_array(arr) % _np.uint64(n_buckets)
 
 
 def mix_column(values: Sequence[Any]) -> "Any":
@@ -140,14 +128,15 @@ def hash_route_batch(
 ) -> list[int]:
     """Destination indices for a batch: ``gamma_hash(record[pos], n)``.
 
-    The workhorse behind hash split tables and load-time declustering.
-    Large all-int batches go through :func:`gamma_hash_array`; everything
-    else through a scalar loop with ``stable_hash``'s int fast path.
+    The one hash router (``skew.router`` hands it to both machines) and
+    the load-time declustering kernel.  Large all-int batches go through
+    :func:`gamma_mix_array`; everything else through ``gamma_mix``
+    written out in the loop, with ``stable_hash``'s int fast path.
     """
     if len(records) >= NUMPY_THRESHOLD:
-        arr = _int_column(records, pos)
+        arr = int_array([record[pos] for record in records])
         if arr is not None:
-            return gamma_hash_array(arr, n).tolist()
+            return (gamma_mix_array(arr) % _np.uint64(n)).tolist()
     out: list[int] = []
     append = out.append
     for record in records:
@@ -201,146 +190,25 @@ def _tuple_hash_pair_array(seed: int, lanes: "Any") -> "Any":
     return signed
 
 
-class BatchedBitProbe:
-    """Vectorized ``BitVectorFilter.might_contain`` over a value batch.
-
-    Built over a filter's bit array; ``test(records, pos)`` returns a
-    boolean list matching the scalar probe exactly, or ``None`` when the
-    batch is not eligible for the vector path (caller falls back).
-
-    The numpy view aliases the *live* ``bytearray`` (zero-copy), so bits
-    set or unioned into the filter after construction are visible — the
-    probe can be built once per split table even though filters keep
-    mutating until the build phase drains.  The aliased buffer pins the
-    bytearray's size; ``BitVectorFilter`` never resizes ``_bits``.
-    """
-
-    __slots__ = ("n_bits", "seeds", "_bits_view")
-
-    def __init__(self, n_bits: int, seeds: Sequence[int], bits: bytearray):
-        self.n_bits = n_bits
-        self.seeds = tuple(seeds)
-        self._bits_view = _np.frombuffer(bits, dtype=_np.uint8)
-
-    def test(
-        self, records: Sequence[tuple], pos: int
-    ) -> Optional[list[bool]]:
-        if len(records) < NUMPY_THRESHOLD:
-            return None
-        arr = _int_column(records, pos)
-        if arr is None:
-            return None
-        ok = _np.ones(len(records), dtype=bool)
-        n_bits = _np.int64(self.n_bits)
-        for seed in self.seeds:
-            h = _tuple_hash_pair_array(seed, arr)
-            h = h ^ (h >> _np.int64(16))
-            bit = (h & _np.int64(0x7FFFFFFF)) % n_bits
-            ok &= (
-                self._bits_view[bit >> _np.int64(3)]
-                >> (bit & _np.int64(7)).astype(_np.uint8)
-            ) & _np.uint8(1) != 0
-        return ok.tolist()
-
-
-# ---------------------------------------------------------------------------
-# Array-of-column tuple pools
-# ---------------------------------------------------------------------------
-
-
-class ColumnBatch:
-    """A batch of tuples stored column-wise.
-
-    Integer columns of batches at or above ``NUMPY_THRESHOLD`` become
-    int64 numpy arrays; other columns stay lists.  The batch round-trips
-    losslessly: ``ColumnBatch.from_records(rs).to_records() == list(rs)``.
-
-    This is the storage shape the vectorized kernels want — extracting a
-    column is O(1) instead of a per-record gather — and what load-time
-    partitioning and wide-packet configurations batch tuples into.
-    """
-
-    __slots__ = ("columns", "count", "_int_cols")
-
-    def __init__(
-        self, columns: list[Any], count: int, int_cols: tuple[bool, ...]
-    ) -> None:
-        self.columns = columns
-        self.count = count
-        self._int_cols = int_cols
-
-    @classmethod
-    def from_records(cls, records: Sequence[tuple]) -> "ColumnBatch":
-        count = len(records)
-        if count == 0:
-            return cls([], 0, ())
-        width = len(records[0])
-        columns: list[Any] = []
-        int_flags: list[bool] = []
-        for pos in range(width):
-            column = [record[pos] for record in records]
-            is_int = all(type(v) is int for v in column)
-            if is_int and count >= NUMPY_THRESHOLD:
-                try:
-                    column = _np.fromiter(
-                        column, dtype=_np.int64, count=count
-                    )
-                except OverflowError:
-                    is_int = False
-            columns.append(column)
-            int_flags.append(is_int)
-        return cls(columns, count, tuple(int_flags))
-
-    def column(self, pos: int) -> Any:
-        return self.columns[pos]
-
-    def to_records(self) -> list[tuple]:
-        if self.count == 0:
-            return []
-        cols = [
-            c.tolist() if isinstance(c, _np.ndarray) else c
-            for c in self.columns
-        ]
-        return list(zip(*cols))
-
-    def take(self, indices: Sequence[int]) -> "ColumnBatch":
-        """A new batch holding the given row positions, in order."""
-        idx = _np.asarray(indices, dtype=_np.int64)
-        columns = [
-            c[idx] if isinstance(c, _np.ndarray)
-            else [c[i] for i in indices]
-            for c in self.columns
-        ]
-        return ColumnBatch(columns, len(indices), self._int_cols)
-
-    @classmethod
-    def concat(cls, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
-        batches = [b for b in batches if b.count]
-        if not batches:
-            return cls([], 0, ())
-        first = batches[0]
-        if len(batches) == 1:
-            return first
-        columns: list[Any] = []
-        for pos in range(len(first.columns)):
-            parts = [b.columns[pos] for b in batches]
-            if all(isinstance(p, _np.ndarray) for p in parts):
-                columns.append(_np.concatenate(parts))
-            else:
-                merged: list[Any] = []
-                for p in parts:
-                    merged.extend(
-                        p.tolist() if isinstance(p, _np.ndarray) else p
-                    )
-                columns.append(merged)
-        count = sum(b.count for b in batches)
-        return cls(columns, count, first._int_cols)
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return f"<ColumnBatch {self.count}x{len(self.columns)}>"
+def bit_probe_array(
+    arr: "Any", bits: bytearray, n_bits: int, seeds: Sequence[int]
+) -> list[bool]:
+    """Vectorized ``might_contain`` of each of ``arr``'s values (as
+    :func:`int_array` gives them) for the filter with these ``bits``,
+    ``n_bits`` and ``seeds`` — the numpy half of
+    ``BitVectorFilter.might_contain_batch``."""
+    ok = _np.ones(len(arr), dtype=bool)
+    view = _np.frombuffer(bits, dtype=_np.uint8)
+    width = _np.int64(n_bits)
+    for seed in seeds:
+        h = _tuple_hash_pair_array(seed, arr)
+        h = h ^ (h >> _np.int64(16))
+        bit = (h & _np.int64(0x7FFFFFFF)) % width
+        ok &= (
+            view[bit >> _np.int64(3)]
+            >> (bit & _np.int64(7)).astype(_np.uint8)
+        ) & _np.uint8(1) != 0
+    return ok.tolist()
 
 
 def partition_batch(

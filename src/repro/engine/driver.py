@@ -223,57 +223,32 @@ class QueryDriver(GammaDriver):
     ) -> DestSpec:
         """Lower one IR Exchange edge to a split-table destination spec."""
         kind = exchange.kind
-        if kind is ExchangeKind.HASH:
-            return DestSpec(
-                "hash", ports, attr=exchange.attr, bit_filter=bit_filter
-            )
+        costs = self.ctx.config.costs
         if kind is ExchangeKind.RECORD_HASH:
-            return DestSpec(
-                "record_hash", ports, attr=None,
-                route_fn=list(exchange.positions or []),
-            )
+            positions = list(exchange.positions or [])
+            return DestSpec(ports, lambda _: SplitTable.by_record_hash(
+                ports, positions, costs
+            ))
         if kind is ExchangeKind.ROUND_ROBIN:
-            return DestSpec("rr", ports)
+            return DestSpec(ports, lambda _: SplitTable.round_robin(ports))
         if kind is ExchangeKind.MERGE:
-            return DestSpec("single", ports)
-        # Range and the skew-aware kinds: a split table over the
-        # strategy's value → port function (a tuple of ports for a
-        # hot-broadcast key); ``router`` rejects a local exchange.
-        return DestSpec(
-            "fn", ports, attr=exchange.attr,
-            route_fn=router(exchange, len(ports)), bit_filter=bit_filter,
+            return DestSpec(ports, lambda _: SplitTable.single(ports[0]))
+        # Hash, range and the skew-aware kinds: one router for every
+        # producer's split table (``router`` rejects a local exchange).
+        return DestSpec.by_value(
+            ports, exchange.attr, router(exchange, len(ports)), costs,
+            bit_filter=bit_filter,
         )
 
     def _make_output(
         self, node: Node, dest: DestSpec, schema: Schema
     ) -> OutputPort:
-        ctx = self.ctx
-        costs = ctx.config.costs
-        if dest.kind == "hash":
-            split = SplitTable.by_hash(
-                dest.ports, schema, dest.attr, costs,
-                bit_filter=dest.bit_filter,
-            )
-        elif dest.kind == "fn":
-            split = SplitTable.by_function(
-                dest.ports, schema, dest.attr, dest.route_fn, costs,
-                bit_filter=dest.bit_filter,
-            )
-        elif dest.kind == "record_hash":
-            split = SplitTable.by_record_hash(
-                dest.ports, dest.route_fn, costs
-            )
-        elif dest.kind == "rr":
-            split = SplitTable.round_robin(dest.ports)
-        elif dest.kind == "single":
-            split = SplitTable.single(dest.ports[0])
-        else:  # pragma: no cover - DestSpec kinds are internal
-            raise PlanError(f"unknown destination kind {dest.kind!r}")
+        split = dest.split(schema)
         for destination in dest.ports:
             destination.port.add_producer()
         self._label_counter += 1
         return OutputPort(
-            ctx, node, split, schema.tuple_bytes,
+            self.ctx, node, split, schema.tuple_bytes,
             f"out.{node.name}.{self._label_counter}",
         )
 

@@ -11,10 +11,12 @@ plus one control-message transfer).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Iterator, Optional
+from typing import Any, Callable, Generator, Iterator, Optional
 
-from ...storage import records_per_page
+from ...storage import Schema, records_per_page
 from ..node import ExecutionContext, Node
+from ..skew import BatchRoute
+from ..split_table import SplitTable
 
 
 @dataclass(frozen=True)
@@ -22,19 +24,29 @@ class DestSpec:
     """How a producer should split its output.
 
     Attributes:
-        kind: ``hash`` | ``fn`` | ``rr`` | ``single``.
-        attr: Split attribute (hash/fn splits only).
         ports: The consuming (node_name, InputPort) destinations.
-        bit_filter: Optional bit-vector filter installed in the split.
-        route_fn: Value→destination-index function (``fn`` splits; used
-            for the post-overflow hash switch).
+        split: Builds one producer's split table over ``ports`` from the
+            producer's output schema.
     """
 
-    kind: str
     ports: list[Any]  # list[Destination]
-    attr: Optional[str] = None
-    bit_filter: Optional[Any] = None
-    route_fn: Optional[Any] = None
+    split: Callable[[Schema], SplitTable]
+
+    @classmethod
+    def by_value(
+        cls,
+        ports: list[Any],
+        attr: str,
+        route: BatchRoute,
+        costs: Any,
+        bit_filter: Optional[Any] = None,
+    ) -> "DestSpec":
+        """A split on the value of ``attr`` by the batch router
+        ``route``, which every producer's split table shares (so a
+        hot-spray cursor runs across producers)."""
+        return cls(ports, lambda schema: SplitTable.by_hash(
+            ports, schema, attr, costs, bit_filter=bit_filter, route=route,
+        ))
 
 
 class SpoolFile:

@@ -1097,9 +1097,11 @@ class HashJoinDriver:
                 lambda ctx, s: charges[s.index], "redist", join.op_id,
                 "overflow",
             )
-            probe_dest = DestSpec(
-                "fn", probe_ports, attr=join.attr, bit_filter=probe_filter,
-                route_fn=overflow_route(len(states)),
+            route = overflow_route(len(states))
+            probe_dest = DestSpec.by_value(
+                probe_ports, join.attr,
+                lambda records, pos: [route(r[pos]) for r in records],
+                config.costs, bit_filter=probe_filter,
             )
         else:
             probe_dest = sched.lower_exchange(

@@ -1,9 +1,10 @@
 """Predicates, logical plan nodes and join placement modes.
 
 Gamma compiles predicates "into machine language"; here they compile into
-closures over tuple positions, so the per-tuple hot path does no name
-lookups.  Plans are small trees of dataclass nodes; the planner
-(:mod:`repro.engine.planner`) turns them into placed physical operators.
+page filters over tuple positions (``compile_batch``), so filtering a
+page does no name lookups.  Plans are small trees of dataclass nodes;
+the planner (:mod:`repro.engine.planner`) turns them into placed
+physical operators.
 """
 
 from __future__ import annotations
@@ -22,13 +23,10 @@ Predicate = Union["TruePredicate", "RangePredicate", "ExactMatch"]
 class TruePredicate:
     """Matches every tuple (a 100 % selection)."""
 
-    def compile(self, schema: Schema) -> Callable[[tuple], bool]:
-        return lambda record: True
-
     def compile_batch(
         self, schema: Schema
     ) -> Callable[[list[tuple]], list[tuple]]:
-        """Batch form of :meth:`compile`: the matching records of a page.
+        """The matching records of a page.
 
         Callers treat the result as read-only, so the 100 % selection can
         hand the input batch back without a copy.
@@ -50,15 +48,10 @@ class RangePredicate:
     low: Any
     high: Any
 
-    def compile(self, schema: Schema) -> Callable[[tuple], bool]:
-        pos = schema.position(self.attr)
-        low, high = self.low, self.high
-        return lambda record: low <= record[pos] <= high
-
     def compile_batch(
         self, schema: Schema
     ) -> Callable[[list[tuple]], list[tuple]]:
-        """Batch form of :meth:`compile`: one filter pass per page."""
+        """The matching records of a page, in one filter pass."""
         pos = schema.position(self.attr)
         low, high = self.low, self.high
 
@@ -89,15 +82,10 @@ class ExactMatch:
     attr: str
     value: Any
 
-    def compile(self, schema: Schema) -> Callable[[tuple], bool]:
-        pos = schema.position(self.attr)
-        value = self.value
-        return lambda record: record[pos] == value
-
     def compile_batch(
         self, schema: Schema
     ) -> Callable[[list[tuple]], list[tuple]]:
-        """Batch form of :meth:`compile`: one filter pass per page."""
+        """The matching records of a page, in one filter pass."""
         pos = schema.position(self.attr)
         value = self.value
 

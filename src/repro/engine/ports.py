@@ -166,10 +166,11 @@ class InputPort:
 class OutputPort:
     """Producer endpoint: per-destination packet buffers over a split table.
 
-    ``emit``/``emit_many`` route tuples through the
-    :class:`~repro.engine.split_table.SplitTable`; a destination's buffer is
-    flushed as one network packet whenever it reaches the configured packet
-    size, and ``close`` flushes everything and sends the EOS marks.
+    ``emit_many`` routes a batch of tuples with one ``route_batch`` call
+    on the :class:`~repro.engine.split_table.SplitTable`; a destination's
+    buffer is flushed as one network packet whenever it reaches the
+    configured packet size, and ``close`` flushes everything and sends the
+    EOS marks.
     """
 
     def __init__(

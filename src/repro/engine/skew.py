@@ -20,12 +20,12 @@ Both ends of a strategy live here.  At plan time :func:`join_exchanges`
 draws the :func:`sample` and returns a join's (build, probe) exchange
 pair; the Gamma :class:`~repro.engine.planner.Planner` and the
 :class:`~repro.teradata.planner.TeradataPlanner` both call it.  At run
-time :func:`router` turns an exchange into the value → consumer function
-both drivers split by: Gamma's ``QueryDriver.lower_exchange`` installs it
-in a split table, Teradata's ``TeradataRun._redistribute`` buckets spool
-tuples with it.  A new strategy is one edit to each of the two.  The
-statistics are pure functions of the sample, so plans are
-deterministic.
+time :func:`router` turns every value-routed exchange — plain hash
+included — into the batch router both machines split by: Gamma's split
+tables (``SplitTable.by_hash``) route each packet with it, Teradata's
+``TeradataRun._redistribute`` buckets spool tuples with it.  A new
+strategy is one edit to each of the two.  The statistics are pure
+functions of the sample, so plans are deterministic.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from collections import Counter
-from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from ..catalog import gamma_hash
@@ -170,53 +169,69 @@ def join_exchanges(
     )
 
 
-def router(exchange: Exchange, n: int) -> Callable[[Any], Any]:
-    """Value → consumer index in ``range(n)`` for a value-routed
-    exchange: hash, range, vhash, hot-broadcast (a hot value maps to the
-    tuple of every index) or hot-spray (hot values take the next index
-    round-robin, so each call of the returned function advances it).
+#: A batch router: ``route(records, pos)`` is one destination per record,
+#: chosen by the record's ``pos``-th value.
+BatchRoute = Callable[[Sequence[tuple], int], list]
+
+
+def router(exchange: Exchange, n: int) -> BatchRoute:
+    """The batch router of a value-routed exchange over ``n`` consumers.
+
+    Each destination is a Python ``int`` in ``range(n)``, or — for a hot
+    key of a hot-broadcast exchange — the tuple of every index.  Hash,
+    vhash and both hot kinds hash through
+    :func:`~repro.engine.columnar.hash_route_batch`; range bisects the
+    cut points; hot-spray gives each hot record the next index
+    round-robin, so the returned router's cursor advances once per hot
+    record it routes.
 
     Raises :class:`~repro.errors.PlanError` naming the kind for an
     exchange that does not route by value (local, merge, round-robin,
     record-hash).
     """
+    # Imported on first use: columnar loads numpy, which importing a
+    # machine or planner does not.
+    from .columnar import hash_route_batch
+
     kind = exchange.kind
     if kind is ExchangeKind.HASH:
-        return lambda value: gamma_hash(value, n)
+        return lambda records, pos: hash_route_batch(records, pos, n)
     if kind is ExchangeKind.RANGE:
         # Values past the last of the first n-1 cut points go to the
         # last consumer.
         bounds = list(exchange.boundaries or ())[: n - 1]
-        return partial(bisect_right, bounds)
+        return lambda records, pos: [
+            bisect_right(bounds, record[pos]) for record in records
+        ]
     if kind is ExchangeKind.VHASH:
-        vmap = tuple(exchange.virtual_map or ())
-        if not vmap:
+        if not exchange.virtual_map:
             raise PlanError("vhash exchange needs a virtual_map")
-        v = len(vmap)
-        return lambda value: vmap[gamma_hash(value, v)] % n
-    hot = exchange.hot_keys or frozenset()
-    if kind is ExchangeKind.HOT_BROADCAST:
-        everywhere = tuple(range(n))
+        fragment = [index % n for index in exchange.virtual_map]
+        v = len(fragment)
+        return lambda records, pos: [
+            fragment[bucket] for bucket in hash_route_batch(records, pos, v)
+        ]
+    if kind in (ExchangeKind.HOT_BROADCAST, ExchangeKind.HOT_SPRAY):
+        hot = exchange.hot_keys or frozenset()
+        hot_dests = (
+            itertools.repeat(tuple(range(n)))
+            if kind is ExchangeKind.HOT_BROADCAST
+            else itertools.cycle(range(n))
+        )
 
-        def broadcast_route(value: Any) -> Any:
-            if value in hot:
-                return everywhere
-            return gamma_hash(value, n)
+        def hot_route(records: Sequence[tuple], pos: int) -> list:
+            out: list = hash_route_batch(records, pos, n)
+            for i, record in enumerate(records):
+                if record[pos] in hot:
+                    out[i] = next(hot_dests)
+            return out
 
-        return broadcast_route
-    if kind is ExchangeKind.HOT_SPRAY:
-        cursor = itertools.cycle(range(n))
-
-        def spray_route(value: Any) -> int:
-            if value in hot:
-                return next(cursor)
-            return gamma_hash(value, n)
-
-        return spray_route
+        return hot_route
     raise PlanError(f"a {kind.value} exchange does not route by value")
 
 
 __all__ = [
+    "BatchRoute",
     "HOT_KEY_SHARE",
     "SKEW_SAMPLE",
     "SKEW_STRATEGIES",

@@ -4,7 +4,10 @@
 we term a split table" (Section 2).  For a tuple bound for an N-process
 join, the split table hashes the join attribute to a value in 1..N and
 forwards the tuple to that process's port; result relations use a
-round-robin split instead.
+round-robin split instead.  A split table routes one packet's batch of
+tuples at a time; every value-routed split goes through the exchange's
+:func:`~repro.engine.skew.router`, the same router Teradata's
+redistribution uses.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from ..errors import PlanError
 from ..sim import Store
 from ..storage import Schema
 from .bitfilter import BitVectorFilter
+from .ir import Exchange, ExchangeKind
 from .ports import InputPort
+from .skew import BatchRoute, router
 
 
 @dataclass(frozen=True)
@@ -34,36 +39,31 @@ class Destination:
 
 
 class SplitTable:
-    """Routes tuples to destinations by hash, round-robin, or singleton."""
+    """Routes batches of tuples to destinations: by value, by whole
+    record, round-robin, or all to one destination.
+
+    ``route_batch(records)`` returns one destination per record — a
+    destination index, None for a tuple the bit filter drops, or a tuple
+    of indices for a broadcast hot key — and ``route_cost`` is the CPU
+    an :class:`~repro.engine.ports.OutputPort` charges per routed tuple.
+    """
 
     def __init__(
         self,
         destinations: Sequence[Destination],
-        route: Callable[[tuple], Optional[int]],
+        route_batch: Callable[[Sequence[tuple]], list[Any]],
         route_cost: float,
-        kind: str,
-        route_batch: Optional[
-            Callable[[Sequence[tuple]], list[Any]]
-        ] = None,
     ) -> None:
         if not destinations:
             raise PlanError("split table needs at least one destination")
         self.destinations = list(destinations)
-        self.route = route
-        self.route_cost = route_cost
-        self.kind = kind
-        self.filter: Optional[BitVectorFilter] = None
-        # Batched routing: one call per packet instead of one per tuple.
-        # Constructors install a specialized closure; the fallback simply
-        # maps route() over the batch, so the destinations are identical
-        # by construction.
-        if route_batch is None:
-            def route_batch(records: Sequence[tuple]) -> list[Any]:
-                return [route(record) for record in records]
         self.route_batch = route_batch
+        self.route_cost = route_cost
 
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return f"<SplitTable {self.kind} x{len(self.destinations)}>"
+    def route(self, record: tuple) -> Any:
+        """One record's destination, as :attr:`route_batch` gives it.
+        Production code routes whole batches."""
+        return self.route_batch((record,))[0]
 
     # ------------------------------------------------------------------
     # constructors
@@ -76,126 +76,36 @@ class SplitTable:
         attr: str,
         costs: Any,
         bit_filter: Optional[BitVectorFilter] = None,
+        route: Optional[BatchRoute] = None,
     ) -> "SplitTable":
-        """Hash split on ``attr`` — the join redistribution path.
+        """Split on the value of ``attr`` — the join redistribution path.
 
-        With a bit-vector filter installed, tuples whose join attribute
-        cannot be in the build side are dropped before routing.
+        ``route`` is the exchange's batch router
+        (:func:`~repro.engine.skew.router`, or the join's post-overflow
+        hash switch); without one the split is Gamma's plain hash.  With
+        a bit-vector filter installed, tuples whose value cannot be in
+        the build side are dropped (routed to None) and only the kept
+        tuples are routed, in order — so a hot-spray cursor advances for
+        kept tuples only.
         """
         pos = schema.position(attr)
-        n = len(destinations)
-
-        # gamma_hash, inlined into the closures: route() runs once per
-        # emitted tuple, and the n > 0 precondition is established here
-        # (destinations is non-empty) rather than re-checked per call.
-        # The bucket arithmetic is bit-identical to gamma_hash.
-        from ..catalog.partitioning import stable_hash
-
-        from .columnar import BatchedBitProbe, hash_route_batch
-
-        if bit_filter is None:
-            def route(record: tuple) -> Optional[int]:
-                value = record[pos]
-                h = (
-                    (hash(value) if type(value) is int else stable_hash(value))
-                    * 2654435761
-                ) & 0xFFFFFFFF
-                h ^= h >> 17
-                h = (h * 0x9E3779B1) & 0xFFFFFFFF
-                h ^= h >> 13
-                return h % n
-
-            def route_batch(records: Sequence[tuple]) -> list[Any]:
-                return hash_route_batch(records, pos, n)
-        else:
-            might_contain = bit_filter.might_contain
-            batched_probe = BatchedBitProbe(
-                bit_filter.n_bits, bit_filter._seeds, bit_filter._bits
+        if route is None:
+            route = router(
+                Exchange(ExchangeKind.HASH, attr=attr), len(destinations)
             )
-
-            def route(record: tuple) -> Optional[int]:
-                value = record[pos]
-                if not might_contain(value):
-                    return None
-                h = (
-                    (hash(value) if type(value) is int else stable_hash(value))
-                    * 2654435761
-                ) & 0xFFFFFFFF
-                h ^= h >> 17
-                h = (h * 0x9E3779B1) & 0xFFFFFFFF
-                h ^= h >> 13
-                return h % n
+        if bit_filter is None:
+            def route_batch(records: Sequence[tuple]) -> list[Any]:
+                return route(records, pos)
+        else:
+            might_contain_batch = bit_filter.might_contain_batch
 
             def route_batch(records: Sequence[tuple]) -> list[Any]:
-                out: list[Any] = [None] * len(records)
-                mask = batched_probe.test(records, pos)
-                if mask is not None:
-                    # Vector path: every value already passed the
-                    # all-ints gate, so ``hash(value)`` is the fast case.
-                    for i, keep in enumerate(mask):
-                        if keep:
-                            h = (
-                                hash(records[i][pos]) * 2654435761
-                            ) & 0xFFFFFFFF
-                            h ^= h >> 17
-                            h = (h * 0x9E3779B1) & 0xFFFFFFFF
-                            h ^= h >> 13
-                            out[i] = h % n
-                    return out
-                for i, record in enumerate(records):
-                    value = record[pos]
-                    if might_contain(value):
-                        h = (
-                            (
-                                hash(value) if type(value) is int
-                                else stable_hash(value)
-                            )
-                            * 2654435761
-                        ) & 0xFFFFFFFF
-                        h ^= h >> 17
-                        h = (h * 0x9E3779B1) & 0xFFFFFFFF
-                        h ^= h >> 13
-                        out[i] = h % n
-                return out
+                keep = might_contain_batch([record[pos] for record in records])
+                kept = [record for record, ok in zip(records, keep) if ok]
+                dests = iter(route(kept, pos))
+                return [next(dests) if ok else None for ok in keep]
 
-        table = cls(
-            destinations, route, costs.split_hash, "hash",
-            route_batch=route_batch,
-        )
-        table.filter = bit_filter
-        return table
-
-    @classmethod
-    def by_function(
-        cls,
-        destinations: Sequence[Destination],
-        schema: Schema,
-        attr: str,
-        fn: Callable[[Any], int],
-        costs: Any,
-        bit_filter: Optional[BitVectorFilter] = None,
-    ) -> "SplitTable":
-        """Split by an arbitrary value→index function.
-
-        Used after a join-overflow hash switch: the scheduler installs the
-        new subpartitioning function into the probing selections' split
-        tables (Section 6.2.2).
-        """
-        pos = schema.position(attr)
-
-        if bit_filter is None:
-            def route(record: tuple) -> Optional[int]:
-                return fn(record[pos])
-        else:
-            def route(record: tuple) -> Optional[int]:
-                value = record[pos]
-                if not bit_filter.might_contain(value):
-                    return None
-                return fn(value)
-
-        table = cls(destinations, route, costs.split_hash, "function")
-        table.filter = bit_filter
-        return table
+        return cls(destinations, route_batch, costs.split_hash)
 
     @classmethod
     def by_record_hash(
@@ -211,23 +121,22 @@ class SplitTable:
         n = len(destinations)
         pos = tuple(positions)
 
-        def route(record: tuple) -> Optional[int]:
-            return gamma_hash(tuple(record[p] for p in pos), n)
+        def route_batch(records: Sequence[tuple]) -> list[Any]:
+            return [
+                gamma_hash(tuple(record[p] for p in pos), n)
+                for record in records
+            ]
 
-        return cls(destinations, route, costs.split_hash, "record-hash")
+        return cls(destinations, route_batch, costs.split_hash)
 
     @classmethod
     def round_robin(
         cls, destinations: Sequence[Destination]
     ) -> "SplitTable":
-        """Round-robin split — the default for result relations."""
+        """Round-robin split — the default for result relations.  Each
+        batch continues where the previous one left off."""
         n = len(destinations)
         state = {"next": 0}
-
-        def route(record: tuple) -> Optional[int]:
-            idx = state["next"]
-            state["next"] = (idx + 1) % n
-            return idx
 
         def route_batch(records: Sequence[tuple]) -> list[Any]:
             idx = state["next"]
@@ -235,14 +144,11 @@ class SplitTable:
             state["next"] = (idx + count) % n
             return [(idx + i) % n for i in range(count)]
 
-        return cls(
-            destinations, route, 0.0, "round-robin", route_batch=route_batch
-        )
+        return cls(destinations, route_batch, 0.0)
 
     @classmethod
     def single(cls, destination: Destination) -> "SplitTable":
         """Everything to one destination (host return, scalar collector)."""
         return cls(
-            [destination], lambda record: 0, 0.0, "single",
-            route_batch=lambda records: [0] * len(records),
+            [destination], lambda records: [0] * len(records), 0.0
         )

@@ -284,8 +284,7 @@ class TeradataRun:
         route = router(exchange, n_amps)
         buckets: list[list[tuple]] = [[] for _ in range(n_amps)]
         for source in per_amp:
-            for record in source:
-                dest = route(record[pos])
+            for record, dest in zip(source, route(source, pos)):
                 if type(dest) is int:
                     buckets[dest].append(record)
                 else:

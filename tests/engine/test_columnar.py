@@ -1,6 +1,8 @@
-"""Parity tests: every columnar fast path must agree with its scalar
-twin on randomized inputs, including the values that force fallbacks
-(floats, bools, strings, negative and 64-bit-plus integers)."""
+"""Parity tests: every columnar fast path must agree with the per-value
+definition it speeds up (``gamma_hash``, ``might_contain``, a predicate
+written out in the test) on randomized inputs, including the values that
+force fallbacks (floats, bools, strings, negative and 64-bit-plus
+integers)."""
 
 import random
 
@@ -11,8 +13,6 @@ from repro.catalog.partitioning import Hashed, PartitioningStrategy
 from repro.engine.bitfilter import BitVectorFilter
 from repro.engine.columnar import (
     NUMPY_THRESHOLD,
-    BatchedBitProbe,
-    ColumnBatch,
     hash_route_batch,
     partition_batch,
 )
@@ -97,37 +97,29 @@ def test_batched_bit_probe_matches_might_contain(n_hashes):
     members = [rng.randrange(0, 1 << 40) for _ in range(500)]
     for value in members:
         filt.add(value)
-    probe = BatchedBitProbe(filt.n_bits, filt._seeds, filt._bits)
-    records = [(v,) for v in members[:100]] + [
-        ((rng.randrange(0, 1 << 40)),) for _ in range(400)
-    ]
-    records = [(v[0], 0) for v in records]
-    mask = probe.test(records, 0)
-    assert mask is not None
-    assert mask == [filt.might_contain(r[0]) for r in records]
-    # Ineligible batches decline the vector path instead of guessing.
-    assert probe.test(records[: NUMPY_THRESHOLD - 1], 0) is None
-    assert probe.test([(1.5, 0)] * NUMPY_THRESHOLD, 0) is None
+    values = members[:100] + [rng.randrange(0, 1 << 40) for _ in range(400)]
+    fallback = [value for value, *_ in _mixed_records(rng, 300)]
+    # The vector path, a batch too short for it, and a batch it rejects.
+    for batch in (values, values[: NUMPY_THRESHOLD - 1], fallback):
+        assert filt.might_contain_batch(batch) == [
+            filt.might_contain(v) for v in batch
+        ]
 
 
 def test_batched_bit_probe_sees_later_filter_mutations():
     filt = BitVectorFilter(n_bits=1 << 12, n_hashes=2)
-    probe = BatchedBitProbe(filt.n_bits, filt._seeds, filt._bits)
-    records = [(v, 0) for v in range(NUMPY_THRESHOLD)]
-    assert probe.test(records, 0) == [False] * len(records)
-    for value, _ in records:
+    values = list(range(NUMPY_THRESHOLD))
+    assert filt.might_contain_batch(values) == [False] * len(values)
+    for value in values:
         filt.add(value)
-    # The probe aliases the live bit array: adds after construction count.
-    assert probe.test(records, 0) == [True] * len(records)
+    assert filt.might_contain_batch(values) == [True] * len(values)
 
     other = BitVectorFilter(n_bits=1 << 12, n_hashes=2)
-    extra = [(v, 0) for v in range(10_000, 10_000 + NUMPY_THRESHOLD)]
-    for value, _ in extra:
+    extra = list(range(10_000, 10_000 + NUMPY_THRESHOLD))
+    for value in extra:
         other.add(value)
     filt.union(other)
-    assert probe.test(extra, 0) == [
-        filt.might_contain(v) for v, _ in extra
-    ]
+    assert filt.might_contain_batch(extra) == [True] * len(extra)
 
 
 def _destinations(n):
@@ -151,30 +143,38 @@ def test_split_table_route_batch_matches_route(with_filter):
         _int_records(rng, 5), _int_records(rng, 400),
         _mixed_records(rng, 400),
     ):
-        assert table.route_batch(records) == [
-            table.route(r) for r in records
+        # The per-value definition: a tuple the filter rejects is dropped,
+        # every other tuple goes to gamma_hash of its key.
+        expected = [
+            None
+            if bit_filter is not None and not bit_filter.might_contain(r[0])
+            else gamma_hash(r[0], 11)
+            for r in records
         ]
+        assert table.route_batch(records) == expected
+        assert [table.route(r) for r in records] == expected
 
 
 def test_round_robin_route_batch_matches_route_with_carryover():
     table_a = SplitTable.round_robin(_destinations(7))
     table_b = SplitTable.round_robin(_destinations(7))
     rng = random.Random(RNG_SEED)
-    for count in (3, 11, 1, 40):
+    start = 0
+    for count in (3, 11, 1, 0, 40):
         records = _int_records(rng, count)
-        # Same shared-counter semantics: batches continue where the
-        # previous batch left off.
-        assert table_a.route_batch(records) == [
-            table_b.route(r) for r in records
-        ]
+        # Batches continue where the previous batch left off, and the
+        # one-record view shares the same counter.
+        expected = [(start + i) % 7 for i in range(count)]
+        assert table_a.route_batch(records) == expected
+        assert [table_b.route(r) for r in records] == expected
+        start += count
 
 
 def test_single_route_batch_matches_route():
     table = SplitTable.single(_destinations(1)[0])
     records = [(i, i, "x") for i in range(10)]
-    assert table.route_batch(records) == [
-        table.route(r) for r in records
-    ]
+    assert table.route_batch(records) == [0] * 10
+    assert table.route(records[0]) == 0
 
 
 @pytest.mark.parametrize("predicate", [
@@ -182,16 +182,22 @@ def test_single_route_batch_matches_route():
     RangePredicate("unique2", 100, 5_000),
     ExactMatch("unique1", 4242),
 ])
-def test_compile_batch_matches_compile(predicate):
+def test_compile_batch_matches_a_comprehension(predicate):
     rng = random.Random(RNG_SEED)
     schema = _schema()
     records = [
         (rng.randrange(0, 10_000), rng.randrange(0, 10_000), "p")
         for _ in range(300)
     ]
-    scalar = predicate.compile(schema)
+    records.append((4242, 100, "p"))
+    if isinstance(predicate, RangePredicate):
+        expected = [r for r in records if 100 <= r[1] <= 5_000]
+    elif isinstance(predicate, ExactMatch):
+        expected = [r for r in records if r[0] == 4242]
+    else:
+        expected = list(records)
     batch = predicate.compile_batch(schema)
-    assert batch(records) == [r for r in records if scalar(r)]
+    assert batch(records) == expected
     assert batch([]) == []
 
 
@@ -199,27 +205,3 @@ def test_true_predicate_compile_batch_is_identity():
     schema = _schema()
     records = [(1, 2, "x"), (3, 4, "y")]
     assert TruePredicate().compile_batch(schema)(records) == records
-
-
-@pytest.mark.parametrize("count", [0, 1, NUMPY_THRESHOLD, 200])
-def test_column_batch_round_trip(count):
-    rng = random.Random(RNG_SEED + count)
-    records = _mixed_records(rng, count)
-    batch = ColumnBatch.from_records(records)
-    assert len(batch) == count
-    assert batch.to_records() == records
-
-
-def test_column_batch_take_and_concat():
-    rng = random.Random(RNG_SEED)
-    records = _int_records(rng, 100)
-    batch = ColumnBatch.from_records(records)
-    picked = batch.take([5, 0, 99, 42])
-    assert picked.to_records() == [
-        records[5], records[0], records[99], records[42]
-    ]
-    rejoined = ColumnBatch.concat(
-        [batch.take(range(0, 60)), ColumnBatch.from_records([]),
-         batch.take(range(60, 100))]
-    )
-    assert rejoined.to_records() == records

@@ -371,7 +371,8 @@ class TestRouter:
             Exchange(ExchangeKind.RANGE, attr="a", boundaries=[10, 20, 30]),
             3,
         )
-        assert [route(v) for v in (5, 10, 15, 25, 99)] == [0, 1, 1, 2, 2]
+        records = [(v,) for v in (5, 10, 15, 25, 99)]
+        assert route(records, 0) == [0, 1, 1, 2, 2]
 
 
 class TestSkewSampling:

@@ -22,14 +22,15 @@ def schema():
 
 class TestPredicates:
     def test_true_predicate_matches_all(self):
-        pred = TruePredicate().compile(schema())
-        assert pred((1, 2)) and pred((-5, 0))
+        records = [(1, 2), (-5, 0)]
+        assert TruePredicate().compile_batch(schema())(records) == records
         assert TruePredicate().selectivity(100) == 1.0
 
     def test_range_inclusive(self):
-        pred = RangePredicate("a", 5, 10).compile(schema())
-        assert pred((5, 0)) and pred((10, 0))
-        assert not pred((4, 0)) and not pred((11, 0))
+        pred = RangePredicate("a", 5, 10).compile_batch(schema())
+        records = [(4, 0), (5, 0), (10, 0), (11, 0)]
+        assert pred(records) == [r for r in records if 5 <= r[0] <= 10]
+        assert pred(records) == [(5, 0), (10, 0)]
 
     def test_range_selectivity_uniform_estimate(self):
         assert RangePredicate("a", 0, 99).selectivity(10_000) == pytest.approx(0.01)
@@ -40,16 +41,15 @@ class TestPredicates:
         assert RangePredicate("a", 10, 5).selectivity(100) == 0.0
 
     def test_exact_match(self):
-        pred = ExactMatch("b", 7).compile(schema())
-        assert pred((0, 7))
-        assert not pred((7, 0))
+        pred = ExactMatch("b", 7).compile_batch(schema())
+        assert pred([(0, 7), (7, 0), (1, 7)]) == [(0, 7), (1, 7)]
         assert ExactMatch("b", 7).selectivity(1000) == pytest.approx(0.001)
 
     def test_unknown_attribute_raises_on_compile(self):
         from repro.errors import StorageError
 
         with pytest.raises(StorageError):
-            RangePredicate("zzz", 0, 1).compile(schema())
+            RangePredicate("zzz", 0, 1).compile_batch(schema())
 
     def test_describe(self):
         assert "a" in RangePredicate("a", 0, 1).describe()

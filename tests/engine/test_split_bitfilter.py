@@ -125,8 +125,7 @@ class TestTupleConservation:
         else:
             table = SplitTable.round_robin(dests)
         counts = [0] * n_dests
-        for v in range(n_tuples):
-            idx = table.route((v,))
+        for idx in table.route_batch([(v,) for v in range(n_tuples)]):
             assert idx is not None
             counts[idx] += 1
         assert sum(counts) == n_tuples

@@ -84,8 +84,9 @@ class ReferenceRun(TeradataRun):
         self.stats["pages_read"] += 1
 
     def _amp_scan(self, amp, fragment, predicate, out, i):
-        compiled = predicate.compile(fragment.schema)
-        matches = [r for r in fragment.live_records() if compiled(r)]
+        matches = predicate.compile_batch(fragment.schema)(
+            list(fragment.live_records())
+        )
         out[i] = matches
         n = fragment.num_records
         pages = fragment.num_pages
