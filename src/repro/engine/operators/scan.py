@@ -8,7 +8,7 @@ the overlapped I/O of the real machine.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Iterator, Optional
 
 from ...sim import Get, Put, Store
 from ...storage import StoredFile
@@ -16,24 +16,29 @@ from ..node import ExecutionContext, Node
 from ..ports import OutputPort
 from .base import operator_done
 
+if TYPE_CHECKING:
+    from ..plan import Predicate
+
 _FEED_END = object()
 
 
 def _page_feeder(
     node: Node,
     fragment: StoredFile,
+    pages: Iterator[tuple[int, int, list[tuple]]],
     feed: Store,
 ) -> Generator[Any, Any, None]:
-    """Read-ahead process: stream data pages into a bounded store."""
+    """Read-ahead process: stream filtered data pages into a bounded
+    store."""
     read_page = node.read_page
     name = fragment.name
     # One mutable Put reused per page: the kernel reads .item synchronously
     # at the yield (and by value on the blocked path), so the instance
     # never needs to outlive the next page.
     put_effect = Put(feed, None)
-    for page_no, records in fragment.scan_pages():
-        yield read_page(name, page_no)
-        put_effect.item = (page_no, records)
+    for item in pages:
+        yield read_page(name, item[0])
+        put_effect.item = item
         yield put_effect
     put_effect.item = _FEED_END
     yield put_effect
@@ -43,17 +48,26 @@ def file_scan_operator(
     ctx: ExecutionContext,
     node: Node,
     fragment: StoredFile,
-    predicate: Callable[[list[tuple]], list[tuple]],
+    predicate: Predicate,
     output: OutputPort,
 ) -> Generator[Any, Any, int]:
     """Sequential scan of one fragment; returns the match count.
 
-    ``predicate`` is a *batch* predicate (``Predicate.compile_batch``):
-    it maps a page's records to the matching records in one pass.
+    The feeder filters each page as it reads it
+    (:meth:`~repro.storage.StoredFile.filter_pages`: one compare over the
+    fragment's column, or ``predicate``'s per-tuple loop where the column
+    cannot answer) and hands over ``(page_no, live records, matches)``;
+    the page's CPU charge counts every live record either way.
     """
     costs = ctx.config.costs
+    schema = fragment.schema
+    pages = fragment.filter_pages(
+        predicate.compile_batch(schema), predicate.compile_column(schema)
+    )
     feed = Store(f"{node.name}.feed", capacity=ctx.config.prefetch_depth)
-    ctx.sim.spawn(_page_feeder(node, fragment, feed), name=f"feeder:{node.name}")
+    ctx.sim.spawn(
+        _page_feeder(node, fragment, pages, feed), name=f"feeder:{node.name}"
+    )
     matched = 0
     per_tuple = costs.read_tuple + costs.apply_predicate
     setup = costs.page_io_setup
@@ -63,9 +77,8 @@ def file_scan_operator(
         item = yield get_feed
         if item is _FEED_END:
             break
-        _page_no, records = item
-        yield work(setup + len(records) * per_tuple)
-        matches = predicate(records)
+        _page_no, live, matches = item
+        yield work(setup + live * per_tuple)
         matched += len(matches)
         if matches:
             yield from output.emit_many(matches)
@@ -225,8 +238,7 @@ class ScanDriver:
         predicate = scan.predicate
         path = scan.path
         if path is AccessPath.FILE_SCAN:
-            compiled = predicate.compile_batch(scan.schema)
-            return file_scan_operator(ctx, node, fragment, compiled, output)
+            return file_scan_operator(ctx, node, fragment, predicate, output)
         if path is AccessPath.CLUSTERED_INDEX:
             low, high = self._bounds(predicate)
             return clustered_index_scan_operator(

@@ -2,9 +2,11 @@
 
 Gamma compiles predicates "into machine language"; here they compile into
 page filters over tuple positions (``compile_batch``), so filtering a
-page does no name lookups.  Plans are small trees of dataclass nodes;
-the planner (:mod:`repro.engine.planner`) turns them into placed
-physical operators.
+page does no name lookups, and into one compare over a fragment's int
+column (``compile_column``, :mod:`repro.storage.column`), which a full
+scan uses wherever it answers exactly.  Plans are small trees of
+dataclass nodes; the planner (:mod:`repro.engine.planner`) turns them
+into placed physical operators.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Any, Callable, Optional, Union
 
 from ..errors import PlanError
 from ..storage import Schema
+from ..storage.column import ColumnFilter, range_positions
 
 Predicate = Union["TruePredicate", "RangePredicate", "ExactMatch"]
 
@@ -32,6 +35,10 @@ class TruePredicate:
         hand the input batch back without a copy.
         """
         return lambda records: records
+
+    def compile_column(self, schema: Schema) -> Optional[ColumnFilter]:
+        """None: there is nothing to compare."""
+        return None
 
     def selectivity(self, cardinality: int) -> float:
         return 1.0
@@ -59,6 +66,13 @@ class RangePredicate:
             return [r for r in records if low <= r[pos] <= high]
 
         return batch
+
+    def compile_column(self, schema: Schema) -> Optional[ColumnFilter]:
+        """The same filter as one compare over the attribute's column."""
+        low, high = self.low, self.high
+        return schema.position(self.attr), (
+            lambda column: range_positions(column, low, high)
+        )
 
     def selectivity(self, cardinality: int) -> float:
         """Uniform-distribution estimate over a unique 0..n-1 attribute.
@@ -93,6 +107,14 @@ class ExactMatch:
             return [r for r in records if r[pos] == value]
 
         return batch
+
+    def compile_column(self, schema: Schema) -> Optional[ColumnFilter]:
+        """The same filter as one compare over the attribute's column
+        (for ints, ``== value`` is ``value <= v <= value``)."""
+        value = self.value
+        return schema.position(self.attr), (
+            lambda column: range_positions(column, value, value)
+        )
 
     def selectivity(self, cardinality: int) -> float:
         return 1.0 / cardinality if cardinality else 0.0

@@ -85,11 +85,15 @@ HITACHI_DK815 = DiskModel(
 )
 
 
+#: What a drive that has touched no page remembers as its last file.
+_NO_FILE = object()
+
+
 class DiskDrive:
     """A single drive: a FIFO :class:`Server` plus position tracking.
 
-    The drive remembers the last ``(file_id, page_no)`` it touched so that
-    callers may pass ``sequential=None`` ("auto") and get sequential timing
+    The drive remembers the last file and page it touched so that callers
+    may pass ``sequential=None`` ("auto") and get sequential timing
     exactly when the request continues the previous stream.
     """
 
@@ -99,7 +103,11 @@ class DiskDrive:
         self.name = name
         self.model = model
         self.server = Server(f"{name}.srv", private=private)
-        self._last: Optional[tuple[Any, int]] = None
+        self._last_file: Any = _NO_FILE
+        self._last_page = 0
+        #: nbytes → (sequential, random) access time: the model's floats,
+        #: worked out once per page size.
+        self._times: dict[int, tuple[float, float]] = {}
         self.pages_read = 0
         self.pages_written = 0
         self.bytes_moved = 0
@@ -115,13 +123,18 @@ class DiskDrive:
         sequential: Optional[bool],
     ) -> float:
         if sequential is None:
-            sequential = self._last == (file_id, page_no - 1) or (
-                self._last == (file_id, page_no)
+            sequential = self._last_file == file_id and (
+                self._last_page == page_no - 1 or self._last_page == page_no
             )
-        self._last = (file_id, page_no)
-        if sequential:
-            return self.model.sequential_access_time(nbytes)
-        return self.model.random_access_time(nbytes)
+        self._last_file = file_id
+        self._last_page = page_no
+        times = self._times.get(nbytes)
+        if times is None:
+            times = self._times[nbytes] = (
+                self.model.sequential_access_time(nbytes),
+                self.model.random_access_time(nbytes),
+            )
+        return times[0] if sequential else times[1]
 
     def read(
         self,

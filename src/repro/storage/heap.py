@@ -9,10 +9,13 @@ sparse B+-tree (see :mod:`repro.storage.btree`) sits on top.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..errors import RecordNotFoundError, StorageError
-from .page import Page, RECORD_OVERHEAD_BYTES
+from .column import ColumnFilter, PageHits, int_column
+from .page import Page, records_per_page
 from .schema import Schema
 
 
@@ -58,6 +61,9 @@ class HeapFile:
     The file id (its ``name``) plus a page number is what the timing plane
     hands to :class:`~repro.hardware.disk.DiskDrive` to decide sequential
     vs random access.
+
+    The methods below are the only writers of the file's pages; each
+    bumps :attr:`stamp` and drops every cached :meth:`column`.
     """
 
     def __init__(self, name: str, schema: Schema, page_size: int) -> None:
@@ -67,6 +73,12 @@ class HeapFile:
         self.record_bytes = schema.tuple_bytes
         self.pages: list[Page] = []
         self._record_count = 0
+        #: Write stamp: how many writes the file has seen.  A scan that
+        #: filters through the column checks it before every page.
+        self.stamp = 0
+        #: pos → ``(values, starts)`` or None (not an int column), for
+        #: the attributes scanned since the last write; None until then.
+        self._columns: Optional[dict[int, Any]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return (
@@ -87,13 +99,15 @@ class HeapFile:
 
     @property
     def records_per_full_page(self) -> int:
-        from .page import records_per_page
-
         return records_per_page(self.page_size, self.record_bytes)
 
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
+    def _wrote(self) -> None:
+        self.stamp += 1
+        self._columns = None
+
     def append(self, record: tuple) -> RID:
         """Append ``record``, extending the file if the tail page is full."""
         if not self.pages or not self.pages[-1].fits(self.record_bytes):
@@ -101,7 +115,43 @@ class HeapFile:
         page_no = len(self.pages) - 1
         slot = self.pages[page_no].insert(record, self.record_bytes)
         self._record_count += 1
+        self._wrote()
         return RID(page_no, slot)
+
+    def insert_on(self, page_no: int, record: tuple) -> Optional[RID]:
+        """Insert ``record`` on page ``page_no`` (a clustered file's place
+        for its key); None, and nothing written, when it does not fit."""
+        page = self._page(page_no)
+        if not page.fits(self.record_bytes):
+            return None
+        slot = page.insert(record, self.record_bytes)
+        self._record_count += 1
+        self._wrote()
+        return RID(page_no, slot)
+
+    def split(
+        self, page_no: int, lower: list[tuple], upper: list[tuple]
+    ) -> tuple[int, list[int], list[int]]:
+        """Empty page ``page_no``, refill it with ``lower`` and put
+        ``upper`` on a new tail page (a clustered file's page split).
+
+        Returns the new page's number and the slots ``lower`` and
+        ``upper`` landed in, in their order.
+        """
+        page = self._page(page_no)
+        record_bytes = self.record_bytes
+        emptied = [slot for slot, _record in page.slotted_records()]
+        for slot in emptied:
+            page.delete(slot, record_bytes)
+        new_page = Page(self.page_size)
+        self.pages.append(new_page)
+        lower_slots = [page.insert(record, record_bytes) for record in lower]
+        upper_slots = [
+            new_page.insert(record, record_bytes) for record in upper
+        ]
+        self._record_count += len(lower) + len(upper) - len(emptied)
+        self._wrote()
+        return len(self.pages) - 1, lower_slots, upper_slots
 
     def bulk_append(self, records: Iterable[tuple]) -> None:
         """Append many records (used by loads and store operators).
@@ -128,17 +178,21 @@ class HeapFile:
             self.pages.append(Page.packed(self.page_size, chunk, record_bytes))
             self._record_count += len(chunk)
             i += per_page
+        self._wrote()
 
     def delete(self, rid: RID) -> tuple:
         """Delete the record at ``rid``; returns it."""
         page = self._page(rid.page_no)
         record = page.delete(rid.slot, self.record_bytes)
         self._record_count -= 1
+        self._wrote()
         return record
 
     def replace(self, rid: RID, record: tuple) -> tuple:
         """Overwrite the record at ``rid`` in place; returns the old one."""
-        return self._page(rid.page_no).replace(rid.slot, record)
+        old = self._page(rid.page_no).replace(rid.slot, record)
+        self._wrote()
+        return old
 
     # ------------------------------------------------------------------
     # reads
@@ -159,6 +213,71 @@ class HeapFile:
         """Iterate every live record (no timing; functional plane only)."""
         for _page_no, page in self.scan_pages():
             yield from page.records()
+
+    def column(self, pos: int) -> Optional[tuple[Any, Any]]:
+        """Attribute ``pos`` of every live record, in scan order, as an
+        int array (:func:`~repro.storage.column.int_column`), with the
+        column position of each page's first live record (``num_pages +
+        1`` entries, the last one the record count); None when a value is
+        not an int.
+
+        Built by the first call after a write, from the page slots, and
+        kept, one per attribute, until the next write.
+        """
+        if self._columns is None:
+            self._columns = {}
+        elif pos in self._columns:
+            return self._columns[pos]
+        pages = self.pages
+        get = itemgetter(pos)
+
+        def values() -> Iterator[Any]:
+            return map(get, chain.from_iterable(
+                page.live_records() for page in pages
+            ))
+
+        column = int_column(values, self._record_count)
+        if column is not None:
+            import numpy as np
+
+            starts = np.zeros(len(pages) + 1, dtype=np.int64)
+            np.cumsum([page.num_records for page in pages], out=starts[1:])
+            column = (column, starts)
+        self._columns[pos] = column
+        return column
+
+    def page_filter(
+        self,
+        batch: Callable[[list[tuple]], list[tuple]],
+        column: Optional[ColumnFilter],
+    ) -> Callable[[int], list[tuple]]:
+        """A filter over this file's pages: ``keep(page_no)`` is the
+        matching records of that page as it stands, in slot order, as a
+        list the caller owns.
+
+        ``column`` (``Predicate.compile_column``) is compared once, now,
+        over :meth:`column` and answers every page while the file stays
+        unwritten; ``batch`` (``Predicate.compile_batch``), the per-tuple
+        loop, answers where the column cannot — a value or bound that is
+        not an int, no ``column`` — and every page once a write has
+        moved :attr:`stamp`.
+        """
+        hits: Optional[PageHits] = None
+        if column is not None:
+            pos, positions = column
+            built = self.column(pos)
+            found = None if built is None else positions(built[0])
+            if found is not None:
+                hits = PageHits(found, built[1])
+        stamp = self.stamp
+        pages = self.pages
+
+        def keep(page_no: int) -> list[tuple]:
+            if hits is not None and self.stamp == stamp:
+                return hits.on(page_no, pages[page_no])
+            return batch(pages[page_no].live_records())
+
+        return keep
 
     def rids(self) -> Iterator[tuple[RID, tuple]]:
         """Iterate ``(rid, record)`` for every live record."""
@@ -188,7 +307,5 @@ def build_heap_file(
 
 def expected_pages(n_records: int, schema: Schema, page_size: int) -> int:
     """Pages a fully-packed file of ``n_records`` will occupy."""
-    from .page import records_per_page
-
     per_page = records_per_page(page_size, schema.tuple_bytes)
     return (n_records + per_page - 1) // per_page if n_records else 0

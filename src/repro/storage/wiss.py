@@ -17,8 +17,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..errors import RecordNotFoundError, StorageError
 from .btree import BPlusTree, build_sparse_index
+from .column import ColumnFilter, range_positions
 from .heap import RID, HeapFile, pack_rid, unpack_rid
-from .page import Page
 from .schema import Schema
 
 
@@ -139,10 +139,19 @@ class StoredFile:
     # ------------------------------------------------------------------
     # scans (functional plane; callers charge I/O from the yields)
     # ------------------------------------------------------------------
-    def scan_pages(self) -> Iterator[tuple[int, list[tuple]]]:
-        """Full sequential scan: yields ``(page_no, records)``."""
+    def filter_pages(
+        self,
+        batch: Callable[[list[tuple]], list[tuple]],
+        column: Optional[ColumnFilter],
+    ) -> Iterator[tuple[int, int, list[tuple]]]:
+        """Full sequential scan through a filter: yields ``(page_no,
+        live records on the page, matching records)``, each page as it
+        stands when the iterator reaches it (:meth:`HeapFile.page_filter`
+        of ``batch`` and ``column``).
+        """
+        keep = self.heap.page_filter(batch, column)
         for page_no, page in self.heap.scan_pages():
-            yield page_no, page.live_records()
+            yield page_no, page.num_records, keep(page_no)
 
     def clustered_scan(
         self, low: Any, high: Any
@@ -152,10 +161,11 @@ class StoredFile:
         Returns the index page ids of the descent and an iterator of
         ``(data_page_no, matching_records)`` that stops at the first page
         past ``high`` (only the relevant portion of the file is read —
-        Table 1 rows five and six).
+        Table 1 rows five and six), each page filtered as
+        :meth:`filter_pages` filters it.
         """
         tree = self.clustered_index
-        get = self.schema.getter(self.clustered_on)  # type: ignore[arg-type]
+        pos = self.schema.position(self.clustered_on)  # type: ignore[arg-type]
         try:
             _leaf, start_key, _page = tree.floor_entry(low)
         except RecordNotFoundError:
@@ -163,6 +173,12 @@ class StoredFile:
         path = tree.search(low)
 
         def pages() -> Iterator[tuple[int, list[tuple]]]:
+            keep = self.heap.page_filter(
+                lambda records: [
+                    r for r in records if low <= r[pos] <= high
+                ],
+                (pos, lambda column: range_positions(column, low, high)),
+            )
             # Walk sparse-index entries in key order: after page splits the
             # physical order of data pages no longer matches key order, but
             # the index always does.
@@ -171,9 +187,7 @@ class StoredFile:
             ):
                 if first_key > high:
                     return
-                records = self.heap.pages[page_no].live_records()
-                matches = [r for r in records if low <= get(r) <= high]
-                yield page_no, matches
+                yield page_no, keep(page_no)
 
         return path.page_ids, pages()
 
@@ -272,50 +286,43 @@ class StoredFile:
             tree.insert(key, rid.page_no)
             accesses.append(PageAccess(self.name, rid.page_no, write=True))
             return rid, accesses
-        page = self.heap.pages[page_no]
-        if page.fits(self.heap.record_bytes):
-            slot = page.insert(record, self.heap.record_bytes)
-            self.heap._record_count += 1
+        rid = self.heap.insert_on(page_no, record)
+        if rid is not None:
             accesses.append(PageAccess(self.name, page_no, write=True))
-            return RID(page_no, slot), accesses
+            return rid, accesses
         # Page split: move the upper half to a fresh tail page and index it.
-        rid = self._split_data_page(page_no, record, key, get, tree, accesses)
+        rid = self._split_data_page(page_no, record, get, tree, accesses)
         return rid, accesses
 
     def _split_data_page(
         self,
         page_no: int,
         record: tuple,
-        key: Any,
         get: Callable[[tuple], Any],
         tree: BPlusTree,
         accesses: list[PageAccess],
     ) -> RID:
-        page = self.heap.pages[page_no]
-        record_bytes = self.heap.record_bytes
         # (slot before the split, record); the new record has no old slot.
-        old = list(page.slotted_records())
+        old = list(self.heap.pages[page_no].slotted_records())
         everything = sorted(
             [*old, (None, record)], key=lambda entry: get(entry[1])
         )
         half = len(everything) // 2
-        # Clear and repack the original page with the lower half; the
-        # upper half goes to a brand-new tail page.
-        for slot, _rec in old:
-            page.delete(slot, record_bytes)
-        new_page = Page(self.page_size)
-        self.heap.pages.append(new_page)
-        new_page_no = len(self.heap.pages) - 1
+        # The lower half goes back on the original page, the upper half
+        # to a brand-new tail page.
+        new_page_no, lower_slots, upper_slots = self.heap.split(
+            page_no,
+            [rec for _slot, rec in everything[:half]],
+            [rec for _slot, rec in everything[half:]],
+        )
         # (old slot, record, packed RID after the split)
         placements = [
-            (old_slot, rec, pack_rid(page_no, page.insert(rec, record_bytes)))
-            for old_slot, rec in everything[:half]
+            (old_slot, rec, pack_rid(page_no, slot))
+            for (old_slot, rec), slot in zip(everything[:half], lower_slots)
         ] + [
-            (old_slot, rec,
-             pack_rid(new_page_no, new_page.insert(rec, record_bytes)))
-            for old_slot, rec in everything[half:]
+            (old_slot, rec, pack_rid(new_page_no, slot))
+            for (old_slot, rec), slot in zip(everything[half:], upper_slots)
         ]
-        self.heap._record_count += 1  # the newly inserted record
         tree.insert(get(everything[half][1]), new_page_no)
         accesses.append(PageAccess(self.name, page_no, write=True))
         accesses.append(PageAccess(self.name, new_page_no, write=True))

@@ -10,12 +10,19 @@ whole index too (the behaviour behind rows 3-4 of Table 1).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..catalog import gamma_hash
 from ..hardware import DiskDrive, TeradataConfig
 from ..sim import Server, Simulation, Use, UseRun
 from ..storage import BufferPool, HeapFile, Schema, records_per_page
+from ..storage.column import (
+    ColumnFilter,
+    appended,
+    int_column,
+    range_positions,
+)
 
 #: Files and dense indexes are ordered by the low 30 bits of the mix.
 HASH_ORDER_BUCKETS = 1 << 30
@@ -76,22 +83,37 @@ class DenseHashIndex:
 
     "whenever a range query over an indexed attribute is performed, the
     entire index must be scanned."
+
+    The rows are two parallel columns in index (scan) order — tuple
+    ordinals, and the values they are filed under — held as int arrays
+    (the values in a list once one is not an int), so a scan is one
+    compare over the value column (:mod:`repro.storage.column`).  A row is
+    dropped, or re-filed at the end, by ordinal, without a rebuild.
     """
 
     ENTRY_BYTES = 16
 
     def __init__(self, name: str, attr: str, page_size: int) -> None:
+        import numpy as np
+
         self.name = name
         self.attr = attr
         self.page_size = page_size
-        #: tuple ordinal → value, in index (scan) order: an entry is
-        #: dropped or re-filed at the end by ordinal, without a rebuild.
-        self.entries: dict[int, Any] = {}
+        self._ordinals: Any = np.empty(0, dtype=np.int32)
+        self._values: Any = np.empty(0, dtype=np.int32)
+
+    def __len__(self) -> int:
+        return len(self._ordinals)
 
     @property
     def num_pages(self) -> int:
         per_page = records_per_page(self.page_size, self.ENTRY_BYTES)
-        return (len(self.entries) + per_page - 1) // per_page
+        return (len(self) + per_page - 1) // per_page
+
+    @property
+    def entries(self) -> dict[int, Any]:
+        """ordinal → value, in index order: a copy, for inspection."""
+        return dict(zip(self._ordinals.tolist(), self._value_list()))
 
     def build(self, values: list[Any]) -> None:
         import numpy as np
@@ -99,18 +121,84 @@ class DenseHashIndex:
         from ..engine.columnar import mix_column
 
         place = mix_column(values) & np.uint32(HASH_ORDER_BUCKETS - 1)
-        self.entries = {
-            i: values[i]
-            for i in np.argsort(place, kind="stable").tolist()
-        }
+        order = np.argsort(place, kind="stable")
+        column = int_column(lambda: iter(values), len(values))
+        self._ordinals = order.astype(
+            np.int32 if len(values) <= 1 << 31 else np.int64
+        )
+        self._values = (
+            [values[i] for i in order.tolist()] if column is None
+            else column[order]
+        )
+
+    def put(self, ordinal: int, value: Any) -> None:
+        """File ``ordinal`` under ``value`` at the end of the index,
+        dropping the row it had."""
+        at = self._row_of(ordinal)
+        if at is not None:
+            self._remove(at)
+        self._ordinals = appended(self._ordinals, ordinal)
+        values = self._values
+        if type(values) is list:
+            values.append(value)
+            return
+        grown = appended(values, value)
+        self._values = [*values.tolist(), value] if grown is None else grown
+
+    def drop(self, ordinal: int) -> None:
+        at = self._row_of(ordinal)
+        if at is None:
+            raise KeyError(ordinal)
+        self._remove(at)
 
     def matching(self, low: Any, high: Any) -> list[int]:
-        """Ordinals of tuples with value in [low, high] — found only by
-        scanning every entry."""
-        return [i for i, v in self.entries.items() if low <= v <= high]
+        """Ordinals of tuples with value in [low, high], in index order —
+        found only by scanning every entry."""
+        hits = self._scan(low, high)
+        if hits is None:
+            return [
+                i for i, v in zip(self._ordinals.tolist(), self._value_list())
+                if low <= v <= high
+            ]
+        return hits
 
     def exact(self, value: Any) -> list[int]:
-        return [i for i, v in self.entries.items() if v == value]
+        hits = self._scan(value, value)
+        if hits is None:
+            return [
+                i for i, v in zip(self._ordinals.tolist(), self._value_list())
+                if v == value
+            ]
+        return hits
+
+    def _scan(self, low: Any, high: Any) -> Optional[list[int]]:
+        """:meth:`matching` as one compare over the value column; None
+        when the compare would not be exact."""
+        if type(self._values) is list:
+            return None
+        positions = range_positions(self._values, low, high)
+        if positions is None:
+            return None
+        return self._ordinals[positions].tolist()
+
+    def _value_list(self) -> list[Any]:
+        values = self._values
+        return values if type(values) is list else values.tolist()
+
+    def _row_of(self, ordinal: int) -> Optional[int]:
+        import numpy as np
+
+        rows = np.flatnonzero(self._ordinals == ordinal)
+        return int(rows[0]) if len(rows) else None
+
+    def _remove(self, at: int) -> None:
+        import numpy as np
+
+        self._ordinals = np.delete(self._ordinals, at)
+        if type(self._values) is list:
+            del self._values[at]
+        else:
+            self._values = np.delete(self._values, at)
 
 
 class _FirstOrdinal:
@@ -177,6 +265,9 @@ class AmpFragment:
         #: Built per attribute by the first :meth:`locate` on it, then
         #: kept by append/remove/replace.
         self._located: dict[str, _FirstOrdinal] = {}
+        #: pos → the cached :meth:`column` (None: not an int column);
+        #: append/remove/replace drop them all.
+        self._columns: dict[int, Any] = {}
 
     @property
     def num_pages(self) -> int:
@@ -212,8 +303,9 @@ class AmpFragment:
         ordinal = len(self.records)
         self.records.append(record)
         self.heap.append(record)
+        self._columns.clear()
         for attr, index in self.indexes.items():
-            index.entries[ordinal] = record[self.schema.position(attr)]
+            index.put(ordinal, record[self.schema.position(attr)])
         for located in self._located.values():
             located.add(record[located.pos], ordinal)
 
@@ -221,8 +313,9 @@ class AmpFragment:
         record = self.records[ordinal]
         self.records[ordinal] = None  # type: ignore[call-overload]
         self._holes += 1
+        self._columns.clear()
         for index in self.indexes.values():
-            del index.entries[ordinal]
+            index.drop(ordinal)
         for located in self._located.values():
             located.drop(record[located.pos], ordinal, self.records)
         return record
@@ -230,12 +323,12 @@ class AmpFragment:
     def replace(self, ordinal: int, record: tuple) -> None:
         old = self.records[ordinal]
         self.records[ordinal] = record
+        self._columns.clear()
         for attr, index in self.indexes.items():
             pos = self.schema.position(attr)
             if old[pos] != record[pos]:
                 # Re-filed at the end of the index, as a fresh entry is.
-                del index.entries[ordinal]
-                index.entries[ordinal] = record[pos]
+                index.put(ordinal, record[pos])
         for located in self._located.values():
             pos = located.pos
             if old[pos] != record[pos]:
@@ -248,6 +341,38 @@ class AmpFragment:
         if not self._holes:
             return self.records
         return [r for r in self.records if r is not None]
+
+    def column(self, pos: int) -> Optional[Any]:
+        """Attribute ``pos`` of :meth:`live_records`, in order, as an int
+        array (:func:`~repro.storage.column.int_column`); None when a
+        value is not an int.  Built by the first call after a write and
+        kept, one per attribute, until the next."""
+        if pos not in self._columns:
+            live = self.live_records()
+            get = itemgetter(pos)
+            self._columns[pos] = int_column(lambda: map(get, live), len(live))
+        return self._columns[pos]
+
+    def select(
+        self,
+        batch: Callable[[Any], list[tuple]],
+        column: Optional[ColumnFilter],
+    ) -> list[tuple]:
+        """The live records a predicate keeps, in order, as a list the
+        caller owns: ``column``'s one compare over :meth:`column`
+        (``Predicate.compile_column``) where it answers exactly, else
+        ``batch``, the per-tuple loop (``Predicate.compile_batch``)."""
+        live = self.live_records()
+        if column is not None:
+            pos, positions = column
+            values = self.column(pos)
+            hits = None if values is None else positions(values)
+            if hits is not None:
+                return [live[i] for i in hits.tolist()]
+        matches = batch(live)
+        # The 100 % selection hands its input back: never the fragment's
+        # own list, which a local join would go on to sort.
+        return list(matches) if matches is self.records else matches
 
 
 class Amp:

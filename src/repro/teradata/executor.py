@@ -184,10 +184,10 @@ class TeradataRun:
         out: list[list[tuple]], i: int,
     ) -> Generator[Any, Any, None]:
         yield amp.work(self.costs.exact_match_cpu)
-        pos = fragment.schema.position(predicate.attr)
-        hits = [
-            r for r in fragment.live_records() if r[pos] == predicate.value
-        ]
+        schema = fragment.schema
+        hits = fragment.select(
+            predicate.compile_batch(schema), predicate.compile_column(schema)
+        )
         yield amp.read_run(fragment.name, (0,), sequential=False)
         out[i] = hits
         self.stats["pages_read"] += 1
@@ -196,11 +196,10 @@ class TeradataRun:
         self, amp: Amp, fragment: AmpFragment, predicate: Any,
         out: list[list[tuple]], i: int,
     ) -> Generator[Any, Any, None]:
-        live = fragment.live_records()
-        matches = predicate.compile_batch(fragment.schema)(live)
-        # The 100 % selection hands its input back: never the fragment's
-        # own list, which a local join would go on to sort.
-        out[i] = list(live) if matches is live else matches
+        schema = fragment.schema
+        out[i] = fragment.select(
+            predicate.compile_batch(schema), predicate.compile_column(schema)
+        )
         n = fragment.num_records
         pages = fragment.num_pages
         self.stats["pages_read"] += pages
@@ -222,7 +221,7 @@ class TeradataRun:
         # The whole index is scanned sequentially (hash order, not key
         # order), then each qualifying tuple costs a random data access.
         yield amp.read_run(index.name, range(index.num_pages))
-        yield amp.work(self.costs.index_entry * len(index.entries))
+        yield amp.work(self.costs.index_entry * len(index))
         yield amp.read_run(
             fragment.name, map(fragment.page_of_ordinal, ordinals),
             sequential=False,

@@ -94,6 +94,21 @@ class TestDiskDrive:
         )
         assert elapsed == pytest.approx(expected)
 
+    @pytest.mark.parametrize("nbytes", [4 * KB, 32 * KB])
+    def test_auto_timing_is_the_models_floats(self, nbytes):
+        """``sequential=None`` continues a stream on the next page or a
+        re-read of the last one, anything else is random; either way the
+        time is the model's own float, also when it comes from the memo."""
+        drive, model = DiskDrive("d0", DiskModel()), DiskModel()
+        seq, rnd = (
+            model.sequential_access_time(nbytes),
+            model.random_access_time(nbytes),
+        )
+        visits = [("f", 0, rnd), ("f", 1, seq), ("f", 1, seq), ("f", 3, rnd),
+                  ("g", 4, rnd), ("f", 5, rnd), ("f", 4, rnd), ("f", 5, seq)]
+        for file_id, page_no, expected in visits:
+            assert drive.read_time(file_id, page_no, nbytes) == expected
+
     def test_jump_costs_random_access(self):
         drive = DiskDrive("d0", DiskModel())
 

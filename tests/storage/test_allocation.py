@@ -1,9 +1,11 @@
 """The storage plane's allocation discipline (DESIGN 5.9).
 
 A loaded relation adds O(pages) objects the cyclic collector tracks,
-never O(tuples), and a bulk load allocates no tracked temporary per
-tuple: a full collection costs time proportional to the tracked objects
-alive, and every 700 net allocations of one trigger a young collection.
+never O(tuples), a bulk load allocates no tracked temporary per tuple,
+and the first scan, which builds a fragment's column, leaves none per
+tuple behind: a full collection costs time proportional to the tracked
+objects alive, and every 700 net allocations of one trigger a young
+collection.
 
 Tracked-object counts are process-global, so CI also runs this file in an
 interpreter of its own (``ledger-smoke``).
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from repro.catalog import Hashed, collect_statistics, gamma_mix
 from repro.catalog import relation as relation_module
 from repro.catalog.relation import AttrStats
-from repro.engine import GammaMachine
+from repro.engine import GammaMachine, RangePredicate
 from repro.errors import StorageError
 from repro.storage import (
     RID,
@@ -101,6 +103,45 @@ def test_a_load_allocates_per_page_not_per_tuple(load):
     assert len(tracked) - objects_before <= tracked_budget(pages)
     assert not any(type(obj) is RID for obj in tracked)
     assert triggered <= MAX_COLLECTIONS
+
+
+#: Tracked objects the first filtering scan of a loaded relation may
+#: leave behind, for the whole relation: each fragment caches its column
+#: in numpy arrays, which the collector does not track.
+SCAN_BUDGET = 100
+
+
+def first_scans(relation):
+    """Every full-fragment filter the relation has, each the first since
+    the load (so each builds its column)."""
+    predicate = RangePredicate("unique2", 0, N // 10)
+    for fragment in relation.fragments:
+        schema = fragment.schema
+        batch = predicate.compile_batch(schema)
+        column = predicate.compile_column(schema)
+        if isinstance(fragment, StoredFile):
+            for _page in fragment.filter_pages(batch, column):
+                pass
+            list(fragment.clustered_scan(0, N // 10)[1])
+        else:
+            fragment.select(batch, column)
+            fragment.indexes["unique2"].matching(0, N // 10)
+
+
+@pytest.mark.parametrize("load", [gamma_indexed, teradata_indexed])
+def test_a_first_scan_allocates_nothing_per_tuple(load):
+    relation = load(list(generate_tuples(N, seed=7)))
+    first_scans(load(list(generate_tuples(100, seed=7))))  # one-off caches
+    gc.collect()
+    objects_before = len(gc.get_objects())
+
+    first_scans(relation)
+
+    gc.collect()
+    assert len(gc.get_objects()) - objects_before <= SCAN_BUDGET
+    for fragment in relation.fragments:  # the scans did build columns
+        owner = fragment.heap if isinstance(fragment, StoredFile) else fragment
+        assert owner._columns
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,9 @@ class TestCreate:
 class TestScans:
     def test_full_scan_sees_everything(self):
         sf = StoredFile.create("r", schema(), 4096, records(300))
-        seen = [r for _pg, recs in sf.scan_pages() for r in recs]
-        assert len(seen) == 300
+        pages = list(sf.filter_pages(lambda records: records, None))
+        seen = [r for _pg, _live, recs in pages for r in recs]
+        assert len(seen) == sum(live for _pg, live, _recs in pages) == 300
 
     def test_clustered_scan_returns_only_range(self):
         sf = StoredFile.create(

@@ -316,7 +316,8 @@ def _hardware(amps):
     return [
         {
             "drives": [
-                (d.pages_read, d.pages_written, d.bytes_moved, d._last,
+                (d.pages_read, d.pages_written, d.bytes_moved,
+                 d._last_file, d._last_page,
                  d.server.requests, d.server.busy_time,
                  d.server.wait_stats.as_dict())
                 for d in amp.drives
