@@ -124,7 +124,7 @@ class Node:
         if self.drive is None:
             raise ExecutionError(f"node {self.name!r} has no disk")
         size = self.config.page_size if nbytes is None else nbytes
-        yield from self.drive.write(file_id, page_no, size, sequential)
+        yield self.drive.write_effect(file_id, page_no, size, sequential)
         self.buffer.access(file_id, page_no)
 
 

@@ -6,9 +6,10 @@ tuples) into consumers' :class:`InputPort`\\ s, closing the stream with one
 ("With the exception of these three control messages, execution of an
 operator is completely self-scheduling").
 
-Packets are carried by *couriers* (callback chains on the interconnect) so
-a producer is not blocked for the full network latency: the sender's
-interface server provides the back-pressure, exactly like the real DMA path.
+Packets are carried by *couriers* (:class:`~repro.sim.Chain`\\ s that
+deliver, :meth:`~repro.hardware.Interconnect.send`) so a producer is not
+blocked for the full network latency: the sender's interface server
+provides the back-pressure, exactly like the real DMA path.
 A port's :class:`~repro.sim.Mailbox` counts the EndOfStream marks, so a
 consumer sees its data packets and then the last mark only.  Couriers,
 close bursts and the mailbox keep the simulated timeline of the generator
@@ -291,7 +292,7 @@ class OutputPort:
         ctx = self.ctx
         destinations = self.split.destinations
         ctx.metrics.record_control_message(self.node.name, len(destinations))
-        ctx.net.transfer_burst(
+        ctx.net.broadcast(
             ctx.sim, self.node.name, destinations, EOS_BYTES,
             EndOfStream(self.label),
         )
@@ -346,7 +347,7 @@ class OutputPort:
         # Fire and forget: couriers traverse FIFO servers with identical
         # service demands, so per-destination ordering — including
         # EOS-last — is preserved.
-        ctx.net.transfer_fast(
+        ctx.net.send(
             ctx.sim, node.name, dest.node_name, packet.nbytes,
             dest.port.store, packet,
         )

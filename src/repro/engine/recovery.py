@@ -81,7 +81,7 @@ class RecoveryLog:
         assert self.node.drive is not None
         self.pages_forced += 1
         self.ctx.metrics.add("log_pages_forced")
-        yield from self.node.drive.write(
+        yield self.node.drive.write_effect(
             "recovery.log", self._next_page, self.ctx.config.page_size,
             sequential=True,
         )

@@ -143,7 +143,9 @@ class DiskDrive:
         nbytes: int,
         sequential: Optional[bool] = None,
     ) -> Generator[Any, Any, None]:
-        """Process-generator that occupies the drive for one page read."""
+        """Process-generator form of :meth:`read_effect`, kept for the
+        perf ledger's ``disk_read`` layer (``benchmarks/ledger``), its one
+        caller outside the tests."""
         yield self.read_effect(file_id, page_no, nbytes, sequential)
 
     def read_effect(
@@ -153,11 +155,22 @@ class DiskDrive:
         nbytes: int,
         sequential: Optional[bool] = None,
     ) -> Use:
-        """Fast-path :meth:`read`: the drive-occupancy effect itself."""
-        duration = self._access_time(file_id, page_no, nbytes, sequential)
-        self.pages_read += 1
-        self.bytes_moved += nbytes
-        return Use(self.server, duration)
+        """The drive occupancy of one page read: ``yield`` it."""
+        return Use(
+            self.server, self.read_time(file_id, page_no, nbytes, sequential)
+        )
+
+    def write_effect(
+        self,
+        file_id: Any,
+        page_no: int,
+        nbytes: int,
+        sequential: Optional[bool] = None,
+    ) -> Use:
+        """:meth:`read_effect` for a page write."""
+        return Use(
+            self.server, self.write_time(file_id, page_no, nbytes, sequential)
+        )
 
     def read_time(
         self,
@@ -167,9 +180,8 @@ class DiskDrive:
         sequential: Optional[bool] = None,
     ) -> float:
         """Account one page read; how long it occupies the drive (one hop
-        of a ``UseRun`` on :attr:`server`).  :meth:`read_effect` and
-        :meth:`write` keep their own copy of these three lines: Gamma
-        calls them once per page and they stay one frame deep."""
+        of a ``UseRun`` on :attr:`server`, or :meth:`read_effect`'s
+        ``Use``)."""
         self.pages_read += 1
         self.bytes_moved += nbytes
         return self._access_time(file_id, page_no, nbytes, sequential)
@@ -185,19 +197,6 @@ class DiskDrive:
         self.pages_written += 1
         self.bytes_moved += nbytes
         return self._access_time(file_id, page_no, nbytes, sequential)
-
-    def write(
-        self,
-        file_id: Any,
-        page_no: int,
-        nbytes: int,
-        sequential: Optional[bool] = None,
-    ) -> Generator[Any, Any, None]:
-        """Process-generator that occupies the drive for one page write."""
-        duration = self._access_time(file_id, page_no, nbytes, sequential)
-        self.pages_written += 1
-        self.bytes_moved += nbytes
-        yield Use(self.server, duration)
 
     def utilisation(self, sim: Simulation) -> float:
         return self.server.utilisation(sim.now)

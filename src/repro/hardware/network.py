@@ -7,6 +7,12 @@ FIFO servers — sender interface, shared ring, receiver interface — while
 messages between processes on the *same* node are "short-circuited" by the
 communications software and only pay a small CPU-side copy cost.
 
+One method, ``Interconnect._hops``, counts a message and lists that path
+as ``(server, seconds)`` hops (the short-circuit a plain delay); one
+:class:`~repro.sim.Chain` serves the hops in turn, then resumes the
+sending process or delivers the message into its mailbox.  A port close
+shares the sender-interface hop of its D messages (``_Burst``).
+
 The paper's two anchor numbers are honoured:
 
 * "Assuming seven milliseconds for a small inter-node message" — the fixed
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from typing import Any, Generator, Optional, Sequence
 
 from ..errors import ConfigError
-from ..sim import Delay, Server, Use
+from ..sim import Chain, Server
 
 
 @dataclass(frozen=True)
@@ -67,10 +73,17 @@ class NetworkInterface:
 class Interconnect:
     """A shared ring plus one :class:`NetworkInterface` per node.
 
-    ``transfer`` is a process generator: the caller is suspended for as long
-    as the message occupies the sender interface, the ring and the receiver
-    interface in turn — which is exactly the latency a Gamma operator
-    experiences before it can reuse its output buffer.
+    Every message is one :class:`~repro.sim.Chain` over the hops
+    :meth:`_hops` lists, sent one of three ways:
+
+    * :meth:`transfer` — the sending process waits for as long as the
+      message occupies the sender interface, the ring and the receiver
+      interface in turn, which is exactly the latency a Gamma operator
+      experiences before it can reuse its output buffer;
+    * :meth:`send` — fire and forget: the message is delivered into a
+      store and nobody waits (data packets);
+    * :meth:`broadcast` — :meth:`send` of one message to many
+      destinations in one step (a port close).
     """
 
     def __init__(self, model: NetworkModel, node_names: list[str]) -> None:
@@ -85,32 +98,38 @@ class Interconnect:
         self.messages_short_circuited = 0
         self.bytes_on_ring = 0
 
-    def transfer(
+    def _hops(
         self, src: str, dst: str, nbytes: int
-    ) -> Generator[Any, Any, None]:
-        """Move ``nbytes`` from node ``src`` to node ``dst``.
+    ) -> tuple[tuple[Optional[Server], float], ...]:
+        """Count one message from ``src`` to ``dst`` and list its hops.
 
         Same-node messages are short-circuited: a fixed small delay, no
         interface or ring occupancy (matching Section 2 of the paper).
         """
+        model = self.model
         if src == dst:
             self.messages_short_circuited += 1
-            yield Delay(self.model.short_circuit_s)
-            return
+            return ((None, model.short_circuit_s),)
         self.messages_sent += 1
         self.bytes_on_ring += nbytes
         src_nic = self.interfaces[src]
-        dst_nic = self.interfaces[dst]
         src_nic.messages += 1
         src_nic.bytes_sent += nbytes
-        yield Use(
-            src_nic.server,
-            self.model.message_overhead_s + self.model.interface_time(nbytes),
+        iface_time = model.interface_time(nbytes)
+        return (
+            (src_nic.server, model.message_overhead_s + iface_time),
+            (self.ring, model.ring_time(nbytes)),
+            (self.interfaces[dst].server, iface_time),
         )
-        yield Use(self.ring, self.model.ring_time(nbytes))
-        yield Use(dst_nic.server, self.model.interface_time(nbytes))
 
-    def transfer_fast(
+    def transfer(
+        self, src: str, dst: str, nbytes: int
+    ) -> Generator[Any, Any, None]:
+        """Move ``nbytes`` from node ``src`` to node ``dst`` while the
+        calling process waits: ``yield from net.transfer(...)``."""
+        yield Chain(self._hops(src, dst, nbytes))
+
+    def send(
         self,
         sim: Any,
         src: str,
@@ -123,46 +142,25 @@ class Interconnect:
 
         Timeline-identical to spawning a courier process around
         :meth:`transfer` followed by ``Put(store, message)``: the same
-        server ``_use`` calls happen at the same simulated times in the
-        same relative sequence order and the message reaches the store
-        at the same (time, seq) — without a generator frame, a
-        :class:`Process`, or the per-courier entry in the simulation's
-        process list (which at 1000 sites would retain a million finished
-        couriers).  ``events_processed`` is one lower per message: the
-        courier delivers with ``Store._deliver`` and has no resume after
-        its ``Put`` (see :class:`_FastCourier`).
+        server ``_use`` calls at the same simulated times in the same
+        relative sequence order, and the message reaches the store at
+        the same (time, seq) — without a :class:`~repro.sim.Process`,
+        which the simulation's process list would retain (a million
+        finished couriers at 1000 sites).  ``events_processed`` is one
+        lower per message: the chain has no resume after a ``Put``.
 
         Couriers cannot deadlock (input-port stores are unbounded), so the
-        lost deadlock diagnostics are moot.  The courier's ``owner`` is the
+        lost deadlock diagnostics are moot.  The chain's ``owner`` is the
         process dispatching it — what ``spawn`` would have recorded as the
         courier's parent — so a profiler attributes its service intervals
         to the same operator.
         """
-        model = self.model
-        owner = sim._current
-        if src == dst:
-            self.messages_short_circuited += 1
-            courier = _FastCourier(
-                sim, owner, store, message, _SENDER,
-                sender_s=model.short_circuit_s,
-            )
-        else:
-            self.messages_sent += 1
-            self.bytes_on_ring += nbytes
-            src_nic = self.interfaces[src]
-            src_nic.messages += 1
-            src_nic.bytes_sent += nbytes
-            iface_time = model.interface_time(nbytes)
-            courier = _FastCourier(
-                sim, owner, store, message, _SENDER,
-                self.interfaces[dst].server, iface_time,
-                self.ring, model.ring_time(nbytes),
-                src_nic.server, model.message_overhead_s + iface_time,
-            )
-        # The spawn-resume event that would have started the generator.
-        sim._schedule_now(courier)
+        # The start event is the spawn-resume that started the courier.
+        sim._schedule_now(Chain(
+            self._hops(src, dst, nbytes), sim, sim._current, store, message
+        ))
 
-    def transfer_burst(
+    def broadcast(
         self,
         sim: Any,
         src: str,
@@ -170,10 +168,10 @@ class Interconnect:
         nbytes: int,
         message: Any,
     ) -> None:
-        """:meth:`transfer_fast` of one ``message`` to every destination.
+        """:meth:`send` of one ``message`` to every destination.
 
         Each destination names its node (``node_name``) and its mailbox
-        (``store``).  Timeline-identical to one ``transfer_fast`` per
+        (``store``).  Timeline-identical to one :meth:`send` per
         destination issued in list order with no yield in between — see
         :class:`_Burst` — but what waits on the sender interface is one
         object however long the list is, and the D start events are one.
@@ -181,91 +179,21 @@ class Interconnect:
         _Burst(self, sim, src, destinations, nbytes, message)
 
 
-#: Courier stages, in the order a message passes through them.
-_SENDER, _RING, _RECEIVER, _PUT = range(4)
-
-
-class _FastCourier:
-    """Callback chain replicating a courier generator's timeline.
-
-    Each invocation advances one stage: the three server ``Use``
-    intervals (or, with no sender server, the short-circuit delay), then
-    the delivery into the destination store — the generator's events at
-    the same (time, seq) order, without a generator frame or a
-    :class:`~repro.sim.Process`.  The generator took one more event, the
-    resume after its ``Put`` in which it raised StopIteration; that
-    event only drew a sequence number, so the courier delivers with
-    ``Store._deliver`` and stops.
-    """
-
-    __slots__ = (
-        "sim", "owner", "store", "message", "stage", "receiver",
-        "receiver_s", "ring", "ring_s", "sender", "sender_s",
-    )
-
-    def __init__(
-        self,
-        sim: Any,
-        owner: Any,
-        store: Any,
-        message: Any,
-        stage: int,
-        receiver: Optional[Server] = None,
-        receiver_s: float = 0.0,
-        ring: Optional[Server] = None,
-        ring_s: float = 0.0,
-        sender: Optional[Server] = None,
-        sender_s: float = 0.0,
-    ) -> None:
-        """A courier about to run ``stage``; stages before it need no
-        server.  ``sender=None`` at ``_SENDER`` makes that stage the
-        short-circuit delay ``sender_s``, followed directly by the Put.
-        ``owner`` is the dispatching process (None outside any), which
-        ``Server.hooks`` see in place of a requesting process."""
-        self.sim = sim
-        self.owner = owner
-        self.store = store
-        self.message = message
-        self.stage = stage
-        self.receiver = receiver
-        self.receiver_s = receiver_s
-        self.ring = ring
-        self.ring_s = ring_s
-        self.sender = sender
-        self.sender_s = sender_s
-
-    def __call__(self, _value: Any = None) -> None:
-        stage = self.stage
-        self.stage = stage + 1
-        if stage == _SENDER:
-            if self.sender is None:
-                self.stage = _PUT
-                self.sim.call_after(self.sender_s, self)
-            else:
-                self.sender._use(self.sim, self.sender_s, self, None)
-        elif stage == _RING:
-            self.ring._use(self.sim, self.ring_s, self, None)
-        elif stage == _RECEIVER:
-            self.receiver._use(self.sim, self.receiver_s, self, None)
-        else:
-            self.store._deliver(self.sim, self.message)
-
-
 class _Burst:
     """One message to many destinations, issued in a single kernel event.
 
-    Replaces one :class:`_FastCourier` per destination.  It posts one
-    start event where those couriers posted D; when it fires,
-    :meth:`_start` issues every destination's first stage in list order
-    — the sender-interface ``Use``, or for a same-node destination the
-    short-circuit delay of a courier that only has its ``Put`` left.
-    Every waiting ``Use`` is the *same* queue entry, so the sender
-    interface holds one object for the whole burst, and a message gets a
-    courier of its own (ring, receiver interface, ``Put``) only when it
-    comes off the sender interface.  The burst is the ``resume`` of
-    every one of its sender-interface requests.
+    Stands for one :meth:`Interconnect.send` chain per destination.  It
+    posts one start event where those chains posted D; when it fires,
+    :meth:`_start` issues every destination's first hop in list order —
+    the sender-interface ``Use``, or for a same-node destination the
+    chain of its short-circuit delay and delivery.  Every waiting ``Use``
+    is the *same* queue entry, so the sender interface holds one object
+    for the whole burst, and a remote message gets a chain of its own
+    (ring, receiver interface, delivery) only when it comes off the
+    sender interface.  The burst is the ``resume`` of every one of its
+    sender-interface requests, and it counts its messages once, in bulk.
 
-    Why the timeline is the couriers' (DESIGN §5.9, "The close burst"):
+    Why the timeline is the chains' (DESIGN §5.9, "The close burst"):
     the D start events held consecutive sequence numbers and scheduled
     only future or later-sequenced work, so nothing ran between them and
     one event doing all D starts draws the same relative order; the
@@ -278,7 +206,7 @@ class _Burst:
 
     __slots__ = (
         "net", "sim", "owner", "src", "destinations", "sent",
-        "sender", "entry", "ring_s", "receiver_s", "message",
+        "entry", "ring_s", "receiver_s", "message",
     )
 
     def __init__(
@@ -300,12 +228,11 @@ class _Burst:
         src_nic.bytes_sent += remote * nbytes
         self.net = net
         self.sim = sim
-        # The closing process: every message of the burst is its courier.
+        # The closing process: it owns every message of the burst.
         self.owner = sim._current
         self.src = src
         self.destinations = destinations
         self.sent = 0  # index after the last destination off the sender
-        self.sender = src_nic.server
         self.receiver_s = model.interface_time(nbytes)
         self.ring_s = model.ring_time(nbytes)
         # The start event fires at the instant it is posted, so this is
@@ -318,18 +245,15 @@ class _Burst:
             sim._schedule_now(self._start)
 
     def _start(self) -> None:
-        """Issue every destination's first stage, in list order."""
+        """Issue every destination's first hop, in list order."""
         sim = self.sim
         src = self.src
-        sender = self.sender
+        sender = self.net.interfaces[src].server
         entry = self.entry
+        local = ((None, self.net.model.short_circuit_s),)
         for dest in self.destinations:
             if dest.node_name == src:
-                sim.call_after(
-                    self.net.model.short_circuit_s,
-                    _FastCourier(sim, self.owner, dest.store, self.message,
-                                 _PUT),
-                )
+                Chain(local, sim, self.owner, dest.store, self.message)()
             else:
                 sender._use_entry(sim, entry)
 
@@ -343,15 +267,13 @@ class _Burst:
         self.sent = i + 1
         dest = destinations[i]
         net = self.net
-        net.ring._use(
-            self.sim,
-            self.ring_s,
-            _FastCourier(
-                self.sim, self.owner, dest.store, self.message, _RECEIVER,
-                net.interfaces[dest.node_name].server, self.receiver_s,
+        Chain(
+            (
+                (net.ring, self.ring_s),
+                (net.interfaces[dest.node_name].server, self.receiver_s),
             ),
-            None,
-        )
+            self.sim, self.owner, dest.store, self.message,
+        )()
 
 
 #: Gamma's Proteon 80 Mbit/s token ring behind 4 Mbit/s Unibus interfaces.

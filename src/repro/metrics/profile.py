@@ -11,8 +11,8 @@ caused it:
   through its hooks (:meth:`Profiler.watch`); the profiler
   resolves the process to an operator by walking ``Process.parent`` —
   helper processes (page feeders) need no explicit registration, and a
-  network courier, which is no process, reports the process that
-  dispatched it;
+  message's :class:`~repro.sim.Chain`, which is no process, reports
+  the process that dispatched it;
 * ports report tuple counts for the process currently executing.
 
 Everything is passive — the profiler never schedules simulation events,

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from itertools import repeat
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import SimulationError
@@ -212,11 +213,11 @@ class Simulation:
         # yield, and a finished process never reaches the deadlock report.
         self._current = proc
         try:
-            effect = proc._gen.send(value)
+            gen = proc._gen
+            effect = gen.send(value)
             while effect is None:
-                # Nothing to wait for: go on within this step.  proc._gen
-                # is read afresh, as a finished _HopByHop hands it back.
-                effect = proc._gen.send(None)
+                # Nothing to wait for: go on within this step.
+                effect = gen.send(None)
         except StopIteration as stop:
             self._finish(proc, stop.value)
             return
@@ -353,14 +354,67 @@ class Simulation:
             f" {len(stuck)} process(es) blocked with no pending events"
         ]
         for proc in stuck:
-            run = proc._gen
             lines.append(
                 f"  - {proc.name!r} blocked on "
-                + _describe_block(
-                    run if isinstance(run, _HopByHop) else proc.blocked_on
-                )
+                + _describe_block(proc.blocked_on)
             )
         return "\n".join(lines)
+
+
+class Chain:
+    """Hops served one after another, then a hand-off: one message's
+    path across the interconnect, or one service run on a shared server.
+
+    ``hops`` yields ``(server, seconds)`` pairs, drawn lazily: each only
+    once the hop before it has finished.  A hop on a server is
+    ``server._use(sim, seconds, self, None)`` — the chain is the request's
+    ``resume``, and ``Server.hooks`` see its ``owner`` — and a hop on
+    ``None`` is a plain delay (a same-node message's short-circuit).
+    After the last hop a chain *yielded as an effect* steps its owner, the
+    yielding process: ``for server, d in hops: yield Use(server, d)``
+    without the generator frames and the ``Use`` per hop.  A chain
+    *started* with ``sim._schedule_now`` (``sim``, ``owner``, ``store``
+    and ``item`` given) delivers ``item`` into ``store`` with
+    ``Store._deliver``: a courier process's hops and ``Put`` without the
+    process and without the resume after the ``Put``, which only drew a
+    sequence number.  The (time, seq) order of every hop is the loop's:
+    ``Server._complete`` passes the slot on and then calls the chain in
+    the same event, with the same draws, as ``_complete_proc`` stepping a
+    process.  ``served`` counts finished hops for the deadlock report.
+    """
+
+    __slots__ = ("hops", "sim", "owner", "store", "item", "server", "served")
+
+    def __init__(
+        self,
+        hops: Iterable[tuple[Any, float]],
+        sim: Optional[Simulation] = None,
+        owner: Optional[Process] = None,
+        store: Any = None,
+        item: Any = None,
+    ) -> None:
+        self.hops = iter(hops)
+        self.sim = sim
+        self.owner = owner
+        self.store = store
+        self.item = item
+        self.server: Any = None
+        self.served = -1  # hops finished; the first call finishes none
+
+    def __call__(self, _value: Any = None) -> None:
+        self.served += 1
+        # One pass at most: the loop draws the next hop without a call.
+        for server, seconds in self.hops:
+            self.server = server
+            if server is None:
+                self.sim.call_after(seconds, self)
+            else:
+                server._use(self.sim, seconds, self, None)
+            return
+        if self.store is None:
+            self.sim._step(self.owner, None)
+        else:
+            self.store._deliver(self.sim, self.item)
 
 
 # ---------------------------------------------------------------------------
@@ -387,37 +441,6 @@ def _do_use(sim: Simulation, proc: Process, effect: Use) -> None:
     effect.server._use(sim, effect.duration, proc._resume, proc)
 
 
-class _HopByHop:
-    """A service run on a shared server: the source of a process's
-    effects while the run lasts.
-
-    Spliced in as ``proc._gen``, so each hop is the ``_step`` the
-    ``for d in hops: yield Use(server, d)`` loop makes — the same
-    ``Server._use(sim, d, proc._resume, proc)`` at the same instant with
-    the same sequence draw, hooks and wake-up — minus the generator
-    frames and the ``Use`` per hop.  The hop after the last hands the
-    process back to its generator within the same step.
-    """
-
-    __slots__ = ("proc", "gen", "use", "hops", "served")
-
-    def __init__(self, proc: Process, effect: UseRun) -> None:
-        self.proc = proc
-        self.gen = proc._gen
-        self.use = Use(effect.server, 0.0)
-        self.hops = iter(effect.hops)
-        self.served = -1  # hops finished; the first send finishes none
-
-    def send(self, _value: Any) -> Any:
-        self.served += 1
-        duration = next(self.hops, None)
-        if duration is None:
-            self.proc._gen = self.gen
-            return self.gen.send(None)
-        self.use.duration = duration
-        return self.use
-
-
 def _do_use_run(sim: Simulation, proc: Process, effect: UseRun) -> None:
     server = effect.server
     # The one place a run may collapse into one event: on a private
@@ -426,8 +449,15 @@ def _do_use_run(sim: Simulation, proc: Process, effect: UseRun) -> None:
     if server.private and not server.hooks and sim._sample_hook is None:
         server._run_private(sim, proc, effect.hops)
     else:
-        proc._gen = _HopByHop(proc, effect)  # type: ignore[assignment]
-        sim._step(proc, None)
+        chain = Chain(zip(repeat(server), effect.hops))
+        proc.blocked_on = chain
+        _do_chain(sim, proc, chain)
+
+
+def _do_chain(sim: Simulation, proc: Process, chain: Chain) -> None:
+    chain.sim = sim
+    chain.owner = proc
+    chain()
 
 
 def _do_acquire(sim: Simulation, proc: Process, effect: Acquire) -> None:
@@ -459,6 +489,7 @@ _HANDLERS: dict[type, Callable[[Simulation, Process, Any], None]] = {
     Delay: _do_delay,
     Use: _do_use,
     UseRun: _do_use_run,
+    Chain: _do_chain,
     Acquire: _do_acquire,
     Release: _do_release,
     Put: _do_put,
@@ -478,9 +509,9 @@ def _describe_block(effect: Any) -> str:
         return f"Acquire(Server {effect.server.name!r})"
     if isinstance(effect, Use):
         return f"Use(Server {effect.server.name!r})"
-    if isinstance(effect, _HopByHop):
+    if isinstance(effect, Chain):
         return (
-            f"UseRun(Server {effect.use.server.name!r},"
+            f"UseRun(Server {effect.server.name!r},"
             f" {effect.served} hop(s) served)"
         )
     if isinstance(effect, Join):

@@ -35,11 +35,11 @@ Resume = Callable[..., None]
 
 #: A ``Server.hooks`` entry: called (server, process, start, duration)
 #: at the start of every service interval.  The process is the one whose
-#: ``Use`` is being serviced; a process-less requester (a network courier
-#: or burst) resolves to its ``owner`` — the process that dispatched it —
-#: and to None when it has none.  The trace draws the interval on the
-#: server's lane; the profiler attributes it to an operator by walking
-#: ``process.parent``.
+#: ``Use`` is being serviced; a process-less requester (a
+#: :class:`~repro.sim.Chain` or a close burst) resolves to its ``owner``
+#: — the process that yielded or dispatched it — and to None when it has
+#: none.  The trace draws the interval on the server's lane; the profiler
+#: attributes it to an operator by walking ``process.parent``.
 ServiceHook = Callable[["Server", Optional["Process"], float, float], None]
 
 
@@ -158,7 +158,7 @@ class Server:
         # heap instead of a per-interval closure.  Process-owned Use
         # effects complete through _complete_proc, which steps the process
         # directly (skipping its resume-closure frame); resumes without a
-        # process (couriers, Acquire grants) go through _complete.
+        # process (chains, bursts, Acquire grants) go through _complete.
         self._sim: Optional["Simulation"] = None
         self._complete_cb = self._complete
         self._complete_proc_cb = self._complete_proc
@@ -322,7 +322,7 @@ class Server:
 
         On a one-slot server the hand-off is :meth:`_dispatch`'s loop
         body written out (same statements, same order): this is how a
-        courier or a close burst leaves a busy sender interface or ring,
+        chain or a close burst leaves a busy sender interface or ring,
         the hottest completion of a close storm.
         """
         sim = self._sim
@@ -562,7 +562,7 @@ class Store:
     def _deliver(self, sim: "Simulation", item: Any) -> None:
         """:meth:`_put` from a sender that resumes nothing afterwards.
 
-        A network courier's last stage and a lock or admission grant hand
+        A message chain's last hop and a lock or admission grant hand
         over ``item`` and are done; the wake-up :meth:`_put` would post for
         them only draws a sequence number, so it is not posted.  Dropping a
         ready entry whose only effect is a sequence draw keeps the relative
@@ -669,7 +669,7 @@ class Mailbox(Store):
         sim._ready.append((sim._seq, resume, _NO_VALUE))
 
     def _deliver(self, sim: "Simulation", item: Any) -> None:
-        # A courier's delivery: _wake is written out for the marks too,
+        # A chain's delivery: _wake is written out for the marks too,
         # as nearly every mark of a close storm arrives this way.
         if self._getters:
             getter = self._getters.popleft()

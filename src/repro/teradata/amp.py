@@ -115,7 +115,10 @@ class DenseHashIndex:
         """ordinal → value, in index order: a copy, for inspection."""
         return dict(zip(self._ordinals.tolist(), self._value_list()))
 
-    def build(self, values: list[Any]) -> None:
+    def build(
+        self, values: list[Any], ordinals: Optional[list[int]] = None
+    ) -> None:
+        """Index ``values[i]`` under ``ordinals[i]`` (default: ``i``)."""
         import numpy as np
 
         from ..engine.columnar import mix_column
@@ -123,9 +126,9 @@ class DenseHashIndex:
         place = mix_column(values) & np.uint32(HASH_ORDER_BUCKETS - 1)
         order = np.argsort(place, kind="stable")
         column = int_column(lambda: iter(values), len(values))
-        self._ordinals = order.astype(
-            np.int32 if len(values) <= 1 << 31 else np.int64
-        )
+        rows = order if ordinals is None else np.asarray(ordinals)[order]
+        end = len(values) if ordinals is None else max(ordinals, default=-1) + 1
+        self._ordinals = rows.astype(np.int32 if end <= 1 << 31 else np.int64)
         self._values = (
             [values[i] for i in order.tolist()] if column is None
             else column[order]
@@ -282,7 +285,12 @@ class AmpFragment:
             f"{self.name}.idx.{attr}", attr, self.heap.page_size
         )
         pos = self.schema.position(attr)
-        index.build([r[pos] for r in self.records])
+        records = self.records
+        if self._holes:
+            live = [i for i, r in enumerate(records) if r is not None]
+            index.build([records[i][pos] for i in live], live)
+        else:
+            index.build([r[pos] for r in records])
         self.indexes[attr] = index
 
     def page_of_ordinal(self, ordinal: int) -> int:

@@ -17,7 +17,7 @@ from repro.engine.node import ExecutionContext
 from repro.engine.ports import EOS_BYTES, InputPort, OutputPort
 from repro.engine.split_table import Destination, SplitTable
 from repro.hardware import GammaConfig
-from repro.hardware.network import _FastCourier
+from repro.sim import Chain
 from repro.workloads import wisconsin_schema
 from repro.workloads.queries import join_abprime, selection_query
 
@@ -114,6 +114,6 @@ def test_a_close_storm_holds_one_entry_per_producer(consumers):
     # the rest wait — as one object per producer.
     assert [len(queue) for queue in queues] == [remote - 1] * side
     assert all(len({id(entry) for entry in queue}) == 1 for queue in queues)
-    couriers = sum(type(obj) is _FastCourier for obj in gc.get_objects())
-    # Only a same-node EndOfStream has a courier yet: one per producer.
+    couriers = sum(type(obj) is Chain for obj in gc.get_objects())
+    # Only a same-node EndOfStream has a chain yet: one per producer.
     assert couriers == side * (side - remote)

@@ -30,7 +30,7 @@ from repro.engine.ports import DataPacket, EndOfStream, InputPort
 from repro.hardware import GammaConfig, Interconnect
 from repro.metrics import TraceBuffer
 from repro.metrics.profile import OTHER
-from repro.sim import Put, Simulation, Store
+from repro.sim import Delay, Put, Simulation, Store, Use
 from repro.workloads.queries import join_abprime, selection_query
 
 N = 2_000
@@ -40,7 +40,31 @@ N = 2_000
 # ---------------------------------------------------------------------------
 
 
-def _reference_transfer_fast(
+def _reference_transfer(
+    net: Interconnect, src: str, dst: str, nbytes: int
+) -> Generator[Any, Any, None]:
+    """A message as three ``Use`` yields: the interconnect's former
+    ``transfer`` body, so that the shipped chain is not its own
+    reference."""
+    if src == dst:
+        net.messages_short_circuited += 1
+        yield Delay(net.model.short_circuit_s)
+        return
+    net.messages_sent += 1
+    net.bytes_on_ring += nbytes
+    src_nic = net.interfaces[src]
+    dst_nic = net.interfaces[dst]
+    src_nic.messages += 1
+    src_nic.bytes_sent += nbytes
+    yield Use(
+        src_nic.server,
+        net.model.message_overhead_s + net.model.interface_time(nbytes),
+    )
+    yield Use(net.ring, net.model.ring_time(nbytes))
+    yield Use(dst_nic.server, net.model.interface_time(nbytes))
+
+
+def _reference_send(
     net: Interconnect, sim: Simulation, src: str, dst: str, nbytes: int,
     store_: Any, message: Any,
 ) -> None:
@@ -48,19 +72,19 @@ def _reference_transfer_fast(
     parent, which is how the profiler found the operator."""
 
     def courier() -> Generator[Any, Any, None]:
-        yield from net.transfer(src, dst, nbytes)
+        yield from _reference_transfer(net, src, dst, nbytes)
         yield Put(store_, message)
 
     sim.spawn(courier(), name="courier")
 
 
-def _reference_transfer_burst(
+def _reference_broadcast(
     net: Interconnect, sim: Simulation, src: str, destinations: Any,
     nbytes: int, message: Any,
 ) -> None:
     """The profiled close: one courier per destination, in list order."""
     for dest in destinations:
-        _reference_transfer_fast(
+        _reference_send(
             net, sim, src, dest.node_name, nbytes, dest.store, message
         )
 
@@ -149,10 +173,8 @@ def _next_packet_driven(consumer: Any, port_of: Any) -> Any:
 @contextmanager
 def reference_path() -> Generator[None, None, None]:
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Interconnect, "transfer_fast", _reference_transfer_fast)
-        patch.setattr(
-            Interconnect, "transfer_burst", _reference_transfer_burst
-        )
+        patch.setattr(Interconnect, "send", _reference_send)
+        patch.setattr(Interconnect, "broadcast", _reference_broadcast)
         patch.setattr(InputPort, "next_packet", _reference_next_packet)
         for module, name, port_of in [
             (join, "build_consumer", lambda ctx, s: s.build_port),
@@ -238,23 +260,23 @@ def events_saved(tally: list[int]) -> Generator[None, None, None]:
     reference into ``tally[0]``: one per delivering courier (no resume
     after the ``Put``) and D - 1 per close burst of D destinations (one
     start event instead of D)."""
-    fast, burst = Interconnect.transfer_fast, Interconnect.transfer_burst
+    send, broadcast = Interconnect.send, Interconnect.broadcast
 
-    def counted_fast(self: Interconnect, *args: Any) -> None:
+    def counted_send(self: Interconnect, *args: Any) -> None:
         tally[0] += 1
-        fast(self, *args)
+        send(self, *args)
 
-    def counted_burst(
+    def counted_broadcast(
         self: Interconnect, sim: Simulation, src: str, destinations: Any,
         *args: Any,
     ) -> None:
         if destinations:
             tally[0] += 2 * len(destinations) - 1
-        burst(self, sim, src, destinations, *args)
+        broadcast(self, sim, src, destinations, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Interconnect, "transfer_fast", counted_fast)
-        patch.setattr(Interconnect, "transfer_burst", counted_burst)
+        patch.setattr(Interconnect, "send", counted_send)
+        patch.setattr(Interconnect, "broadcast", counted_broadcast)
         yield
 
 
@@ -310,8 +332,8 @@ def test_a_courier_outside_any_process_is_nobodys():
                            profile=True)
     src, dst = (node.name for node in ctx.disk_nodes)
     box = Store("box")
-    ctx.net.transfer_fast(ctx.sim, src, dst, 2048, box, "data")
-    ctx.net.transfer_burst(
+    ctx.net.send(ctx.sim, src, dst, 2048, box, "data")
+    ctx.net.broadcast(
         ctx.sim, src, [SimpleNamespace(node_name=dst, store=box)], 64, "eos",
     )
     ctx.sim.run()

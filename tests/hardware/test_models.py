@@ -153,7 +153,7 @@ class TestDiskDrive:
 
         def proc():
             yield from drive.read("f", 0, 4 * KB)
-            yield from drive.write("f", 1, 4 * KB)
+            yield drive.write_effect("f", 1, 4 * KB)
 
         sim.spawn(proc())
         sim.run()

@@ -61,15 +61,25 @@ class ReferenceAmp(SpyAmp):
     def read_page(self, file_id, page_no, sequential=None):
         if self.buffer.access(file_id, page_no):
             return
-        yield from self._drive_for(file_id).read(
-            file_id, page_no, self.config.page_size, sequential
-        )
+        yield self._page_io(file_id, page_no, sequential, write=False)
 
     def write_page(self, file_id, page_no, sequential=None):
-        yield from self._drive_for(file_id).write(
-            file_id, page_no, self.config.page_size, sequential
-        )
+        yield self._page_io(file_id, page_no, sequential, write=True)
         self.buffer.access(file_id, page_no)
+
+    def _page_io(self, file_id, page_no, sequential, write):
+        """One page on the drive, accounted as the drive's per-page
+        generators did — not through ``read_time``/``write_time``, which
+        the runs under test call."""
+        drive = self._drive_for(file_id)
+        nbytes = self.config.page_size
+        duration = drive._access_time(file_id, page_no, nbytes, sequential)
+        if write:
+            drive.pages_written += 1
+        else:
+            drive.pages_read += 1
+        drive.bytes_moved += nbytes
+        return Use(drive.server, duration)
 
 
 class ReferenceRun(TeradataRun):

@@ -79,6 +79,28 @@ class TestAmpFragment:
         frag.replace(5, (old[0], 77_777))
         assert frag.indexes["other"].entries[5] == 77_777
 
+    def test_index_added_after_a_remove_files_live_tuples_only(self):
+        frag = self._fragment(10)
+        kept = self._fragment(10)
+        kept.add_index("other")  # built before the remove, then kept up
+        for fragment in (frag, kept):
+            fragment.remove(3)
+        frag.add_index("other")
+        index = frag.indexes["other"]
+        live = {
+            i: r[1] for i, r in enumerate(frag.records) if r is not None
+        }
+        assert 3 not in live and len(index) == len(live) == 9
+        for low, high in [(0, 10), (2, 6), (5, 5), (11, 20)]:
+            model = [i for i, v in live.items() if low <= v <= high]
+            assert sorted(index.matching(low, high)) == model
+            assert index.matching(low, high) == kept.indexes[
+                "other"
+            ].matching(low, high)
+        for value in range(12):
+            model = [i for i, v in live.items() if v == value]
+            assert sorted(index.exact(value)) == model
+
     def test_page_of_ordinal(self):
         frag = self._fragment(1000)
         per_page = frag.heap.records_per_full_page
