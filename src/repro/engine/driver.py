@@ -221,22 +221,24 @@ class QueryDriver(GammaDriver):
         ports: list[Any],
         bit_filter: Optional[Any] = None,
     ) -> DestSpec:
-        """Lower one IR Exchange edge to a split-table destination spec."""
+        """Lower one IR Exchange edge to a split-table destination spec.
+        Every producer's split table shares one tuple of ``ports``."""
         kind = exchange.kind
         costs = self.ctx.config.costs
+        shared = tuple(ports)
         if kind is ExchangeKind.RECORD_HASH:
             positions = list(exchange.positions or [])
-            return DestSpec(ports, lambda _: SplitTable.by_record_hash(
-                ports, positions, costs
+            return DestSpec(shared, lambda _: SplitTable.by_record_hash(
+                shared, positions, costs
             ))
         if kind is ExchangeKind.ROUND_ROBIN:
-            return DestSpec(ports, lambda _: SplitTable.round_robin(ports))
+            return DestSpec(shared, lambda _: SplitTable.round_robin(shared))
         if kind is ExchangeKind.MERGE:
-            return DestSpec(ports, lambda _: SplitTable.single(ports[0]))
+            return DestSpec(shared, lambda _: SplitTable.single(shared[0]))
         # Hash, range and the skew-aware kinds: one router for every
         # producer's split table (``router`` rejects a local exchange).
         return DestSpec.by_value(
-            ports, exchange.attr, router(exchange, len(ports)), costs,
+            shared, exchange.attr, router(exchange, len(shared)), costs,
             bit_filter=bit_filter,
         )
 

@@ -11,7 +11,7 @@ plus one control-message transfer).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Iterator, Optional
+from typing import Any, Callable, Generator, Iterator, Optional, Sequence
 
 from ...storage import Schema, records_per_page
 from ..node import ExecutionContext, Node
@@ -24,18 +24,19 @@ class DestSpec:
     """How a producer should split its output.
 
     Attributes:
-        ports: The consuming (node_name, InputPort) destinations.
+        ports: The consuming (node_name, InputPort) destinations, one
+            tuple that every producer's split table shares.
         split: Builds one producer's split table over ``ports`` from the
             producer's output schema.
     """
 
-    ports: list[Any]  # list[Destination]
+    ports: tuple[Any, ...]  # tuple[Destination, ...]
     split: Callable[[Schema], SplitTable]
 
     @classmethod
     def by_value(
         cls,
-        ports: list[Any],
+        ports: Sequence[Any],
         attr: str,
         route: BatchRoute,
         costs: Any,
@@ -43,9 +44,10 @@ class DestSpec:
     ) -> "DestSpec":
         """A split on the value of ``attr`` by the batch router
         ``route``, which every producer's split table shares (so a
-        hot-spray cursor runs across producers)."""
-        return cls(ports, lambda schema: SplitTable.by_hash(
-            ports, schema, attr, costs, bit_filter=bit_filter, route=route,
+        hot-spray cursor runs across producers), as it shares ``ports``."""
+        shared = tuple(ports)
+        return cls(shared, lambda schema: SplitTable.by_hash(
+            shared, schema, attr, costs, bit_filter=bit_filter, route=route,
         ))
 
 

@@ -196,18 +196,17 @@ class OutputPort:
             [None] * len(split.destinations)
         )
         # Tuples bound for a same-node process skip the network-buffer
-        # copy (NOSE short-circuiting).  The destination set is fixed for
-        # the port's lifetime, so compute the flags once — and from them
-        # the per-destination routing charge emit_many accrues per tuple.
-        self._local_flags = [
-            dest.node_name == node.name for dest in split.destinations
-        ]
+        # copy (NOSE short-circuiting).  The destinations are the
+        # exchange's, shared by every producer, so a port keeps only the
+        # indices of its same-node ones (one at most, as a rule) and the
+        # two routing charges emit_many accrues per tuple.
+        self._local = {
+            i for i, dest in enumerate(split.destinations)
+            if dest.node_name == node.name
+        }
         costs = node.config.costs
-        local_cost = costs.result_tuple_local + split.route_cost
-        remote_cost = costs.result_tuple + split.route_cost
-        self._dest_costs = [
-            local_cost if local else remote_cost for local in self._local_flags
-        ]
+        self._local_cost = costs.result_tuple_local + split.route_cost
+        self._remote_cost = costs.result_tuple + split.route_cost
         self.tuples_sent = 0
         self.tuples_filtered = 0
         self._closed = False
@@ -223,7 +222,9 @@ class OutputPort:
         costs = self.node.config.costs
         buffers = self._buffers
         capacity = self.packet_capacity
-        dest_costs = self._dest_costs
+        local = self._local
+        local_cost = self._local_cost
+        remote_cost = self._remote_cost
         bitfilter_cost = costs.bitfilter_test
         work = self.node.work
         cpu = 0.0
@@ -232,7 +233,7 @@ class OutputPort:
             records, self.split.route_batch(records)
         ):
             if type(dest_idx) is int:
-                cpu += dest_costs[dest_idx]
+                cpu += local_cost if dest_idx in local else remote_cost
                 buffer = buffers[dest_idx]
                 if buffer is None:
                     buffer = buffers[dest_idx] = []
@@ -250,7 +251,7 @@ class OutputPort:
                 # A multi-destination route (fragment-replicate broadcast
                 # of a hot key): a copy — and its CPU cost — per target.
                 for idx in dest_idx:
-                    cpu += dest_costs[idx]
+                    cpu += local_cost if idx in local else remote_cost
                     buffer = buffers[idx]
                     if buffer is None:
                         buffer = buffers[idx] = []
@@ -311,7 +312,7 @@ class OutputPort:
             src_node=node.name,
         )
         self.tuples_sent += n_records
-        short_circuit = self._local_flags[dest_idx]
+        short_circuit = dest_idx in self._local
         # record_packet_sent + record_operator_tuples, inlined on the
         # cached metrics objects.
         q = self._query_counter

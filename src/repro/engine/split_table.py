@@ -46,6 +46,8 @@ class SplitTable:
     destination index, None for a tuple the bit filter drops, or a tuple
     of indices for a broadcast hot key — and ``route_cost`` is the CPU
     an :class:`~repro.engine.ports.OutputPort` charges per routed tuple.
+    ``destinations`` is kept as a tuple: given one (an exchange's, which
+    the driver builds once), every producer's table shares it.
     """
 
     def __init__(
@@ -56,7 +58,7 @@ class SplitTable:
     ) -> None:
         if not destinations:
             raise PlanError("split table needs at least one destination")
-        self.destinations = list(destinations)
+        self.destinations = tuple(destinations)
         self.route_batch = route_batch
         self.route_cost = route_cost
 
@@ -150,5 +152,5 @@ class SplitTable:
     def single(cls, destination: Destination) -> "SplitTable":
         """Everything to one destination (host return, scalar collector)."""
         return cls(
-            [destination], lambda records: [0] * len(records), 0.0
+            (destination,), lambda records: [0] * len(records), 0.0
         )

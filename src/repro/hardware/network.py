@@ -8,10 +8,16 @@ messages between processes on the *same* node are "short-circuited" by the
 communications software and only pay a small CPU-side copy cost.
 
 One method, ``Interconnect._hops``, counts a message and lists that path
-as ``(server, seconds)`` hops (the short-circuit a plain delay); one
-:class:`~repro.sim.Chain` serves the hops in turn, then resumes the
-sending process or delivers the message into its mailbox.  A port close
-shares the sender-interface hop of its D messages (``_Burst``).
+as one flat ``(server, seconds, server, seconds, …)`` tuple (the
+short-circuit a plain delay on ``None``); one :class:`~repro.sim.Chain`
+serves the hops in turn, then resumes the sending process or delivers the
+message into its mailbox.  A message is those two objects.  The three
+durations are worked out once per message size; the hop tuple is built
+per message, as a cache of it per (source, destination, size) would grow
+with every packet size a run makes.  A port close shares the
+sender-interface hop of its D messages (``_Burst``), and its ring and
+receiver tails come from a cache per destination: a close sends every
+destination the same small message.
 
 The paper's two anchor numbers are honoured:
 
@@ -25,10 +31,14 @@ The paper's two anchor numbers are honoured:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional, Sequence
+from typing import Any, Generator, Sequence
 
 from ..errors import ConfigError
 from ..sim import Chain, Server
+
+#: A message's path: ``(server, seconds, server, seconds, …)``, where a
+#: ``None`` server is a plain delay.
+Hops = tuple[Any, ...]
 
 
 @dataclass(frozen=True)
@@ -97,29 +107,46 @@ class Interconnect:
         self.messages_sent = 0
         self.messages_short_circuited = 0
         self.bytes_on_ring = 0
+        #: A same-node message's one hop.
+        self._local: Hops = (None, model.short_circuit_s)
+        #: nbytes → (sender, ring, receiver) seconds.
+        self._seconds: dict[int, tuple[float, float, float]] = {}
+        #: nbytes → a close's ring-and-receiver hops, by destination.
+        self._tails: dict[int, _Tails] = {}
 
-    def _hops(
-        self, src: str, dst: str, nbytes: int
-    ) -> tuple[tuple[Optional[Server], float], ...]:
+    def _durations(self, nbytes: int) -> tuple[float, float, float]:
+        """The sender-interface, ring and receiver-interface seconds of
+        an ``nbytes`` message (the sender adds the protocol overhead)."""
+        seconds = self._seconds.get(nbytes)
+        if seconds is None:
+            model = self.model
+            iface_time = model.interface_time(nbytes)
+            seconds = self._seconds[nbytes] = (
+                model.message_overhead_s + iface_time,
+                model.ring_time(nbytes),
+                iface_time,
+            )
+        return seconds
+
+    def _hops(self, src: str, dst: str, nbytes: int) -> Hops:
         """Count one message from ``src`` to ``dst`` and list its hops.
 
         Same-node messages are short-circuited: a fixed small delay, no
         interface or ring occupancy (matching Section 2 of the paper).
         """
-        model = self.model
         if src == dst:
             self.messages_short_circuited += 1
-            return ((None, model.short_circuit_s),)
+            return self._local
         self.messages_sent += 1
         self.bytes_on_ring += nbytes
         src_nic = self.interfaces[src]
         src_nic.messages += 1
         src_nic.bytes_sent += nbytes
-        iface_time = model.interface_time(nbytes)
+        sender_s, ring_s, receiver_s = self._durations(nbytes)
         return (
-            (src_nic.server, model.message_overhead_s + iface_time),
-            (self.ring, model.ring_time(nbytes)),
-            (self.interfaces[dst].server, iface_time),
+            src_nic.server, sender_s,
+            self.ring, ring_s,
+            self.interfaces[dst].server, receiver_s,
         )
 
     def transfer(
@@ -144,10 +171,10 @@ class Interconnect:
         :meth:`transfer` followed by ``Put(store, message)``: the same
         server ``_use`` calls at the same simulated times in the same
         relative sequence order, and the message reaches the store at
-        the same (time, seq) — without a :class:`~repro.sim.Process`,
-        which the simulation's process list would retain (a million
-        finished couriers at 1000 sites).  ``events_processed`` is one
-        lower per message: the chain has no resume after a ``Put``.
+        the same (time, seq) — without a :class:`~repro.sim.Process`
+        and its generator per message: the message is the chain and its
+        hop tuple.  ``events_processed`` is one lower per message: the
+        chain has no resume after a ``Put``.
 
         Couriers cannot deadlock (input-port stores are unbounded), so the
         lost deadlock diagnostics are moot.  The chain's ``owner`` is the
@@ -179,6 +206,26 @@ class Interconnect:
         _Burst(self, sim, src, destinations, nbytes, message)
 
 
+class _Tails(dict[str, Hops]):
+    """Destination node → the ring and receiver-interface hops of one
+    message size, each built by the first message to its destination."""
+
+    __slots__ = ("net", "nbytes")
+
+    def __init__(self, net: Interconnect, nbytes: int) -> None:
+        super().__init__()
+        self.net = net
+        self.nbytes = nbytes
+
+    def __missing__(self, dst: str) -> Hops:
+        net = self.net
+        _sender_s, ring_s, receiver_s = net._durations(self.nbytes)
+        tail = self[dst] = (
+            net.ring, ring_s, net.interfaces[dst].server, receiver_s
+        )
+        return tail
+
+
 class _Burst:
     """One message to many destinations, issued in a single kernel event.
 
@@ -189,9 +236,10 @@ class _Burst:
     chain of its short-circuit delay and delivery.  Every waiting ``Use``
     is the *same* queue entry, so the sender interface holds one object
     for the whole burst, and a remote message gets a chain of its own
-    (ring, receiver interface, delivery) only when it comes off the
-    sender interface.  The burst is the ``resume`` of every one of its
-    sender-interface requests, and it counts its messages once, in bulk.
+    over the destination's cached ring and receiver-interface hops only
+    when it comes off the sender interface.  The burst is the ``resume``
+    of every one of its sender-interface requests, and it counts its
+    messages once, in bulk.
 
     Why the timeline is the chains' (DESIGN §5.9, "The close burst"):
     the D start events held consecutive sequence numbers and scheduled
@@ -206,7 +254,7 @@ class _Burst:
 
     __slots__ = (
         "net", "sim", "owner", "src", "destinations", "sent",
-        "entry", "ring_s", "receiver_s", "message",
+        "sender_s", "tails", "message",
     )
 
     def __init__(
@@ -218,7 +266,6 @@ class _Burst:
         nbytes: int,
         message: Any,
     ) -> None:
-        model = net.model
         src_nic = net.interfaces[src]
         remote = sum(dest.node_name != src for dest in destinations)
         net.messages_short_circuited += len(destinations) - remote
@@ -233,13 +280,11 @@ class _Burst:
         self.src = src
         self.destinations = destinations
         self.sent = 0  # index after the last destination off the sender
-        self.receiver_s = model.interface_time(nbytes)
-        self.ring_s = model.ring_time(nbytes)
-        # The start event fires at the instant it is posted, so this is
-        # the enqueue time Server._use would stamp on each request.
-        self.entry = (
-            model.message_overhead_s + self.receiver_s, self, sim.now, None
-        )
+        tails = net._tails.get(nbytes)
+        if tails is None:
+            tails = net._tails[nbytes] = _Tails(net, nbytes)
+        self.tails = tails
+        self.sender_s = net._durations(nbytes)[0]
         self.message = message
         if destinations:
             sim._schedule_now(self._start)
@@ -248,12 +293,16 @@ class _Burst:
         """Issue every destination's first hop, in list order."""
         sim = self.sim
         src = self.src
-        sender = self.net.interfaces[src].server
-        entry = self.entry
-        local = ((None, self.net.model.short_circuit_s),)
+        net = self.net
+        sender = net.interfaces[src].server
+        # The start event fires at the instant it was posted, so this is
+        # the enqueue time Server._use would stamp on each request.  Only
+        # the sender's queue holds the entry: once it drains, nothing is
+        # left to keep the burst alive.
+        entry = (self.sender_s, self, sim._now, None)
         for dest in self.destinations:
             if dest.node_name == src:
-                Chain(local, sim, self.owner, dest.store, self.message)()
+                Chain(net._local, sim, self.owner, dest.store, self.message)()
             else:
                 sender._use_entry(sim, entry)
 
@@ -266,12 +315,8 @@ class _Burst:
             i += 1
         self.sent = i + 1
         dest = destinations[i]
-        net = self.net
         Chain(
-            (
-                (net.ring, self.ring_s),
-                (net.interfaces[dest.node_name].server, self.receiver_s),
-            ),
+            self.tails[dest.node_name],
             self.sim, self.owner, dest.store, self.message,
         )()
 

@@ -19,6 +19,10 @@ Hot-path design (the kernel dominates a simulation's wall-clock cost):
   ``isinstance`` ladder.
 * Each :class:`Process` carries one preallocated ``_resume`` closure; the
   kernel never allocates a fresh callback per step.
+* The simulation keeps live processes only.  A process that finishes (or
+  fails) leaves ``_procs`` and drops its resume closure and its last
+  effect, the two references that tie it into cycles, so refcounting
+  frees it, and its generator, at once.
 * Zero-delay wake-ups (``call_after(0.0, …)`` — mailbox hand-offs, slot
   grants, spawns) skip the heap entirely and go through a FIFO *ready*
   deque.  Ready entries and heap events share the global sequence counter,
@@ -37,7 +41,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from itertools import repeat
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import SimulationError
@@ -67,7 +70,7 @@ class Process:
         finished: True once the generator has returned or raised.
         value: The generator's return value (valid when ``finished``).
         blocked_on: The effect this process is currently suspended on
-            (diagnostics; ``None`` while runnable or finished).
+            (diagnostics; ``None`` once finished).
         parent: The process that was running when this one was spawned
             (``None`` for externally spawned roots).  Attribution metadata
             only — helper processes (page feeders) resolve to the
@@ -87,7 +90,7 @@ class Process:
         self.failure: Optional[BaseException] = None
         self._waiters: list[Callable[[Any], None]] = []
         self.blocked_on: Any = None
-        self._resume: Callable[..., None] = _unspawned
+        self._resume: Callable[..., None] = _not_running
         self.parent: Optional["Process"] = None
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
@@ -101,8 +104,8 @@ class Process:
             self._waiters.append(resume)
 
 
-def _unspawned(value: Any = None) -> None:  # pragma: no cover - guard only
-    raise SimulationError("process resumed before being spawned")
+def _not_running(value: Any = None) -> None:  # pragma: no cover - guard only
+    raise SimulationError("process resumed before its spawn or after its end")
 
 
 class Simulation:
@@ -117,7 +120,7 @@ class Simulation:
     """
 
     __slots__ = (
-        "_now", "_seq", "_heap", "_ready", "_active", "_procs",
+        "_now", "_seq", "_heap", "_ready", "_procs",
         "events_processed", "_current", "_sample_hook", "_sample_due",
     )
 
@@ -129,11 +132,11 @@ class Simulation:
         # per service interval; ``_NO_VALUE`` means "call fn()".
         self._heap: list[tuple[float, int, Callable[..., None], Any]] = []
         self._ready: deque[tuple[int, Callable[..., None], Any]] = deque()
-        self._active = 0
-        self._procs: list[Process] = []
+        # The live processes, in spawn order (the deadlock report's).
+        self._procs: dict[Process, None] = {}
         self.events_processed = 0
         #: The process whose generator is currently executing (None between
-        #: steps).  Purely observational: profilers read it to attribute
+        #: runs).  Purely observational: profilers read it to attribute
         #: resource usage; spawn() reads it to record parentage.
         self._current: Optional[Process] = None
         # Pulled telemetry (see set_sample_hook).  The hook is invoked by
@@ -202,15 +205,14 @@ class Simulation:
             step(_proc, value)
 
         proc._resume = resume
-        self._active += 1
-        self._procs.append(proc)
+        self._procs[proc] = None
         self._schedule_now(resume)
         return proc
 
     def _step(self, proc: Process, value: Any) -> None:
         """Resume ``proc`` with ``value`` and perform its next effect."""
         # blocked_on is not cleared here: it is overwritten below on every
-        # yield, and a finished process never reaches the deadlock report.
+        # yield, and _release clears it once the process ends.
         self._current = proc
         try:
             gen = proc._gen
@@ -224,7 +226,7 @@ class Simulation:
         except BaseException as exc:
             proc.finished = True
             proc.failure = exc
-            self._active -= 1
+            self._release(proc)
             raise SimulationError(
                 f"process {proc.name!r} failed at t={self._now:.6f}"
             ) from exc
@@ -267,10 +269,19 @@ class Simulation:
     def _finish(self, proc: Process, value: Any) -> None:
         proc.finished = True
         proc.value = value
-        self._active -= 1
+        self._release(proc)
         waiters, proc._waiters = proc._waiters, []
         for resume in waiters:
             resume(value)
+
+    def _release(self, proc: Process) -> None:
+        """Forget a process that has ended.  The resume closure and the
+        last effect (a chain names its owner) each close a reference
+        cycle through ``proc``; without them refcounting frees it as soon
+        as nothing else holds it."""
+        del self._procs[proc]
+        proc._resume = _not_running
+        proc.blocked_on = None
 
     # ------------------------------------------------------------------
     # running
@@ -339,7 +350,9 @@ class Simulation:
                     event[2](arg)
         finally:
             self.events_processed += events
-        if self._active > 0:
+            # Between runs no process is executing (nor held alive here).
+            self._current = None
+        if self._procs:
             raise SimulationError(self._deadlock_message())
         if until is not None and until > self._now:
             if until >= self._sample_due:
@@ -348,7 +361,7 @@ class Simulation:
         return self._now
 
     def _deadlock_message(self) -> str:
-        stuck = [p for p in self._procs if not p.finished]
+        stuck = list(self._procs)
         lines = [
             f"deadlock at t={self._now:.6f}:"
             f" {len(stuck)} process(es) blocked with no pending events"
@@ -365,8 +378,9 @@ class Chain:
     """Hops served one after another, then a hand-off: one message's
     path across the interconnect, or one service run on a shared server.
 
-    ``hops`` yields ``(server, seconds)`` pairs, drawn lazily: each only
-    once the hop before it has finished.  A hop on a server is
+    ``hops`` is one flat tuple ``(server, seconds, server, seconds, …)``,
+    indexed as the chain goes: a message is the chain and its tuple, two
+    objects however many hops it makes.  A hop on a server is
     ``server._use(sim, seconds, self, None)`` — the chain is the request's
     ``resume``, and ``Server.hooks`` see its ``owner`` — and a hop on
     ``None`` is a plain delay (a same-node message's short-circuit).
@@ -387,13 +401,13 @@ class Chain:
 
     def __init__(
         self,
-        hops: Iterable[tuple[Any, float]],
+        hops: Any,
         sim: Optional[Simulation] = None,
         owner: Optional[Process] = None,
         store: Any = None,
         item: Any = None,
     ) -> None:
-        self.hops = iter(hops)
+        self.hops = hops
         self.sim = sim
         self.owner = owner
         self.store = store
@@ -402,19 +416,41 @@ class Chain:
         self.served = -1  # hops finished; the first call finishes none
 
     def __call__(self, _value: Any = None) -> None:
-        self.served += 1
-        # One pass at most: the loop draws the next hop without a call.
-        for server, seconds in self.hops:
-            self.server = server
+        self.served = served = self.served + 1
+        hops = self.hops
+        k = served + served
+        if k < len(hops):
+            self.server = server = hops[k]
             if server is None:
-                self.sim.call_after(seconds, self)
+                self.sim.call_after(hops[k + 1], self)
             else:
-                server._use(self.sim, seconds, self, None)
+                server._use(self.sim, hops[k + 1], self, None)
             return
         if self.store is None:
             self.sim._step(self.owner, None)
         else:
             self.store._deliver(self.sim, self.item)
+
+
+class _Run(Chain):
+    """A ``UseRun`` on a shared server: a chain whose every hop is on
+    ``server`` and whose durations are drawn lazily — each only once the
+    hop before it has finished (a write run's buffer-pool entries land
+    between hops)."""
+
+    __slots__ = ()
+
+    def __init__(self, server: Any, durations: Iterable[float]) -> None:
+        super().__init__(iter(durations))
+        self.server = server
+
+    def __call__(self, _value: Any = None) -> None:
+        self.served += 1
+        # One pass at most: the loop draws the next hop without a call.
+        for seconds in self.hops:
+            self.server._use(self.sim, seconds, self, None)
+            return
+        self.sim._step(self.owner, None)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +485,7 @@ def _do_use_run(sim: Simulation, proc: Process, effect: UseRun) -> None:
     if server.private and not server.hooks and sim._sample_hook is None:
         server._run_private(sim, proc, effect.hops)
     else:
-        chain = Chain(zip(repeat(server), effect.hops))
+        chain = _Run(server, effect.hops)
         proc.blocked_on = chain
         _do_chain(sim, proc, chain)
 

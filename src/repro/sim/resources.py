@@ -531,7 +531,8 @@ class Store:
         self._items: deque[Any] = deque()
         self._getters: deque[Resume] = deque()
         # A None resume is a delivered item's: nobody waits for the slot.
-        self._putters: deque[tuple[Any, Optional[Resume]]] = deque()
+        # An unbounded store never blocks a putter: no queue, just ``()``.
+        self._putters: Any = () if capacity is None else deque()
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
         return f"<Store {self.name} items={len(self._items)}>"

@@ -278,7 +278,8 @@ class AmpFragment:
 
     @property
     def num_records(self) -> int:
-        return len(self.records)
+        """Live tuples: a delete's hole in ``records`` is not one."""
+        return len(self.records) - self._holes
 
     def add_index(self, attr: str) -> None:
         index = DenseHashIndex(

@@ -262,6 +262,29 @@ def test_a_write_mid_clustered_scan_hands_the_rest_to_the_loop(data):
             sf.delete_record(live[data.draw(st.integers(0, len(live) - 1))][0])
 
 
+@pytest.mark.xfail(
+    strict=True, raises=IndexError,
+    reason="FOUND: BPlusTree.range_entries raises IndexError when a"
+    " clustered append splits a data page mid clustered_scan",
+)
+def test_an_append_that_splits_a_page_mid_clustered_scan():
+    """The append the hypothesis test above leaves out (CHANGES, FOUND):
+    it splits a data page, so it inserts into the sparse index the scan
+    is walking."""
+    keys = [0] * 10 + [1]
+    sf = StoredFile.create(
+        "r", schema("small"), 128, [(k, k, i) for i, k in enumerate(keys)],
+        clustered_on="key",
+    )
+    _descent, pages = sf.clustered_scan(0, 0)
+    seen = []
+    for step, (_page_no, matches) in enumerate(pages):
+        seen.extend(matches)
+        if step == 0:
+            sf.append((0, 0, 99))
+    assert len(seen) >= 10
+
+
 def test_the_column_is_cached_until_a_write():
     sf = StoredFile.create("r", schema("small"), 128, [(i, i, i) for i in range(20)])
     column = sf.heap.column(1)

@@ -2,15 +2,20 @@
 merge join, and the executor's cost structure."""
 
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from repro.catalog import gamma_hash, gamma_mix
 from repro.engine import Query, RangePredicate
+from repro.engine.plan import DeleteTuple, ExactMatch
+from repro.sim import Simulation
 from repro.storage import Schema, int_attr
 from repro.teradata import DenseHashIndex, TeradataMachine, hash_key_order
-from repro.teradata.amp import AmpFragment, hash_partition
-from repro.teradata.executor import _merge_join
+from repro.teradata.amp import Amp, AmpFragment, hash_partition
+from repro.teradata.costs import DEFAULT_TERADATA_COSTS
+from repro.teradata.executor import TeradataRun, _merge_join
 from repro.hardware import TeradataConfig
 from repro.workloads import wisconsin_relation
 
@@ -100,6 +105,30 @@ class TestAmpFragment:
         for value in range(12):
             model = [i for i, v in live.items() if v == value]
             assert sorted(index.exact(value)) == model
+
+    def test_a_scan_after_a_remove_charges_live_tuples_only(self):
+        frag = self._fragment(10)
+        frag.remove(3)
+        assert frag.num_records == len(frag.live_records()) == 9
+        costs = DEFAULT_TERADATA_COSTS
+        run = SimpleNamespace(costs=costs, stats=Counter())
+        amp = Amp(Simulation(), 0, TeradataConfig())
+        effects = list(TeradataRun._amp_scan(
+            run, amp, frag, RangePredicate("key", 0, 99), [None], 0
+        ))
+        charged = amp.work(
+            costs.scan_tuple * 9 + costs.page_io_setup * frag.num_pages
+        )
+        assert effects[-1].duration == charged.duration
+        # ... and the scan's profile counts the live tuples in.
+        machine = TeradataMachine(TeradataConfig(n_amps=1))
+        machine.load_wisconsin("t", 10)
+        machine.update(DeleteTuple("t", ExactMatch("unique1", 3)))
+        result = machine.run(
+            Query.select("t", RangePredicate("unique2", 0, 9)), profile=True
+        )
+        assert result.result_count == 9
+        assert result.profile.spans["scan0"].tuples_in == 9
 
     def test_page_of_ordinal(self):
         frag = self._fragment(1000)
