@@ -291,22 +291,3 @@ class TestHybridConfigKnobs:
         assert default.join_overflow == "static"
         assert default.join_estimate_factor == 1.0
 
-
-class TestChargeCache:
-    @pytest.fixture(autouse=True)
-    def small_cache(self, monkeypatch):
-        # A small cap exercises the same eviction in milliseconds.
-        monkeypatch.setattr(join, "_charge_cache", {})
-        monkeypatch.setattr(join, "_CHARGE_CACHE_MAX", 16)
-
-    def test_cache_is_bounded(self):
-        for n in range(2 * join._CHARGE_CACHE_MAX):
-            join._repeat_charge((0.001, 0.002), n)
-        assert len(join._charge_cache) == join._CHARGE_CACHE_MAX
-
-    def test_eviction_keeps_values_correct(self):
-        direct = join._repeat_charge((0.003, 0.007), 10)
-        for n in range(join._CHARGE_CACHE_MAX + 10):
-            join._repeat_charge((0.001,), n)
-        assert (0.003, 0.007) not in {parts for parts, _ in join._charge_cache}
-        assert join._repeat_charge((0.003, 0.007), 10) == direct

@@ -127,3 +127,21 @@ def test_every_policy_joins_like_a_dict(policy):
 
     check()
     assert any(overflowed)
+
+
+@pytest.mark.parametrize("memory", [30_000, 8_000])
+@pytest.mark.parametrize("policy", JOIN_OVERFLOW_POLICIES)
+def test_hash_overflows_counts_every_node_reaction(policy, memory):
+    # The query's counter and the per-node list count the same reactions,
+    # extra resolve chunks included.  A 4x underestimate makes every
+    # policy react.
+    m = GammaMachine(GammaConfig(
+        n_disk_sites=4, n_diskless=4, join_memory_total=memory,
+        join_overflow=policy, join_estimate_factor=0.25,
+    ))
+    m.load_wisconsin("A", 2_000, seed=21)
+    m.load_wisconsin("Bprime", 500, seed=23)
+    result = m.run(Query.join(ScanNode("Bprime"), ScanNode("A"),
+                              on=("unique2", "unique2"), into="o"))
+    assert sum(result.overflows_per_node) > 0
+    assert result.stats["hash_overflows"] == sum(result.overflows_per_node)

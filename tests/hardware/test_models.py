@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.hardware import (
+    DEFAULT_GAMMA_COSTS,
     FUJITSU_M2333,
     GammaConfig,
     CpuModel,
@@ -267,6 +268,14 @@ class TestGammaConfig:
     def test_costs_reject_negative(self):
         with pytest.raises(ConfigError):
             GammaCosts(read_tuple=-1.0)
+
+    def test_default_costs_are_integer_valued(self):
+        """Bulk charges such as ``n * (hash_table_insert + bitfilter_set)``
+        in the hash join and ``aggregate.py``'s per-batch multiply equal
+        the per-record float sums only while every constant is an
+        integer; a fractional one would make charge order matter again."""
+        for name, value in vars(DEFAULT_GAMMA_COSTS).items():
+            assert value == int(value), name
 
 
 class TestTeradataConfig:
