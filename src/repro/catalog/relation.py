@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from ..errors import CatalogError
@@ -59,23 +61,54 @@ def _statistics(
     stats: dict[str, AttrStats] = {}
     if not records:
         return stats
-    # Min and max come from the distinct set whenever it covers the whole
-    # column (eleven Wisconsin columns repeat a handful of values, and
-    # the set has then done the work already).
     for pos, attribute in enumerate(schema.attributes):
         if attribute.type is not AttrType.INT:
             continue
         # One column at a time, never ``zip(*records)``: that keeps one
         # collector-tracked iterator per record alive.
-        values = [record[pos] for record in records]
-        distinct = set(values[:DISTINCT_SAMPLE])
-        bounds = distinct if len(values) <= DISTINCT_SAMPLE else values
-        stats[attribute.name] = AttrStats(
-            minimum=min(bounds),
-            maximum=max(bounds),
-            distinct_hint=len(distinct),
-        )
+        values = list(map(itemgetter(pos), records))
+        try:
+            column = array("q", values)
+        except (TypeError, OverflowError):
+            # Not all ints, or not all within int64: the definition.
+            stats[attribute.name] = _set_statistics(values)
+            continue
+        del values
+        stats[attribute.name] = _word_statistics(column)
     return stats
+
+
+def _word_statistics(column: array) -> AttrStats:
+    """The statistics of a column of machine words: bounds and distinct
+    count from one sorted int64 array, 8 bytes a value where a ``set``
+    of the values cost about 40 more.  ``array('q')`` takes exactly the
+    ints int64 holds (a bool as the 0 or 1 it equals)."""
+    import numpy as np
+
+    values = np.frombuffer(column, np.int64)
+    if len(values) <= DISTINCT_SAMPLE:
+        sample = values
+        sample.sort()
+        low, high = sample[0], sample[-1]
+    else:
+        sample = np.sort(values[:DISTINCT_SAMPLE])
+        low, high = values.min(), values.max()
+    return AttrStats(
+        minimum=int(low),
+        maximum=int(high),
+        distinct_hint=1 + int(np.count_nonzero(sample[1:] != sample[:-1])),
+    )
+
+
+def _set_statistics(values: list) -> AttrStats:
+    """The statistics by definition, for a column ``array('q')`` refuses.
+    Min and max come from the distinct set whenever it covers the whole
+    column: the set has then done the work already."""
+    distinct = set(values[:DISTINCT_SAMPLE])
+    bounds = distinct if len(values) <= DISTINCT_SAMPLE else values
+    return AttrStats(
+        minimum=min(bounds), maximum=max(bounds), distinct_hint=len(distinct)
+    )
 
 
 class Relation:

@@ -10,16 +10,19 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..errors import ExecutionError
 from ..hardware import DiskDrive, GammaConfig, Interconnect
 from ..hardware.inventory import Inventory, InventoryRow
-from ..metrics import MetricsRegistry, Profiler, TraceBuffer
+from ..metrics import MetricsRegistry
 from ..metrics.report import NodeUtilisation, UtilisationReport
-from ..metrics.telemetry import TelemetrySampler
 from ..sim import Server, Simulation, Use
 from ..storage import BufferPool
+
+if TYPE_CHECKING:  # each plane's module is imported where it is attached
+    from ..metrics import Profiler, TraceBuffer
+    from ..metrics.telemetry import TelemetrySampler
 
 HOST = "host"
 SCHEDULER = "sched"
@@ -152,12 +155,16 @@ class ExecutionContext:
         config: GammaConfig,
         trace: Optional[TraceBuffer] = None,
         profile: bool = False,
-        telemetry: Optional["TelemetrySampler"] = None,
+        telemetry: Optional[TelemetrySampler] = None,
     ) -> None:
         self.config = config
         self.metrics = MetricsRegistry()
         self.trace = trace
-        self.profiler: Optional[Profiler] = Profiler() if profile else None
+        self.profiler: Optional[Profiler] = None
+        if profile:
+            from ..metrics.profile import Profiler
+
+            self.profiler = Profiler()
         self.sim = Simulation()
         self.disk_nodes = [
             Node(self.sim, f"disk{i}", config, has_disk=True)

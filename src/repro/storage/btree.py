@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import islice
 from operator import gt
-from typing import Any, Iterator, Optional
+from typing import Any, Iterator, MutableSequence, Optional
 
 from ..errors import RecordNotFoundError, StorageError
 
@@ -46,7 +46,9 @@ class BTreeNode:
         self.page_id = page_id
         self.is_leaf = is_leaf
         self.keys: list[Any] = []
-        self.payloads: list[Any] = []  # leaf only
+        #: Leaf only: a list, or an ``array('q')`` of machine words where
+        #: the tree was bulk-loaded from one (a dense index's packed RIDs).
+        self.payloads: MutableSequence[Any] = []
         self.children: list["BTreeNode"] = []  # internal only
         self.next_leaf: Optional["BTreeNode"] = None
 
@@ -131,10 +133,13 @@ class BPlusTree:
             [payload for _key, payload in pairs],
         )
 
-    def bulk_load_columns(self, keys: list[Any], payloads: list[Any]) -> None:
-        """Load sorted ``keys`` and their ``payloads`` (one list each, so
-        a caller holding columns builds no pair per entry) into an empty
-        tree."""
+    def bulk_load_columns(
+        self, keys: list[Any], payloads: MutableSequence[Any]
+    ) -> None:
+        """Load sorted ``keys`` and their ``payloads`` (one sequence each,
+        so a caller holding columns builds no pair per entry) into an
+        empty tree.  Each leaf holds slices of the two, so payloads given
+        as an ``array('q')`` stay machine words in the leaves."""
         if self.size:
             raise StorageError("bulk_load requires an empty tree")
         if len(keys) != len(payloads):

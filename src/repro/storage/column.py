@@ -28,6 +28,31 @@ if TYPE_CHECKING:
 ColumnFilter = tuple[int, Callable[[Any], Optional[Any]]]
 
 
+#: ``_INTS[i]`` is the one ``int`` object :func:`shared_ints` hands out for
+#: ``i``, process-wide (CPython itself only shares ints up to 256).
+_INTS: list[int] = []
+
+#: The most ints the table holds by default: as many as the Wisconsin
+#: relation memo keeps tuples (``workloads.wisconsin.MEMO_MAX_TUPLES``).
+SHARED_INTS_MAX = 2_200_000
+
+
+def shared_ints(n: int, limit: int = SHARED_INTS_MAX) -> list[int]:
+    """A fresh list ``[0, .., n-1]`` of the shared ``int`` objects.
+
+    A column of ``range(n)`` values or a map to ordinals built from it
+    then holds an 8-byte pointer per entry, not a 32-byte int of its own.
+    The table grows to at most ``limit`` ints; past that the list holds
+    private ones.
+    """
+    shared = min(n, limit)
+    if shared > len(_INTS):
+        _INTS.extend(range(len(_INTS), shared))
+    values = _INTS[:n]
+    values.extend(range(len(values), n))
+    return values
+
+
 def int_column(
     values: Callable[[], Iterator[Any]], count: int
 ) -> Optional[Any]:

@@ -14,6 +14,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 from ..errors import RecordNotFoundError, StorageError
+from .btree import POINTER_BYTES
 from .column import ColumnFilter, PageHits, int_column
 from .page import Page, records_per_page
 from .schema import Schema
@@ -34,6 +35,11 @@ class RID:
 SLOT_BITS = 16
 _SLOT_MASK = (1 << SLOT_BITS) - 1
 
+#: Bits left for the page number: a packed RID is a non-negative signed
+#: word of the payload width a B+-tree declares, which is what lets a
+#: dense index keep its leaves' RIDs in an ``array('q')``.
+PAGE_BITS = 8 * POINTER_BYTES - 1 - SLOT_BITS
+
 
 def pack_rid(page_no: int, slot: int) -> int:
     """``RID(page_no, slot)`` as one plain int, ``page_no << SLOT_BITS |
@@ -41,11 +47,16 @@ def pack_rid(page_no: int, slot: int) -> int:
     none of them (what a dense index holds per tuple).
 
     Raises:
-        StorageError: if ``slot`` does not fit ``SLOT_BITS`` bits.
+        StorageError: if ``slot`` does not fit ``SLOT_BITS`` bits or
+            ``page_no`` does not fit ``PAGE_BITS``.
     """
     if slot >> SLOT_BITS:
         raise StorageError(
             f"slot {slot} does not fit a packed RID ({SLOT_BITS} bits)"
+        )
+    if page_no >> PAGE_BITS:
+        raise StorageError(
+            f"page {page_no} does not fit a packed RID ({PAGE_BITS} bits)"
         )
     return page_no << SLOT_BITS | slot
 

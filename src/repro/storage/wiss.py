@@ -12,6 +12,7 @@ I/Os.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -49,8 +50,9 @@ class StoredFile:
         self.clustered_on = clustered_on
         self._sparse: Optional[BPlusTree] = None
         #: attr → dense index whose leaf payloads are RIDs packed into
-        #: ints (:func:`~repro.storage.heap.pack_rid`); the methods below
-        #: take and return :class:`RID` objects.
+        #: machine words (:func:`~repro.storage.heap.pack_rid`, leaves of
+        #: ``array('q')``); the methods below take and return
+        #: :class:`RID` objects.
         self.secondary: dict[str, BPlusTree] = {}
         self.deferred_update_entries = 0
 
@@ -95,7 +97,9 @@ class StoredFile:
             raise StorageError(f"index on {attr!r} already exists")
         pos = self.schema.position(attr)
         keys: list[Any] = []
-        rids: list[int] = []
+        # Machine words, as the leaves keep them: ``pack_rid`` bounds a
+        # packed RID to the payload's signed 8 bytes.
+        rids = array("q")
         for page_no, page in self.heap.scan_pages():
             # A page's packed RIDs are consecutive ints from its slot 0;
             # packing the last slot checks that all of them fit.
@@ -109,7 +113,7 @@ class StoredFile:
         order = sorted(range(len(keys)), key=keys.__getitem__)
         tree = BPlusTree(f"{self.name}.idx.{attr}", self.page_size)
         tree.bulk_load_columns(
-            [keys[i] for i in order], [rids[i] for i in order]
+            [keys[i] for i in order], array("q", map(rids.__getitem__, order))
         )
         self.secondary[attr] = tree
 

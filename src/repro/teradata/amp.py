@@ -22,6 +22,7 @@ from ..storage.column import (
     appended,
     int_column,
     range_positions,
+    shared_ints,
 )
 
 #: Files and dense indexes are ordered by the low 30 bits of the mix.
@@ -206,7 +207,10 @@ class DenseHashIndex:
 
 class _FirstOrdinal:
     """value → lowest live ordinal holding it, for one attribute of one
-    fragment: the answer a front-to-back scan of the fragment gives."""
+    fragment: the answer a front-to-back scan of the fragment gives.  The
+    ordinals are the process's shared ints
+    (:func:`~repro.storage.column.shared_ints`), so the map costs its
+    slots and no int object per entry."""
 
     def __init__(self, records: list[tuple], pos: int) -> None:
         self.pos = pos
@@ -215,7 +219,7 @@ class _FirstOrdinal:
         #: rescan when their first ordinal goes.
         self.repeated: set[Any] = set()
         first, repeated = self.first, self.repeated
-        for ordinal, record in enumerate(records):
+        for ordinal, record in zip(shared_ints(len(records)), records):
             if record is not None:
                 if first.setdefault(record[pos], ordinal) != ordinal:
                     repeated.add(record[pos])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import repeat
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..engine.ir import (
     AggregateOp,
@@ -42,10 +42,12 @@ from ..engine.plan import (
 )
 from ..engine.skew import router
 from ..errors import PlanError
-from ..metrics import Profiler
 from ..sim import Delay, Server, Simulation, Use, UseRun, WaitAll
 from ..storage import Schema, external_sort, records_per_page
 from .amp import Amp, AmpFragment, hash_partition
+
+if TYPE_CHECKING:
+    from ..metrics import Profiler
 
 PACKAGE_BYTES = 4096  # Y-net moves spool pages
 

@@ -9,7 +9,7 @@ machines.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
 
 from ..catalog import gamma_hash
 from ..engine.plan import Query, UpdateRequest
@@ -17,7 +17,6 @@ from ..engine.results import QueryResult
 from ..errors import CatalogError
 from ..hardware import TeradataConfig
 from ..hardware.inventory import Inventory, InventoryRow
-from ..metrics import Profiler
 from ..sim import Server, Simulation
 from ..storage import Schema
 from ..workloads import StringsMode, wisconsin_load_set
@@ -25,6 +24,9 @@ from .amp import Amp, AmpFragment, hash_partition
 from .costs import DEFAULT_TERADATA_COSTS, TeradataCosts
 from .executor import TeradataRun, TeradataUpdateRun
 from .planner import TeradataPlanner
+
+if TYPE_CHECKING:
+    from ..metrics import Profiler
 
 
 def _hardware(
@@ -272,7 +274,11 @@ class TeradataMachine:
             Amp(sim, i, self.config, private=True)
             for i in range(self.config.n_amps)
         ]
-        profiler = Profiler() if profile else None
+        profiler: Optional[Profiler] = None
+        if profile:
+            from ..metrics.profile import Profiler
+
+            profiler = Profiler()
         ir, run = self._compile(
             self._planner(), sim, amps, request, profiler=profiler
         )

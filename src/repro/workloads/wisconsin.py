@@ -39,6 +39,7 @@ from zlib import crc32
 from ..catalog.artifacts import SharedRelation
 from ..errors import BenchmarkError
 from ..storage import Schema, int_attr, string_attr
+from ..storage.column import shared_ints
 
 #: Integer attribute names, in tuple order.
 INT_ATTRS = (
@@ -98,10 +99,6 @@ def _unique_string(value: int) -> str:
 #: each) plus Bprime and C (100 k each) on both machines.
 MEMO_MAX_TUPLES = 2_200_000
 
-#: ``_INTS[i]`` is the one ``int`` object every relation built in this
-#: process uses for the value ``i`` (CPython only shares ints up to 256).
-_INTS: list[int] = []
-
 #: ``(n, seed, strings)`` → relation, oldest first.  The relations are
 #: tuples of tuples: nothing a loader does can change one, which is what
 #: lets every machine in the process reference the same objects (and the
@@ -110,18 +107,14 @@ _MEMO: dict[tuple[int, int, str], SharedRelation] = {}
 
 
 def _ints(n: int) -> list[int]:
-    """A fresh list ``[0, .., n-1]`` of the shared ``int`` objects.
+    """A fresh list ``[0, .., n-1]`` of the process's shared ``int``
+    objects (:func:`~repro.storage.column.shared_ints`).
 
     The table stops growing at the memo's bound (a larger relation gets
     private ints for the excess), so like the memo it never holds more
     than the largest registered experiment needs.
     """
-    shared = min(n, MEMO_MAX_TUPLES)
-    if shared > len(_INTS):
-        _INTS.extend(range(len(_INTS), shared))
-    values = _INTS[:n]
-    values.extend(range(len(values), n))
-    return values
+    return shared_ints(n, MEMO_MAX_TUPLES)
 
 
 def _cycled(pattern: Sequence, n: int) -> list:

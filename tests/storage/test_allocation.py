@@ -7,16 +7,22 @@ tuple behind: a full collection costs time proportional to the tracked
 objects alive, and every 700 net allocations of one trigger a young
 collection.
 
+The storage and catalog layers also keep a per-entry integer as a machine
+word, not an ``int`` object: a dense index's packed RIDs, a load's
+statistics pass and a Teradata locate map are held to byte budgets.
+
 Tracked-object counts are process-global, so CI also runs this file in an
 interpreter of its own (``ledger-smoke``).
 """
 
 import gc
+import tracemalloc
+from array import array
 from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import Hashed, collect_statistics, gamma_mix
@@ -32,7 +38,8 @@ from repro.storage import (
     int_attr,
     string_attr,
 )
-from repro.storage.heap import SLOT_BITS, pack_rid, unpack_rid
+from repro.storage import column as column_module
+from repro.storage.heap import PAGE_BITS, SLOT_BITS, pack_rid, unpack_rid
 from repro.teradata import TeradataMachine
 from repro.teradata import amp as amp_module
 from repro.teradata.amp import hash_partition
@@ -145,19 +152,111 @@ def test_a_first_scan_allocates_nothing_per_tuple(load):
 
 
 # ---------------------------------------------------------------------------
+# byte budgets: machine words, not int objects
+# ---------------------------------------------------------------------------
+
+def traced(build):
+    """``build()``'s bytes still allocated after a full collection, and
+    its peak, both above what was allocated before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        result = build()
+        gc.collect()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, after - before, peak - before
+
+
+def gamma_clustered(tuples):
+    return GammaMachine().load_relation(
+        "r", wisconsin_schema(), tuples, partitioning=Hashed("unique1"),
+        clustered_on="unique1",
+    )
+
+
+#: Bytes a dense secondary index may keep per entry: a key slot and an
+#: 8-byte packed RID in its leaves, plus node overhead (17.4 measured);
+#: an ``int`` object per RID made it 49.1.
+INDEX_BYTES_PER_ENTRY = 32
+
+
+def test_a_dense_index_keeps_its_rids_as_machine_words():
+    gamma_clustered(list(generate_tuples(100, seed=7))).add_secondary_index(
+        "unique2"
+    )  # one-off imports and caches
+    relation = gamma_clustered(list(generate_tuples(N, seed=7)))
+
+    _none, kept, _peak = traced(lambda: relation.add_secondary_index("unique2"))
+
+    assert kept / N <= INDEX_BYTES_PER_ENTRY
+
+
+#: Peak bytes of the statistics pass over 20 000 Wisconsin tuples: one
+#: int64 column at a time (0.50 MB measured); a ``set`` of each int
+#: column's values peaked at 5.05 MB.
+STATISTICS_PEAK_BYTES = 1_000_000
+
+
+def test_the_statistics_pass_peaks_at_a_column_of_words():
+    schema = wisconsin_schema()
+    tuples = list(generate_tuples(N, seed=7))
+    collect_statistics(schema, tuples[:100])  # imports numpy
+
+    stats, _kept, peak = traced(lambda: collect_statistics(schema, tuples))
+
+    assert stats["unique1"] == AttrStats(0, N - 1, N)
+    assert peak <= STATISTICS_PEAK_BYTES
+
+
+#: Bytes a Teradata locate map may keep per tuple: its dict slots and the
+#: repeated-value set, the ordinals being the process's shared ints (37.4
+#: measured); an ``int`` object per ordinal made it 58.2.
+LOCATE_BYTES_PER_TUPLE = 48
+
+
+def test_a_locate_map_holds_no_int_per_ordinal():
+    for fragment in teradata_heap(list(generate_tuples(100, seed=7))).fragments:
+        fragment.locate("unique2", 3)  # one-off imports and caches
+    relation = teradata_heap(list(generate_tuples(N, seed=7)))
+
+    def locate_everywhere():
+        for fragment in relation.fragments:
+            fragment.locate("unique2", 3)
+
+    _none, kept, _peak = traced(locate_everywhere)
+
+    assert kept / N <= LOCATE_BYTES_PER_TUPLE
+    fragment = relation.fragments[0]
+    ordinals = fragment._located["unique2"].first.values()
+    assert all(ordinal is column_module._INTS[ordinal] for ordinal in ordinals)
+
+
+# ---------------------------------------------------------------------------
 # packed RIDs
 # ---------------------------------------------------------------------------
 
 class TestPackedRid:
-    @pytest.mark.parametrize("page_no", [0, 1, 2**14 - 1, 2**14, 2**40])
+    @pytest.mark.parametrize(
+        "page_no", [0, 1, 2**14 - 1, 2**14, 2**40, 2**PAGE_BITS - 1]
+    )
     @pytest.mark.parametrize("slot", [0, 1, 2**SLOT_BITS - 1])
     def test_round_trip_at_the_bounds(self, page_no, slot):
-        assert unpack_rid(pack_rid(page_no, slot)) == RID(page_no, slot)
+        # Through a signed machine word, as a dense index's leaves keep it.
+        packed = array("q", [pack_rid(page_no, slot)])[0]
+        assert unpack_rid(packed) == RID(page_no, slot)
 
     @pytest.mark.parametrize("slot", [2**SLOT_BITS, 2**SLOT_BITS + 1, -1])
     def test_slot_past_the_bounds_raises(self, slot):
         with pytest.raises(StorageError):
             pack_rid(3, slot)
+
+    @pytest.mark.parametrize("page_no", [2**PAGE_BITS, 2**PAGE_BITS + 1, -1])
+    def test_page_past_the_bounds_raises(self, page_no):
+        with pytest.raises(StorageError, match="does not fit"):
+            pack_rid(page_no, 0)
 
     @given(
         a=st.tuples(st.integers(0, 2**20), st.integers(0, 2**SLOT_BITS - 1)),
@@ -242,6 +341,50 @@ def test_collect_statistics_equals_the_transposition(records, sample):
         assert collect_statistics(schema, records) == (
             collect_statistics_transposed(schema, records)
         )
+
+
+#: What an int attribute's column may hold besides plain ints: the int64
+#: path must match the transposition on each or decline to the ``set``.
+COLUMN_VALUES = st.one_of(
+    st.integers(-1000, 1000),
+    st.booleans(),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.integers(2**63 - 2, 2**64),  # at and past the end of int64
+    st.integers(-(2**64), -(2**63) + 1),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    column=st.one_of(
+        st.lists(COLUMN_VALUES, max_size=40),
+        # One repeated value.
+        st.tuples(COLUMN_VALUES, st.integers(1, 40)).map(
+            lambda value_count: [value_count[0]] * value_count[1]
+        ),
+    ),
+    sample=st.sampled_from([100_000, 5]),
+)
+@example(column=[3, True, 0, False, 7], sample=100_000)  # a bool
+@example(column=[3, True, 0, False, 7, 1, 9], sample=5)
+@example(column=[1, 2.5, -4], sample=100_000)  # a float
+@example(column=[1, 2, 3, 4, 5, 2.5], sample=5)
+@example(column=[0, 2**63], sample=100_000)  # beyond int64
+@example(column=[0, 1, 2, 3, 4, -(2**63) - 1], sample=5)
+@example(column=[2**63 - 1, -(2**63)], sample=100_000)  # int64's ends
+@example(column=[42] * 9, sample=100_000)  # one repeated value
+@example(column=[42] * 9, sample=5)
+@example(column=[], sample=100_000)  # an empty relation
+@example(column=[], sample=5)
+def test_collect_statistics_is_exact_past_plain_ints(column, sample):
+    schema = Schema([int_attr("a"), string_attr("s", 4), int_attr("b")])
+    records = [(value, "x", serial) for serial, value in enumerate(column)]
+    with mock.patch.object(relation_module, "DISTINCT_SAMPLE", sample):
+        stats = collect_statistics(schema, records)
+        assert stats == collect_statistics_transposed(schema, records)
+    for attr in stats.values():  # Python numbers, never numpy scalars
+        assert type(attr.distinct_hint) is int
+        assert {type(attr.minimum), type(attr.maximum)} <= {int, bool, float}
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,29 @@ def test_sim_and_recorded_tables_import_nothing_else():
     assert json.loads(done.stdout) == []
 
 
+def test_machines_import_no_observability_plane():
+    """Tracing, profiling and telemetry are imported where a run attaches
+    them, so a plain run pays none of their import time."""
+    planes = (
+        "repro.metrics.profile", "repro.metrics.timeline",
+        "repro.metrics.telemetry", "repro.metrics.trace",
+    )
+    code = (
+        "import json, sys\n"
+        "import repro.engine, repro.teradata\n"
+        "from repro.engine import GammaMachine\n"
+        "from repro.teradata import TeradataMachine\n"
+        "import repro.engine.node, repro.teradata.executor\n"
+        f"print(json.dumps([m for m in {planes!r} if m in sys.modules]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert json.loads(done.stdout) == []
+
+
 @pytest.mark.parametrize("name", LAZY_PACKAGES)
 def test_every_exported_name_resolves_and_is_listed(name):
     package = importlib.import_module(name)

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from repro.errors import BenchmarkError
+from repro.storage import column
 from repro.workloads import (
     INT_ATTRS,
     TUPLE_BYTES,
@@ -25,7 +26,7 @@ def cold_source(monkeypatch):
     own come back afterwards), returned with the module so the test can
     set its bound."""
     monkeypatch.setattr(wisconsin, "_MEMO", {})
-    monkeypatch.setattr(wisconsin, "_INTS", [])
+    monkeypatch.setattr(column, "_INTS", [])
     return wisconsin
 
 
@@ -234,7 +235,7 @@ class TestRelationSource:
         assert wisconsin_relation(100, seed=1) is kept
         assert wisconsin_relation(251, seed=5) is not big
         assert wisconsin_relation(251, seed=5) == big
-        assert len(cold_source._INTS) <= 250
+        assert len(column._INTS) <= 250
 
 
 class TestSelectionRange:
